@@ -356,12 +356,17 @@ def factorisation_doc(F, rep: LawReport) -> dict:
     qspec = quantale_spec(F.f.src.q)
     src, dst = F.f.src, F.f.dst
     space = F.space.category
-    return {"name": "factorisation(%s)" % F.f.name,
-            "source": category_doc(src, qspec),
-            "target": category_doc(dst, qspec),
-            "K": category_doc(F.K, qspec),
-            "space": category_doc(space, qspec),
-            "L": functor_doc(F.L, src.name, F.K.name),
-            "R": functor_doc(F.R, F.K.name, dst.name),
-            "q": functor_doc(F.q, F.K.name, space.name),
-            "report": report_rows(rep)}
+    doc = {"name": "factorisation(%s)" % F.f.name,
+           "source": category_doc(src, qspec),
+           "target": category_doc(dst, qspec),
+           "K": category_doc(F.K, qspec),
+           "space": category_doc(space, qspec),
+           "L": functor_doc(F.L, src.name, F.K.name),
+           "R": functor_doc(F.R, F.K.name, dst.name),
+           "q": functor_doc(F.q, F.K.name, space.name),
+           "report": report_rows(rep)}
+    if dst is src:
+        # an endofunctor's target is its source: a second copy would be
+        # rejected by the loader as a reused category name
+        del doc["target"]
+    return doc

@@ -12,6 +12,7 @@ from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             module_functor_correspondence, separated_quotient,
                             star, tensor_category, underlying_order,
                             unit_category, v_category, validate_category)
+from tvcat.corpus import seed_corpus
 from tvcat.monad import instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
 
@@ -122,6 +123,17 @@ def test_functor_validation():
 def test_functor_carrier_mismatch():
     with pytest.raises(InputError):
         TVFunctor(TWO, THREE, Fn.identity(TWO.carrier))
+    # same labels, different middle categories: nothing composes
+    anti = antichain(ID_BOOL, ["a", "b"])
+    f = TVFunctor(anti, anti, Fn.identity(anti.carrier), "f")
+    g = TVFunctor(TWO, TWO, Fn.identity(TWO.carrier), "g")
+    with pytest.raises(InputError):
+        g @ f
+    with pytest.raises(InputError):
+        bim_compose(star(g), star(f))
+    relabel = TVFunctor(anti, TWO, Fn.identity(TWO.carrier), "relabel")
+    assert (g @ relabel).fn.is_identity()
+    assert bim_compose(star(g), star(relabel)) == star(relabel).rel
 
 
 def test_graph_modules_of_an_inclusion():
@@ -202,5 +214,15 @@ def _corpus(M):
                                                  truncated_chain(1))])
 def test_enriched_calculus_suite(M):
     cats, fns = _corpus(M)
+    rep = check_enriched_calculus(M, cats, fns)
+    assert rep.ok, rep.to_text()
+
+
+@pytest.mark.parametrize("M", [ID_BOOL, UF_BOOL])
+def test_calculus_pairs_modules_on_the_middle_category(M):
+    # three 2-point categories share the labels of one carrier, so pairing
+    # by labels would compose modules whose middle categories differ
+    cats, fns = seed_corpus(M, 2)
+    assert sum(len(C.carrier) == 2 for C in cats) == 3
     rep = check_enriched_calculus(M, cats, fns)
     assert rep.ok, rep.to_text()

@@ -62,12 +62,14 @@ def test_factor_emits_the_three_chain(tmp_path):
 
 
 def test_factor_output_round_trips_through_check(tmp_path):
-    seed(tmp_path)
-    _, out = run_command(["factor", str(tmp_path / "emb.json")])
-    fact = put(tmp_path, "fact.json", json.loads(out))
-    code, out = run_command(["check", fact])
-    assert code == 0
-    assert "ok factorisation factorisation(emb)" in out
+    # bang is an endofunctor: its factorisation embeds pt once
+    seed(tmp_path, ("bang.json", BANG_DOC))
+    for name in ("emb", "bang"):
+        _, out = run_command(["factor", str(tmp_path / (name + ".json"))])
+        fact = put(tmp_path, "fact_%s.json" % name, json.loads(out))
+        code, out = run_command(["check", fact])
+        assert code == 0, out
+        assert "ok factorisation factorisation(%s)" % name in out
 
 
 def test_classify_left_map(tmp_path):

@@ -1,6 +1,7 @@
 """Monad instances: genuine ultrafilter calculus, algebras, lax extensions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from tvcat import FinSet, Fn, InputError, boolean_quantale, truncated_chain
 from tvcat.monad import (MonadInstance, check_monad_laws, filter_pushforward,
                          filter_sum, instantiate_monad, kleisli, lax_extend,
-                         principal_filter, principal_witness, subsets,
-                         ultrafilters_concrete, xi_concrete)
+                         lax_extend_formula, principal_filter,
+                         principal_witness, subsets, ultrafilters_concrete,
+                         xi_concrete)
 from tvcat.quantale import VRelation, lukasiewicz_chain, powerset_frame
 
 BOOL = boolean_quantale()
@@ -113,9 +115,14 @@ def test_kleisli_shape_errors():
     ("finite_ultrafilter", BOOL),
     ("finite_ultrafilter", CHAIN1),
 ])
-def test_law_suite_passes(kind, q):
+def test_law_suite_passes(kind, q, monkeypatch):
+    # the extension laws must check the reference formula, not the fast path
+    def fast_path(M, r):
+        raise AssertionError("the law suite called lax_extend")
+    monkeypatch.setattr("tvcat.monad.lax_extend", fast_path)
     rep = check_monad_laws(instantiate_monad(kind, q), size_limit=3)
     assert rep.ok, rep.to_text()
+    assert "identity-extension" in {c.name for c in rep.checks}
 
 
 def test_law_suite_smoke_on_wider_quantales():
@@ -138,6 +145,27 @@ class _BrokenMult(MonadInstance):
 class _BrokenXi(MonadInstance):
     def _build_xi(self):
         return tuple(self.q.unit for _ in range(self.q.n))
+
+
+def _reference_kleisli(M, s, r, X):
+    m_op = VRelation.from_fn(M.q, M.mult(X)).T
+    return s @ lax_extend_formula(M, r) @ m_op
+
+
+@pytest.mark.parametrize("q", [BOOL, truncated_chain(2), lukasiewicz_chain(2),
+                               powerset_frame(2)],
+                         ids=["boolean", "chain2", "lukasiewicz2", "powerset2"])
+@pytest.mark.parametrize("kind", ["identity", "finite_ultrafilter"])
+def test_fast_paths_match_the_reference_formula(kind, q):
+    # _BrokenXi is not the identity on values, so its extension applies xi
+    rng = random.Random(7)
+    sets = [FinSet(["x%d" % i for i in range(k)]) for k in range(3)]
+    for M in (instantiate_monad(kind, q), _BrokenXi(kind, q)):
+        for X, Y, Z in itertools.product(sets, repeat=3):
+            r = VRelation(q, X, Y, ((rng.randrange(q.n) for _ in Y) for _ in X))
+            s = VRelation(q, Y, Z, ((rng.randrange(q.n) for _ in Z) for _ in Y))
+            assert lax_extend(M, r) == lax_extend_formula(M, r)
+            assert kleisli(M, s, r, X) == _reference_kleisli(M, s, r, X)
 
 
 def test_corrupted_multiplication_is_caught():
@@ -183,6 +211,8 @@ def test_kleisli_associativity(rdata, sdata, tdata):
     left = kleisli(M, kleisli(M, t, s, Y), r, X)
     right = kleisli(M, t, kleisli(M, s, r, X), X)
     assert left == right
+    assert kleisli(M, s, r, X) == _reference_kleisli(M, s, r, X)
+    assert kleisli(M, t, s, Y) == _reference_kleisli(M, t, s, Y)
 
 
 @settings(max_examples=50, deadline=None)
@@ -193,3 +223,4 @@ def test_extension_is_identity_on_relations(data):
     X, Y = FinSet(["a", "b"]), FinSet(["c", "d", "e"])
     r = _rel(q, X, Y, data)
     assert lax_extend(M, r) == r
+    assert lax_extend_formula(M, r) == r
