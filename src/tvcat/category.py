@@ -124,8 +124,8 @@ class TVFunctor:
 
     def __eq__(self, other):
         return (isinstance(other, TVFunctor) and self.fn == other.fn
-                and self.src.carrier == other.src.carrier
-                and self.dst.carrier == other.dst.carrier)
+                and same_category(self.src, other.src)
+                and same_category(self.dst, other.dst))
 
     def __hash__(self):
         return hash(self.fn)
@@ -263,10 +263,12 @@ def is_fully_faithful(f: TVFunctor) -> bool:
 def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     """f <= g, by comparing restriction modules pointwise.
 
-    The unit formulation (k <= b(e(f x), g x) for every x) is equivalent
-    for valid categories and cheaper; both are computed and must agree.
+    f and g must be parallel: the same source and the same target category
+    (`same_category`), not just the same carrier labels.  The unit
+    formulation (k <= b(e(f x), g x) for every x) is equivalent for valid
+    categories and cheaper; both are computed and must agree.
     """
-    if f.src.carrier != g.src.carrier or f.dst.carrier != g.dst.carrier:
+    if not (same_category(f.src, g.src) and same_category(f.dst, g.dst)):
         raise InputError("functor order needs parallel functors")
     by_modules = costar(f).rel <= costar(g).rel
     q, b = f.dst.q, f.dst.structure

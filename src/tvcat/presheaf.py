@@ -76,40 +76,91 @@ def presheaf_condition_matrix(C: TVCategory):
             for j in range(tn)]
 
 
+class _OverCap(SizeCapError):
+    """The enumeration found more than `cap` presheaves."""
+
+    def __init__(self, cap: int, tn: int):
+        super().__init__("presheaf space exceeds the cap of %d (carrier of %d "
+                         "lifted points)" % (cap, tn))
+        self.cap = cap
+
+
 def _enumerate_value_tuples(q, cond, max_space):
-    tn = len(cond)
+    """Every presheaf value tuple, in lexicographic order; raises past the cap.
+
+    Positions are filled left to right.  Once positions j < pos carry values
+    w_j, the pair conditions between j and pos read, for a candidate v,
+
+        cond[j][pos] (x) w_j <= v      and      cond[pos][j] (x) v <= w_j,
+
+    and by residuation (c (x) v <= w iff v <= hom(c, w)) the second is
+    v <= hom(cond[pos][j], w_j).  So the admissible values at pos are exactly
+    domain[pos] cut down to the interval lb <= v <= ub, where
+    lb = join_j cond[j][pos] (x) w_j and ub = meet_j hom(cond[pos][j], w_j).
+
+    The search computes that interval as bitmasks over V.  Earlier positions
+    with the same (cond[j][pos], cond[pos][j]) pair form one group (an int
+    mask of positions), each (pair, w) has a precomputed mask of the values
+    between its two bounds, and `carrying[w]` holds the positions now set to
+    w.  A node ANDs the masks of the (group, w) whose positions meet: at most
+    groups x |V| tests, however many positions come before it.
+
+    Values are tried in increasing index order at every position (set bits
+    lowest first), so the tuples come out in lexicographic order, and the
+    search stops at the first tuple past `max_space`.
+    """
+    tn, n = len(cond), q.n
     tensor, leq = q.tensor_m, q.leq_m
-    bot = q.bottom
-    # bottom entries of the condition matrix constrain nothing (bot (x) w
-    # = bot <= anything), so prune over the live pairs only
-    domain = [[v for v in range(q.n) if leq[tensor[cond[pos][pos]][v]][v]]
+    between = {}
+
+    def interval(a, b):
+        # per w, the mask of {v : a (x) w <= v and b (x) v <= w}, which by
+        # residuation is the interval a (x) w <= v <= hom(b, w)
+        if (a, b) not in between:
+            between[a, b] = [sum(1 << v for v in range(n)
+                                 if leq[tensor[a][w]][v]
+                                 and leq[tensor[b][v]][w])
+                             for w in range(n)]
+        return between[a, b]
+
+    domain = [sum(1 << v for v in range(n)
+                  if leq[tensor[cond[pos][pos]][v]][v])
               for pos in range(tn)]
-    active = [[j for j in range(pos)
-               if cond[j][pos] != bot or cond[pos][j] != bot]
-              for pos in range(tn)]
+    tests = []
+    for pos in range(tn):
+        groups = {}
+        for j in range(pos):
+            pair = (cond[j][pos], cond[pos][j])
+            groups[pair] = groups.get(pair, 0) | 1 << j
+        # (w, group, mask) for the masks that can cut the domain down; the
+        # all-bottom pair and other vacuous ones drop out here
+        tests.append([(w, group, mask)
+                      for pair, group in groups.items()
+                      for w, mask in enumerate(interval(*pair))
+                      if mask & domain[pos] != domain[pos]])
     out = []
     chosen = [0] * tn
+    carrying = [0] * n
 
     def extend(pos):
         if pos == tn:
             out.append(tuple(chosen))
             if len(out) > max_space:
-                raise SizeCapError(
-                    "presheaf space exceeds the cap of %d (carrier of %d "
-                    "lifted points)" % (max_space, tn))
+                raise _OverCap(max_space, tn)
             return
-        cpos = cond[pos]
-        for v in domain[pos]:
-            ok = True
-            for j in active[pos]:
-                w = chosen[j]
-                if not leq[tensor[cond[j][pos]][w]][v] \
-                        or not leq[tensor[cpos[j]][v]][w]:
-                    ok = False
-                    break
-            if ok:
-                chosen[pos] = v
-                extend(pos + 1)
+        allowed = domain[pos]
+        for w, group, mask in tests[pos]:
+            if carrying[w] & group:
+                allowed &= mask
+        bit = 1 << pos
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            chosen[pos] = v
+            carrying[v] |= bit
+            extend(pos + 1)
+            carrying[v] ^= bit
 
     extend(0)
     return out
@@ -299,6 +350,7 @@ class PresheafSpace:
                                                      len(self))
 
 
+# A built space, or the largest cap its enumeration went past.
 _SPACE_CACHE: dict = {}
 
 
@@ -307,12 +359,20 @@ def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
     cls = cls or _BUILTIN_CLASSES["all"]
     key = (id(C.M), C.carrier.elements, C.structure.rows, cls.name)
     hit = _SPACE_CACHE.get(key)
-    if hit is not None:
+    if isinstance(hit, int):
+        # more than `hit` presheaves, so more than any cap up to it
+        if max_space <= hit:
+            raise _OverCap(max_space, len(C.tx))
+    elif hit is not None:
         if len(hit) > max_space:
             raise SizeCapError("presheaf space has %d elements, over the "
                                "requested cap %d" % (len(hit), max_space))
         return hit
-    space = PresheafSpace(C, cls, max_space)
+    try:
+        space = PresheafSpace(C, cls, max_space)
+    except _OverCap as exc:
+        _SPACE_CACHE[key] = exc.cap
+        raise
     _SPACE_CACHE[key] = space
     return space
 

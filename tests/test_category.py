@@ -168,6 +168,18 @@ def test_functor_order_matches_pointwise_order():
     assert functor_leq(pt["a"], pt["b"])
     assert not functor_leq(pt["b"], pt["a"])
     assert functor_leq(pt["a"], pt["a"])
+    # same labels and tables, different target structures: not parallel
+    anti = antichain(ID_BOOL, ["a", "b"])
+    f = TVFunctor(one, TWO, Fn.from_dict(one.carrier, TWO.carrier,
+                                         {"*": "b"}), "f")
+    g = TVFunctor(one, anti, Fn.from_dict(one.carrier, anti.carrier,
+                                          {"*": "b"}), "g")
+    with pytest.raises(InputError):
+        functor_leq(f, g)
+    with pytest.raises(InputError):
+        functor_leq(g, f)
+    assert f != g
+    assert f == TVFunctor(one, TWO, f.fn, "f2")
 
 
 def test_bimodule_rejects_bad_shapes():

@@ -1,13 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvcat.core import EngineError, SizeCapError, ValidationError, Fn
-from tvcat.quantale import boolean_quantale, truncated_chain, VRelation
+from tvcat.core import EngineError, FinSet, Fn, SizeCapError, ValidationError
+from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
+                            powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
-from tvcat.category import (Bimodule, TVFunctor, category_from_entries,
-                            check_category, discrete_category, functor_leq,
-                            identity_functor, is_bimodule, is_separated,
-                            star, underlying_order, unit_category)
+from tvcat.category import (Bimodule, TVCategory, TVFunctor,
+                            category_from_entries, check_category,
+                            discrete_category, functor_leq, identity_functor,
+                            is_bimodule, is_separated, star,
+                            underlying_order, unit_category)
 from tvcat.presheaf import (Presheaf, SaturatedClass, apply_P, apply_P_star,
                             check_presheaf_monad, check_saturated, has_algebra,
                             phi_dense, presheaf_space, saturated_class,
@@ -79,13 +83,36 @@ def test_antichain_cube():
     assert len(presheaf_space(ANTI3)) == 8
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         presheaf_space(ANTI3, ALL, max_space=5)
     # cached spaces still honour a smaller cap on later calls
     presheaf_space(ANTI3, ALL, max_space=100)
     with pytest.raises(SizeCapError):
         presheaf_space(ANTI3, ALL, max_space=5)
+
+    # fresh bases with exactly 8 presheaves: the cap is inclusive
+    assert len(presheaf_space(discrete_category(ID, ["c0", "c1", "c2"]),
+                              ALL, max_space=8)) == 8
+    base = discrete_category(ID, ["d0", "d1", "d2"])
+    message = ("presheaf space exceeds the cap of %d "
+               "(carrier of 3 lifted points)")
+    with pytest.raises(SizeCapError) as exc:
+        presheaf_space(base, ALL, max_space=7)
+    assert str(exc.value) == message % 7
+
+    # the over-cap verdict is remembered: no enumeration at or below 7
+    def refuse(*args):
+        raise AssertionError("enumerated an over-cap space again")
+
+    with monkeypatch.context() as m:
+        m.setattr("tvcat.presheaf._enumerate_value_tuples", refuse)
+        for cap in (7, 3):
+            with pytest.raises(SizeCapError) as exc:
+                presheaf_space(base, ALL, max_space=cap)
+            assert str(exc.value) == message % cap
+    # a larger cap enumerates again
+    assert len(presheaf_space(base, ALL, max_space=8)) == 8
 
 
 def test_representable_space_of_chain():
@@ -232,37 +259,44 @@ def test_algebra_on_chain_but_not_antichain():
     assert has_algebra(ANTI3) is None
 
 
+QUANTALES = [BOOL, truncated_chain(2), lukasiewicz_chain(2), powerset_frame(2)]
+
+
 @st.composite
-def small_posets(draw):
-    # upper triangular, so antisymmetry is free; close transitively
+def small_v_categories(draw):
+    # a random V-matrix, made reflexive and then closed transitively
+    q = draw(st.sampled_from(QUANTALES))
     n = draw(st.integers(min_value=1, max_value=3))
-    rel = [[i == j for j in range(n)] for i in range(n)]
+    a = [[draw(st.integers(min_value=0, max_value=q.n - 1)) for _ in range(n)]
+         for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1, n):
-            rel[i][j] = draw(st.booleans())
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
-    return rel
+        a[i][i] = q.join_m[a[i][i]][q.unit]
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in itertools.product(range(n), repeat=3):
+            v = q.join_m[a[i][k]][q.tensor_m[a[i][j]][a[j][k]]]
+            if v != a[i][k]:
+                a[i][k], changed = v, True
+    return q, a
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_posets())
-def test_enumeration_matches_bimodule_oracle(rel):
-    n = len(rel)
-    labels = ["x%d" % i for i in range(n)]
-    entries = {(labels[i], labels[j]): "1"
-               for i in range(n) for j in range(n) if rel[i][j]}
-    C = category_from_entries(ID, labels, entries, default="0", name="rand")
+@settings(max_examples=160, deadline=None)
+@given(small_v_categories())
+def test_enumeration_matches_bimodule_oracle(drawn):
+    q, a = drawn
+    M = instantiate_monad("identity", q)
+    X = FinSet(["x%d" % i for i in range(len(a))])
+    C = TVCategory(M, X, VRelation(q, M.T_obj(X), X, a), "rand")
+    assert check_category(C).ok
     if not is_separated(C):
         return
     space = presheaf_space(C)
-    E = unit_category(ID)
-    expected = set()
-    for mask in range(2 ** n):
-        vals = tuple((mask >> i) & 1 for i in range(n))
-        r = VRelation(BOOL, C.tx, E.carrier, ((v,) for v in vals))
-        if is_bimodule(C, E, r):
-            expected.add(vals)
-    assert {p.values for p in space.presheaves} == expected
+    E = unit_category(M)
+    # the reference: every value tuple, in lexicographic order, kept when
+    # it is a bimodule C -|-> E
+    expected = [vals for vals in itertools.product(range(q.n),
+                                                   repeat=len(C.tx))
+                if is_bimodule(C, E, VRelation(q, C.tx, E.carrier,
+                                               ((v,) for v in vals)))]
+    assert [p.values for p in space.presheaves] == expected
