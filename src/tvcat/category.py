@@ -10,9 +10,11 @@ modules and cross-checked against the unit formulation.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import EngineError, FinSet, Fn, InputError, pair_label, product_finset
 from .monad import MonadInstance, kleisli, lax_extend
-from .quantale import VRelation
+from .quantale import VRelation, line_masks
 from .report import LawReport
 
 
@@ -88,15 +90,6 @@ def same_category(C: TVCategory, D: TVCategory) -> bool:
     return C is D or (C.M is D.M and C.structure == D.structure)
 
 
-def validate_category(C: TVCategory) -> TVCategory:
-    rep = check_category(C)
-    if not rep.ok:
-        from .core import ValidationError
-        raise ValidationError("not a category: %s" % "; ".join(
-            "%s (%s)" % (c.name, c.detail) for c in rep.failures))
-    return C
-
-
 class TVFunctor:
     __slots__ = ("src", "dst", "fn", "name")
 
@@ -155,15 +148,31 @@ def check_functor(f: TVFunctor) -> LawReport:
 
 
 def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
-    a, b = src.structure, dst.structure
-    leq = src.q.leq_m
-    tf = src.M.T_fn(fn).table
+    """a(xx, x) <= b(Tf xx, f x) on all of TX x X, read off value masks.
+
+    Row xx of a must lie entrywise below the row of b at Tf xx pulled back
+    along f; with the packed masks of `Quantale` that is one AND per row.
+    The pulled-back row's above-masks are built once per distinct Tf xx.
+    """
     table = fn.table
-    for i, arow in enumerate(a.rows):
-        brow = b.rows[tf[i]]
-        for j, v in enumerate(arow):
-            if not leq[v][brow[table[j]]]:
-                return False
+    if not table:
+        return True
+    up = src.q.up_codes
+    tf = src.M.T_fn(fn).table
+    brows = dst.structure.rows
+    # entries last first, as the masks read them
+    if len(table) == 1:
+        x, = table
+        pull = lambda row: (row[x],)
+    else:
+        pull = itemgetter(*table[::-1])
+    ups = {}
+    for t, masks in zip(tf, src.structure.row_masks()):
+        above = ups.get(t)
+        if above is None:
+            above = ups[t] = line_masks(bytes(pull(brows[t])), up)
+        if masks & ~above:
+            return False
     return True
 
 
@@ -291,36 +300,24 @@ def underlying_order(C: TVCategory) -> set:
 
 
 def is_separated(C: TVCategory) -> bool:
-    order = underlying_order(C)
-    return not any(x != y and (x, y) in order and (y, x) in order
-                   for (x, y) in order)
+    """No two distinct objects lie below each other in the underlying order.
 
-
-def separated_quotient(C: TVCategory):
-    """Collapse order-equivalent objects; returns (quotient, projection)."""
-    order = underlying_order(C)
-    rep_of = {}
-    reps = []
-    for x in C.carrier:
-        for r in reps:
-            if (x, r) in order and (r, x) in order:
-                rep_of[x] = r
-                break
-        else:
-            reps.append(x)
-            rep_of[x] = x
-    Y = FinSet(reps)
-    p = Fn.from_dict(C.carrier, Y, rep_of)
-    tp = C.M.T_fn(p)
-    q, a = C.q, C.structure
-    TY = C.M.T_obj(Y)
-    rows = [[q.join_all(a.rows[i][j]
-                        for i in range(len(C.tx)) if tp.table[i] == ii
-                        for j in range(len(C.carrier)) if p.table[j] == jj)
-             for jj in range(len(Y))]
-            for ii in range(len(TY))]
-    D = TVCategory(C.M, Y, VRelation(q, TY, Y, rows), C.name + "/~")
-    return D, TVFunctor(C, D, p, "proj")
+    e is the identity (see `tvcat.monad`), so x <= y reads k <= a(x, y):
+    the fields of the values above the unit in the masks of row x give the
+    objects above x, those in the masks of column x the objects below it.
+    """
+    a = C.structure
+    m = len(C.carrier)
+    full = (1 << m) - 1
+    shifts = C.q.field_shifts(C.q.unit, m)
+    for x, (row, col) in enumerate(zip(a.row_masks(), a.col_masks())):
+        up = down = 0
+        for s in shifts:
+            up |= row >> s
+            down |= col >> s
+        if up & down & full & ~(1 << x):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,19 @@ class Factorisation:
         pf = apply_P(f, cls, max_space)
         dst_space = presheaf_space(Y, cls, max_space)
         b = Y.structure
+        # (phi, y) is a pair when P(f) phi <= b(-, y) entrywise: the value
+        # masks of the image lie inside the above-masks of column y
+        col_ups = [q.up_masks(masks, len(Y.tx)) for masks in b.col_masks()]
+        image_masks = dst_space.values.row_masks()
+        below = {}
         pairs = []
-        for ip in range(len(space)):
-            image = dst_space.presheaves[pf.fn.table[ip]].values
-            for iy in range(len(Y.carrier)):
-                if all(q.leq_m[image[jy]][b.rows[jy][iy]]
-                       for jy in range(len(Y.tx))):
-                    pairs.append((ip, iy))
+        for ip, jp in enumerate(pf.fn.table):
+            points = below.get(jp)
+            if points is None:
+                masks = image_masks[jp]
+                points = below[jp] = [iy for iy, ups in enumerate(col_ups)
+                                      if not masks & ~ups]
+            pairs.extend((ip, iy) for iy in points)
         self.pairs = pairs
         self.pair_index = {pr: i for i, pr in enumerate(pairs)}
         carrier = FinSet(pair_label(space.presheaves[ip].name,

@@ -70,8 +70,10 @@ def presheaf_condition_matrix(C: TVCategory):
     ext = lax_extend(M, C.structure)
     m = M.mult(C.carrier)
     tn = len(C.tx)
-    return [[q.join_all(ext.rows[XX][j]
-                        for XX in range(len(m.src)) if m.table[XX] == i)
+    fibre = [[] for _ in range(tn)]
+    for XX, i in enumerate(m.table):
+        fibre[i].append(XX)
+    return [[q.join_all(ext.rows[XX][j] for XX in fibre[i])
              for i in range(tn)]
             for j in range(tn)]
 
@@ -296,7 +298,7 @@ class PresheafSpace:
     """All presheaves on a base category that lie in a saturated class."""
 
     __slots__ = ("base", "cls", "presheaves", "carrier", "category", "index",
-                 "cond")
+                 "cond", "values")
 
     def __init__(self, base: TVCategory, cls: SaturatedClass, max_space: int):
         if len(base.tx) > ENUM_BASE_CAP:
@@ -332,6 +334,8 @@ class PresheafSpace:
                 "is past the work budget" % (len(tuples), len(base.tx)))
         self.presheaves = [Presheaf(base, v) for v in tuples]
         self.carrier = FinSet(p.name for p in self.presheaves)
+        # row i holds the values of presheaf i
+        self.values = VRelation(base.q, self.carrier, base.tx, tuples)
         rows = base.M.presheaf_structure(tuples)
         structure = VRelation(base.q, base.M.T_obj(self.carrier),
                               self.carrier, rows)
@@ -421,27 +425,26 @@ def yoneda_lemma_check(C: TVCategory, cls: SaturatedClass | None = None,
 
 def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
             max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
-    """Direct image: compose a presheaf with the restriction module of f."""
+    """Direct image: compose a presheaf with the restriction module of f.
+
+    The image of phi is the convolution phi o f^* = phi . T(f^*), m_Y being
+    the identity (see `kleisli`).  All presheaves go through one relation
+    composition: with Phi the relation PX -/-> TX of their values, row phi
+    of T(f^*)^T . Phi is phi's image, as the tensor is commutative.
+    """
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
-    M, q = f.src.M, f.src.q
-    ext = lax_extend(M, costar(f).rel)         # T(TY) -/-> TX
-    m = M.mult(f.dst.carrier)
-    fibre = [[YY for YY in range(len(m.src)) if m.table[YY] == iy]
-             for iy in range(len(f.dst.tx))]
-    tensor, join_all = q.tensor_m, q.join_all
+    ext = lax_extend(f.src.M, costar(f).rel)   # T(TY) -/-> TX
+    images = ext.T @ PX.values                  # PX -/-> T(TY)
+    index = PY.index
     table = []
-    for phi in PX.presheaves:
-        vals = tuple(
-            join_all(tensor[ext.rows[YY][x]][phi.values[x]]
-                     for YY in fibre[iy] for x in range(len(f.src.tx)))
-            for iy in range(len(f.dst.tx)))
-        try:
-            table.append(PY.lookup(vals))
-        except KeyError:
+    for phi, vals in zip(PX.presheaves, images.rows):
+        ip = index.get(vals)
+        if ip is None:
             raise EngineError("image of %s under the direct-image map "
                               "escapes %s: class predicate is broken"
                               % (phi.name, PY.category.name))
+        table.append(ip)
     out = TVFunctor(PX.category, PY.category,
                     Fn(PX.carrier, PY.carrier, table), "P(%s)" % f.name)
     if not is_functor(out.src, out.dst, out.fn):

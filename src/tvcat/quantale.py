@@ -17,6 +17,10 @@ from .report import LawReport
 
 BUILTIN_NAMES = ("boolean", "truncated_chain", "lukasiewicz_chain", "powerset_frame")
 
+# Values are stored one byte each when relations are turned into masks, so
+# a carrier may have at most this many elements.
+MAX_ELEMENTS = 256
+
 
 def _closure(n: int, leq: list[list[bool]]) -> None:
     """Reflexive-transitive closure, in place."""
@@ -38,10 +42,20 @@ class Quantale:
     Elements are addressed by index into `elements`; the string names only
     matter at the I/O boundary.  Constructed through `build_quantale` or one
     of the builtin helpers, which validate every law first.
+
+    Value masks.  A line of m values (a row or column of a relation, one
+    byte per value) is summarised by one int, its packed masks, with one
+    field of m bits per value other than bottom: bits k*m .. k*m+m-1 belong
+    to `fields[k]`, and bit k*m+j is set when entry j of the line is that
+    value (`eq_codes`) or lies above it (`up_codes`).  Bottom needs no
+    field: it lies below everything.  A line l is then below a line l'
+    entrywise exactly when
+    line_masks(l, eq_codes) & ~line_masks(l', up_codes) == 0.
     """
 
     __slots__ = ("elements", "n", "leq_m", "tensor_m", "unit", "bottom", "top",
-                 "join_m", "meet_m", "hom_m", "_vset")
+                 "join_m", "meet_m", "hom_m", "_vset", "fields", "eq_codes",
+                 "up_codes")
 
     def __init__(self, elements, leq_m, tensor_m, unit, join_m, meet_m, hom_m,
                  bottom, top):
@@ -56,6 +70,14 @@ class Quantale:
         self.bottom = bottom
         self.top = top
         self._vset = FinSet(self.elements)
+        # bytes.translate tables mapping a value to b"1" or b"0"; the last
+        # field comes first in the numeral, so that field k starts at bit k*m
+        self.fields = tuple(v for v in range(self.n) if v != bottom)
+        self.eq_codes = tuple(bytes(49 if w == v else 48 for w in range(256))
+                              for v in reversed(self.fields))
+        self.up_codes = tuple(bytes(49 if w < self.n and leq_m[v][w] else 48
+                                    for w in range(256))
+                              for v in reversed(self.fields))
 
     # -- index-level operations ------------------------------------------
 
@@ -116,9 +138,33 @@ class Quantale:
     def carrier(self) -> FinSet:
         return self._vset
 
+    # -- value masks (see the class docstring) ------------------------------
+
+    def up_masks(self, masks: int, m: int) -> int:
+        """Packed above-masks of a line of m values, from its value masks."""
+        out = 0
+        for k, v in enumerate(self.fields):
+            field = 0
+            for s in self.field_shifts(v, m):
+                field |= masks >> s
+            out |= (field & ((1 << m) - 1)) << (k * m)
+        return out
+
+    def field_shifts(self, v: int, m: int) -> list:
+        """Bit offsets, in masks of lines of m values, of the fields above v."""
+        return [k * m for k, w in enumerate(self.fields) if self.leq_m[v][w]]
+
     def __repr__(self) -> str:
         return "Quantale(%s; unit=%s)" % (",".join(self.elements),
                                           self.elements[self.unit])
+
+
+def line_masks(line: bytes, codes) -> int:
+    """Packed masks of a line given last entry first, read through codes.
+
+    `codes` is `q.eq_codes` or `q.up_codes` (see `Quantale`).
+    """
+    return int(b"".join(map(line.translate, codes)), 2) if line else 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +308,9 @@ def _raw_from_spec(spec: dict):
         if field not in spec:
             raise InputError("quantale description missing %r" % field)
     elements = tuple(spec["elements"])
+    if len(elements) > MAX_ELEMENTS:
+        raise InputError("quantale has %d elements; at most %d are supported"
+                         % (len(elements), MAX_ELEMENTS))
     if len(set(elements)) != len(elements):
         raise InputError("duplicate quantale element names")
     ix = {e: i for i, e in enumerate(elements)}
@@ -413,16 +462,25 @@ class VRelation:
     Stored densely: rows[i][j] is the index of the value at
     (src[i], dst[j]).  Relations between value-equal carriers compose even
     when the FinSet objects differ; the quantale must be the same object.
+
+    `row_masks()[i]` packs the value masks of row i (see `Quantale`): bit
+    k*len(dst)+j is set exactly when rows[i][j] == q.fields[k].
+    `col_masks()[j]` does the same for column j: bit k*len(src)+i is set
+    exactly when rows[i][j] == q.fields[k].  Both are derived from `rows`
+    on first use and kept on the relation; `rows` never changes, so they
+    stay valid for as long as the relation lives.
     """
 
-    __slots__ = ("q", "src", "dst", "rows")
+    __slots__ = ("q", "src", "dst", "rows", "_row_masks", "_col_masks")
 
     def __init__(self, q: Quantale, src: FinSet, dst: FinSet, rows):
         self.q = q
         self.src = src
         self.dst = dst
-        self.rows = tuple(tuple(r) for r in rows)
-        if len(self.rows) != len(src) or any(len(r) != len(dst) for r in self.rows):
+        self.rows = tuple(map(tuple, rows))
+        self._row_masks = self._col_masks = None
+        if len(self.rows) != len(src) \
+                or not all(map(len(dst).__eq__, map(len, self.rows))):
             raise InputError("relation shape %dx%d does not match carriers %dx%d"
                              % (len(self.rows),
                                 len(self.rows[0]) if self.rows else 0,
@@ -468,6 +526,25 @@ class VRelation:
 
     def at(self, i: int, j: int) -> int:
         return self.rows[i][j]
+
+    def row_masks(self) -> list:
+        """Packed value masks of each row."""
+        if self._row_masks is None:
+            eq = self.q.eq_codes
+            self._row_masks = [line_masks(bytes(row)[::-1], eq)
+                               for row in self.rows]
+        return self._row_masks
+
+    def col_masks(self) -> list:
+        """Packed value masks of each column."""
+        if self._col_masks is None:
+            eq = self.q.eq_codes
+            nc = len(self.dst)
+            # column j, last row first, is a stride of the reversed matrix
+            flat = b"".join(map(bytes, self.rows))[::-1]
+            self._col_masks = [line_masks(flat[nc - 1 - j::nc], eq)
+                               for j in range(nc)]
+        return self._col_masks
 
     def entry(self, x: str, y: str) -> str:
         return self.q.elements[self.rows[self.src.index_of(x)][self.dst.index_of(y)]]

@@ -2,16 +2,16 @@
 
 import pytest
 
-from tvcat import FinSet, Fn, InputError, ValidationError, boolean_quantale
+from tvcat import FinSet, Fn, InputError, boolean_quantale
 from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             category_from_entries, check_bimodule,
                             check_category, check_enriched_calculus,
                             check_functor, check_graph_adjunction, costar,
                             discrete_category, dual_category, functor_leq,
                             identity_functor, is_fully_faithful, is_separated,
-                            module_functor_correspondence, separated_quotient,
-                            star, tensor_category, underlying_order,
-                            unit_category, v_category, validate_category)
+                            module_functor_correspondence, star,
+                            tensor_category, underlying_order, unit_category,
+                            v_category)
 from tvcat.corpus import seed_corpus
 from tvcat.monad import instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
@@ -47,8 +47,6 @@ def test_missing_reflexivity_is_caught():
     C = category_from_entries(ID_BOOL, ["a"], {}, default="0")
     rep = check_category(C)
     assert [c.name for c in rep.failures] == ["reflexivity"]
-    with pytest.raises(ValidationError, match="reflexivity"):
-        validate_category(C)
 
 
 def test_missing_transitivity_is_caught():
@@ -71,17 +69,11 @@ def test_underlying_order_of_two_chain():
     assert is_separated(TWO)
 
 
-def test_quotient_collapses_a_loop():
+def test_a_loop_is_not_separated():
     loop = category_from_entries(ID_BOOL, ["x", "y"], {}, default="1")
+    assert check_category(loop).ok
     assert not is_separated(loop)
-    D, proj = separated_quotient(loop)
-    assert len(D.carrier) == 1
-    assert is_separated(D)
-    assert check_category(D).ok
-    assert check_functor(proj).ok
-    # already-separated categories are left alone
-    E, p = separated_quotient(THREE)
-    assert p.fn.is_identity()
+    assert is_separated(THREE)
 
 
 def test_dual_of_a_chain_reverses_it():

@@ -1,0 +1,333 @@
+"""The value-mask kernels against cell-by-cell references kept here.
+
+Each reference is the per-cell loop the kernel replaced.  Inputs cover five
+quantales (powerset_frame(4) has 16 values, so no pair of values fits one
+byte), both monad instances, carriers of 0 to 4 points, and tables that are
+not reflexive, not separated or not functorial.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tvcat.core import FinSet, Fn, InputError, SizeCapError
+from tvcat.quantale import (VRelation, boolean_quantale, build_quantale,
+                            check_quantale_laws, lukasiewicz_chain,
+                            powerset_frame, truncated_chain)
+from tvcat.monad import instantiate_monad
+from tvcat.category import TVCategory, TVFunctor, is_functor, is_separated
+from tvcat.presheaf import apply_P, presheaf_space, saturated_class
+from tvcat.lofs import comma_factorise
+from tvcat.report import FAIL
+
+QUANTALES = [boolean_quantale(), truncated_chain(2), lukasiewicz_chain(2),
+             powerset_frame(2), powerset_frame(4)]
+KINDS = ["identity", "finite_ultrafilter"]
+MONADS = {(id(q), kind): instantiate_monad(kind, q)
+          for q in QUANTALES for kind in KINDS}
+CARRIERS = [FinSet("x%d" % i for i in range(n)) for n in range(5)]
+
+
+def monad(q, kind):
+    return MONADS[id(q), kind]
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell references
+# ---------------------------------------------------------------------------
+
+def ref_compose(s, r):
+    q = r.q
+    return [[q.join_all(q.tensor_m[r.rows[i][j]][s.rows[j][k]]
+                        for j in range(len(r.dst)))
+             for k in range(len(s.dst))]
+            for i in range(len(r.src))]
+
+
+def ref_is_separated(C):
+    q, a = C.q, C.structure
+    e = C.M.unit(C.carrier).table
+    n = len(C.carrier)
+    return not any(x != y and q.leq_m[q.unit][a.rows[e[x]][y]]
+                   and q.leq_m[q.unit][a.rows[e[y]][x]]
+                   for x in range(n) for y in range(n))
+
+
+def ref_is_functor(src, dst, fn):
+    a, b, leq = src.structure, dst.structure, src.q.leq_m
+    tf = src.M.T_fn(fn).table
+    return all(leq[a.rows[i][j]][b.rows[tf[i]][fn.table[j]]]
+               for i in range(len(src.tx)) for j in range(len(src.carrier)))
+
+
+def ref_images(f, cls, cap):
+    """The direct image of every presheaf by the join-over-fibres formula."""
+    PX = presheaf_space(f.src, cls, cap)
+    M, q = f.src.M, f.src.q
+    b = f.dst.structure
+    costar = [[b.rows[yy][f.fn.table[x]] for x in range(len(f.src.carrier))]
+              for yy in range(len(f.dst.tx))]
+    xi = M.xi_table
+    m = M.mult(f.dst.carrier)
+    out = []
+    for phi in PX.presheaves:
+        out.append(tuple(
+            q.join_all(q.tensor_m[xi[costar[YY][x]]][phi.values[x]]
+                       for YY in range(len(m.src)) if m.table[YY] == iy
+                       for x in range(len(f.src.tx)))
+            for iy in range(len(f.dst.tx))))
+    return out
+
+
+def ref_pairs(F):
+    q, Y = F.f.src.q, F.f.dst
+    b = Y.structure
+    PY = presheaf_space(Y, F.cls, F.max_space)
+    pf = apply_P(F.f, F.cls, F.max_space)
+    return [(ip, iy) for ip in range(len(F.space))
+            for iy in range(len(Y.carrier))
+            if all(q.leq_m[PY.presheaves[pf.fn.table[ip]].values[jy]]
+                   [b.rows[jy][iy]] for jy in range(len(Y.tx)))]
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+# ---------------------------------------------------------------------------
+
+def category(M, X, rows, name="C"):
+    return TVCategory(M, X, VRelation(M.q, M.T_obj(X), X, rows), name)
+
+
+def random_rows(rng, q, n, reflexive):
+    rows = [[rng.randrange(q.n) for _ in range(n)] for _ in range(n)]
+    if reflexive:
+        for i in range(n):
+            rows[i][i] = q.join_m[rows[i][i]][q.unit]
+    return rows
+
+
+def closed_rows(rng, q, n):
+    """A random reflexive, transitively closed V-matrix: a V-category."""
+    a = random_rows(rng, q, n, True)
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in itertools.product(range(n), repeat=3):
+            v = q.join_m[a[i][k]][q.tensor_m[a[i][j]][a[j][k]]]
+            if v != a[i][k]:
+                a[i][k], changed = v, True
+    return a
+
+
+drawn_setting = st.tuples(st.sampled_from(QUANTALES), st.sampled_from(KINDS),
+                          st.integers(min_value=0, max_value=2 ** 32))
+
+
+# ---------------------------------------------------------------------------
+# the relation masks
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=120, deadline=None)
+@given(drawn_setting, st.integers(0, 4), st.integers(0, 4))
+def test_masks_hold_the_cells_of_each_value(drawn, nr, nc):
+    q, _, seed = drawn
+    rng = random.Random(seed)
+    rel = VRelation(q, CARRIERS[nr], CARRIERS[nc],
+                    [[rng.randrange(q.n) for _ in range(nc)]
+                     for _ in range(nr)])
+    for i, masks in enumerate(rel.row_masks()):
+        for k, v in enumerate(q.fields):
+            for j in range(nc):
+                assert (masks >> (k * nc + j) & 1) == (rel.rows[i][j] == v)
+        assert masks >> (len(q.fields) * nc) == 0
+        ups = q.up_masks(masks, nc)
+        for k, v in enumerate(q.fields):
+            for j in range(nc):
+                assert (ups >> (k * nc + j) & 1) \
+                    == q.leq_m[v][rel.rows[i][j]]
+    for j, masks in enumerate(rel.col_masks()):
+        for k, v in enumerate(q.fields):
+            for i in range(nr):
+                assert (masks >> (k * nr + i) & 1) == (rel.rows[i][j] == v)
+        assert masks >> (len(q.fields) * nr) == 0
+    assert len(rel.row_masks()) == nr and len(rel.col_masks()) == nc
+
+
+@settings(max_examples=120, deadline=None)
+@given(drawn_setting, st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4))
+def test_composition_matches_the_cell_formula(drawn, nx, ny, nz):
+    q, _, seed = drawn
+    rng = random.Random(seed)
+
+    def rand(n, m):
+        return VRelation(q, CARRIERS[n], CARRIERS[m],
+                         [[rng.randrange(q.n) for _ in range(m)]
+                          for _ in range(n)])
+
+    r, s = rand(nx, ny), rand(ny, nz)
+    assert [list(row) for row in (s @ r).rows] == ref_compose(s, r)
+
+
+# ---------------------------------------------------------------------------
+# is_separated and is_functor on arbitrary tables
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_setting, st.integers(0, 4), st.booleans())
+def test_is_separated_matches_the_reference(drawn, n, reflexive):
+    q, kind, seed = drawn
+    rng = random.Random(seed)
+    C = category(monad(q, kind), CARRIERS[n],
+                 random_rows(rng, q, n, reflexive))
+    assert is_separated(C) == ref_is_separated(C)
+
+
+def test_is_separated_on_small_cases():
+    for q in QUANTALES:
+        for kind in KINDS:
+            M = monad(q, kind)
+            k, bot = q.unit, q.bottom
+            assert is_separated(category(M, CARRIERS[0], []))
+            assert is_separated(category(M, CARRIERS[1], [[k]]))
+            assert is_separated(category(M, CARRIERS[1], [[bot]]))
+            loop = category(M, CARRIERS[2], [[k, k], [k, k]])
+            assert not is_separated(loop) and not ref_is_separated(loop)
+            # a value above the unit in both directions also collapses
+            top = category(M, CARRIERS[2], [[k, q.top], [q.top, k]])
+            assert not is_separated(top)
+            chain = category(M, CARRIERS[2], [[k, k], [bot, k]])
+            assert is_separated(chain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_setting, st.integers(0, 4), st.integers(0, 4), st.booleans())
+def test_is_functor_matches_the_reference(drawn, nx, ny, closed):
+    q, kind, seed = drawn
+    rng = random.Random(seed)
+    M = monad(q, kind)
+
+    def rows(n):
+        return closed_rows(rng, q, n) if closed \
+            else random_rows(rng, q, n, False)
+
+    src = category(M, CARRIERS[nx], rows(nx), "src")
+    dst = category(M, CARRIERS[ny], rows(ny), "dst")
+    if ny == 0 and nx:
+        return
+    for _ in range(6):
+        fn = Fn(src.carrier, dst.carrier,
+                [rng.randrange(ny) for _ in range(nx)])
+        assert is_functor(src, dst, fn) == ref_is_functor(src, dst, fn)
+
+
+def test_is_functor_on_small_cases():
+    for q in QUANTALES:
+        for kind in KINDS:
+            M = monad(q, kind)
+            k, bot, top = q.unit, q.bottom, q.top
+            empty = category(M, CARRIERS[0], [])
+            one = category(M, CARRIERS[1], [[k]])
+            low = category(M, CARRIERS[1], [[bot]])
+            two = category(M, CARRIERS[2], [[k, top], [bot, k]])
+            for src, dst in [(empty, empty), (empty, one), (one, one),
+                             (one, low), (low, one), (one, two), (two, one),
+                             (two, two), (low, two)]:
+                for table in itertools.product(range(len(dst.carrier)),
+                                               repeat=len(src.carrier)):
+                    fn = Fn(src.carrier, dst.carrier, table)
+                    assert is_functor(src, dst, fn) \
+                        == ref_is_functor(src, dst, fn), (q, src, dst, table)
+            # a one-point source pulls back a single entry
+            assert not is_functor(one, low, Fn(one.carrier, low.carrier, [0]))
+            assert is_functor(one, two, Fn(one.carrier, two.carrier, [1]))
+
+
+# ---------------------------------------------------------------------------
+# the direct image and the comma carrier
+# ---------------------------------------------------------------------------
+
+ALL = saturated_class("all")
+CAP = 512
+
+
+def random_functors(rng, M, nx, ny, tries=4):
+    q = M.q
+    src = category(M, CARRIERS[nx], closed_rows(rng, q, nx), "src")
+    dst = category(M, CARRIERS[ny], closed_rows(rng, q, ny), "dst")
+    if not (ref_is_separated(src) and ref_is_separated(dst)):
+        return []
+    if ny == 0:
+        return [TVFunctor(src, dst, Fn(src.carrier, dst.carrier, []), "f")] \
+            if nx == 0 else []
+    out = []
+    for _ in range(tries):
+        fn = Fn(src.carrier, dst.carrier,
+                [rng.randrange(ny) for _ in range(nx)])
+        if ref_is_functor(src, dst, fn):
+            out.append(TVFunctor(src, dst, fn, "f"))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_setting, st.integers(0, 3), st.integers(0, 3))
+def test_direct_image_and_comma_pairs_match_the_reference(drawn, nx, ny):
+    q, kind, seed = drawn
+    if q.n > 4 and nx + ny > 3:
+        return          # 16 values over 3 points is past any useful cap
+    rng = random.Random(seed)
+    for f in random_functors(rng, monad(q, kind), nx, ny):
+        try:
+            pf = apply_P(f, ALL, CAP)
+            F = comma_factorise(f, ALL, CAP)
+        except SizeCapError:
+            continue
+        PY = presheaf_space(f.dst, ALL, CAP)
+        assert [PY.presheaves[i].values for i in pf.fn.table] \
+            == ref_images(f, ALL, CAP)
+        assert F.pairs == ref_pairs(F)
+        assert is_separated(F.K) and ref_is_separated(F.K)
+
+
+def test_direct_image_over_empty_and_one_point_targets():
+    for q in QUANTALES:
+        for kind in KINDS:
+            M = monad(q, kind)
+            rng = random.Random(q.n)
+            for nx, ny in [(0, 0), (0, 1), (1, 1), (2, 1), (1, 2)]:
+                if q.n > 4 and nx + ny > 2:
+                    continue
+                for f in random_functors(rng, M, nx, ny, tries=8):
+                    pf = apply_P(f, ALL, CAP)
+                    PY = presheaf_space(f.dst, ALL, CAP)
+                    assert [PY.presheaves[i].values for i in pf.fn.table] \
+                        == ref_images(f, ALL, CAP)
+                    F = comma_factorise(f, ALL, CAP)
+                    assert F.pairs == ref_pairs(F)
+
+
+# ---------------------------------------------------------------------------
+# the one-byte bound on quantale carriers
+# ---------------------------------------------------------------------------
+
+def chain_spec(n):
+    names = ["e%d" % i for i in range(n)]
+    return {"elements": names,
+            "leq": [[names[i], names[i + 1]] for i in range(n - 1)],
+            "tensor": {"%s|%s" % (a, b): names[min(i, j)]
+                       for i, a in enumerate(names)
+                       for j, b in enumerate(names)},
+            "unit": names[-1]}
+
+
+def test_quantales_past_256_elements_are_refused():
+    spec = chain_spec(257)
+    with pytest.raises(InputError, match="257 elements; at most 256"):
+        build_quantale(spec)
+    rep = check_quantale_laws(spec)
+    assert [(c.name, c.status) for c in rep.checks] == [("well-formed", FAIL)]
+    assert "at most 256" in rep.checks[0].detail
+    with pytest.raises(InputError, match="at most 256"):
+        build_quantale({"builtin": "powerset_frame", "n": 9})
