@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .core import EngineError, FinSet, Fn, InputError, pair_label, product_finset
+from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
+                   pair_label, product_finset)
 from .monad import MonadInstance, kleisli, lax_extend
 from .quantale import VRelation, line_masks
 from .report import LawReport
@@ -174,6 +175,86 @@ def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
         if masks & ~above:
             return False
     return True
+
+
+# Searches for structure-preserving maps give up past this many visited
+# nodes.
+SEARCH_NODE_BUDGET = 500_000
+
+
+def _structure_maps(src: TVCategory, dst: TVCategory, what: str,
+                    pinned=None, fibres=None) -> list:
+    """Every table t with a(i, j) <= b(t i, t j) on all of X x X, sorted.
+
+    T is the identity on carriers, so these are the functors src -> dst.
+    Position i may only go to pinned[i] when it is pinned, otherwise to a
+    point of fibres[i], a bitmask of target points (every point when
+    fibres is None).  Forward checking: each free position keeps a bitmask
+    of the points still admissible; a choice w at p cuts every free k down
+    to the points z with a(p, k) <= b(w, z) and a(k, p) <= b(z, w), and the
+    search branches next on the free position with the fewest points left.
+    Past SEARCH_NODE_BUDGET nodes it raises SizeCapError naming `what`.
+    """
+    a, b = src.structure.rows, dst.structure.rows
+    if not b:
+        return [] if a else [()]
+    q = src.q
+    full = (1 << len(b)) - 1
+    codes = dict(zip(reversed(q.fields), q.up_codes))
+    values = {v for row in a for v in row}
+
+    def above(lines):
+        """Per value v of a, per line, the bitmask of the z with v <= line[z]."""
+        lines = [bytes(line[::-1]) for line in lines]
+        return {v: [full] * len(lines) if v == q.bottom
+                else [int(line.translate(codes[v]), 2) for line in lines]
+                for v in values}
+
+    # after w, the points z with v <= b(w, z), and with v <= b(z, w)
+    after = above(b)
+    before = above(zip(*b))
+    diagonal = above([[row[z] for z, row in enumerate(b)]])
+    domains = []
+    for i, row in enumerate(a):
+        if pinned and i in pinned:
+            start = 1 << pinned[i]
+        else:
+            start = full if fibres is None else fibres[i]
+        start &= diagonal[row[i]][0]
+        if not start:
+            return []
+        domains.append(start)
+    found = []
+    choice = [0] * len(a)
+    nodes = 0
+
+    def extend(domains, free):
+        nonlocal nodes
+        if not free:
+            found.append(tuple(choice))
+            return
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise SizeCapError("%s ran out of budget" % what)
+        p = min(free, key=lambda k: domains[k].bit_count())
+        rest = [k for k in free if k != p]
+        row = a[p]
+        left = domains[p]
+        while left:
+            low = left & -left
+            left ^= low
+            w = choice[p] = low.bit_length() - 1
+            cut = domains[:]
+            for k in rest:
+                cut[k] &= after[row[k]][w] & before[a[k][p]][w]
+                if not cut[k]:
+                    break
+            else:
+                extend(cut, rest)
+
+    extend(domains, list(range(len(a))))
+    found.sort()
+    return found
 
 
 class Bimodule:

@@ -12,6 +12,7 @@ deterministic for identical inputs and flags; exit codes are 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -71,11 +72,15 @@ def _artifact(doc: dict) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every command.
+
+    It holds no per-command state: --max-space defaults to None and
+    `_max_space` reads TVCAT_MAX_SPACE on every call.
+    """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-space", type=int, metavar="N",
-                        default=int(os.environ.get("TVCAT_MAX_SPACE",
-                                                   DEFAULT_MAX_SPACE)),
+    common.add_argument("--max-space", type=int, metavar="N", default=None,
                         help="presheaf enumeration cap (default %d, or "
                              "TVCAT_MAX_SPACE)" % DEFAULT_MAX_SPACE)
     common.add_argument("--output", choices=("text", "json"), default="text",
@@ -140,6 +145,25 @@ def _build_parser() -> argparse.ArgumentParser:
                         "chains up to min(2, N)")
     p.add_argument("--corrupt-builtin", default=None, help=argparse.SUPPRESS)
     return top
+
+
+def _max_space(args) -> int:
+    """The presheaf cap: --max-space, else TVCAT_MAX_SPACE, else the default."""
+    if args.max_space is not None:
+        cap, source = args.max_space, "--max-space"
+    else:
+        raw = os.environ.get("TVCAT_MAX_SPACE")
+        if raw is None:
+            return DEFAULT_MAX_SPACE
+        source = "TVCAT_MAX_SPACE"
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InputError("%s must be an integer, got %r" % (source, raw))
+    if cap < 1:
+        raise InputError("%s must be at least 1 (every space has a "
+                         "presheaf), got %d" % (source, cap))
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +507,7 @@ def run_command(argv) -> tuple[int, str]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else EXIT_INPUT), ""
     try:
+        args.max_space = _max_space(args)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         return EXIT_INPUT, "error: %s" % exc

@@ -9,8 +9,8 @@ forces anyway.
 
 import itertools
 
-from .category import TVCategory, TVFunctor, check_category, is_functor, \
-    is_separated
+from .category import (TVCategory, TVFunctor, _structure_maps, check_category,
+                       is_separated)
 from .core import FinSet, Fn, InputError
 from .quantale import VRelation
 
@@ -46,14 +46,11 @@ def seed_functors(cats) -> list:
     out = []
     for C in cats:
         for D in cats:
-            kept = 0
-            for table in itertools.product(range(len(D.carrier)),
-                                           repeat=len(C.carrier)):
-                fn = Fn(C.carrier, D.carrier, table)
-                if is_functor(C, D, fn):
-                    out.append(TVFunctor(C, D, fn, "%s>%s#%d"
-                                         % (C.name, D.name, kept)))
-                    kept += 1
+            tables = _structure_maps(C, D, "functor search for %s -> %s"
+                                     % (C.name, D.name))
+            out.extend(TVFunctor(C, D, Fn(C.carrier, D.carrier, table),
+                                 "%s>%s#%d" % (C.name, D.name, k))
+                       for k, table in enumerate(tables))
     return out
 
 
@@ -75,13 +72,18 @@ def arrow_iso_key(f: TVFunctor):
     outcome on both.
     """
     ns, nd = len(f.src.carrier), len(f.dst.carrier)
+    table = f.fn.table
+    targets = []
+    for pd in itertools.permutations(range(nd)):
+        inv = [0] * nd
+        for new, old in enumerate(pd):
+            inv[old] = new
+        targets.append((_relabelled(f.dst.structure.rows, pd), inv))
     best = None
     for ps in itertools.permutations(range(ns)):
         a = _relabelled(f.src.structure.rows, ps)
-        for pd in itertools.permutations(range(nd)):
-            inv = {old: new for new, old in enumerate(pd)}
-            key = (a, _relabelled(f.dst.structure.rows, pd),
-                   tuple(inv[f.fn.table[ps[i]]] for i in range(ns)))
+        for b, inv in targets:
+            key = (a, b, tuple(inv[table[i]] for i in ps))
             if best is None or key < best:
                 best = key
     return (ns, nd) + best

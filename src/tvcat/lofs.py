@@ -10,20 +10,16 @@ system whose fillers are least among all diagonal fillers.
 
 from __future__ import annotations
 
-import itertools
-
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
-from .category import (TVCategory, TVFunctor, bim_compose, costar,
-                       identity_functor, is_fully_faithful, is_functor,
-                       is_separated, functor_leq, star, underlying_order)
+from .category import (TVCategory, TVFunctor, _structure_maps, bim_compose,
+                       costar, identity_functor, is_fully_faithful,
+                       is_functor, is_separated, functor_leq, star,
+                       underlying_order)
 from .presheaf import (apply_P, apply_P_star, phi_dense, presheaf_space,
                        saturated_class, space_mult, yoneda)
 from .quantale import VRelation
 from .report import FAIL, SKIP, LawReport
-
-# Backtracking searches give up past this many visited nodes.
-SEARCH_NODE_BUDGET = 500_000
 
 
 class Factorisation:
@@ -197,6 +193,14 @@ def l_membership(f: TVFunctor, cls=None,
     return hit
 
 
+def _fibres(g: TVFunctor, over) -> list:
+    """For each point y of over, the bitmask of the points z with g z = y."""
+    masks = {}
+    for z, y in enumerate(g.fn.table):
+        masks[y] = masks.get(y, 0) | 1 << z
+    return [masks.get(y, 0) for y in over]
+
+
 _ALG_CACHE: dict = {}
 
 
@@ -204,9 +208,9 @@ def r_membership(g: TVFunctor, cls=None,
                  max_space: int = DEFAULT_MAX_SPACE):
     """Least algebra structure p: K(g) -> Z, or None.
 
-    Search by backtracking with the pairwise functor constraint as
-    pruning; the least solution must also satisfy the lax-idempotent
-    algebra inequality id <= L(g) . p.
+    The candidates are the functors K(g) -> Z that send each unit pair
+    L(g) z to z and lie over the right leg; the least one must also
+    satisfy the lax-idempotent algebra inequality id <= L(g) . p.
     """
     cls = cls or saturated_class("all")
     key = _fact_key(g, cls)
@@ -214,40 +218,9 @@ def r_membership(g: TVFunctor, cls=None,
         return _ALG_CACHE[key]
     F = comma_factorise(g, cls, max_space)
     K, Z = F.K, g.src
-    kr, a = K.structure.rows, Z.structure.rows
-    q = Z.q
-    n = len(K.carrier)
     pinned = {F.L.fn.table[z]: z for z in range(len(Z.carrier))}
-    fibres = [[z for z in range(len(Z.carrier))
-               if g.fn.table[z] == F.R.fn.table[k]] for k in range(n)]
-    solutions = []
-    choice = [0] * n
-    nodes = [0]
-
-    def backtrack(pos):
-        if pos == n:
-            solutions.append(tuple(choice))
-            return
-        nodes[0] += 1
-        if nodes[0] > SEARCH_NODE_BUDGET:
-            raise SizeCapError("algebra search for %s ran out of budget"
-                               % g.name)
-        options = [pinned[pos]] if pos in pinned else fibres[pos]
-        for z in options:
-            if not q.leq_m[kr[pos][pos]][a[z][z]]:
-                continue
-            ok = True
-            for prev in range(pos):
-                w = choice[prev]
-                if not q.leq_m[kr[prev][pos]][a[w][z]] \
-                        or not q.leq_m[kr[pos][prev]][a[z][w]]:
-                    ok = False
-                    break
-            if ok:
-                choice[pos] = z
-                backtrack(pos + 1)
-
-    backtrack(0)
+    solutions = _structure_maps(K, Z, "algebra search for %s" % g.name,
+                                pinned, _fibres(g, F.R.fn.table))
     if not solutions:
         _ALG_CACHE[key] = None
         return None
@@ -287,41 +260,16 @@ def enumerate_fillers(f: TVFunctor, g: TVFunctor, u: TVFunctor,
     if (v.fn @ f.fn) != (g.fn @ u.fn):
         raise InputError("lifting square does not commute")
     B, Z = f.dst, g.src
-    a, bz = B.structure.rows, Z.structure.rows
-    q = B.q
-    n = len(B.carrier)
     pinned = {}
     for ia in range(len(f.src.carrier)):
         ib, iz = f.fn.table[ia], u.fn.table[ia]
         if pinned.setdefault(ib, iz) != iz:
             return []
-    fibres = [[z for z in range(len(Z.carrier))
-               if g.fn.table[z] == v.fn.table[ib]] for ib in range(n)]
-    out = []
-    choice = [0] * n
-
-    def backtrack(pos):
-        if pos == n:
-            out.append(TVFunctor(B, Z, Fn(B.carrier, Z.carrier,
-                                          tuple(choice)), "filler"))
-            return
-        options = [pinned[pos]] if pos in pinned else fibres[pos]
-        for z in options:
-            if not q.leq_m[a[pos][pos]][bz[z][z]]:
-                continue
-            ok = True
-            for prev in range(pos):
-                w = choice[prev]
-                if not q.leq_m[a[prev][pos]][bz[w][z]] \
-                        or not q.leq_m[a[pos][prev]][bz[z][w]]:
-                    ok = False
-                    break
-            if ok:
-                choice[pos] = z
-                backtrack(pos + 1)
-
-    backtrack(0)
-    return out
+    tables = _structure_maps(B, Z, "filler search for %s vs %s"
+                             % (f.name, g.name), pinned,
+                             _fibres(g, v.fn.table))
+    return [TVFunctor(B, Z, Fn(B.carrier, Z.carrier, t), "filler")
+            for t in tables]
 
 
 def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
@@ -388,29 +336,6 @@ def _pi(F: Factorisation, FR: Factorisation, cls,
     if not is_functor(out.src, out.dst, out.fn):
         raise EngineError("multiplication of %s is not a functor" % F.f.name)
     return out
-
-
-def comonad_monad_structure(f: TVFunctor, cls=None,
-                            max_space: int = DEFAULT_MAX_SPACE):
-    """The pair (sigma_f, pi_f) with landing and projection verified."""
-    cls = cls or saturated_class("all")
-    F = comma_factorise(f, cls, max_space)
-    FL = comma_factorise(F.L, cls, max_space)
-    FR = comma_factorise(F.R, cls, max_space)
-    sig = _sigma(F, FL)
-    pi = _pi(F, FR, cls, max_space)
-    if (FL.R.fn @ sig.fn) != Fn.identity(F.K.carrier):
-        raise EngineError("comultiplication of %s is not a section of the "
-                          "right leg" % f.name)
-    if (F.R.fn @ pi.fn) != FR.R.fn:
-        raise EngineError("multiplication of %s does not fix the right leg"
-                          % f.name)
-    pq = apply_P(F.q, cls, max_space)
-    mu = space_mult(f.src, cls, max_space)
-    if (F.q.fn @ pi.fn) != (mu.fn @ pq.fn @ FR.q.fn):
-        raise EngineError("multiplication of %s does not project to the "
-                          "space multiplication" % f.name)
-    return sig, pi
 
 
 AWFS_LAWS = ("comonad-counit-right", "comonad-counit-comma",
@@ -773,14 +698,10 @@ def _order_embedding(f: TVFunctor) -> bool:
 
 
 def _functors_between(C: TVCategory, D: TVCategory):
-    if len(C.carrier) == 0:
-        yield TVFunctor(C, D, Fn(C.carrier, D.carrier, ()), "m")
-        return
-    for table in itertools.product(range(len(D.carrier)),
-                                   repeat=len(C.carrier)):
-        fn = Fn(C.carrier, D.carrier, table)
-        if is_functor(C, D, fn):
-            yield TVFunctor(C, D, fn, "m%s" % (table,))
+    for table in _structure_maps(C, D, "functor search for %s -> %s"
+                                 % (C.name, D.name)):
+        yield TVFunctor(C, D, Fn(C.carrier, D.carrier, table),
+                        "m%s" % (table,))
 
 
 def _adjoint_section(f: TVFunctor):
@@ -842,8 +763,9 @@ def wfs_cross_check(cats, fns, cls=None, max_space: int = DEFAULT_MAX_SPACE,
     capped = False
     for f in lmaps:
         for g in rmaps:
+            vs = list(_functors_between(f.dst, g.dst))
             for u in _functors_between(f.src, g.src):
-                for v in _functors_between(f.dst, g.dst):
+                for v in vs:
                     if (v.fn @ f.fn) != (g.fn @ u.fn):
                         continue
                     problems += 1
@@ -878,8 +800,9 @@ def wfs_cross_check(cats, fns, cls=None, max_space: int = DEFAULT_MAX_SPACE,
         scanned += 1
         refuted = False
         for g in rmaps:
+            vs = list(_functors_between(f.dst, g.dst))
             for u in _functors_between(f.src, g.src):
-                for v in _functors_between(f.dst, g.dst):
+                for v in vs:
                     if (v.fn @ f.fn) != (g.fn @ u.fn):
                         continue
                     if not enumerate_fillers(f, g, u, v):

@@ -17,11 +17,11 @@ import itertools
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
-from .category import (Bimodule, TVCategory, TVFunctor, bim_compose,
-                       check_bimodule, check_category, check_functor, costar,
-                       identity_functor, is_bimodule, is_fully_faithful,
-                       is_functor, is_separated, functor_leq, star,
-                       underlying_order, unit_category)
+from .category import (Bimodule, TVCategory, TVFunctor, _structure_maps,
+                       bim_compose, check_bimodule, check_category,
+                       check_functor, costar, identity_functor, is_bimodule,
+                       is_fully_faithful, is_functor, is_separated,
+                       functor_leq, star, underlying_order, unit_category)
 from .monad import lax_extend
 from .quantale import VRelation, residual_left
 from .report import LawReport
@@ -817,44 +817,20 @@ def has_algebra(C: TVCategory, cls: SaturatedClass | None = None,
                 max_space: int = DEFAULT_MAX_SPACE):
     """Least retraction of the unit, or None.
 
-    Retractions are found by backtracking with pairwise structure pruning
-    (sound because both instances lift carriers identically); those that
-    are also left adjoint to the unit must coincide, and when any exist
-    the least retraction is the algebra KZ theory predicts.
+    The retractions are the functors from the space to C that fix the
+    unit's image; those that are also left adjoint to the unit must
+    coincide, and when any exist the least retraction is the algebra KZ
+    theory predicts.
     """
     space = presheaf_space(C, cls, max_space)
     y = yoneda(C, cls, max_space)
-    ahat = space.category.structure
-    a = C.structure
-    q = C.q
-    n, nx = len(space), len(C.carrier)
-    pinned = {}
-    for j, target in enumerate(y.fn.table):
-        pinned[target] = j
-    found = []
-    choice = [0] * n
-
-    def backtrack(pos):
-        if pos == n:
-            found.append(Fn(space.carrier, C.carrier, tuple(choice)))
-            return
-        options = [pinned[pos]] if pos in pinned else range(nx)
-        for v in options:
-            ok = True
-            for prev in range(pos):
-                w = choice[prev]
-                if not q.leq_m[ahat.rows[prev][pos]][a.rows[w][v]] \
-                        or not q.leq_m[ahat.rows[pos][prev]][a.rows[v][w]]:
-                    ok = False
-                    break
-            if ok and q.leq_m[ahat.rows[pos][pos]][a.rows[v][v]]:
-                choice[pos] = v
-                backtrack(pos + 1)
-
-    backtrack(0)
-    if not found:
+    pinned = {target: j for j, target in enumerate(y.fn.table)}
+    tables = _structure_maps(space.category, C,
+                             "retraction search on %s" % C.name, pinned)
+    if not tables:
         return None
-    rets = [TVFunctor(space.category, C, fn, "retract") for fn in found]
+    rets = [TVFunctor(space.category, C, Fn(space.carrier, C.carrier, t),
+                      "retract") for t in tables]
     adjoint = [r for r in rets
                if functor_leq(identity_functor(space.category), y @ r)]
     for r in adjoint[1:]:

@@ -1,19 +1,20 @@
 import pytest
 
-from tvcat.core import EngineError, Fn, InputError, ValidationError
+from tvcat.core import (DEFAULT_MAX_SPACE, EngineError, Fn, InputError,
+                        ValidationError)
 from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
 from tvcat.category import (TVFunctor, category_from_entries, check_category,
                             discrete_category, functor_leq, identity_functor,
                             is_fully_faithful, is_functor, is_separated,
                             underlying_order)
-from tvcat.presheaf import saturated_class
-from tvcat.lofs import (check_awfs, check_awfs_corpus, check_left_class,
-                        check_simplicity, check_simplicity_corpus,
-                        check_subspace_fullness, coalgebra, comma_factorise,
-                        comma_map, comonad_monad_structure, enumerate_fillers,
-                        l_membership, lari, r_membership, solve_lifting,
-                        wfs_cross_check)
+from tvcat.presheaf import apply_P, saturated_class, space_mult
+from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
+                        check_left_class, check_simplicity,
+                        check_simplicity_corpus, check_subspace_fullness,
+                        coalgebra, comma_factorise, comma_map,
+                        enumerate_fillers, l_membership, lari, r_membership,
+                        solve_lifting, wfs_cross_check)
 
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)
@@ -86,10 +87,18 @@ def test_comma_of_embedding_into_three_chain():
 
 
 def test_sigma_pi_frozen_tables():
-    sig, pi = comonad_monad_structure(TOP)
     F = comma_factorise(TOP)
     FL = comma_factorise(F.L)
     FR = comma_factorise(F.R)
+    sig = _sigma(F, FL)
+    pi = _pi(F, FR, ALL, DEFAULT_MAX_SPACE)
+    # sigma lands in K(Lf) as a section of its right leg; pi fixes the
+    # right leg and projects to the space multiplication
+    assert (FL.R.fn @ sig.fn) == Fn.identity(F.K.carrier)
+    assert (F.R.fn @ pi.fn) == FR.R.fn
+    pq = apply_P(F.q, ALL, DEFAULT_MAX_SPACE)
+    mu = space_mult(TOP.src, ALL, DEFAULT_MAX_SPACE)
+    assert (F.q.fn @ pi.fn) == (mu.fn @ pq.fn @ FR.q.fn)
     assert FL.K.carrier.elements == (
         "([0],([0],0))", "([0],([0],1))", "([0],([1],1))", "([1],([1],1))")
     assert sig.fn.table == (0, 1, 3)
@@ -102,7 +111,7 @@ def test_sigma_pi_frozen_tables():
 def test_perturbed_comultiplication_fails_the_laws():
     F = comma_factorise(TOP)
     FL = comma_factorise(F.L)
-    sig, _ = comonad_monad_structure(TOP)
+    sig = _sigma(F, FL)
     k_counit = comma_map(FL, F, identity_functor(PT), F.R)
     ident = Fn.identity(F.K.carrier)
     for k in range(len(F.K.carrier)):
