@@ -200,7 +200,7 @@ def _structure_maps(src: TVCategory, dst: TVCategory, what: str,
         return [] if a else [()]
     q = src.q
     full = (1 << len(b)) - 1
-    codes = dict(zip(reversed(q.fields), q.up_codes))
+    codes = q.above
     values = {v for row in a for v in row}
 
     def above(lines):

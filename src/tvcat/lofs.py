@@ -18,7 +18,7 @@ from .category import (TVCategory, TVFunctor, _structure_maps, bim_compose,
                        underlying_order)
 from .presheaf import (apply_P, apply_P_star, phi_dense, presheaf_space,
                        saturated_class, space_mult, yoneda)
-from .quantale import VRelation
+from .quantale import VRelation, line_masks
 from .report import FAIL, SKIP, LawReport
 
 
@@ -47,7 +47,8 @@ class Factorisation:
         b = Y.structure
         # (phi, y) is a pair when P(f) phi <= b(-, y) entrywise: the value
         # masks of the image lie inside the above-masks of column y
-        col_ups = [q.up_masks(masks, len(Y.tx)) for masks in b.col_masks()]
+        col_ups = [line_masks(bytes(col[::-1]), q.up_codes)
+                   for col in zip(*b.rows)]
         image_masks = dst_space.values.row_masks()
         below = {}
         pairs = []
@@ -697,19 +698,41 @@ def _order_embedding(f: TVFunctor) -> bool:
                for x in names for y in names)
 
 
-def _functors_between(C: TVCategory, D: TVCategory):
-    for table in _structure_maps(C, D, "functor search for %s -> %s"
-                                 % (C.name, D.name)):
-        yield TVFunctor(C, D, Fn(C.carrier, D.carrier, table),
-                        "m%s" % (table,))
+def _maps_between(C: TVCategory, D: TVCategory) -> list:
+    return _structure_maps(C, D, "functor search for %s -> %s"
+                           % (C.name, D.name))
+
+
+def _functor(C: TVCategory, D: TVCategory, table) -> TVFunctor:
+    return TVFunctor(C, D, Fn(C.carrier, D.carrier, table), "m%s" % (table,))
+
+
+def _commuting_squares(f: TVFunctor, g: TVFunctor):
+    """Every pair of functors (u, v) with v.f = g.u, u-major, in table order.
+
+    The squares are compared on the tables; functors are built only for
+    the squares that commute.
+    """
+    ft, gt = f.fn.table, g.fn.table
+    by_image = {}
+    for vt in _maps_between(f.dst, g.dst):
+        by_image.setdefault(tuple(map(vt.__getitem__, ft)), []).append(vt)
+    for ut in _maps_between(f.src, g.src):
+        vts = by_image.get(tuple(map(gt.__getitem__, ut)))
+        if vts:
+            u = _functor(f.src, g.src, ut)
+            for vt in vts:
+                yield u, _functor(f.dst, g.dst, vt)
 
 
 def _adjoint_section(f: TVFunctor):
     """A right adjoint to f that f splits, found by exhaustive search."""
     ident_dst = identity_functor(f.dst)
-    for g in _functors_between(f.dst, f.src):
-        if (g.fn @ f.fn).is_identity() and functor_leq(f @ g, ident_dst):
-            return g
+    for t in _maps_between(f.dst, f.src):
+        if all(t[j] == i for i, j in enumerate(f.fn.table)):
+            g = _functor(f.dst, f.src, t)
+            if functor_leq(f @ g, ident_dst):
+                return g
     return None
 
 
@@ -763,26 +786,19 @@ def wfs_cross_check(cats, fns, cls=None, max_space: int = DEFAULT_MAX_SPACE,
     capped = False
     for f in lmaps:
         for g in rmaps:
-            vs = list(_functors_between(f.dst, g.dst))
-            for u in _functors_between(f.src, g.src):
-                for v in vs:
-                    if (v.fn @ f.fn) != (g.fn @ u.fn):
-                        continue
-                    problems += 1
-                    if problems > problem_cap:
-                        capped = True
-                        break
-                    fillers = enumerate_fillers(f, g, u, v)
-                    if not fillers:
-                        bad.append("no filler for %s vs %s" % (f.name,
-                                                               g.name))
-                        continue
-                    d = solve_lifting(f, g, u, v, cls, max_space)
-                    if not all(functor_leq(d, e) for e in fillers):
-                        bad.append("filler for %s vs %s is not least"
-                                   % (f.name, g.name))
-                if capped:
+            for u, v in _commuting_squares(f, g):
+                problems += 1
+                if problems > problem_cap:
+                    capped = True
                     break
+                fillers = enumerate_fillers(f, g, u, v)
+                if not fillers:
+                    bad.append("no filler for %s vs %s" % (f.name, g.name))
+                    continue
+                d = solve_lifting(f, g, u, v, cls, max_space)
+                if not all(functor_leq(d, e) for e in fillers):
+                    bad.append("filler for %s vs %s is not least"
+                               % (f.name, g.name))
             if capped:
                 break
         if capped:
@@ -798,21 +814,8 @@ def wfs_cross_check(cats, fns, cls=None, max_space: int = DEFAULT_MAX_SPACE,
         if l_membership(f, cls, max_space):
             continue
         scanned += 1
-        refuted = False
-        for g in rmaps:
-            vs = list(_functors_between(f.dst, g.dst))
-            for u in _functors_between(f.src, g.src):
-                for v in vs:
-                    if (v.fn @ f.fn) != (g.fn @ u.fn):
-                        continue
-                    if not enumerate_fillers(f, g, u, v):
-                        refuted = True
-                        break
-                if refuted:
-                    break
-            if refuted:
-                break
-        if not refuted:
+        if not any(not enumerate_fillers(f, g, u, v)
+                   for g in rmaps for u, v in _commuting_squares(f, g)):
             bad.append(f.name)
     rep.add("no-spurious-lifters", not bad,
             "all %d non-members fail some lifting at this scale" % scanned

@@ -26,7 +26,7 @@ import random
 from typing import Sequence
 
 from .core import EngineError, FinSet, Fn, InputError, product_finset
-from .quantale import Quantale, VRelation
+from .quantale import Quantale, VRelation, mask_rows
 from .report import LawReport
 
 GENUINE_BOUND = 5  # above this carrier size the principal construction is used
@@ -199,9 +199,6 @@ class MonadInstance:
         return tuple(q.join_all(w for w in range(q.n) if q.leq_m[w][v])
                      for v in range(q.n))
 
-    def xi_ix(self, i: int) -> int:
-        return self.xi_table[i]
-
     def xi_fn(self) -> Fn:
         V = self.q.carrier()
         return Fn(self.T_obj(V), V, self.xi_table)
@@ -211,35 +208,16 @@ class MonadInstance:
     def presheaf_structure(self, values: Sequence[tuple[int, ...]]):
         """Structure rows of a presheaf space with the given value tuples.
 
-        For the identity instance this is the pointwise hom-meet formula;
-        the ultrafilter instance transports the same formula along its
-        principal bijection (the row index is the principal point of the
-        lifted carrier element).
+        Entry (i, j) is hom(phi_i, phi_j), the meet over xx of
+        hom(phi_i(xx), phi_j(xx)): both instances are the identity on
+        carriers.  By residuation it is the greatest v with
+        v (x) phi_i <= phi_j entrywise, which `mask_rows` finds for a whole
+        row at once, testing v (x) phi_i(xx) against every phi_j(xx).
         """
         q = self.q
-        if q.n == 2 and q.unit == q.top:
-            # two-element case: hom-meet collapses to a subset test on
-            # bitmasks, which matters because spaces over comma objects
-            # get built once per corpus morphism
-            masks = [sum(1 << i for i, v in enumerate(vi) if v == q.top)
-                     for vi in values]
-            top, bottom = q.top, q.bottom
-            return [[top if mi & ~mj == 0 else bottom for mj in masks]
-                    for mi in masks]
-        hom, meet = q.hom_m, q.meet_m
-        top, bottom = q.top, q.bottom
-        rows = []
-        for vi in values:
-            row = []
-            for vj in values:
-                acc = top
-                for a, b in zip(vi, vj):
-                    acc = meet[acc][hom[a][b]]
-                    if acc == bottom:
-                        break
-                row.append(acc)
-            rows.append(row)
-        return rows
+        return mask_rows(map(bytes, values), q.tensor_codes, q.falling,
+                         map(bytes, zip(*values)), q.above, q.bottom,
+                         len(values))
 
     def __repr__(self) -> str:
         return "MonadInstance(%s over %r)" % (self.kind, self.q)

@@ -1,10 +1,13 @@
 """Presheaf spaces, saturated classes, and the presheaf (sub)monads.
 
 A presheaf on X is a bimodule X -|-> E, stored as a tuple of values over
-TX.  The space of all presheaves in a class carries a category structure
-supplied by the monad instance (hom-meet for the identity instance, its
-transport along the principal bijection for the ultrafilter instance) and
-is the object part of a lax idempotent monad: unit = Yoneda, action on a
+TX.  The space of all presheaves in a class carries the category structure
+hom(phi, psi) = meet over xx of hom(phi(xx), psi(xx)); both monad instances
+are the identity on carriers, so nothing is transported.  By residuation
+hom(phi, psi) >= v holds exactly when v (x) phi <= psi entrywise, and
+`MonadInstance.presheaf_structure` reads every entry off value masks that
+way, one path at every size and for every quantale.  The space is the
+object part of a lax idempotent monad: unit = Yoneda, action on a
 functor f = composition with f^*, multiplication = restriction along the
 Yoneda embedding.  Saturated classes cut out submonads; representability
 is decided by bounded search, adjointness by a residual candidate with a
@@ -17,11 +20,11 @@ import itertools
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
-from .category import (Bimodule, TVCategory, TVFunctor, _structure_maps,
-                       bim_compose, check_bimodule, check_category,
-                       check_functor, costar, identity_functor, is_bimodule,
-                       is_fully_faithful, is_functor, is_separated,
-                       functor_leq, star, underlying_order, unit_category)
+from .category import (Bimodule, TVCategory, TVFunctor, bim_compose,
+                       check_bimodule, check_category, check_functor, costar,
+                       identity_functor, is_bimodule, is_fully_faithful,
+                       is_functor, is_separated, functor_leq, star,
+                       underlying_order, unit_category)
 from .monad import lax_extend
 from .quantale import VRelation, residual_left
 from .report import LawReport
@@ -283,10 +286,13 @@ def saturated_class(kind: str) -> SaturatedClass:
 # the space
 # ---------------------------------------------------------------------------
 
-# Ceiling on the number of cell operations spent building one structure
-# matrix; spaces past it raise SizeCapError like oversized carriers do.
-# 48M covers the discrete pair over a 4-element chain (|PPX| = 1236) in a
-# few seconds; anything bigger is not worth waiting for.
+# Ceiling on n^2 * |TX| for a space of n presheaves over TX; spaces past it
+# raise SizeCapError like oversized carriers do.  The product counts the
+# cells of the old cell-by-cell hom-meet loop, not what the mask kernel of
+# `presheaf_structure` does (about n * |V| * |TX| ANDs of n-bit masks); it
+# is kept as it was so that the same spaces are capped and the verdict
+# rows stay identical.  48M admits the discrete pair over a 4-element
+# chain (|PPX| = 1236).
 STRUCTURE_WORK_CAP = 48_000_000
 
 # Bases past this size make the pairwise pruning itself quadratic in a way
@@ -790,7 +796,7 @@ def check_saturated(cls: SaturatedClass, cats, fns,
 
 
 # ---------------------------------------------------------------------------
-# density and algebras
+# density
 # ---------------------------------------------------------------------------
 
 def phi_dense(f: TVFunctor, cls: SaturatedClass,
@@ -811,37 +817,3 @@ def phi_dense(f: TVFunctor, cls: SaturatedClass,
                           "membership %s, restriction %s"
                           % (f.name, cls.name, member, restricts))
     return member
-
-
-def has_algebra(C: TVCategory, cls: SaturatedClass | None = None,
-                max_space: int = DEFAULT_MAX_SPACE):
-    """Least retraction of the unit, or None.
-
-    The retractions are the functors from the space to C that fix the
-    unit's image; those that are also left adjoint to the unit must
-    coincide, and when any exist the least retraction is the algebra KZ
-    theory predicts.
-    """
-    space = presheaf_space(C, cls, max_space)
-    y = yoneda(C, cls, max_space)
-    pinned = {target: j for j, target in enumerate(y.fn.table)}
-    tables = _structure_maps(space.category, C,
-                             "retraction search on %s" % C.name, pinned)
-    if not tables:
-        return None
-    rets = [TVFunctor(space.category, C, Fn(space.carrier, C.carrier, t),
-                      "retract") for t in tables]
-    adjoint = [r for r in rets
-               if functor_leq(identity_functor(space.category), y @ r)]
-    for r in adjoint[1:]:
-        if r.fn != adjoint[0].fn:
-            raise EngineError("distinct adjoint retractions on %s" % C.name)
-    least = None
-    for r in rets:
-        if all(functor_leq(r, other) for other in rets):
-            least = r
-            break
-    if least is None:
-        raise EngineError("retractions of the unit on %s have no least "
-                          "element" % C.name)
-    return least

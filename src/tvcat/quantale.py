@@ -21,6 +21,10 @@ BUILTIN_NAMES = ("boolean", "truncated_chain", "lukasiewicz_chain", "powerset_fr
 # a carrier may have at most this many elements.
 MAX_ELEMENTS = 256
 
+# Composites with at least this many cells are computed by `mask_rows`
+# (see `VRelation.__matmul__`).
+MASK_CELLS = 128
+
 
 def _closure(n: int, leq: list[list[bool]]) -> None:
     """Reflexive-transitive closure, in place."""
@@ -51,11 +55,18 @@ class Quantale:
     field: it lies below everything.  A line l is then below a line l'
     entrywise exactly when
     line_masks(l, eq_codes) & ~line_masks(l', up_codes) == 0.
+
+    `mask_rows` reads translate tables indexed by value: `above[v]`
+    (`below[v]`) reads u as b"1" when v <= u (u <= v), `tensor_codes[v]`
+    maps u to v (x) u and `hom_codes[c]` maps u to hom(u, c).  `rising`
+    and `falling` list the values other than top (bottom) in a linear
+    extension of the order, least (greatest) first.
     """
 
     __slots__ = ("elements", "n", "leq_m", "tensor_m", "unit", "bottom", "top",
                  "join_m", "meet_m", "hom_m", "_vset", "fields", "eq_codes",
-                 "up_codes")
+                 "up_codes", "above", "below", "tensor_codes", "hom_codes",
+                 "rising", "falling")
 
     def __init__(self, elements, leq_m, tensor_m, unit, join_m, meet_m, hom_m,
                  bottom, top):
@@ -70,31 +81,31 @@ class Quantale:
         self.bottom = bottom
         self.top = top
         self._vset = FinSet(self.elements)
-        # bytes.translate tables mapping a value to b"1" or b"0"; the last
-        # field comes first in the numeral, so that field k starts at bit k*m
-        self.fields = tuple(v for v in range(self.n) if v != bottom)
-        self.eq_codes = tuple(bytes(49 if w == v else 48 for w in range(256))
+        n = self.n
+        values = range(n)
+
+        def table(images):
+            # bytes past n never occur in a line and map to themselves
+            return bytes.maketrans(bytes(values), bytes(images))
+
+        self.above = tuple(table(49 if leq_m[v][w] else 48 for w in values)
+                           for v in values)
+        self.below = tuple(table(49 if leq_m[w][v] else 48 for w in values)
+                           for v in values)
+        self.tensor_codes = tuple(map(table, tensor_m))
+        self.hom_codes = tuple(table(hom_m[w][c] for w in values)
+                               for c in values)
+        rising = sorted(values, key=lambda v: sum(r[v] for r in leq_m))
+        self.rising = tuple(v for v in rising if v != top)
+        self.falling = tuple(v for v in reversed(rising) if v != bottom)
+        # the last field comes first in the numeral, so that field k starts
+        # at bit k*m
+        self.fields = tuple(v for v in values if v != bottom)
+        self.eq_codes = tuple(table(49 if w == v else 48 for w in values)
                               for v in reversed(self.fields))
-        self.up_codes = tuple(bytes(49 if w < self.n and leq_m[v][w] else 48
-                                    for w in range(256))
-                              for v in reversed(self.fields))
+        self.up_codes = tuple(self.above[v] for v in reversed(self.fields))
 
     # -- index-level operations ------------------------------------------
-
-    def leq_ix(self, a: int, b: int) -> bool:
-        return self.leq_m[a][b]
-
-    def tensor_ix(self, a: int, b: int) -> int:
-        return self.tensor_m[a][b]
-
-    def join_ix(self, a: int, b: int) -> int:
-        return self.join_m[a][b]
-
-    def meet_ix(self, a: int, b: int) -> int:
-        return self.meet_m[a][b]
-
-    def hom_ix(self, a: int, b: int) -> int:
-        return self.hom_m[a][b]
 
     def join_all(self, items: Iterable[int]) -> int:
         acc = self.bottom
@@ -140,16 +151,6 @@ class Quantale:
 
     # -- value masks (see the class docstring) ------------------------------
 
-    def up_masks(self, masks: int, m: int) -> int:
-        """Packed above-masks of a line of m values, from its value masks."""
-        out = 0
-        for k, v in enumerate(self.fields):
-            field = 0
-            for s in self.field_shifts(v, m):
-                field |= masks >> s
-            out |= (field & ((1 << m) - 1)) << (k * m)
-        return out
-
     def field_shifts(self, v: int, m: int) -> list:
         """Bit offsets, in masks of lines of m values, of the fields above v."""
         return [k * m for k, w in enumerate(self.fields) if self.leq_m[v][w]]
@@ -165,6 +166,47 @@ def line_masks(line: bytes, codes) -> int:
     `codes` is `q.eq_codes` or `q.up_codes` (see `Quantale`).
     """
     return int(b"".join(map(line.translate, codes)), 2) if line else 0
+
+
+def mask_rows(lines, codes, order, columns, tests, rest: int,
+              width: int) -> list:
+    """Rows of a matrix whose entries are read off value masks.
+
+    `lines[i]` and `columns` run over the same positions p: lines[i][p] is
+    a value and columns[p] a byte line of `width` values, one per output
+    column j.  Entry (i, j) is the first v of `order` such that, at every
+    p, tests[w] reads columns[p][j] as b"1" for w = codes[v] of
+    lines[i][p]; it is `rest` when no v passes.  `codes` and `tests` are
+    `bytes.translate` tables indexed by value.  Each columns[p] becomes
+    one int mask per value, so a line costs one AND per position per value
+    tried, however wide the rows are; a value is not tried on columns an
+    earlier one already took.
+    """
+    masks = [[int(col.translate(t), 2) for t in tests] for col in columns]
+    full = (1 << width) - 1
+    fmt = "0%db" % width
+    # a row starts as `rest` everywhere; v's mark turns the numeral of the
+    # columns v takes into bytes v ^ rest there and 0 elsewhere, to XOR in
+    rests = int.from_bytes(bytes((rest,)) * width, "big")
+    tried = [(codes[v], bytes.maketrans(b"01", bytes((0, v ^ rest))))
+             for v in order]
+    out = []
+    for line in lines:
+        left, acc = full, rests
+        for code, mark in tried:
+            passing = left
+            for m, w in zip(masks, line.translate(code)):
+                passing &= m[w]
+                if not passing:
+                    break
+            else:
+                left &= ~passing
+                acc ^= int.from_bytes(
+                    format(passing, fmt).encode().translate(mark), "big")
+                if not left:
+                    break
+        out.append(list(acc.to_bytes(width, "big")))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +607,15 @@ class VRelation:
             raise InputError("relations are not parallel")
 
     def __matmul__(self, other: "VRelation") -> "VRelation":
-        """self (*) other = 'self after other': (s @ r)(x,z) = V_y r(x,y) ⊗ s(y,z)."""
+        """self (*) other = 'self after other': (s @ r)(x,z) = V_y r(x,y) ⊗ s(y,z).
+
+        By residuation (s @ r)(x, z) <= c holds exactly when
+        s(y, z) <= hom(r(x, y), c) for every y, so the composite is the
+        least c that passes.  A composite of at least MASK_CELLS cells
+        comes from `mask_rows`, which tests each c against the rows of s
+        for a whole row at once; a smaller one is the join over y cell by
+        cell, which costs less there (measured crossover).
+        """
         r, s = other, self
         if r.q is not s.q:
             raise InputError("relations live over different quantale objects")
@@ -573,21 +623,13 @@ class VRelation:
             raise InputError("cannot compose: middle carriers %r and %r differ"
                              % (r.dst.elements, s.src.elements))
         q = r.q
-        tm, jm, bot, top = q.tensor_m, q.join_m, q.bottom, q.top
         nz = len(s.dst)
-        if q.n == 2 and q.unit == q.top:
-            # boolean relations compose as bitmask rows
-            smask = [sum(1 << kk for kk in range(nz) if row[kk] == top)
-                     for row in s.rows]
-            out = []
-            for ri in r.rows:
-                acc = 0
-                for j, v in enumerate(ri):
-                    if v == top:
-                        acc |= smask[j]
-                out.append([top if acc >> kk & 1 else bot
-                            for kk in range(nz)])
-            return VRelation(q, r.src, s.dst, out)
+        if len(r.rows) * nz >= MASK_CELLS:
+            return VRelation(q, r.src, s.dst,
+                             mask_rows(map(bytes, r.rows), q.hom_codes,
+                                       q.rising, map(bytes, s.rows), q.below,
+                                       q.top, nz))
+        tm, jm, bot, top = q.tensor_m, q.join_m, q.bottom, q.top
         scols = list(zip(*s.rows)) if s.rows else [()] * nz
         out = []
         for ri in r.rows:

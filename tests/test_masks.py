@@ -3,7 +3,9 @@
 Each reference is the per-cell loop the kernel replaced.  Inputs cover five
 quantales (powerset_frame(4) has 16 values, so no pair of values fits one
 byte), both monad instances, carriers of 0 to 4 points, and tables that are
-not reflexive, not separated or not functorial.
+not reflexive, not separated or not functorial.  The presheaf structure
+matrix and composition are also drawn at widths on both sides of the
+composition's size rule (`MASK_CELLS`).
 """
 
 import itertools
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvcat.core import FinSet, Fn, InputError, SizeCapError
-from tvcat.quantale import (VRelation, boolean_quantale, build_quantale,
-                            check_quantale_laws, lukasiewicz_chain,
-                            powerset_frame, truncated_chain)
+from tvcat import quantale
+from tvcat.quantale import (MASK_CELLS, VRelation, boolean_quantale,
+                            build_quantale, check_quantale_laws, line_masks,
+                            lukasiewicz_chain, powerset_frame,
+                            truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat.category import TVCategory, TVFunctor, is_functor, is_separated
 from tvcat.presheaf import apply_P, presheaf_space, saturated_class
@@ -27,7 +31,7 @@ QUANTALES = [boolean_quantale(), truncated_chain(2), lukasiewicz_chain(2),
 KINDS = ["identity", "finite_ultrafilter"]
 MONADS = {(id(q), kind): instantiate_monad(kind, q)
           for q in QUANTALES for kind in KINDS}
-CARRIERS = [FinSet("x%d" % i for i in range(n)) for n in range(5)]
+CARRIERS = [FinSet("x%d" % i for i in range(n)) for n in range(201)]
 
 
 def monad(q, kind):
@@ -44,6 +48,21 @@ def ref_compose(s, r):
                         for j in range(len(r.dst)))
              for k in range(len(s.dst))]
             for i in range(len(r.src))]
+
+
+def ref_structure(q, values):
+    """hom(phi_i, phi_j) as the meet of the pointwise homs."""
+    hom, meet = q.hom_m, q.meet_m
+    rows = []
+    for vi in values:
+        row = []
+        for vj in values:
+            acc = q.top
+            for a, b in zip(vi, vj):
+                acc = meet[acc][hom[a][b]]
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 def ref_is_separated(C):
@@ -142,7 +161,7 @@ def test_masks_hold_the_cells_of_each_value(drawn, nr, nc):
             for j in range(nc):
                 assert (masks >> (k * nc + j) & 1) == (rel.rows[i][j] == v)
         assert masks >> (len(q.fields) * nc) == 0
-        ups = q.up_masks(masks, nc)
+        ups = line_masks(bytes(rel.rows[i][::-1]), q.up_codes)
         for k, v in enumerate(q.fields):
             for j in range(nc):
                 assert (ups >> (k * nc + j) & 1) \
@@ -169,6 +188,87 @@ def test_composition_matches_the_cell_formula(drawn, nx, ny, nz):
 
     r, s = rand(nx, ny), rand(ny, nz)
     assert [list(row) for row in (s @ r).rows] == ref_compose(s, r)
+
+
+def random_relation(rng, q, n, m, values=None):
+    values = values or range(q.n)
+    return VRelation(q, CARRIERS[n], CARRIERS[m],
+                     [[rng.choice(values) for _ in range(m)]
+                      for _ in range(n)])
+
+
+# (rows of r, middle points, columns of s): both sides of the size rule,
+# its boundary, and empty carriers on either side of the rule
+WIDE_SHAPES = [(8, 5, 16), (16, 3, 8), (1, 4, 128), (128, 2, 1), (1, 3, 127),
+               (127, 2, 1), (7, 9, 18), (9, 40, 15), (12, 0, 12),
+               (0, 5, 200), (40, 5, 0), (3, 60, 60), (20, 1, 20)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_setting, st.sampled_from(WIDE_SHAPES), st.booleans())
+def test_wide_composition_matches_the_cell_formula(drawn, shape, sparse):
+    q, _, seed = drawn
+    rng = random.Random(seed)
+    nx, ny, nz = shape
+    # sparse draws put most entries at bottom or top, as structures do
+    values = [q.bottom] * 4 + [q.top, q.unit] + list(range(q.n)) \
+        if sparse else None
+    r = random_relation(rng, q, nx, ny, values)
+    s = random_relation(rng, q, ny, nz, values)
+    expected = ref_compose(s, r)
+    assert [list(row) for row in (s @ r).rows] == expected
+    # masks already cached on s, and a fresh copy of s, give the same rows
+    s.row_masks(), s.col_masks()
+    assert [list(row) for row in (s @ r).rows] == expected
+    fresh = VRelation(q, s.src, s.dst, s.rows)
+    assert [list(row) for row in (fresh @ r).rows] == expected
+
+
+def test_size_rule_picks_the_mask_kernel_exactly_for_wide_composites(
+        monkeypatch):
+    calls = []
+    kernel = quantale.mask_rows
+
+    def counting(*args):
+        calls.append(args[-1])
+        return kernel(*args)
+
+    monkeypatch.setattr(quantale, "mask_rows", counting)
+    q, rng = truncated_chain(2), random.Random(7)
+    for nx, ny, nz in WIDE_SHAPES:
+        del calls[:]
+        r = random_relation(rng, q, nx, ny)
+        s = random_relation(rng, q, ny, nz)
+        assert [list(row) for row in (s @ r).rows] == ref_compose(s, r)
+        assert calls == ([nz] if nx * nz >= MASK_CELLS else []), \
+            (nx, ny, nz)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_setting, st.integers(0, 40), st.integers(0, 6))
+def test_structure_matrix_matches_the_hom_meet_loop(drawn, n, t):
+    q, kind, seed = drawn
+    rng = random.Random(seed)
+    # repeated tuples and tuples at bottom or top everywhere included
+    values = [tuple(rng.randrange(q.n) for _ in range(t)) for _ in range(n)]
+    if n > 2:
+        values[0] = (q.bottom,) * t
+        values[1] = (q.top,) * t
+        values[2] = values[-1]
+    assert monad(q, kind).presheaf_structure(values) \
+        == ref_structure(q, values)
+
+
+def test_structure_matrix_on_empty_and_constant_tuples():
+    for q in QUANTALES:
+        M = monad(q, "identity")
+        assert M.presheaf_structure([]) == []
+        # the empty meet: every entry is top
+        assert M.presheaf_structure([(), ()]) == [[q.top] * 2] * 2
+        for v in range(q.n):
+            assert M.presheaf_structure([(v,)]) == [[q.hom_m[v][v]]]
+            pair = [(v, q.bottom), (q.top, v)]
+            assert M.presheaf_structure(pair) == ref_structure(q, pair)
 
 
 # ---------------------------------------------------------------------------

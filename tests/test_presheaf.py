@@ -8,12 +8,12 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat.category import (Bimodule, TVCategory, TVFunctor,
-                            category_from_entries, check_category,
-                            discrete_category, functor_leq, identity_functor,
-                            is_bimodule, is_separated, star,
+                            _structure_maps, category_from_entries,
+                            check_category, discrete_category, functor_leq,
+                            identity_functor, is_bimodule, is_separated, star,
                             underlying_order, unit_category)
 from tvcat.presheaf import (Presheaf, SaturatedClass, apply_P, apply_P_star,
-                            check_presheaf_monad, check_saturated, has_algebra,
+                            check_presheaf_monad, check_saturated,
                             phi_dense, presheaf_space, saturated_class,
                             space_mult, unit_isomorphism_check, yoneda,
                             yoneda_lemma_check)
@@ -251,12 +251,24 @@ def test_density():
     assert phi_dense(bot, REPR)
 
 
+def retractions(C):
+    """Functors from the presheaf space to C that fix the Yoneda image."""
+    space = presheaf_space(C)
+    pinned = {t: j for j, t in enumerate(yoneda(C).fn.table)}
+    return [TVFunctor(space.category, C, Fn(space.carrier, C.carrier, t),
+                      "retract")
+            for t in _structure_maps(space.category, C,
+                                     "retraction search on %s" % C.name,
+                                     pinned)]
+
+
 def test_algebra_on_chain_but_not_antichain():
-    r = has_algebra(TWO)
-    assert r is not None and r.fn.table == (0, 0, 1)
-    assert has_algebra(THREE) is not None
-    assert has_algebra(ANTI) is None
-    assert has_algebra(ANTI3) is None
+    rets = retractions(TWO)
+    least = [r for r in rets if all(functor_leq(r, o) for o in rets)]
+    assert [r.fn.table for r in least] == [(0, 0, 1)]
+    assert retractions(THREE)
+    assert retractions(ANTI) == []
+    assert retractions(ANTI3) == []
 
 
 QUANTALES = [BOOL, truncated_chain(2), lukasiewicz_chain(2), powerset_frame(2)]

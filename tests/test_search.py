@@ -1,7 +1,7 @@
 """The forward-checking search for structure-preserving maps.
 
-`_structure_maps` serves the algebra, filler and retraction searches and
-the functor scans.  It is compared here with a brute-force scan of every table,
+`_structure_maps` serves the algebra and filler searches and the functor
+scans.  It is compared here with a brute-force scan of every table,
 kept in this file, filtered by pins, fibres and the pairwise inequality,
 on four quantales, carriers of 0 to 4 points, empty fibres, tables that
 are not reflexive and targets that are not separated (there several candidates can be least, so the
@@ -24,7 +24,6 @@ from tvcat.category import (TVCategory, TVFunctor, _structure_maps,
                             identity_functor, is_functor)
 from tvcat.corpus import seed_categories, seed_functors
 from tvcat.lofs import enumerate_fillers, r_membership
-from tvcat.presheaf import has_algebra
 
 QUANTALES = [boolean_quantale(), truncated_chain(2), lukasiewicz_chain(2),
              powerset_frame(2)]
@@ -160,6 +159,3 @@ def test_node_budget_still_caps_every_search(monkeypatch):
     with pytest.raises(SizeCapError,
                        match="^functor search for two -> two ran out"):
         seed_functors([TWO])
-    with pytest.raises(SizeCapError,
-                       match="^retraction search on two ran out"):
-        has_algebra(TWO)
