@@ -467,14 +467,16 @@ def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
     M = Xcat.M
     dom = tensor_category(dual_category(Xcat), Ycat)
     cod = v_category(M)
-    size = len(Xcat.tx) * len(Ycat.carrier)
+    ny = len(Ycat.carrier)
+    size = len(Xcat.tx) * ny
     if size and q.n ** size > cap:
         return 0, None
     checked = 0
+    starts = range(0, size, ny) if ny else [0] * len(Xcat.tx)
     for combo in itertools.product(range(q.n), repeat=size):
+        line = bytes(combo)
         rel = VRelation(q, Xcat.tx, Ycat.carrier,
-                        (combo[i * len(Ycat.carrier):(i + 1) * len(Ycat.carrier)]
-                         for i in range(len(Xcat.tx))))
+                        [line[i:i + ny] for i in starts])
         fn = Fn(dom.carrier, cod.carrier, combo)
         checked += 1
         if is_bimodule(Xcat, Ycat, rel) != is_functor(dom, cod, fn):

@@ -63,7 +63,8 @@ class FinSet:
             raise InputError("unknown element %r (have %r)" % (label, self.elements))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinSet) and self.elements == other.elements
+        return self is other or (isinstance(other, FinSet)
+                                 and self.elements == other.elements)
 
     def __hash__(self) -> int:
         return hash(self.elements)

@@ -8,6 +8,7 @@ forces anyway.
 """
 
 import itertools
+from operator import itemgetter
 
 from .category import (TVCategory, TVFunctor, _structure_maps, check_category,
                        is_separated)
@@ -60,8 +61,11 @@ def seed_corpus(M, max_size: int):
 
 
 def _relabelled(rows, p):
-    return tuple(tuple(rows[p[i]][p[j]] for j in range(len(p)))
-                 for i in range(len(p)))
+    """Byte rows of the square table rows with both indices permuted by p."""
+    if len(p) < 2:
+        return tuple(rows)      # p is the identity
+    pick = itemgetter(*p)
+    return tuple(bytes(pick(rows[i])) for i in p)
 
 
 def arrow_iso_key(f: TVFunctor):

@@ -166,8 +166,7 @@ def coalgebra(F: Factorisation):
     tf = f.tfn()
     table = []
     for iy in range(len(f.dst.carrier)):
-        values = tuple(b.rows[tf.table[ix]][iy]
-                       for ix in range(len(f.src.tx)))
+        values = bytes(b.rows[t][iy] for t in tf.table)
         ip = F.space.index.get(values)
         if ip is None or (ip, iy) not in F.pair_index:
             return None
@@ -305,7 +304,7 @@ def _sigma(F: Factorisation, FL: Factorisation) -> TVFunctor:
     lt = F.L.fn.table
     table = []
     for k in range(len(F.K.carrier)):
-        values = tuple(rows[lt[ix]][k] for ix in range(len(F.f.src.tx)))
+        values = bytes(rows[lt[ix]][k] for ix in range(len(F.f.src.tx)))
         ip = F.space.index.get(values)
         if ip is None or (ip, k) not in FL.pair_index:
             raise EngineError("comultiplication pair for %s is outside "

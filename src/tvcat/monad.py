@@ -160,6 +160,7 @@ class MonadInstance:
         self.q = q
         self._tobj_seen: set[tuple] = set()
         self.xi_table = self._build_xi()
+        self.xi_is_identity = self.xi_table == tuple(range(q.n))
 
     # -- functor part -------------------------------------------------------
 
@@ -205,17 +206,18 @@ class MonadInstance:
 
     # -- presheaf space capability --------------------------------------------
 
-    def presheaf_structure(self, values: Sequence[tuple[int, ...]]):
-        """Structure rows of a presheaf space with the given value tuples.
+    def presheaf_structure(self, values: Sequence[bytes]) -> list:
+        """Byte rows of the structure of a presheaf space with these values.
 
         Entry (i, j) is hom(phi_i, phi_j), the meet over xx of
         hom(phi_i(xx), phi_j(xx)): both instances are the identity on
         carriers.  By residuation it is the greatest v with
         v (x) phi_i <= phi_j entrywise, which `mask_rows` finds for a whole
         row at once, testing v (x) phi_i(xx) against every phi_j(xx).
+        Each phi_i is a byte string of values, one per point xx.
         """
         q = self.q
-        return mask_rows(map(bytes, values), q.tensor_codes, q.falling,
+        return mask_rows(values, q.tensor_codes, q.falling,
                          map(bytes, zip(*values)), q.above, q.bottom,
                          len(values))
 
@@ -257,9 +259,9 @@ def lax_extend(M: MonadInstance, r: VRelation) -> VRelation:
     if r.q is not q:
         raise InputError("relation and monad live over different quantales")
     TX, TY = M.T_obj(r.src), M.T_obj(r.dst)
-    xi = M.xi_table
-    if xi == tuple(range(q.n)):
+    if M.xi_is_identity:
         return r
+    xi = M.xi_table
     return VRelation(q, TX, TY, ((xi[v] for v in row) for row in r.rows))
 
 
@@ -298,7 +300,7 @@ def kleisli(M: MonadInstance, s: VRelation, r: VRelation, X: FinSet) -> VRelatio
     and the convolution is s . (T r).
     """
     TX = M.T_obj(X)
-    if r.src != TX:
+    if r.src is not TX and r.src != TX:
         raise InputError("r must have source T(X); got %r over %r"
                          % (r.src.elements, X.elements))
     if M.T_obj(r.dst) != s.src:

@@ -1,7 +1,8 @@
 """Presheaf spaces, saturated classes, and the presheaf (sub)monads.
 
-A presheaf on X is a bimodule X -|-> E, stored as a tuple of values over
-TX.  The space of all presheaves in a class carries the category structure
+A presheaf on X is a bimodule X -|-> E, stored as a byte string of values
+over TX, one byte per point, like the rows of `VRelation`.  The space of
+all presheaves in a class carries the category structure
 hom(phi, psi) = meet over xx of hom(phi(xx), psi(xx)); both monad instances
 are the identity on carriers, so nothing is transported.  By residuation
 hom(phi, psi) >= v holds exactly when v (x) phi <= psi entrywise, and
@@ -31,13 +32,13 @@ from .report import LawReport
 
 
 class Presheaf:
-    """Value tuple over TX, printable as a bracketed list."""
+    """Byte string of values over TX, printable as a bracketed list."""
 
     __slots__ = ("base", "values", "name")
 
     def __init__(self, base: TVCategory, values):
         self.base = base
-        self.values = tuple(values)
+        self.values = bytes(values)
         if len(self.values) != len(base.tx):
             raise InputError("presheaf needs one value per element of TX")
         names = base.q.elements
@@ -66,8 +67,9 @@ class Presheaf:
 def presheaf_condition_matrix(C: TVCategory):
     """cond[j][i]: the largest factor carrying phi(j) into position i.
 
-    A value tuple is a presheaf exactly when cond[j][i] (x) phi(j) <= phi(i)
-    for every ordered pair, which is what the enumeration prunes on.
+    A line of values is a presheaf exactly when
+    cond[j][i] (x) phi(j) <= phi(i) for every ordered pair, which is what
+    the enumeration prunes on.
     """
     M, q = C.M, C.q
     ext = lax_extend(M, C.structure)
@@ -91,7 +93,9 @@ class _OverCap(SizeCapError):
 
 
 def _enumerate_value_tuples(q, cond, max_space):
-    """Every presheaf value tuple, in lexicographic order; raises past the cap.
+    """Every presheaf's byte string of values, in lexicographic order.
+
+    Raises `_OverCap` past the cap.
 
     Positions are filled left to right.  Once positions j < pos carry values
     w_j, the pair conditions between j and pos read, for a candidate v,
@@ -111,8 +115,8 @@ def _enumerate_value_tuples(q, cond, max_space):
     groups x |V| tests, however many positions come before it.
 
     Values are tried in increasing index order at every position (set bits
-    lowest first), so the tuples come out in lexicographic order, and the
-    search stops at the first tuple past `max_space`.
+    lowest first), so the strings come out in lexicographic order, and the
+    search stops at the first string past `max_space`.
     """
     tn, n = len(cond), q.n
     tensor, leq = q.tensor_m, q.leq_m
@@ -149,7 +153,7 @@ def _enumerate_value_tuples(q, cond, max_space):
 
     def extend(pos):
         if pos == tn:
-            out.append(tuple(chosen))
+            out.append(bytes(chosen))
             if len(out) > max_space:
                 raise _OverCap(max_space, tn)
             return
@@ -352,8 +356,9 @@ class PresheafSpace:
     def __len__(self):
         return len(self.presheaves)
 
-    def lookup(self, values) -> int:
-        return self.index[tuple(values)]
+    def lookup(self, values: bytes) -> int:
+        """Position of the presheaf with these values; KeyError if none."""
+        return self.index[values]
 
     def __repr__(self):
         return "PresheafSpace(%s, %d presheaves)" % (self.category.name,
@@ -394,7 +399,7 @@ def yoneda(C: TVCategory, cls: SaturatedClass | None = None,
     a = C.structure
     table = []
     for j in range(len(C.carrier)):
-        values = tuple(a.rows[i][j] for i in range(len(C.tx)))
+        values = bytes(row[j] for row in a.rows)
         try:
             table.append(space.lookup(values))
         except KeyError:
@@ -466,7 +471,7 @@ def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
     tf = f.tfn()
     table = []
     for psi in PY.presheaves:
-        vals = tuple(psi.values[tf.table[ix]] for ix in range(len(f.src.tx)))
+        vals = bytes(map(psi.values.__getitem__, tf.table))
         try:
             table.append(PX.lookup(vals))
         except KeyError:

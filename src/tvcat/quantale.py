@@ -17,8 +17,8 @@ from .report import LawReport
 
 BUILTIN_NAMES = ("boolean", "truncated_chain", "lukasiewicz_chain", "powerset_frame")
 
-# Values are stored one byte each when relations are turned into masks, so
-# a carrier may have at most this many elements.
+# Relations store one byte per value (see `VRelation`), so a carrier may
+# have at most this many elements.
 MAX_ELEMENTS = 256
 
 # Composites with at least this many cells are computed by `mask_rows`
@@ -170,12 +170,12 @@ def line_masks(line: bytes, codes) -> int:
 
 def mask_rows(lines, codes, order, columns, tests, rest: int,
               width: int) -> list:
-    """Rows of a matrix whose entries are read off value masks.
+    """Byte rows of a matrix whose entries are read off value masks.
 
-    `lines[i]` and `columns` run over the same positions p: lines[i][p] is
-    a value and columns[p] a byte line of `width` values, one per output
-    column j.  Entry (i, j) is the first v of `order` such that, at every
-    p, tests[w] reads columns[p][j] as b"1" for w = codes[v] of
+    `lines[i]` and `columns` run over the same positions p: lines[i] is a
+    byte line of values and columns[p] a byte line of `width` values, one
+    per output column j.  Entry (i, j) is the first v of `order` such that,
+    at every p, tests[w] reads columns[p][j] as b"1" for w = codes[v] of
     lines[i][p]; it is `rest` when no v passes.  `codes` and `tests` are
     `bytes.translate` tables indexed by value.  Each columns[p] becomes
     one int mask per value, so a line costs one AND per position per value
@@ -205,7 +205,7 @@ def mask_rows(lines, codes, order, columns, tests, rest: int,
                     format(passing, fmt).encode().translate(mark), "big")
                 if not left:
                     break
-        out.append(list(acc.to_bytes(width, "big")))
+        out.append(acc.to_bytes(width, "big"))
     return out
 
 
@@ -501,9 +501,13 @@ def powerset_frame(n: int) -> Quantale:
 class VRelation:
     """A quantale-valued relation between two finite sets.
 
-    Stored densely: rows[i][j] is the index of the value at
-    (src[i], dst[j]).  Relations between value-equal carriers compose even
-    when the FinSet objects differ; the quantale must be the same object.
+    Stored densely, one byte per cell: rows[i] is a `bytes` line and
+    rows[i][j] the index of the value at (src[i], dst[j]); quantales have at
+    most MAX_ELEMENTS = 256 values, so every index fits.  The constructor
+    takes any iterables of ints and stores `tuple(map(bytes, rows))`, so a
+    row that is already `bytes` is kept as it is, not copied.  Relations
+    between value-equal carriers compose even when the FinSet objects
+    differ; the quantale must be the same object.
 
     `row_masks()[i]` packs the value masks of row i (see `Quantale`): bit
     k*len(dst)+j is set exactly when rows[i][j] == q.fields[k].
@@ -519,10 +523,10 @@ class VRelation:
         self.q = q
         self.src = src
         self.dst = dst
-        self.rows = tuple(map(tuple, rows))
+        self.rows = tuple(map(bytes, rows))
         self._row_masks = self._col_masks = None
-        if len(self.rows) != len(src) \
-                or not all(map(len(dst).__eq__, map(len, self.rows))):
+        if len(self.rows) != len(src.elements) \
+                or not all(map(len(dst.elements).__eq__, map(len, self.rows))):
             raise InputError("relation shape %dx%d does not match carriers %dx%d"
                              % (len(self.rows),
                                 len(self.rows[0]) if self.rows else 0,
@@ -553,8 +557,8 @@ class VRelation:
         """The graph of a map: unit on the graph, bottom elsewhere."""
         k, bot = q.unit, q.bottom
         return cls(q, f.src, f.dst,
-                   (tuple(k if f.table[i] == j else bot for j in range(len(f.dst)))
-                    for i in range(len(f.src))))
+                   (bytes(k if t == j else bot for j in range(len(f.dst)))
+                    for t in f.table))
 
     @classmethod
     def identity(cls, q: Quantale, X: FinSet) -> "VRelation":
@@ -564,7 +568,7 @@ class VRelation:
     def constant(cls, q: Quantale, src: FinSet, dst: FinSet, v) -> "VRelation":
         if not isinstance(v, int):
             v = q.index_of(v)
-        return cls(q, src, dst, ((v,) * len(dst),) * len(src))
+        return cls(q, src, dst, (bytes((v,)) * len(dst),) * len(src))
 
     def at(self, i: int, j: int) -> int:
         return self.rows[i][j]
@@ -573,8 +577,7 @@ class VRelation:
         """Packed value masks of each row."""
         if self._row_masks is None:
             eq = self.q.eq_codes
-            self._row_masks = [line_masks(bytes(row)[::-1], eq)
-                               for row in self.rows]
+            self._row_masks = [line_masks(row[::-1], eq) for row in self.rows]
         return self._row_masks
 
     def col_masks(self) -> list:
@@ -583,7 +586,7 @@ class VRelation:
             eq = self.q.eq_codes
             nc = len(self.dst)
             # column j, last row first, is a stride of the reversed matrix
-            flat = b"".join(map(bytes, self.rows))[::-1]
+            flat = b"".join(self.rows)[::-1]
             self._col_masks = [line_masks(flat[nc - 1 - j::nc], eq)
                                for j in range(nc)]
         return self._col_masks
@@ -594,7 +597,7 @@ class VRelation:
     def transpose(self) -> "VRelation":
         return VRelation(self.q, self.dst, self.src, zip(*self.rows)) \
             if self.rows else VRelation(self.q, self.dst, self.src,
-                                        ((),) * len(self.dst))
+                                        (b"",) * len(self.dst))
 
     @property
     def T(self) -> "VRelation":
@@ -603,7 +606,8 @@ class VRelation:
     def _check_parallel(self, other: "VRelation"):
         if self.q is not other.q:
             raise InputError("relations live over different quantale objects")
-        if self.src != other.src or self.dst != other.dst:
+        if (self.src is not other.src and self.src != other.src) \
+                or (self.dst is not other.dst and self.dst != other.dst):
             raise InputError("relations are not parallel")
 
     def __matmul__(self, other: "VRelation") -> "VRelation":
@@ -619,16 +623,15 @@ class VRelation:
         r, s = other, self
         if r.q is not s.q:
             raise InputError("relations live over different quantale objects")
-        if r.dst != s.src:
+        if r.dst is not s.src and r.dst != s.src:
             raise InputError("cannot compose: middle carriers %r and %r differ"
                              % (r.dst.elements, s.src.elements))
         q = r.q
         nz = len(s.dst)
         if len(r.rows) * nz >= MASK_CELLS:
             return VRelation(q, r.src, s.dst,
-                             mask_rows(map(bytes, r.rows), q.hom_codes,
-                                       q.rising, map(bytes, s.rows), q.below,
-                                       q.top, nz))
+                             mask_rows(r.rows, q.hom_codes, q.rising, s.rows,
+                                       q.below, q.top, nz))
         tm, jm, bot, top = q.tensor_m, q.join_m, q.bottom, q.top
         scols = list(zip(*s.rows)) if s.rows else [()] * nz
         out = []
@@ -647,10 +650,16 @@ class VRelation:
         return VRelation(q, r.src, s.dst, out)
 
     def leq(self, other: "VRelation") -> bool:
+        """Entrywise order, decided on all rows at once.
+
+        Equal rows answer by reflexivity; otherwise every value mask of
+        self must lie inside the above-masks of other (see `Quantale`).
+        """
         self._check_parallel(other)
-        lm = self.q.leq_m
-        return all(lm[a][b] for ra, rb in zip(self.rows, other.rows)
-                   for a, b in zip(ra, rb))
+        mine, theirs = b"".join(self.rows), b"".join(other.rows)
+        q = self.q
+        return mine == theirs or not (line_masks(mine, q.eq_codes)
+                                      & ~line_masks(theirs, q.up_codes))
 
     def __le__(self, other: "VRelation") -> bool:
         return self.leq(other)
@@ -669,14 +678,14 @@ class VRelation:
         self._check_parallel(other)
         mm = self.q.meet_m
         return VRelation(self.q, self.src, self.dst,
-                         (tuple(mm[a][b] for a, b in zip(ra, rb))
+                         (bytes(mm[a][b] for a, b in zip(ra, rb))
                           for ra, rb in zip(self.rows, other.rows)))
 
     def join(self, other: "VRelation") -> "VRelation":
         self._check_parallel(other)
         jm = self.q.join_m
         return VRelation(self.q, self.src, self.dst,
-                         (tuple(jm[a][b] for a, b in zip(ra, rb))
+                         (bytes(jm[a][b] for a, b in zip(ra, rb))
                           for ra, rb in zip(self.rows, other.rows)))
 
     def __and__(self, other):

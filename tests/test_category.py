@@ -194,6 +194,10 @@ def test_module_functor_correspondence_on_small_pairs():
     assert witness is None and checked == 16
     checked, witness = module_functor_correspondence(THREE, TWO, cap=64)
     assert checked == 64 and witness is None
+    # with an empty side the one candidate is the empty map
+    empty = chain(ID_BOOL, [], "empty")
+    for C, D in ((empty, TWO), (TWO, empty), (empty, empty)):
+        assert module_functor_correspondence(C, D) == (1, None)
 
 
 def _corpus(M):

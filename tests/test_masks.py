@@ -92,7 +92,7 @@ def ref_images(f, cls, cap):
     m = M.mult(f.dst.carrier)
     out = []
     for phi in PX.presheaves:
-        out.append(tuple(
+        out.append(bytes(
             q.join_all(q.tensor_m[xi[costar[YY][x]]][phi.values[x]]
                        for YY in range(len(m.src)) if m.table[YY] == iy
                        for x in range(len(f.src.tx)))
@@ -249,14 +249,14 @@ def test_size_rule_picks_the_mask_kernel_exactly_for_wide_composites(
 def test_structure_matrix_matches_the_hom_meet_loop(drawn, n, t):
     q, kind, seed = drawn
     rng = random.Random(seed)
-    # repeated tuples and tuples at bottom or top everywhere included
-    values = [tuple(rng.randrange(q.n) for _ in range(t)) for _ in range(n)]
+    # repeated lines and lines at bottom or top everywhere included
+    values = [bytes(rng.randrange(q.n) for _ in range(t)) for _ in range(n)]
     if n > 2:
-        values[0] = (q.bottom,) * t
-        values[1] = (q.top,) * t
+        values[0] = bytes((q.bottom,)) * t
+        values[1] = bytes((q.top,)) * t
         values[2] = values[-1]
     assert monad(q, kind).presheaf_structure(values) \
-        == ref_structure(q, values)
+        == list(map(bytes, ref_structure(q, values)))
 
 
 def test_structure_matrix_on_empty_and_constant_tuples():
@@ -264,11 +264,13 @@ def test_structure_matrix_on_empty_and_constant_tuples():
         M = monad(q, "identity")
         assert M.presheaf_structure([]) == []
         # the empty meet: every entry is top
-        assert M.presheaf_structure([(), ()]) == [[q.top] * 2] * 2
+        assert M.presheaf_structure([b"", b""]) == [bytes((q.top,)) * 2] * 2
         for v in range(q.n):
-            assert M.presheaf_structure([(v,)]) == [[q.hom_m[v][v]]]
-            pair = [(v, q.bottom), (q.top, v)]
-            assert M.presheaf_structure(pair) == ref_structure(q, pair)
+            assert M.presheaf_structure([bytes((v,))]) \
+                == [bytes((q.hom_m[v][v],))]
+            pair = [bytes((v, q.bottom)), bytes((q.top, v))]
+            assert M.presheaf_structure(pair) \
+                == list(map(bytes, ref_structure(q, pair)))
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,8 @@ def test_corrupted_algebra_is_caught():
 def test_presheaf_structure_rows_frozen():
     M = instantiate_monad("identity", BOOL)
     k, bot = BOOL.index_of("1"), BOOL.index_of("0")
-    rows = M.presheaf_structure([(k,), (bot,)])
-    assert rows == [[1, 0], [1, 1]]
+    rows = M.presheaf_structure([bytes((k,)), bytes((bot,))])
+    assert rows == [bytes((1, 0)), bytes((1, 1))]
 
 
 def _rel(q, X, Y, data):

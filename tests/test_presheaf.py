@@ -307,8 +307,8 @@ def test_enumeration_matches_bimodule_oracle(drawn):
     E = unit_category(M)
     # the reference: every value tuple, in lexicographic order, kept when
     # it is a bimodule C -|-> E
-    expected = [vals for vals in itertools.product(range(q.n),
-                                                   repeat=len(C.tx))
+    expected = [bytes(vals) for vals in itertools.product(range(q.n),
+                                                          repeat=len(C.tx))
                 if is_bimodule(C, E, VRelation(q, C.tx, E.carrier,
                                                ((v,) for v in vals)))]
     assert [p.values for p in space.presheaves] == expected
