@@ -472,11 +472,11 @@ def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
     if size and q.n ** size > cap:
         return 0, None
     checked = 0
-    starts = range(0, size, ny) if ny else [0] * len(Xcat.tx)
     for combo in itertools.product(range(q.n), repeat=size):
         line = bytes(combo)
         rel = VRelation(q, Xcat.tx, Ycat.carrier,
-                        [line[i:i + ny] for i in starts])
+                        [line[i * ny:(i + 1) * ny]
+                         for i in range(len(Xcat.tx))])
         fn = Fn(dom.carrier, cod.carrier, combo)
         checked += 1
         if is_bimodule(Xcat, Ycat, rel) != is_functor(dom, cod, fn):

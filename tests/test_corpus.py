@@ -98,6 +98,31 @@ def test_iso_key_invariant_under_relabelling():
                 assert arrow_iso_key(g) == key
 
 
+def test_iso_key_is_the_least_relabelling_as_tuples_of_ints():
+    # keys hold byte rows; they must pick the relabelling that tuples of
+    # ints would, so the representatives match the tuple-keyed ones
+    def as_tuples(rows):
+        return tuple(tuple(row) for row in rows)
+
+    def relabelled(rows, p):
+        return tuple(tuple(rows[p[i]][p[j]] for j in range(len(p)))
+                     for i in range(len(p)))
+
+    for n, M in ((2, ID), (2, instantiate_monad("identity",
+                                                truncated_chain(2)))):
+        for f in seed_corpus(M, n)[1][::11]:
+            ns, nd = len(f.src.carrier), len(f.dst.carrier)
+            src, dst = f.src.structure.rows, f.dst.structure.rows
+            best = min(
+                (relabelled(src, ps), relabelled(dst, pd),
+                 tuple(pd.index(f.fn.table[i]) for i in ps))
+                for ps in itertools.permutations(range(ns))
+                for pd in itertools.permutations(range(nd)))
+            key = arrow_iso_key(f)
+            assert key[:2] == (ns, nd)
+            assert (as_tuples(key[2]), as_tuples(key[3]), key[4]) == best
+
+
 def test_representatives_cover_every_key_once():
     fns = seed_corpus(ID, 2)[1]
     reps = iso_representatives(fns)

@@ -1,17 +1,17 @@
 """End-to-end figures of `tvcat verify-paper`: wall time and peak RSS.
 
     python3 tools/bench_verify_paper.py --out BENCH.json \
-        [--tree NAME=DIR ...] [--rounds N] [--configs default,four-quantale]
+        --tree NAME=DIR [--tree NAME=DIR ...]
 
-Each tree is a source checkout (default: the one holding this script).
-For every round, config and tree, in that order, the script runs
-`python -m tvcat.cli verify-paper` from the tree's `src` in a fresh child
+Each tree is a source checkout.  In each of two rounds, for the default
+config and then the four-quantale one, the script runs
+`python -m tvcat.cli verify-paper` from every tree's `src` in a fresh child
 process and records the wall time, the child's own `ru_maxrss` (from
 `os.wait4`, so no other process counts), its exit code and the sha256 of
-its stdout.  With two or more trees the order of the trees alternates
-between rounds.  The JSON written to --out also holds each tree's git SHA
-(and whether its `src` has uncommitted changes), the Python version and
-the number of CPUs this process may run on.  Stdlib only.
+its stdout.  The second round runs the trees in reverse order.  The JSON
+written to --out also holds each tree's git SHA (and whether its `src`
+has uncommitted changes), the Python version and the number of CPUs this
+process may run on.  Stdlib only.
 """
 
 import argparse
@@ -24,8 +24,7 @@ import sys
 import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
+ROUNDS = 2
 CONFIGS = {
     "default": [],
     "four-quantale": ["--quantales", "boolean,truncated_chain(2),"
@@ -71,33 +70,27 @@ def run_once(tree: str, args: list) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--tree", action="append", default=[],
+    ap.add_argument("--tree", action="append", required=True,
                     metavar="NAME=DIR", help="source checkout to run "
-                    "(repeatable; default: this checkout as 'tree')")
-    ap.add_argument("--rounds", type=int, default=1)
-    ap.add_argument("--configs", default=",".join(CONFIGS))
+                    "(repeatable)")
     args = ap.parse_args(argv)
     trees = []
-    for spec in args.tree or ["tree=" + ROOT]:
+    for spec in args.tree:
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             ap.error("--tree wants NAME=DIR, got %r" % spec)
         trees.append((name, os.path.abspath(path)))
-    configs = args.configs.split(",")
-    unknown = [c for c in configs if c not in CONFIGS]
-    if unknown or args.rounds < 1:
-        ap.error("configs are %s; rounds >= 1" % ", ".join(CONFIGS))
     runs = []
-    for rnd in range(args.rounds):
+    for rnd in range(ROUNDS):
         order = trees if rnd % 2 == 0 else trees[::-1]
-        for config in configs:
+        for config in CONFIGS:
             for name, path in order:
                 rec = dict(tree=name, config=config, round=rnd,
                            **run_once(path, CONFIGS[config]))
                 print(json.dumps(rec), file=sys.stderr, flush=True)
                 runs.append(rec)
     doc = {"command": "verify-paper",
-           "configs": {c: CONFIGS[c] for c in configs},
+           "configs": CONFIGS,
            "trees": {name: tree_info(path) for name, path in trees},
            "python": platform.python_version(),
            "nproc": len(os.sched_getaffinity(0)),
