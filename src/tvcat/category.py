@@ -46,8 +46,29 @@ class TVCategory:
     def hom(self, xx: str, x: str) -> str:
         return self.structure.entry(xx, x)
 
+    def __eq__(self, other):
+        """One category: the same monad instance and structure table.
+
+        Names do not count.  Carrier labels alone do not decide this
+        either: corpus categories with the same number of points share
+        labels.
+        """
+        return self is other or (isinstance(other, TVCategory)
+                                 and self.M is other.M
+                                 and self.structure == other.structure)
+
+    def __hash__(self):
+        return hash(self.structure)
+
     def __repr__(self):
         return "TVCategory(%s, %d objects)" % (self.name, len(self.carrier))
+
+
+# The engine's one cache: built spaces, bimodule scans, factorisations and
+# class memberships, keyed on a tag plus the categories or functors they
+# are about, so equal categories share entries.  It lives for the process;
+# `tvcat verify-paper` empties it after each corpus.
+MEMO: dict = {}
 
 
 def category_from_entries(M: MonadInstance, labels, entries: dict,
@@ -82,15 +103,6 @@ def check_category(C: TVCategory) -> LawReport:
     return rep
 
 
-def same_category(C: TVCategory, D: TVCategory) -> bool:
-    """C and D are one category: same monad instance and structure table.
-
-    Carrier labels alone do not decide this: corpus categories with the
-    same number of points share labels.
-    """
-    return C is D or (C.M is D.M and C.structure == D.structure)
-
-
 class TVFunctor:
     __slots__ = ("src", "dst", "fn", "name")
 
@@ -111,15 +123,14 @@ class TVFunctor:
         return self.src.M.T_fn(self.fn)
 
     def __matmul__(self, other: "TVFunctor") -> "TVFunctor":
-        if not same_category(other.dst, self.src):
+        if other.dst != self.src:
             raise InputError("cannot compose functors: middle categories differ")
         return TVFunctor(other.src, self.dst, self.fn @ other.fn,
                          "%s.%s" % (self.name, other.name))
 
     def __eq__(self, other):
         return (isinstance(other, TVFunctor) and self.fn == other.fn
-                and same_category(self.src, other.src)
-                and same_category(self.dst, other.dst))
+                and self.src == other.src and self.dst == other.dst)
 
     def __hash__(self):
         return hash(self.fn)
@@ -278,7 +289,7 @@ class Bimodule:
 
 def bim_compose(psi: Bimodule, phi: Bimodule) -> VRelation:
     """Convolution of phi: X -|-> Y with psi: Y -|-> Z, as a raw relation."""
-    if not same_category(phi.dst, psi.src):
+    if phi.dst != psi.src:
         raise InputError("modules do not share the middle category")
     return kleisli(phi.src.M, psi.rel, phi.rel, phi.src.carrier)
 
@@ -354,11 +365,11 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     """f <= g, by comparing restriction modules pointwise.
 
     f and g must be parallel: the same source and the same target category
-    (`same_category`), not just the same carrier labels.  The unit
+    (`TVCategory.__eq__`), not just the same carrier labels.  The unit
     formulation (k <= b(e(f x), g x) for every x) is equivalent for valid
     categories and cheaper; both are computed and must agree.
     """
-    if not (same_category(f.src, g.src) and same_category(f.dst, g.dst)):
+    if f.src != g.src or f.dst != g.dst:
         raise InputError("functor order needs parallel functors")
     by_modules = costar(f).rel <= costar(g).rel
     q, b = f.dst.q, f.dst.structure
@@ -538,14 +549,14 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
     for f in fns:
         tf = f.tfn()
         for g in fns:
-            if same_category(g.src, f.dst):          # star(g) after f
+            if g.src == f.dst:          # star(g) after f
                 shortcut = VRelation(f.src.q, f.src.tx, g.dst.carrier,
                                      (star(g).rel.rows[tf.table[i]]
                                       for i in range(len(f.src.tx))))
                 if bim_compose(star(g), star(f)) != shortcut:
                     bad.append("%s o %s" % (g.name, f.name))
                 count += 1
-            if same_category(g.dst, f.dst):          # costar(f) after star(g)
+            if g.dst == f.dst:          # costar(f) after star(g)
                 phi = star(g)
                 shortcut = VRelation(f.src.q, g.src.tx, f.src.carrier,
                                      ((phi.rel.rows[w][f.fn.table[x]]
@@ -561,7 +572,7 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
     order_fail = None
     for f in fns:
         for g in fns:
-            if same_category(f.src, g.src) and same_category(f.dst, g.dst):
+            if f.src == g.src and f.dst == g.dst:
                 try:
                     functor_leq(f, g)
                 except EngineError:

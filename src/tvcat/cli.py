@@ -17,9 +17,8 @@ import json
 import os
 import re
 import sys
-import time
 
-from .category import check_enriched_calculus, is_fully_faithful
+from .category import MEMO, check_enriched_calculus, is_fully_faithful
 from .core import (DEFAULT_MAX_SPACE, InputError, SizeCapError,
                    ValidationError)
 from .corpus import iso_representatives, seed_corpus
@@ -283,11 +282,10 @@ def _cmd_presheaves(args):
 # ---------------------------------------------------------------------------
 
 class _Corpus:
-    def __init__(self, label, M, cats, fns, reps, cap):
+    def __init__(self, label, M, cats, reps, cap):
         self.label = label
         self.M = M
         self.cats = cats
-        self.fns = fns
         self.reps = reps
         self.cap = cap
 
@@ -316,19 +314,6 @@ def _summary(rep: LawReport) -> str:
     return "ok (%d checks%s)" % (len(rep.checks), note)
 
 
-# row timing on stderr for performance work; stdout stays deterministic
-_TIMING = bool(os.environ.get("TVCAT_TIMING"))
-_TICK = [0.0]
-
-
-def _tick(label: str):
-    if _TIMING:
-        now = time.monotonic()
-        print("[timing] %6.1fs  %s" % (now - _TICK[0], label),
-              file=sys.stderr, flush=True)
-        _TICK[0] = now
-
-
 def _add_row(rep: LawReport, name: str, parts):
     """One verdict row summarising per-corpus sub-reports."""
     detail = "; ".join("%s: %s" % (label, _summary(sub))
@@ -341,18 +326,14 @@ def _add_row(rep: LawReport, name: str, parts):
         rep.add(name, all(sub.ok for sub in decided), detail)
 
 
-def _gather(corpora, build, row: str = ""):
-    """(label, report) per corpus; a size cap becomes a labelled skip note."""
-    parts = []
-    for c in corpora:
-        try:
-            parts.append((c.label, build(c)))
-        except SizeCapError as exc:
-            note = LawReport()
-            note.skip("capped", str(exc))
-            parts.append((c.label, note))
-        _tick("%s | %s" % (row, c.label))
-    return parts
+def _capped(build, c: _Corpus) -> LawReport:
+    """build(c), or a skip note when a size cap stops it."""
+    try:
+        return build(c)
+    except SizeCapError as exc:
+        note = LawReport()
+        note.skip("capped", str(exc))
+        return note
 
 
 def _merged(builders) -> LawReport:
@@ -372,42 +353,8 @@ def _cmd_verify_paper(args):
         if kind not in MONAD_KINDS:
             raise InputError("unknown monad kind %r" % kind)
     specs = [(tok, _quantale_token(tok)) for tok in qtokens]
-
-    _TICK[0] = time.monotonic()
-    corpora = []
-    for tok, spec in specs:
-        q = quantale_from_doc(spec, "<config>")
-        family = spec["builtin"]
-        size = min(_FAMILY_SIZES.get(family, 2), args.max_size)
-        cap = min(_FAMILY_CAPS.get(family, 512), args.max_space)
-        for kind in mkinds:
-            if kind == "finite_ultrafilter" and family != "boolean":
-                continue
-            M = instantiate_monad(kind, q)
-            cats, fns = seed_corpus(M, size)
-            corpora.append(_Corpus("%s/%s" % (tok, kind), M, cats, fns,
-                                   iso_representatives(fns), cap))
-
-    _tick("corpus build")
     classes = [saturated_class(k)
                for k in ("all", "representable", "right_adjoint")]
-    rep = LawReport("verify-paper: quantales=%s monads=%s max-size=%d"
-                    % (args.quantales, args.monads, args.max_size))
-
-    parts = []
-    for tok, spec in specs:
-        if args.corrupt_builtin and spec["builtin"] == args.corrupt_builtin:
-            spec = _corrupted_spec(spec)
-        parts.append((tok, check_quantale_laws(spec)))
-    _add_row(rep, "quantale laws", parts)
-
-    _add_row(rep, "monad conditions and span preservation",
-             _gather(corpora, lambda c: check_monad_laws(
-                 c.M, size_limit=min(3, args.max_size)), "monad laws"))
-
-    _add_row(rep, "category and bimodule calculus",
-             _gather(corpora, lambda c: check_enriched_calculus(
-                 c.M, c.cats, c.reps), "calculus"))
 
     def yoneda_all_classes(c):
         out = LawReport()
@@ -418,21 +365,6 @@ def _cmd_verify_paper(args):
                     "evaluation identity on %d objects" % len(c.cats)
                     if not bad else "failing: %s" % ", ".join(bad))
         return out
-    _add_row(rep, "yoneda lemma", _gather(corpora, yoneda_all_classes, "yoneda"))
-
-    _add_row(rep, "presheaf monad laws and lax idempotency",
-             _gather(corpora, lambda c: check_presheaf_monad(
-                 classes[0], c.cats, c.reps, c.cap), "presheaf monad"))
-
-    _add_row(rep, "simplicity of the left leg",
-             _gather(corpora, lambda c: _merged(
-                 (cls.name + ":", check_simplicity_corpus(c.reps, cls, c.cap))
-                 for cls in classes), "simplicity"))
-
-    _add_row(rep, "saturation closure",
-             _gather(corpora, lambda c: _merged(
-                 (cls.name + ":", check_saturated(cls, c.cats, c.reps))
-                 for cls in classes), "saturation"))
 
     def submonads(c):
         out = LawReport()
@@ -445,38 +377,86 @@ def _cmd_verify_paper(args):
             out.merge(check_presheaf_monad(cls, c.cats, c.reps, c.cap),
                       prefix=cls.name + ":")
         return out
-    _add_row(rep, "saturated submonads", _gather(corpora, submonads, "submonads"))
 
-    _add_row(rep, "left class characterisation",
-             _gather(corpora, lambda c: _merged(
-                 (cls.name + ":", check_left_class(c.cats, c.reps, cls,
-                                                   c.cap))
-                 for cls in classes), "left class"))
+    # the rows after the quantale laws, in printed order
+    rows = [
+        ("monad conditions and span preservation",
+         lambda c: check_monad_laws(c.M, size_limit=min(3, args.max_size))),
+        ("category and bimodule calculus",
+         lambda c: check_enriched_calculus(c.M, c.cats, c.reps)),
+        ("yoneda lemma", yoneda_all_classes),
+        ("presheaf monad laws and lax idempotency",
+         lambda c: check_presheaf_monad(classes[0], c.cats, c.reps, c.cap)),
+        ("simplicity of the left leg",
+         lambda c: _merged(
+             (cls.name + ":", check_simplicity_corpus(c.reps, cls, c.cap))
+             for cls in classes)),
+        ("saturation closure",
+         lambda c: _merged(
+             (cls.name + ":", check_saturated(cls, c.cats, c.reps))
+             for cls in classes)),
+        ("saturated submonads", submonads),
+        ("left class characterisation",
+         lambda c: _merged(
+             (cls.name + ":", check_left_class(c.cats, c.reps, cls, c.cap))
+             for cls in classes)),
+        ("factorisation comonad, monad, distributivity",
+         lambda c: check_awfs_corpus(c.reps, classes[0], c.cap)),
+    ]
 
-    _add_row(rep, "factorisation comonad, monad, distributivity",
-             _gather(corpora, lambda c: check_awfs_corpus(c.reps, classes[0],
-                                                          c.cap), "awfs"))
+    # Corpus-major: each corpus runs every row, then its spaces and
+    # factorisations leave the memo before the next corpus is built.
+    parts = [[] for _ in rows]
+    wfs = None
+    for tok, spec in specs:
+        q = quantale_from_doc(spec, "<config>")
+        family = spec["builtin"]
+        size = min(_FAMILY_SIZES.get(family, 2), args.max_size)
+        cap = min(_FAMILY_CAPS.get(family, 512), args.max_space)
+        for kind in mkinds:
+            if kind == "finite_ultrafilter" and family != "boolean":
+                continue
+            M = instantiate_monad(kind, q)
+            cats, fns = seed_corpus(M, size)
+            c = _Corpus("%s/%s" % (tok, kind), M, cats,
+                        iso_representatives(fns), cap)
+            try:
+                for (_, build), row in zip(rows, parts):
+                    row.append((c.label, _capped(build, c)))
+                if wfs is None and kind == "identity" and q.n == 2:
+                    wfs = c.label, wfs_cross_check(c.cats, c.reps,
+                                                   classes[0], cap)
+            finally:
+                MEMO.clear()
 
-    base = next((c for c in corpora
-                 if c.M.kind == "identity" and c.M.q.n == 2), None)
-    if base is None:
+    rep = LawReport("verify-paper: quantales=%s monads=%s max-size=%d"
+                    % (args.quantales, args.monads, args.max_size))
+    laws = []
+    for tok, spec in specs:
+        if args.corrupt_builtin and spec["builtin"] == args.corrupt_builtin:
+            spec = _corrupted_spec(spec)
+        laws.append((tok, check_quantale_laws(spec)))
+    _add_row(rep, "quantale laws", laws)
+    for (name, _), row in zip(rows, parts):
+        _add_row(rep, name, row)
+
+    if wfs is None:
         rep.skip("canonical fillers are least",
                  "needs the boolean identity corpus")
         rep.skip("classical factorisation cross-check",
                  "needs the boolean identity corpus")
     else:
-        wfs = wfs_cross_check(base.cats, base.reps, classes[0], base.cap)
-        by_name = {c.name: c for c in wfs.checks}
+        label, report = wfs
+        by_name = {c.name: c for c in report.checks}
         least = by_name["liftings-exist-and-are-least"]
         rep.checks.append(Check("canonical fillers are least", least.status,
-                                "%s: %s" % (base.label, least.detail)))
+                                "%s: %s" % (label, least.detail)))
         rest = LawReport()
-        rest.checks = [c for c in wfs.checks if c is not least]
+        rest.checks = [c for c in report.checks if c is not least]
         rep.add("classical factorisation cross-check", rest.ok,
-                "%s: %s" % (base.label,
+                "%s: %s" % (label,
                             "; ".join(c.detail for c in rest.checks)
                             if rest.ok else _summary(rest)))
-        _tick("wfs cross-check")
 
     code = EXIT_OK if rep.ok else EXIT_CHECK
     if args.output == "json":

@@ -115,9 +115,6 @@ class Fn:
     def __call__(self, label: str) -> str:
         return self.dst.elements[self.table[self.src.index_of(label)]]
 
-    def apply(self, i: int) -> int:
-        return self.table[i]
-
     def __matmul__(self, other: "Fn") -> "Fn":
         # self @ other = "self after other"
         if other.dst != self.src:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
-from .category import (TVCategory, TVFunctor, _structure_maps, bim_compose,
-                       costar, identity_functor, is_fully_faithful,
-                       is_functor, is_separated, functor_leq, star,
-                       underlying_order)
+from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
+                       bim_compose, costar, identity_functor,
+                       is_fully_faithful, is_functor, is_separated,
+                       functor_leq, star, underlying_order)
 from .presheaf import (apply_P, apply_P_star, phi_dense, presheaf_space,
                        saturated_class, space_mult, yoneda)
 from .quantale import VRelation, line_masks
@@ -112,23 +112,14 @@ class Factorisation:
                                                        len(self.pairs))
 
 
-_FACT_CACHE: dict = {}
-
-
-def _fact_key(f: TVFunctor, cls):
-    return (id(f.src.M), f.src.carrier.elements, f.src.structure.rows,
-            f.dst.carrier.elements, f.dst.structure.rows, f.fn.table,
-            cls.name)
-
-
 def comma_factorise(f: TVFunctor, cls=None,
                     max_space: int = DEFAULT_MAX_SPACE) -> Factorisation:
     cls = cls or saturated_class("all")
-    key = _fact_key(f, cls)
-    hit = _FACT_CACHE.get(key)
+    key = ("fact", f, cls.name, max_space)
+    hit = MEMO.get(key)
     if hit is None:
         hit = Factorisation(f, cls, max_space)
-        _FACT_CACHE[key] = hit
+        MEMO[key] = hit
     return hit
 
 
@@ -178,18 +169,15 @@ def coalgebra(F: Factorisation):
     return TVFunctor(f.dst, F.K, fn, "coalg(%s)" % f.name)
 
 
-_LMEM_CACHE: dict = {}
-
-
 def l_membership(f: TVFunctor, cls=None,
                  max_space: int = DEFAULT_MAX_SPACE) -> bool:
     """f is in the left class: fully faithful and dense for the class."""
     cls = cls or saturated_class("all")
-    key = _fact_key(f, cls)
-    hit = _LMEM_CACHE.get(key)
+    key = ("lmem", f, cls.name, max_space)
+    hit = MEMO.get(key)
     if hit is None:
         hit = is_fully_faithful(f) and phi_dense(f, cls, max_space)
-        _LMEM_CACHE[key] = hit
+        MEMO[key] = hit
     return hit
 
 
@@ -201,9 +189,6 @@ def _fibres(g: TVFunctor, over) -> list:
     return [masks.get(y, 0) for y in over]
 
 
-_ALG_CACHE: dict = {}
-
-
 def r_membership(g: TVFunctor, cls=None,
                  max_space: int = DEFAULT_MAX_SPACE):
     """Least algebra structure p: K(g) -> Z, or None.
@@ -213,16 +198,16 @@ def r_membership(g: TVFunctor, cls=None,
     satisfy the lax-idempotent algebra inequality id <= L(g) . p.
     """
     cls = cls or saturated_class("all")
-    key = _fact_key(g, cls)
-    if key in _ALG_CACHE:
-        return _ALG_CACHE[key]
+    key = ("alg", g, cls.name, max_space)
+    if key in MEMO:
+        return MEMO[key]
     F = comma_factorise(g, cls, max_space)
     K, Z = F.K, g.src
     pinned = {F.L.fn.table[z]: z for z in range(len(Z.carrier))}
     solutions = _structure_maps(K, Z, "algebra search for %s" % g.name,
                                 pinned, _fibres(g, F.R.fn.table))
     if not solutions:
-        _ALG_CACHE[key] = None
+        MEMO[key] = None
         return None
     cands = [TVFunctor(K, Z, Fn(K.carrier, Z.carrier, t), "alg(%s)" % g.name)
              for t in solutions]
@@ -246,7 +231,7 @@ def r_membership(g: TVFunctor, cls=None,
     if least.fn.table not in adjoint:
         raise EngineError("least algebra of %s fails the lax-idempotent "
                           "inequality" % g.name)
-    _ALG_CACHE[key] = least
+    MEMO[key] = least
     return least
 
 
@@ -633,21 +618,18 @@ def check_left_class(cats, fns, cls=None,
                 "all %d class embeddings are fully faithful embeddings"
                 % members if not bad else "failing: %s" % ", ".join(bad))
 
-    # parallel pairs grouped by endpoint tables so the scan only visits
+    # parallel pairs grouped by endpoints so the scan only visits
     # composable candidates
     by_endpoints: dict = {}
     for u in fns:
-        sig = (u.src.carrier.elements, u.src.structure.rows,
-               u.dst.carrier.elements, u.dst.structure.rows)
-        by_endpoints.setdefault(sig, []).append(u)
+        by_endpoints.setdefault((u.src, u.dst), []).append(u)
     bad = []
     pairs = 0
     for f in fns:
         if not is_fully_faithful(f):
             continue
-        into_src = (f.src.carrier.elements, f.src.structure.rows)
-        for sig, us in by_endpoints.items():
-            if sig[2:] != into_src:
+        for (_, dst), us in by_endpoints.items():
+            if dst != f.src:
                 continue
             for u in us:
                 for v in us:

@@ -21,7 +21,7 @@ import itertools
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
-from .category import (Bimodule, TVCategory, TVFunctor, bim_compose,
+from .category import (MEMO, Bimodule, TVCategory, TVFunctor, bim_compose,
                        check_bimodule, check_category, check_functor, costar,
                        identity_functor, is_bimodule, is_fully_faithful,
                        is_functor, is_separated, functor_leq, star,
@@ -55,7 +55,7 @@ class Presheaf:
 
     def __eq__(self, other):
         return (isinstance(other, Presheaf) and self.values == other.values
-                and self.base.carrier == other.base.carrier)
+                and self.base == other.base)
 
     def __hash__(self):
         return hash(self.values)
@@ -307,8 +307,8 @@ ENUM_BASE_CAP = 160
 class PresheafSpace:
     """All presheaves on a base category that lie in a saturated class."""
 
-    __slots__ = ("base", "cls", "presheaves", "carrier", "category", "index",
-                 "cond", "values")
+    __slots__ = ("base", "cls", "enumerated", "presheaves", "carrier",
+                 "category", "index", "cond", "values")
 
     def __init__(self, base: TVCategory, cls: SaturatedClass, max_space: int):
         if len(base.tx) > ENUM_BASE_CAP:
@@ -329,6 +329,8 @@ class PresheafSpace:
         self.cls = cls
         self.cond = presheaf_condition_matrix(base)
         tuples = _enumerate_value_tuples(base.q, self.cond, max_space)
+        # a cap below this count refuses the space, whatever the class keeps
+        self.enumerated = len(tuples)
         if cls.name != "all":
             E = unit_category(base.M)
             keep = []
@@ -365,30 +367,26 @@ class PresheafSpace:
                                                      len(self))
 
 
-# A built space, or the largest cap its enumeration went past.
-_SPACE_CACHE: dict = {}
-
-
 def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
                    max_space: int = DEFAULT_MAX_SPACE) -> PresheafSpace:
     cls = cls or _BUILTIN_CLASSES["all"]
-    key = (id(C.M), C.carrier.elements, C.structure.rows, cls.name)
-    hit = _SPACE_CACHE.get(key)
+    key = ("space", C, cls.name)
+    # a built space, or the largest cap its enumeration went past
+    hit = MEMO.get(key)
     if isinstance(hit, int):
         # more than `hit` presheaves, so more than any cap up to it
         if max_space <= hit:
             raise _OverCap(max_space, len(C.tx))
     elif hit is not None:
-        if len(hit) > max_space:
-            raise SizeCapError("presheaf space has %d elements, over the "
-                               "requested cap %d" % (len(hit), max_space))
+        if hit.enumerated > max_space:
+            raise _OverCap(max_space, len(C.tx))
         return hit
     try:
         space = PresheafSpace(C, cls, max_space)
     except _OverCap as exc:
-        _SPACE_CACHE[key] = exc.cap
+        MEMO[key] = exc.cap
         raise
-    _SPACE_CACHE[key] = space
+    MEMO[key] = space
     return space
 
 
@@ -690,18 +688,13 @@ def unit_isomorphism_check(cls: SaturatedClass, cats,
     return rep
 
 
-# Enumerations are class-independent and get rescanned once per class and
-# row otherwise; tables are tiny, so keep them all.
-_BIMODULE_SCAN_CACHE: dict = {}
-
-
 def _all_bimodules(C: TVCategory, D: TVCategory, cap: int):
-    key = (id(C.M), C.carrier.elements, C.structure.rows,
-           D.carrier.elements, D.structure.rows, cap)
-    hit = _BIMODULE_SCAN_CACHE.get(key)
+    # class-independent, so remembered rather than rescanned per class
+    key = ("bimodules", C, D, cap)
+    hit = MEMO.get(key)
     if hit is None:
         hit = tuple(_scan_bimodules(C, D, cap))
-        _BIMODULE_SCAN_CACHE[key] = hit
+        MEMO[key] = hit
     return hit
 
 

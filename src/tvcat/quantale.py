@@ -570,9 +570,6 @@ class VRelation:
             v = q.index_of(v)
         return cls(q, src, dst, (bytes((v,)) * len(dst),) * len(src))
 
-    def at(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
     def row_masks(self) -> list:
         """Packed value masks of each row."""
         if self._row_masks is None:

@@ -7,7 +7,6 @@ failing, so callers can distinguish "false" from "not checked at this scale".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -77,9 +76,6 @@ class LawReport:
             "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
                        for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=True)
 
     def __repr__(self) -> str:
         return "LawReport(%r, ok=%r, %d checks)" % (self.title, self.ok, len(self.checks))

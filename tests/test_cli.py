@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from tvcat import category
 from tvcat.cli import run_command
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
@@ -20,6 +21,9 @@ EMB_DOC = {"name": "emb", "source": "pt.json", "target": "two.json",
 
 COLLAPSE_DOC = {"name": "collapse", "source": "two.json",
                 "target": "pt.json", "map": {"0": "p", "1": "p"}}
+
+ID2_DOC = {"name": "id2", "source": "two.json", "target": "two.json",
+           "map": {"0": "0", "1": "1"}}
 
 BANG_DOC = {"name": "bang", "source": "pt.json", "target": "pt.json",
             "map": {"p": "p"}}
@@ -121,6 +125,16 @@ def test_size_cap_is_exit_three(tmp_path):
                              "--max-space", "2"])
     assert code == 3
     assert "cap" in out
+
+
+def test_factor_cap_holds_after_an_uncapped_factor(tmp_path):
+    seed(tmp_path, ("id2.json", ID2_DOC))
+    argv = ["factor", str(tmp_path / "id2.json")]
+    category.MEMO.clear()
+    cold = run_command(argv + ["--max-space", "2"])
+    assert cold[0] == 3
+    assert run_command(argv)[0] == 0
+    assert run_command(argv + ["--max-space", "2"]) == cold
 
 
 def test_complete_emits_space_and_unit(tmp_path):

@@ -1,0 +1,100 @@
+"""Category equality and the engine memo that is keyed on it.
+
+Two categories are one when they share the monad instance and the
+structure table; names do not count.  The memo keys spaces,
+factorisations and class memberships on those categories, so a hit must
+give what a cold call at the same cap gives, and verify-paper leaves it
+empty.
+"""
+
+from tvcat import category
+from tvcat.category import (category_from_entries, discrete_category,
+                            identity_functor)
+from tvcat.cli import run_command
+from tvcat.core import SizeCapError
+from tvcat.lofs import comma_factorise, l_membership, r_membership
+from tvcat.monad import MonadInstance, instantiate_monad
+from tvcat.presheaf import Presheaf, presheaf_space, saturated_class
+from tvcat.quantale import boolean_quantale
+
+BOOL = boolean_quantale()
+ID = instantiate_monad("identity", BOOL)
+UF = instantiate_monad("finite_ultrafilter", BOOL)
+ALL = saturated_class("all")
+REPR = saturated_class("representable")
+
+
+def chain_cat(M, labels, name):
+    entries = {(x, y): "1" for i, x in enumerate(labels) for y in labels[i:]}
+    return category_from_entries(M, labels, entries, default="0", name=name)
+
+
+def test_category_equality_ignores_names():
+    a = chain_cat(ID, ["0", "1"], "a")
+    b = chain_cat(ID, ["0", "1"], "b")
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    # same labels, different table
+    assert a != discrete_category(ID, ["0", "1"], "a")
+    assert identity_functor(a) == identity_functor(b)
+
+
+def test_category_equality_tells_identity_from_ultrafilter():
+    # finite_ultrafilter has the identity's tables, but is another instance
+    a = chain_cat(ID, ["0", "1"], "two")
+    u = chain_cat(UF, ["0", "1"], "two")
+    assert a.structure.rows == u.structure.rows
+    assert a != u
+    assert presheaf_space(a) is not presheaf_space(u)
+
+
+def test_presheaf_equality_compares_base_categories():
+    chain = chain_cat(ID, ["0", "1"], "two")
+    disc = discrete_category(ID, ["0", "1"], "two")
+    assert Presheaf(chain, b"\x01\x01") != Presheaf(disc, b"\x01\x01")
+    renamed = chain_cat(ID, ["0", "1"], "other")
+    assert Presheaf(chain, b"\x01\x01") == Presheaf(renamed, b"\x01\x01")
+
+
+def fresh_id2():
+    """The identity on the 2-chain, over an instance nothing is memoised on."""
+    M = MonadInstance("identity", BOOL)
+    return identity_functor(chain_cat(M, ["0", "1"], "two"))
+
+
+def outcomes(f, cap):
+    """What the memoised calls give at this cap: a value, or the cap message."""
+    calls = (lambda: len(presheaf_space(f.src, ALL, cap)),
+             lambda: len(presheaf_space(f.src, REPR, cap)),
+             lambda: comma_factorise(f, ALL, cap).pairs,
+             lambda: l_membership(f, ALL, cap),
+             lambda: getattr(r_membership(f, ALL, cap), "fn", None))
+    out = []
+    for call in calls:
+        try:
+            out.append(("ok", call()))
+        except SizeCapError as exc:
+            out.append(("capped", str(exc)))
+    return out
+
+
+def test_cache_hits_honour_the_callers_cap():
+    cold_f = fresh_id2()
+    cold = outcomes(cold_f, 2)
+    # three presheaves on the 2-chain, two of them representable: a cap
+    # of 2 stops every call, the class space included, since the
+    # enumeration goes past it before the class filter
+    assert [kind for kind, _ in cold] == ["capped"] * 5
+    assert cold[0][1] == ("presheaf space exceeds the cap of 2 (carrier "
+                          "of 2 lifted points)")
+    warm_f = fresh_id2()
+    assert [kind for kind, _ in outcomes(warm_f, 4096)] == ["ok"] * 5
+    assert outcomes(warm_f, 2) == cold
+
+
+def test_memo_is_empty_after_verify_paper():
+    presheaf_space(chain_cat(ID, ["0", "1"], "two"))
+    assert category.MEMO
+    code, _ = run_command(["verify-paper", "--max-size", "1"])
+    assert code == 0
+    assert category.MEMO == {}

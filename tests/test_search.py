@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvcat import category, lofs
+from tvcat import category
 from tvcat.core import FinSet, Fn, SizeCapError
 from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
@@ -148,7 +148,7 @@ def test_fillers_with_conflicting_pins_are_empty():
 
 def test_node_budget_still_caps_every_search(monkeypatch):
     monkeypatch.setattr(category, "SEARCH_NODE_BUDGET", 1)
-    monkeypatch.setattr(lofs, "_ALG_CACHE", {})
+    category.MEMO.clear()
     with pytest.raises(SizeCapError,
                        match="^algebra search for bang ran out of budget$"):
         r_membership(BANG)
