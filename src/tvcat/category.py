@@ -67,7 +67,8 @@ class TVCategory:
 # The engine's one cache: built spaces, bimodule scans, factorisations and
 # class memberships, keyed on a tag plus the categories or functors they
 # are about, so equal categories share entries.  It lives for the process;
-# `tvcat verify-paper` empties it after each corpus.
+# `tvcat verify-paper` empties it after each corpus.  Other modules import
+# it by name, so it is emptied in place, never rebound.
 MEMO: dict = {}
 
 

@@ -424,8 +424,8 @@ def _cmd_verify_paper(args):
                 for (_, build), row in zip(rows, parts):
                     row.append((c.label, _capped(build, c)))
                 if wfs is None and kind == "identity" and q.n == 2:
-                    wfs = c.label, wfs_cross_check(c.cats, c.reps,
-                                                   classes[0], cap)
+                    wfs = (c.label, wfs_cross_check(c.cats, c.reps,
+                                                    classes[0], cap))
             finally:
                 MEMO.clear()
 
