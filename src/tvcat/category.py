@@ -467,33 +467,155 @@ def dual_category(C: TVCategory) -> TVCategory:
     return TVCategory(M, TX, VRelation(q, TTX, TX, rows), C.name + "^op")
 
 
+# ---------------------------------------------------------------------------
+# law masks: one law decided for every candidate map at once
+# ---------------------------------------------------------------------------
+#
+# A candidate is a table of `size` cells with values in 0..n-1; candidate k
+# is the k-th table of itertools.product(range(n), repeat=size), so cell 0
+# is its most significant base-n digit.  A set of candidates is an int with
+# bit k set for candidate k.  T is the identity on carriers (as
+# `_structure_maps` also assumes), so every bimodule or functor law is a
+# constraint on two cells p, p' of the table: "the value u at p and the
+# value w at p' do not break it".  The laws arrive as a dict from (p, p') to
+# a tuple over u of the bitmask of the w that break it.
+
+
+def _digit_sets(n: int, size: int) -> list:
+    """sets[p][v]: the candidates whose cell p holds v."""
+    count = n ** size
+    sets = []
+    for p in range(size):
+        width = n ** (size - 1 - p)
+        # one run of `width` candidates per value, repeated every n runs
+        repeat = ((1 << count) - 1) // ((1 << (width * n)) - 1)
+        run = (1 << width) - 1
+        sets.append([(run << (v * width)) * repeat for v in range(n)])
+    return sets
+
+
+def _passing(n: int, size: int, laws: dict) -> int:
+    """The candidates that break none of the laws.
+
+    A law on (p, p') removes the candidates with some breaking pair (u, w)
+    there: sets[p][u] & (the union of sets[p'][w]).  On p == p' that
+    intersection is empty unless w == u, so only the pairs (u, u) count.
+    """
+    sets = _digit_sets(n, size)
+    broken = 0
+    unions = {}
+    for (p, pp), bad in laws.items():
+        for u, ws in enumerate(bad):
+            if ws:
+                hit = unions.get((pp, ws))
+                if hit is None:
+                    hit = 0
+                    for w in range(n):
+                        if ws >> w & 1:
+                            hit |= sets[pp][w]
+                    unions[pp, ws] = hit
+                broken |= sets[p][u] & hit
+    return ((1 << n ** size) - 1) & ~broken
+
+
+def _add_law(laws: dict, p: int, pp: int, bad: tuple):
+    old = laws.get((p, pp))
+    laws[p, pp] = bad if old is None else tuple(map(int.__or__, old, bad))
+
+
+def _refusals(n: int, breaks) -> tuple:
+    """Per value u, the bitmask of the values w with breaks(u, w)."""
+    return tuple(sum(1 << w for w in range(n) if breaks(u, w))
+                 for u in range(n))
+
+
+def _bimodule_mask(X: TVCategory, Y: TVCategory) -> int:
+    """The candidate relations r: TX -/-> Y that `is_bimodule` accepts.
+
+    Cell i*|Y| + y holds r(i, y).  The two Kleisli compositions of
+    `is_bimodule` are below r exactly when every term of their joins is:
+      right action  Ta(i, j) (x) r(j, y) <= r(i, y), Ta = lax_extend(M, a);
+      left action   xi(r(i, y')) (x) b(y', y) <= r(i, y).
+    """
+    M, q = X.M, X.q
+    n, leq, tm, xi = q.n, q.leq_m, q.tensor_m, M.xi_table
+    ny = len(Y.carrier)
+    tn = len(X.tx)
+    laws = {}
+    ta = lax_extend(M, X.structure).rows
+    right = {c: _refusals(n, lambda u, w: not leq[tm[c][u]][w])
+             for c in {v for row in ta for v in row}}
+    for i, row in enumerate(ta):
+        for j, c in enumerate(row):
+            bad = right[c]
+            if any(bad):
+                for y in range(ny):
+                    _add_law(laws, j * ny + y, i * ny + y, bad)
+    b = Y.structure.rows
+    left = {c: _refusals(n, lambda u, w: not leq[tm[xi[u]][c]][w])
+            for c in {v for row in b for v in row}}
+    for y1, row in enumerate(b):
+        for y, c in enumerate(row):
+            bad = left[c]
+            if any(bad):
+                for i in range(tn):
+                    _add_law(laws, i * ny + y1, i * ny + y, bad)
+    return _passing(n, tn * ny, laws)
+
+
+def _functor_mask(dom: TVCategory, cod: TVCategory) -> int:
+    """The candidate tables t that `is_functor(dom, cod, t)` accepts.
+
+    With Tt = t the law is dom(p, p') <= cod(t p, t p') for every p, p'.
+    """
+    leq = dom.q.leq_m
+    n = len(cod.carrier)
+    b = cod.structure.rows
+    refusals = {c: _refusals(n, lambda u, w: not leq[c][b[u][w]])
+                for c in {v for row in dom.structure.rows for v in row}}
+    laws = {}
+    for p, row in enumerate(dom.structure.rows):
+        for pp, c in enumerate(row):
+            bad = refusals[c]
+            if any(bad):
+                _add_law(laws, p, pp, bad)
+    return _passing(n, len(dom.carrier), laws)
+
+
+def _candidate_relation(X: TVCategory, Y: TVCategory, k: int) -> VRelation:
+    """Candidate k of the scan over relations TX -/-> Y, as a relation."""
+    q = X.q
+    cells = bytearray(len(X.tx) * len(Y.carrier))
+    for p in reversed(range(len(cells))):
+        k, cells[p] = divmod(k, q.n)
+    ny = len(Y.carrier)
+    return VRelation(q, X.tx, Y.carrier,
+                     [bytes(cells[i * ny:(i + 1) * ny])
+                      for i in range(len(X.tx))])
+
+
 def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
                                   cap: int = 4096):
-    """Scan maps T(X) x Y -> V: bimodule laws hold iff the map is a functor.
+    """Over maps T(X) x Y -> V: bimodule laws hold iff the map is a functor.
 
-    Returns (checked, witness); witness is None when the equivalence held
-    for every map, and the scan is skipped (checked = 0) over the cap.
+    Returns (checked, witness).  The candidates run in
+    itertools.product order; witness is the first candidate, as a relation
+    TX -/-> Y, on which the two sides disagree, and checked counts the
+    candidates up to it (all of them when there is none).  The scan is
+    skipped (checked = 0) over the cap.  Both sides are decided for every
+    candidate at once by the law masks above.
     """
-    import itertools
     q = Xcat.q
-    M = Xcat.M
     dom = tensor_category(dual_category(Xcat), Ycat)
-    cod = v_category(M)
-    ny = len(Ycat.carrier)
-    size = len(Xcat.tx) * ny
+    cod = v_category(Xcat.M)
+    size = len(Xcat.tx) * len(Ycat.carrier)
     if size and q.n ** size > cap:
         return 0, None
-    checked = 0
-    for combo in itertools.product(range(q.n), repeat=size):
-        line = bytes(combo)
-        rel = VRelation(q, Xcat.tx, Ycat.carrier,
-                        [line[i * ny:(i + 1) * ny]
-                         for i in range(len(Xcat.tx))])
-        fn = Fn(dom.carrier, cod.carrier, combo)
-        checked += 1
-        if is_bimodule(Xcat, Ycat, rel) != is_functor(dom, cod, fn):
-            return checked, rel
-    return checked, None
+    diff = _bimodule_mask(Xcat, Ycat) ^ _functor_mask(dom, cod)
+    if not diff:
+        return q.n ** size, None
+    k = (diff & -diff).bit_length() - 1
+    return k + 1, _candidate_relation(Xcat, Ycat, k)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ import itertools
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
-from .category import (MEMO, Bimodule, TVCategory, TVFunctor, bim_compose,
-                       check_bimodule, check_category, check_functor, costar,
+from .category import (MEMO, Bimodule, TVCategory, TVFunctor, _bimodule_mask,
+                       _candidate_relation, bim_compose, check_bimodule,
+                       check_category, check_functor, costar,
                        identity_functor, is_bimodule, is_fully_faithful,
                        is_functor, is_separated, functor_leq, star,
                        underlying_order, unit_category)
@@ -90,6 +91,19 @@ class _OverCap(SizeCapError):
         super().__init__("presheaf space exceeds the cap of %d (carrier of %d "
                          "lifted points)" % (cap, tn))
         self.cap = cap
+
+
+class _OverWork(SizeCapError):
+    """The space's structure matrix is past STRUCTURE_WORK_CAP.
+
+    `enumerated` counts the presheaves enumerated before the class cut
+    them down: a cap below it refuses the space before the work budget
+    does.
+    """
+
+    def __init__(self, message: str, enumerated: int):
+        super().__init__(message)
+        self.enumerated = enumerated
 
 
 def _enumerate_value_tuples(q, cond, max_space):
@@ -330,7 +344,7 @@ class PresheafSpace:
         self.cond = presheaf_condition_matrix(base)
         tuples = _enumerate_value_tuples(base.q, self.cond, max_space)
         # a cap below this count refuses the space, whatever the class keeps
-        self.enumerated = len(tuples)
+        self.enumerated = enumerated = len(tuples)
         if cls.name != "all":
             E = unit_category(base.M)
             keep = []
@@ -341,9 +355,10 @@ class PresheafSpace:
                     keep.append(values)
             tuples = keep
         if len(tuples) ** 2 * max(1, len(base.tx)) > STRUCTURE_WORK_CAP:
-            raise SizeCapError(
+            raise _OverWork(
                 "structure matrix for %d presheaves over %d lifted points "
-                "is past the work budget" % (len(tuples), len(base.tx)))
+                "is past the work budget" % (len(tuples), len(base.tx)),
+                enumerated)
         self.presheaves = [Presheaf(base, v) for v in tuples]
         self.carrier = FinSet(p.name for p in self.presheaves)
         # row i holds the values of presheaf i
@@ -371,7 +386,8 @@ def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
                    max_space: int = DEFAULT_MAX_SPACE) -> PresheafSpace:
     cls = cls or _BUILTIN_CLASSES["all"]
     key = ("space", C, cls.name)
-    # a built space, or the largest cap its enumeration went past
+    # a built space, its refusal by the work budget, or the largest cap its
+    # enumeration went past; a hit raises what a cold call would
     hit = MEMO.get(key)
     if isinstance(hit, int):
         # more than `hit` presheaves, so more than any cap up to it
@@ -380,11 +396,17 @@ def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
     elif hit is not None:
         if hit.enumerated > max_space:
             raise _OverCap(max_space, len(C.tx))
+        if isinstance(hit, _OverWork):
+            raise _OverWork(str(hit), hit.enumerated)
         return hit
     try:
         space = PresheafSpace(C, cls, max_space)
     except _OverCap as exc:
         MEMO[key] = exc.cap
+        raise
+    except _OverWork as exc:
+        # a fresh copy: the raised one's traceback holds the enumeration
+        MEMO[key] = _OverWork(str(exc), exc.enumerated)
         raise
     MEMO[key] = space
     return space
@@ -704,12 +726,12 @@ def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):
     if size and q.n ** size > cap:
         raise SizeCapError("bimodule scan %d^%d over cap %d"
                            % (q.n, size, cap))
-    nd = len(D.carrier)
-    for combo in itertools.product(range(q.n), repeat=size):
-        rel = VRelation(q, C.tx, D.carrier,
-                        (combo[i * nd:(i + 1) * nd] for i in range(len(C.tx))))
-        if is_bimodule(C, D, rel):
-            yield Bimodule(C, D, rel)
+    # the bimodules in itertools.product order: set bits, lowest first
+    found = _bimodule_mask(C, D)
+    while found:
+        low = found & -found
+        found ^= low
+        yield Bimodule(C, D, _candidate_relation(C, D, low.bit_length() - 1))
 
 
 def check_saturated(cls: SaturatedClass, cats, fns,

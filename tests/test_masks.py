@@ -5,7 +5,10 @@ quantales (powerset_frame(4) has 16 values, so no pair of values fits one
 byte), both monad instances, carriers of 0 to 4 points, and tables that are
 not reflexive, not separated or not functorial.  The presheaf structure
 matrix and composition are also drawn at widths on both sides of the
-composition's size rule (`MASK_CELLS`).
+composition's size rule (`MASK_CELLS`).  The law masks of the
+module-functor correspondence and the bimodule scan are checked against the
+per-map scans they replaced, on the first four quantales and a non-integral
+one, where a cell can break a law against itself.
 """
 
 import itertools
@@ -21,8 +24,12 @@ from tvcat.quantale import (MASK_CELLS, VRelation, boolean_quantale,
                             lukasiewicz_chain, powerset_frame,
                             truncated_chain)
 from tvcat.monad import instantiate_monad
-from tvcat.category import TVCategory, TVFunctor, is_functor, is_separated
-from tvcat.presheaf import apply_P, presheaf_space, saturated_class
+from tvcat.category import (TVCategory, TVFunctor, dual_category,
+                            is_bimodule, is_functor, is_separated,
+                            module_functor_correspondence, tensor_category,
+                            v_category)
+from tvcat.presheaf import (_scan_bimodules, apply_P, presheaf_space,
+                            saturated_class)
 from tvcat.lofs import comma_factorise
 from tvcat.report import FAIL
 
@@ -414,6 +421,121 @@ def test_direct_image_over_empty_and_one_point_targets():
                         == ref_images(f, ALL, CAP)
                     F = comma_factorise(f, ALL, CAP)
                     assert F.pairs == ref_pairs(F)
+
+
+# ---------------------------------------------------------------------------
+# the law masks of the correspondence row and the bimodule scan
+# ---------------------------------------------------------------------------
+
+# bottom < k < t with unit k and t (x) t = t: not integral, so a cell can
+# break a law against itself (t (x) k = t is not below k)
+SPLIT = build_quantale({"elements": ["0", "k", "t"],
+                        "leq": [["0", "k"], ["k", "t"]],
+                        "tensor": {"%s|%s" % (a, b): c
+                                   for (a, b), c in {
+                                       ("0", "0"): "0", ("0", "k"): "0",
+                                       ("0", "t"): "0", ("k", "0"): "0",
+                                       ("k", "k"): "k", ("k", "t"): "t",
+                                       ("t", "0"): "0", ("t", "k"): "t",
+                                       ("t", "t"): "t"}.items()},
+                        "unit": "k"})
+LAW_QUANTALES = QUANTALES[:4] + [SPLIT]
+LAW_MONADS = {(id(q), kind): instantiate_monad(kind, q)
+              for q in LAW_QUANTALES for kind in KINDS}
+LAW_CAP = 512
+
+
+def ref_correspondence(Xcat, Ycat, cap):
+    """The per-map scan that the law masks replaced."""
+    q = Xcat.q
+    M = Xcat.M
+    dom = tensor_category(dual_category(Xcat), Ycat)
+    cod = v_category(M)
+    ny = len(Ycat.carrier)
+    size = len(Xcat.tx) * ny
+    if size and q.n ** size > cap:
+        return 0, None
+    checked = 0
+    for combo in itertools.product(range(q.n), repeat=size):
+        line = bytes(combo)
+        rel = VRelation(q, Xcat.tx, Ycat.carrier,
+                        [line[i * ny:(i + 1) * ny]
+                         for i in range(len(Xcat.tx))])
+        fn = Fn(dom.carrier, cod.carrier, combo)
+        checked += 1
+        if is_bimodule(Xcat, Ycat, rel) != is_functor(dom, cod, fn):
+            return checked, rel
+    return checked, None
+
+
+def ref_bimodules(C, D):
+    nd = len(D.carrier)
+    out = []
+    for combo in itertools.product(range(C.q.n),
+                                   repeat=len(C.tx) * nd):
+        rel = VRelation(C.q, C.tx, D.carrier,
+                        (combo[i * nd:(i + 1) * nd]
+                         for i in range(len(C.tx))))
+        if is_bimodule(C, D, rel):
+            out.append(rel)
+    return out
+
+
+def law_pairs():
+    """(X, Y) over every law quantale and monad with carriers 0-3 and at
+    most LAW_CAP candidates: arbitrary tables, reflexive ones and
+    V-categories, drawn from a fixed seed."""
+    rng = random.Random(20261018)
+    for q in LAW_QUANTALES:
+        for kind in KINDS:
+            M = LAW_MONADS[id(q), kind]
+            for nx in range(4):
+                for ny in range(4):
+                    if q.n ** (nx * ny) > LAW_CAP:
+                        continue
+                    for make in (lambda n: random_rows(rng, q, n, False),
+                                 lambda n: random_rows(rng, q, n, True),
+                                 lambda n: closed_rows(rng, q, n)):
+                        yield (category(M, CARRIERS[nx], make(nx), "X"),
+                               category(M, CARRIERS[ny], make(ny), "Y"))
+
+
+def test_correspondence_matches_the_per_map_scan():
+    witnesses = set()
+    for X, Y in law_pairs():
+        got = module_functor_correspondence(X, Y, cap=LAW_CAP)
+        assert got == ref_correspondence(X, Y, LAW_CAP), (X.structure,
+                                                          Y.structure)
+        if got[1] is not None:
+            witnesses.add(X.q)
+    # arbitrary tables break the equivalence, so witnesses occur
+    assert witnesses == set(LAW_QUANTALES)
+
+
+def test_bimodule_scan_matches_the_per_map_scan():
+    for X, Y in law_pairs():
+        found = [phi.rel for phi in _scan_bimodules(X, Y, LAW_CAP)]
+        assert found == ref_bimodules(X, Y), (X.structure, Y.structure)
+        assert all(phi.src is X and phi.dst is Y
+                   for phi in _scan_bimodules(X, Y, LAW_CAP))
+
+
+def test_the_cap_admits_exactly_its_own_count():
+    for q in LAW_QUANTALES:
+        M = LAW_MONADS[id(q), "identity"]
+        rng = random.Random(q.n)
+        X = category(M, CARRIERS[2], random_rows(rng, q, 2, False), "X")
+        Y = category(M, CARRIERS[1], random_rows(rng, q, 1, False), "Y")
+        count = q.n ** 2
+        assert module_functor_correspondence(X, Y, cap=count) \
+            == ref_correspondence(X, Y, count) != (0, None)
+        assert module_functor_correspondence(X, Y, cap=count - 1) == (0, None)
+        assert len(list(_scan_bimodules(X, Y, count))) \
+            == len(ref_bimodules(X, Y))
+        with pytest.raises(SizeCapError,
+                           match=r"^bimodule scan %d\^2 over cap %d$"
+                           % (q.n, count - 1)):
+            next(_scan_bimodules(X, Y, count - 1))
 
 
 # ---------------------------------------------------------------------------

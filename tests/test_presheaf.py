@@ -7,7 +7,8 @@ from tvcat.core import EngineError, FinSet, Fn, SizeCapError, ValidationError
 from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
-from tvcat.category import (Bimodule, TVCategory, TVFunctor,
+from tvcat import presheaf
+from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
                             _structure_maps, category_from_entries,
                             check_category, discrete_category, functor_leq,
                             identity_functor, is_bimodule, is_separated, star,
@@ -113,6 +114,41 @@ def test_size_cap(monkeypatch):
             assert str(exc.value) == message % cap
     # a larger cap enumerates again
     assert len(presheaf_space(base, ALL, max_space=8)) == 8
+
+
+def test_work_capped_space_is_enumerated_once(monkeypatch):
+    # 8 presheaves over 3 points: 8^2 * 3 = 192 cells, past a budget of 100
+    base = discrete_category(ID, ["w0", "w1", "w2"])
+    over_work = ("structure matrix for 8 presheaves over 3 lifted points "
+                 "is past the work budget")
+    over_cap = ("presheaf space exceeds the cap of %d "
+                "(carrier of 3 lifted points)")
+    enumerate_once = presheaf._enumerate_value_tuples
+    calls = []
+
+    def once(*args):
+        if calls:
+            raise AssertionError("enumerated a work-capped space again")
+        calls.append(args)
+        return enumerate_once(*args)
+
+    monkeypatch.setattr("tvcat.presheaf.STRUCTURE_WORK_CAP", 100)
+    monkeypatch.setattr("tvcat.presheaf._enumerate_value_tuples", once)
+    try:
+        # from the cap that admits all 8 presheaves up, the budget refuses
+        for cap in (8, 100, 8):
+            with pytest.raises(SizeCapError) as exc:
+                presheaf_space(base, ALL, max_space=cap)
+            assert str(exc.value) == over_work
+        # below 8 the enumeration cap refuses first, as on a cold call
+        for cap in (7, 2):
+            with pytest.raises(SizeCapError) as exc:
+                presheaf_space(base, ALL, max_space=cap)
+            assert str(exc.value) == over_cap % cap
+        assert len(calls) == 1
+    finally:
+        # the remembered refusal holds for the lowered budget only
+        MEMO.clear()
 
 
 def test_representable_space_of_chain():
