@@ -344,7 +344,7 @@ class PresheafSpace:
         self.cond = presheaf_condition_matrix(base)
         tuples = _enumerate_value_tuples(base.q, self.cond, max_space)
         # a cap below this count refuses the space, whatever the class keeps
-        self.enumerated = enumerated = len(tuples)
+        self.enumerated = len(tuples)
         if cls.name != "all":
             E = unit_category(base.M)
             keep = []
@@ -358,7 +358,7 @@ class PresheafSpace:
             raise _OverWork(
                 "structure matrix for %d presheaves over %d lifted points "
                 "is past the work budget" % (len(tuples), len(base.tx)),
-                enumerated)
+                self.enumerated)
         self.presheaves = [Presheaf(base, v) for v in tuples]
         self.carrier = FinSet(p.name for p in self.presheaves)
         # row i holds the values of presheaf i
