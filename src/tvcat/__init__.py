@@ -26,8 +26,7 @@ from .presheaf import (Presheaf, PresheafSpace, check_presheaf_monad,
                        yoneda_lemma_check)
 from .quantale import (Quantale, VRelation, boolean_quantale, build_quantale,
                        check_quantale_laws, lukasiewicz_chain, powerset_frame,
-                       residual_left, residual_right, truncated_chain,
-                       vrel_residual)
+                       residual_left, truncated_chain)
 from .report import LawReport
 from .workspace import Workspace
 
@@ -36,7 +35,7 @@ __all__ = [
     "SizeCapError", "ValidationError", "WorkbenchError",
     "Quantale", "VRelation", "boolean_quantale", "build_quantale",
     "check_quantale_laws", "lukasiewicz_chain", "powerset_frame",
-    "residual_left", "residual_right", "truncated_chain", "vrel_residual",
+    "residual_left", "truncated_chain",
     "MonadInstance", "check_monad_laws", "instantiate_monad", "kleisli",
     "lax_extend",
     "TVCategory", "TVFunctor", "check_category", "check_enriched_calculus",

@@ -6,6 +6,15 @@ against the lax extension.  Functors are structure-decreasing maps,
 bimodules are relations TX -/-> Y with the two action laws.  The functor
 order is defined by pointwise comparison of the induced restriction
 modules and cross-checked against the unit formulation.
+
+Both monad instances act as the identity on carriers and maps, with xi the
+identity on values (see `tvcat.monad`), so TX is X, Tf is f, the unit and
+the multiplication are identities and the lax extension of a is a.  Every
+law here reads the structure tables directly: reflexivity is
+k <= a(x, x), transitivity a . a <= a, and a functor f satisfies
+a(x', x) <= b(f x', f x).  T, m, e and xi live in the law suite of
+`tvcat.monad` and in one carrier check, the `T_obj` call of
+`TVCategory.__init__`.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
                    pair_label, product_finset)
-from .monad import MonadInstance, kleisli, lax_extend
+from .monad import MonadInstance, kleisli
 from .quantale import VRelation, line_masks
 from .report import LawReport
 
@@ -22,18 +31,19 @@ from .report import LawReport
 class TVCategory:
     """Finite carrier plus structure relation over a monad instance."""
 
-    __slots__ = ("M", "carrier", "tx", "structure", "name")
+    __slots__ = ("M", "carrier", "structure", "name")
 
     def __init__(self, M: MonadInstance, carrier: FinSet,
                  structure: VRelation, name: str = "X"):
         self.M = M
         self.carrier = carrier
-        self.tx = M.T_obj(carrier)
         self.structure = structure
         self.name = name
         if structure.q is not M.q:
             raise InputError("structure relation uses a different quantale")
-        if structure.src != self.tx or structure.dst != carrier:
+        # T_obj is the identity on carriers; the ultrafilter instance checks
+        # each new carrier against its concrete filters
+        if structure.src != M.T_obj(carrier) or structure.dst != carrier:
             raise InputError("structure must be a relation T(X) -/-> X; got "
                              "%r -/-> %r for carrier %r"
                              % (structure.src.elements, structure.dst.elements,
@@ -75,29 +85,25 @@ MEMO: dict = {}
 def category_from_entries(M: MonadInstance, labels, entries: dict,
                           default=None, name="X") -> TVCategory:
     X = FinSet(labels)
-    rel = VRelation.from_entries(M.q, M.T_obj(X), X, entries, default)
+    rel = VRelation.from_entries(M.q, X, X, entries, default)
     return TVCategory(M, X, rel, name)
 
 
 def discrete_category(M: MonadInstance, labels, name="X") -> TVCategory:
-    """Finest structure: the transposed graph of the unit."""
+    """Finest structure: the identity relation."""
     X = FinSet(labels)
-    return TVCategory(M, X, VRelation.from_fn(M.q, M.unit(X)).T, name)
+    return TVCategory(M, X, VRelation.identity(M.q, X), name)
 
 
 def check_category(C: TVCategory) -> LawReport:
-    M, q, a = C.M, C.q, C.structure
+    q, a = C.q, C.structure
     rep = LawReport("category laws: %s" % C.name)
-    e = M.unit(C.carrier)
     bad = next((x for i, x in enumerate(C.carrier)
-                if not q.leq_m[q.unit][a.rows[e.table[i]][i]]), None)
+                if not q.leq_m[q.unit][a.rows[i][i]]), None)
     rep.add("reflexivity", bad is None,
             "k <= a(e x, x) for all %d objects" % len(C.carrier)
             if bad is None else "fails at %s" % bad)
-    ext = lax_extend(M, a)
-    lhs = a @ ext
-    rhs = a @ VRelation.from_fn(q, M.mult(C.carrier))
-    viol = lhs.first_violation(rhs)
+    viol = (a @ a).first_violation(a)
     rep.add("transitivity", viol is None,
             "a . Ta <= a . m checked on all of TTX x X" if viol is None
             else "fails at %s" % (viol,))
@@ -119,9 +125,6 @@ class TVFunctor:
 
     def __call__(self, label: str) -> str:
         return self.fn(label)
-
-    def tfn(self) -> Fn:
-        return self.src.M.T_fn(self.fn)
 
     def __matmul__(self, other: "TVFunctor") -> "TVFunctor":
         if other.dst != self.src:
@@ -148,12 +151,12 @@ def check_functor(f: TVFunctor) -> LawReport:
     rep = LawReport("functor laws: %s" % f.name)
     a, b = f.src.structure, f.dst.structure
     q = f.src.q
-    tf = f.tfn()
+    t = f.fn.table
     bad = None
-    for i in range(len(f.src.tx)):
-        for j in range(len(f.src.carrier)):
-            if not q.leq_m[a.rows[i][j]][b.rows[tf.table[i]][f.fn.table[j]]]:
-                bad = (f.src.tx.elements[i], f.src.carrier.elements[j])
+    for i in range(len(t)):
+        for j in range(len(t)):
+            if not q.leq_m[a.rows[i][j]][b.rows[t[i]][t[j]]]:
+                bad = (f.src.carrier.elements[i], f.src.carrier.elements[j])
     rep.add("structure-preservation", bad is None,
             "a(xx,x) <= b(Tf xx, f x) on all of TX x X" if bad is None
             else "fails at %s" % (bad,))
@@ -171,7 +174,6 @@ def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
     if not table:
         return True
     up = src.q.up_codes
-    tf = src.M.T_fn(fn).table
     brows = dst.structure.rows
     # entries last first, as the masks read them
     if len(table) == 1:
@@ -180,7 +182,7 @@ def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
     else:
         pull = itemgetter(*table[::-1])
     ups = {}
-    for t, masks in zip(tf, src.structure.row_masks()):
+    for t, masks in zip(table, src.structure.row_masks()):
         above = ups.get(t)
         if above is None:
             above = ups[t] = line_masks(bytes(pull(brows[t])), up)
@@ -276,7 +278,7 @@ class Bimodule:
 
     def __init__(self, src: TVCategory, dst: TVCategory, rel: VRelation,
                  name="phi"):
-        if rel.src != src.tx or rel.dst != dst.carrier:
+        if rel.src != src.carrier or rel.dst != dst.carrier:
             raise InputError("bimodule relation must go T(src) -/-> dst")
         self.src = src
         self.dst = dst
@@ -323,18 +325,16 @@ def is_bimodule(src: TVCategory, dst: TVCategory, rel: VRelation) -> bool:
 def costar(f: TVFunctor) -> Bimodule:
     """Restriction module of f: the relation (yy, x) -> b(yy, f x)."""
     b = f.dst.structure
-    rows = [[b.rows[i][f.fn.table[j]] for j in range(len(f.src.carrier))]
-            for i in range(len(f.dst.tx))]
-    rel = VRelation(f.src.q, f.dst.tx, f.src.carrier, rows)
+    rows = [[row[t] for t in f.fn.table] for row in b.rows]
+    rel = VRelation(f.src.q, f.dst.carrier, f.src.carrier, rows)
     return Bimodule(f.dst, f.src, rel, f.name + "^*")
 
 
 def star(f: TVFunctor) -> Bimodule:
     """Extension module of f: the relation (xx, y) -> b(Tf xx, y)."""
     b = f.dst.structure
-    tf = f.tfn()
-    rows = [b.rows[tf.table[i]] for i in range(len(f.src.tx))]
-    rel = VRelation(f.src.q, f.src.tx, f.dst.carrier, rows)
+    rows = [b.rows[t] for t in f.fn.table]
+    rel = VRelation(f.src.q, f.src.carrier, f.dst.carrier, rows)
     return Bimodule(f.src, f.dst, rel, f.name + "_*")
 
 
@@ -356,10 +356,10 @@ def check_graph_adjunction(f: TVFunctor) -> LawReport:
 
 def is_fully_faithful(f: TVFunctor) -> bool:
     a = f.src.structure
-    tf = f.tfn()
+    t = f.fn.table
     b = f.dst.structure
-    return all(a.rows[i][j] == b.rows[tf.table[i]][f.fn.table[j]]
-               for i in range(len(f.src.tx)) for j in range(len(f.src.carrier)))
+    return all(a.rows[i][j] == b.rows[t[i]][t[j]]
+               for i in range(len(t)) for j in range(len(t)))
 
 
 def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
@@ -374,9 +374,8 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
         raise InputError("functor order needs parallel functors")
     by_modules = costar(f).rel <= costar(g).rel
     q, b = f.dst.q, f.dst.structure
-    e = f.dst.M.unit(f.dst.carrier)
-    by_unit = all(q.leq_m[q.unit][b.rows[e.table[f.fn.table[j]]][g.fn.table[j]]]
-                  for j in range(len(f.src.carrier)))
+    by_unit = all(q.leq_m[q.unit][b.rows[x][y]]
+                  for x, y in zip(f.fn.table, g.fn.table))
     if by_modules != by_unit:
         raise EngineError("functor order formulations disagree for %s, %s"
                           % (f.name, g.name))
@@ -385,19 +384,18 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
 
 def underlying_order(C: TVCategory) -> set:
     """Pairs (x,y) with k <= a(e x, y)."""
-    e = C.M.unit(C.carrier)
     q, a = C.q, C.structure
     return {(x, y) for i, x in enumerate(C.carrier)
             for j, y in enumerate(C.carrier)
-            if q.leq_m[q.unit][a.rows[e.table[i]][j]]}
+            if q.leq_m[q.unit][a.rows[i][j]]}
 
 
 def is_separated(C: TVCategory) -> bool:
     """No two distinct objects lie below each other in the underlying order.
 
-    e is the identity (see `tvcat.monad`), so x <= y reads k <= a(x, y):
-    the fields of the values above the unit in the masks of row x give the
-    objects above x, those in the masks of column x the objects below it.
+    x <= y reads k <= a(x, y): the fields of the values above the unit in
+    the masks of row x give the objects above x, those in the masks of
+    column x the objects below it.
     """
     a = C.structure
     m = len(C.carrier)
@@ -419,52 +417,34 @@ def is_separated(C: TVCategory) -> bool:
 
 def unit_category(M: MonadInstance) -> TVCategory:
     one = FinSet(["*"])
-    return TVCategory(M, one, VRelation.from_fn(M.q, M.unit(one)).T, "E")
+    return TVCategory(M, one, VRelation.identity(M.q, one), "E")
 
 
 def v_category(M: MonadInstance) -> TVCategory:
-    """The quantale carrier with structure hom(xi(vv), v)."""
+    """The quantale carrier with structure hom(v', v); xi is the identity."""
     q = M.q
     V = q.carrier()
-    TV = M.T_obj(V)
-    rows = [[q.hom_m[M.xi_table[i]][j] for j in range(q.n)]
-            for i in range(len(TV))]
-    return TVCategory(M, V, VRelation(q, TV, V, rows), "V")
+    return TVCategory(M, V, VRelation(q, V, V, q.hom_m), "V")
 
 
 def tensor_category(C: TVCategory, D: TVCategory) -> TVCategory:
     """Product carrier with the tensor of the two structures."""
     if C.M is not D.M:
         raise InputError("tensor needs a shared monad instance")
-    M, q = C.M, C.q
+    q = C.q
     XY = product_finset(C.carrier, D.carrier)
     nD = len(D.carrier)
-    p1 = Fn(XY, C.carrier, (i // nD for i in range(len(XY)))) if nD \
-        else Fn(XY, C.carrier, ())
-    p2 = Fn(XY, D.carrier, (i % nD for i in range(len(XY)))) if nD \
-        else Fn(XY, D.carrier, ())
-    tp1, tp2 = M.T_fn(p1), M.T_fn(p2)
-    TXY = M.T_obj(XY)
-    a, b = C.structure, D.structure
-    rows = [[q.tensor_m[a.rows[tp1.table[w]][j // nD]][b.rows[tp2.table[w]][j % nD]]
+    a, b = C.structure.rows, D.structure.rows
+    rows = [[q.tensor_m[a[w // nD][j // nD]][b[w % nD][j % nD]]
              for j in range(len(XY))]
-            for w in range(len(TXY))] if nD else [[] for _ in range(len(TXY))]
-    return TVCategory(M, XY, VRelation(q, TXY, XY, rows),
+            for w in range(len(XY))]
+    return TVCategory(C.M, XY, VRelation(q, XY, XY, rows),
                       "%s(x)%s" % (C.name, D.name))
 
 
 def dual_category(C: TVCategory) -> TVCategory:
-    """Carrier TX with the structure induced by the extension and m."""
-    M, q = C.M, C.q
-    TX = C.tx
-    TTX = M.T_obj(TX)
-    ext = lax_extend(M, C.structure)
-    m = M.mult(C.carrier)
-    rows = [[q.join_all(ext.rows[YY][m.table[XX]]
-                        for YY in range(len(TTX)) if m.table[YY] == yy)
-             for yy in range(len(TX))]
-            for XX in range(len(TTX))]
-    return TVCategory(M, TX, VRelation(q, TTX, TX, rows), C.name + "^op")
+    """The same carrier with the transposed structure."""
+    return TVCategory(C.M, C.carrier, C.structure.T, C.name + "^op")
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +454,11 @@ def dual_category(C: TVCategory) -> TVCategory:
 # A candidate is a table of `size` cells with values in 0..n-1; candidate k
 # is the k-th table of itertools.product(range(n), repeat=size), so cell 0
 # is its most significant base-n digit.  A set of candidates is an int with
-# bit k set for candidate k.  T is the identity on carriers (as
-# `_structure_maps` also assumes), so every bimodule or functor law is a
-# constraint on two cells p, p' of the table: "the value u at p and the
-# value w at p' do not break it".  The laws arrive as a dict from (p, p') to
-# a tuple over u of the bitmask of the w that break it.
+# bit k set for candidate k.  T and xi are identities (see `tvcat.monad`),
+# so every bimodule or functor law is a constraint on two cells p, p' of
+# the table: "the value u at p and the value w at p' do not break it".  The
+# laws arrive as a dict from (p, p') to a tuple over u of the bitmask of the
+# w that break it.
 
 
 def _digit_sets(n: int, size: int) -> list:
@@ -534,25 +514,25 @@ def _bimodule_mask(X: TVCategory, Y: TVCategory) -> int:
 
     Cell i*|Y| + y holds r(i, y).  The two Kleisli compositions of
     `is_bimodule` are below r exactly when every term of their joins is:
-      right action  Ta(i, j) (x) r(j, y) <= r(i, y), Ta = lax_extend(M, a);
-      left action   xi(r(i, y')) (x) b(y', y) <= r(i, y).
+      right action  a(i, j) (x) r(j, y) <= r(i, y);
+      left action   r(i, y') (x) b(y', y) <= r(i, y).
     """
-    M, q = X.M, X.q
-    n, leq, tm, xi = q.n, q.leq_m, q.tensor_m, M.xi_table
+    q = X.q
+    n, leq, tm = q.n, q.leq_m, q.tensor_m
     ny = len(Y.carrier)
-    tn = len(X.tx)
+    tn = len(X.carrier)
     laws = {}
-    ta = lax_extend(M, X.structure).rows
+    a = X.structure.rows
     right = {c: _refusals(n, lambda u, w: not leq[tm[c][u]][w])
-             for c in {v for row in ta for v in row}}
-    for i, row in enumerate(ta):
+             for c in {v for row in a for v in row}}
+    for i, row in enumerate(a):
         for j, c in enumerate(row):
             bad = right[c]
             if any(bad):
                 for y in range(ny):
                     _add_law(laws, j * ny + y, i * ny + y, bad)
     b = Y.structure.rows
-    left = {c: _refusals(n, lambda u, w: not leq[tm[xi[u]][c]][w])
+    left = {c: _refusals(n, lambda u, w: not leq[tm[u][c]][w])
             for c in {v for row in b for v in row}}
     for y1, row in enumerate(b):
         for y, c in enumerate(row):
@@ -566,7 +546,7 @@ def _bimodule_mask(X: TVCategory, Y: TVCategory) -> int:
 def _functor_mask(dom: TVCategory, cod: TVCategory) -> int:
     """The candidate tables t that `is_functor(dom, cod, t)` accepts.
 
-    With Tt = t the law is dom(p, p') <= cod(t p, t p') for every p, p'.
+    The law is dom(p, p') <= cod(t p, t p') for every p, p'.
     """
     leq = dom.q.leq_m
     n = len(cod.carrier)
@@ -585,13 +565,13 @@ def _functor_mask(dom: TVCategory, cod: TVCategory) -> int:
 def _candidate_relation(X: TVCategory, Y: TVCategory, k: int) -> VRelation:
     """Candidate k of the scan over relations TX -/-> Y, as a relation."""
     q = X.q
-    cells = bytearray(len(X.tx) * len(Y.carrier))
+    cells = bytearray(len(X.carrier) * len(Y.carrier))
     for p in reversed(range(len(cells))):
         k, cells[p] = divmod(k, q.n)
     ny = len(Y.carrier)
-    return VRelation(q, X.tx, Y.carrier,
+    return VRelation(q, X.carrier, Y.carrier,
                      [bytes(cells[i * ny:(i + 1) * ny])
-                      for i in range(len(X.tx))])
+                      for i in range(len(X.carrier))])
 
 
 def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
@@ -608,7 +588,7 @@ def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
     q = Xcat.q
     dom = tensor_category(dual_category(Xcat), Ycat)
     cod = v_category(Xcat.M)
-    size = len(Xcat.tx) * len(Ycat.carrier)
+    size = len(Xcat.carrier) * len(Ycat.carrier)
     if size and q.n ** size > cap:
         return 0, None
     diff = _bimodule_mask(Xcat, Ycat) ^ _functor_mask(dom, cod)
@@ -649,10 +629,12 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
     rep.add("corpus-functors", not bad,
             "%d functors preserve structure" % len(fns) if not bad
             else "failing: %s" % ", ".join(bad))
+    stars = [star(f) for f in fns]
+    costars = [costar(f) for f in fns]
     bad = []
-    for f in fns:
-        sub = check_bimodule(star(f))
-        sub.merge(check_bimodule(costar(f)), prefix="costar")
+    for f, f_star, f_costar in zip(fns, stars, costars):
+        sub = check_bimodule(f_star)
+        sub.merge(check_bimodule(f_costar), prefix="costar")
         sub.merge(check_graph_adjunction(f), prefix="adj")
         if not sub.ok:
             bad.append(f.name)
@@ -660,8 +642,8 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
             "f_* and f^* are modules and adjoint for all corpus functors"
             if not bad else "failing: %s" % ", ".join(bad))
     bad = []
-    for f in fns:
-        composite = bim_compose(costar(f), star(f))
+    for f, f_star, f_costar in zip(fns, stars, costars):
+        composite = bim_compose(f_costar, f_star)
         if (composite == f.src.structure) != is_fully_faithful(f):
             bad.append(f.name)
     rep.add("fully-faithful", not bad,
@@ -669,23 +651,20 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
             if not bad else "failing: %s" % ", ".join(bad))
     bad = []
     count = 0
-    for f in fns:
-        tf = f.tfn()
-        for g in fns:
+    for f, f_star, f_costar in zip(fns, stars, costars):
+        table = f.fn.table
+        for g, g_star in zip(fns, stars):
             if g.src == f.dst:          # star(g) after f
-                shortcut = VRelation(f.src.q, f.src.tx, g.dst.carrier,
-                                     (star(g).rel.rows[tf.table[i]]
-                                      for i in range(len(f.src.tx))))
-                if bim_compose(star(g), star(f)) != shortcut:
+                shortcut = VRelation(f.src.q, f.src.carrier, g.dst.carrier,
+                                     (g_star.rel.rows[t] for t in table))
+                if bim_compose(g_star, f_star) != shortcut:
                     bad.append("%s o %s" % (g.name, f.name))
                 count += 1
             if g.dst == f.dst:          # costar(f) after star(g)
-                phi = star(g)
-                shortcut = VRelation(f.src.q, g.src.tx, f.src.carrier,
-                                     ((phi.rel.rows[w][f.fn.table[x]]
-                                       for x in range(len(f.src.carrier)))
-                                      for w in range(len(g.src.tx))))
-                if bim_compose(costar(f), phi) != shortcut:
+                shortcut = VRelation(f.src.q, g.src.carrier, f.src.carrier,
+                                     ((row[t] for t in table)
+                                      for row in g_star.rel.rows))
+                if bim_compose(f_costar, g_star) != shortcut:
                     bad.append("%s^* o %s" % (f.name, g.name))
                 count += 1
     rep.add("module-shortcuts", not bad,

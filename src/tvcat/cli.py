@@ -269,10 +269,10 @@ def _cmd_presheaves(args):
     if args.output == "json":
         return EXIT_OK, _artifact({"command": "presheaves",
                                    "category": C.name, "class": args.cls,
-                                   "lifted-carrier": list(C.tx.elements),
+                                   "lifted-carrier": list(C.carrier.elements),
                                    "presheaves": names})
     lines = ["%d presheaves on %s in class %s (values over %s):"
-             % (len(names), C.name, args.cls, ",".join(C.tx.elements))]
+             % (len(names), C.name, args.cls, ",".join(C.carrier.elements))]
     lines.extend(names)
     return EXIT_OK, "\n".join(lines)
 

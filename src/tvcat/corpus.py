@@ -28,12 +28,11 @@ def seed_categories(M, max_size: int) -> list:
     out = []
     for n in range(max_size + 1):
         X = FinSet(CORPUS_LABELS[:n])
-        tx = M.T_obj(X)
         cells = [diag if i == j else range(q.n)
                  for i in range(n) for j in range(n)]
         kept = 0
         for combo in itertools.product(*cells):
-            rel = VRelation(q, tx, X,
+            rel = VRelation(q, X, X,
                             (combo[i * n:(i + 1) * n] for i in range(n)))
             C = TVCategory(M, X, rel, "c%d_%02d" % (n, kept))
             if check_category(C).ok and is_separated(C):

@@ -68,7 +68,7 @@ class Factorisation:
         rows = [[q.meet_m[ahat[ip2][ip]][b.rows[iy2][iy]]
                  for ip, iy in pairs]
                 for ip2, iy2 in pairs]
-        structure = VRelation(q, X.M.T_obj(carrier), carrier, rows)
+        structure = VRelation(q, carrier, carrier, rows)
         self.K = TVCategory(X.M, carrier, structure, "K(%s)" % f.name)
         self.q = TVFunctor(self.K, space.category,
                            Fn(carrier, space.carrier,
@@ -154,10 +154,9 @@ def coalgebra(F: Factorisation):
     """Canonical coalgebra y -> (y^* . f_*, y), or None when f is not in L."""
     f = F.f
     b = f.dst.structure
-    tf = f.tfn()
     table = []
     for iy in range(len(f.dst.carrier)):
-        values = bytes(b.rows[t][iy] for t in tf.table)
+        values = bytes(b.rows[t][iy] for t in f.fn.table)
         ip = F.space.index.get(values)
         if ip is None or (ip, iy) not in F.pair_index:
             return None
@@ -289,7 +288,7 @@ def _sigma(F: Factorisation, FL: Factorisation) -> TVFunctor:
     lt = F.L.fn.table
     table = []
     for k in range(len(F.K.carrier)):
-        values = bytes(rows[lt[ix]][k] for ix in range(len(F.f.src.tx)))
+        values = bytes(rows[t][k] for t in lt)
         ip = F.space.index.get(values)
         if ip is None or (ip, k) not in FL.pair_index:
             raise EngineError("comultiplication pair for %s is outside "

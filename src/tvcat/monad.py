@@ -3,21 +3,23 @@
 Two instances are provided.  `identity` is the trivial monad with the
 identity algebra.  `finite_ultrafilter` is the ultrafilter monad: on a
 finite carrier every ultrafilter is principal, so the instance records the
-natural bijection X = TX and runs its engine on carrier labels, while the
-genuine computation (maximal proper filters of the powerset, the Kleisli
-sum for the multiplication, the join formula for the algebra) is carried
-out at small sizes and checked against the label-level data by the law
-suite.
+natural bijection X = TX, while the genuine computation (maximal proper
+filters of the powerset, the Kleisli sum for the multiplication, the join
+formula for the algebra) is carried out at small sizes and checked against
+the label-level data by the law suite.
 
 Both instances therefore act as the identity on carriers and on maps: TX
-is X, Tf is f, and m and e are identities.  The defining join-over-spans
-formula for the lax extension of r: X -/-> Y then has exactly one span
-over each pair (x, y), namely (x, y) itself, so the extension is r with
-the algebra xi applied entrywise, and the Kleisli convolution
-s . Tr . m_X^op is s . Tr.  `lax_extend` and `kleisli` compute these
-directly; the general formula is kept as `lax_extend_formula`, which the
-extension laws of `check_monad_laws` evaluate, so the law suite checks the
-formula itself against each instance.
+is X, Tf is f, m and e are identities, and the algebra xi is the identity
+on values.  The defining join-over-spans formula for the lax extension of
+r: X -/-> Y then has exactly one span over each pair (x, y), namely (x, y)
+itself, so the extension is r and the Kleisli convolution
+s . Tr . m_X^op is s . r.  The engine reads structure tables directly and
+never transports along T, m, e or xi.  Those live here only: in the law
+suite (`check_monad_laws`, which evaluates the general formula
+`lax_extend_formula` and checks in its `identity-extension` row that it
+fixes r, and `_genuine_ultrafilter_checks`), and in `T_obj`, which
+`TVCategory` calls on every new carrier so that the ultrafilter instance
+checks it against its concrete filters.
 """
 
 from __future__ import annotations
@@ -149,10 +151,11 @@ def xi_concrete(q: Quantale, F, vnames) -> int:
 class MonadInstance:
     """A set monad with a quantale algebra, enumerable on finite carriers.
 
-    Both built-in instances act on carrier labels (for the ultrafilter
-    monad this is the recorded principal-point naming), which the engine
-    relies on when it prunes searches pairwise, and which `lax_extend` and
-    `kleisli` rely on when they skip the join-over-spans formula.
+    Both built-in instances act as the identity on carrier labels (for the
+    ultrafilter monad this is the recorded principal-point naming) and
+    their algebra is the identity on values, which the engine relies on
+    everywhere it reads a structure table directly.  T, m, e and xi are
+    kept for the law suite, which checks both facts.
     """
 
     def __init__(self, kind: str, q: Quantale):
@@ -160,7 +163,6 @@ class MonadInstance:
         self.q = q
         self._tobj_seen: set[tuple] = set()
         self.xi_table = self._build_xi()
-        self.xi_is_identity = self.xi_table == tuple(range(q.n))
 
     # -- functor part -------------------------------------------------------
 
@@ -250,19 +252,15 @@ def instantiate_monad(kind: str, q: Quantale) -> MonadInstance:
 def lax_extend(M: MonadInstance, r: VRelation) -> VRelation:
     """Extend r: X -/-> Y to TX -/-> TY.
 
-    T is the identity on carriers and maps, so the only span over (x, y)
-    in the defining formula is (x, y) itself and the extension is r with
-    xi applied entrywise; that is r when xi is the identity, as it is for
-    both instances.  `lax_extend_formula` evaluates the formula itself.
+    T is the identity on carriers and maps and xi the identity on values,
+    so the only span over (x, y) in the defining formula is (x, y) itself
+    and the extension is r.  `lax_extend_formula` evaluates the formula
+    itself, and the `identity-extension` row of `check_monad_laws` checks
+    that it fixes r.
     """
-    q = M.q
-    if r.q is not q:
+    if r.q is not M.q:
         raise InputError("relation and monad live over different quantales")
-    TX, TY = M.T_obj(r.src), M.T_obj(r.dst)
-    if M.xi_is_identity:
-        return r
-    xi = M.xi_table
-    return VRelation(q, TX, TY, ((xi[v] for v in row) for row in r.rows))
+    return r
 
 
 def lax_extend_formula(M: MonadInstance, r: VRelation) -> VRelation:

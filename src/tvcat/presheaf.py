@@ -1,10 +1,15 @@
 """Presheaf spaces, saturated classes, and the presheaf (sub)monads.
 
 A presheaf on X is a bimodule X -|-> E, stored as a byte string of values
-over TX, one byte per point, like the rows of `VRelation`.  The space of
-all presheaves in a class carries the category structure
-hom(phi, psi) = meet over xx of hom(phi(xx), psi(xx)); both monad instances
-are the identity on carriers, so nothing is transported.  By residuation
+over TX, one byte per point, like the rows of `VRelation`.  Both monad
+instances act as the identity on carriers and maps with xi the identity
+(see `tvcat.monad`), so TX is X and the engine reads structure tables
+directly: a line of values phi is a presheaf exactly when
+a(i, j) (x) phi(j) <= phi(i) for all i, j, the direct image along f is
+phi . f^*, and the inverse image psi . f.  T, m, e and xi live in the law
+suite of `tvcat.monad` and in the one carrier check of `TVCategory`.  The
+space of all presheaves in a class carries the category structure
+hom(phi, psi) = meet over xx of hom(phi(xx), psi(xx)).  By residuation
 hom(phi, psi) >= v holds exactly when v (x) phi <= psi entrywise, and
 `MonadInstance.presheaf_structure` reads every entry off value masks that
 way, one path at every size and for every quantale.  The space is the
@@ -27,7 +32,6 @@ from .category import (MEMO, Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        identity_functor, is_bimodule, is_fully_faithful,
                        is_functor, is_separated, functor_leq, star,
                        underlying_order, unit_category)
-from .monad import lax_extend
 from .quantale import VRelation, residual_left
 from .report import LawReport
 
@@ -40,14 +44,14 @@ class Presheaf:
     def __init__(self, base: TVCategory, values):
         self.base = base
         self.values = bytes(values)
-        if len(self.values) != len(base.tx):
+        if len(self.values) != len(base.carrier):
             raise InputError("presheaf needs one value per element of TX")
         names = base.q.elements
         self.name = "[%s]" % ",".join(names[v] for v in self.values)
 
     def as_relation(self) -> VRelation:
         one = FinSet(["*"])
-        return VRelation(self.base.q, self.base.tx, one,
+        return VRelation(self.base.q, self.base.carrier, one,
                          ((v,) for v in self.values))
 
     def as_bimodule(self) -> Bimodule:
@@ -63,25 +67,6 @@ class Presheaf:
 
     def __repr__(self):
         return "Presheaf(%s)" % self.name
-
-
-def presheaf_condition_matrix(C: TVCategory):
-    """cond[j][i]: the largest factor carrying phi(j) into position i.
-
-    A line of values is a presheaf exactly when
-    cond[j][i] (x) phi(j) <= phi(i) for every ordered pair, which is what
-    the enumeration prunes on.
-    """
-    M, q = C.M, C.q
-    ext = lax_extend(M, C.structure)
-    m = M.mult(C.carrier)
-    tn = len(C.tx)
-    fibre = [[] for _ in range(tn)]
-    for XX, i in enumerate(m.table):
-        fibre[i].append(XX)
-    return [[q.join_all(ext.rows[XX][j] for XX in fibre[i])
-             for i in range(tn)]
-            for j in range(tn)]
 
 
 class _OverCap(SizeCapError):
@@ -109,7 +94,9 @@ class _OverWork(SizeCapError):
 def _enumerate_value_tuples(q, cond, max_space):
     """Every presheaf's byte string of values, in lexicographic order.
 
-    Raises `_OverCap` past the cap.
+    cond is the transposed structure: a line of values w is a presheaf
+    exactly when cond[j][i] (x) w_j <= w_i for every ordered pair.  Raises
+    `_OverCap` past the cap.
 
     Positions are filled left to right.  Once positions j < pos carry values
     w_j, the pair conditions between j and pos read, for a candidate v,
@@ -250,32 +237,29 @@ class _RightAdjoint(SaturatedClass):
         M, q = X.M, X.q
         if not is_bimodule(X, Y, phi.rel):
             return False
-        ext_phi = lax_extend(M, phi.rel)
-        m_op = VRelation.from_fn(q, M.mult(X.carrier)).T
-        left = ext_phi @ m_op              # TX -/-> TY
         # adjoints are unique, and any adjoint satisfies the counit
         # inequality, so the greatest solution (a residual) is the only
         # candidate that needs testing
-        lam = residual_left(X.structure, left)
+        lam = residual_left(X.structure, phi.rel)
         found = is_bimodule(Y, X, lam) \
             and Y.structure <= kleisli(M, phi.rel, lam, Y.carrier)
-        ty, nx = len(Y.tx), len(X.carrier)
+        ty, nx = len(Y.carrier), len(X.carrier)
         if q.n ** (ty * nx) <= ADJOINT_CROSSCHECK_CAP \
-                and found != self._scan(phi, left):
+                and found != self._scan(phi):
             raise EngineError("adjoint residual disagrees with the "
                               "exhaustive scan for %s -> %s"
                               % (X.name, Y.name))
         return found
 
-    def _scan(self, phi: Bimodule, left: VRelation) -> bool:
+    def _scan(self, phi: Bimodule) -> bool:
         from .monad import kleisli
         X, Y = phi.src, phi.dst
         M, q = X.M, X.q
-        ty, nx = len(Y.tx), len(X.carrier)
+        ty, nx = len(Y.carrier), len(X.carrier)
         for combo in itertools.product(range(q.n), repeat=ty * nx):
-            lam = VRelation(q, Y.tx, X.carrier,
+            lam = VRelation(q, Y.carrier, X.carrier,
                             (combo[i * nx:(i + 1) * nx] for i in range(ty)))
-            if not (lam @ left) <= X.structure:
+            if not (lam @ phi.rel) <= X.structure:
                 continue
             if not is_bimodule(Y, X, lam):
                 continue
@@ -322,50 +306,48 @@ class PresheafSpace:
     """All presheaves on a base category that lie in a saturated class."""
 
     __slots__ = ("base", "cls", "enumerated", "presheaves", "carrier",
-                 "category", "index", "cond", "values")
+                 "category", "index", "values")
 
     def __init__(self, base: TVCategory, cls: SaturatedClass, max_space: int):
-        if len(base.tx) > ENUM_BASE_CAP:
+        if len(base.carrier) > ENUM_BASE_CAP:
             raise SizeCapError("refusing to enumerate presheaves over %d "
                                "lifted points (bound %d)"
-                               % (len(base.tx), ENUM_BASE_CAP))
+                               % (len(base.carrier), ENUM_BASE_CAP))
         if not is_separated(base):
             raise ValidationError("presheaf space needs a separated base; "
                                   "%s is not" % base.name)
-        e = base.M.unit(base.carrier)
         lax = next((x for i, x in enumerate(base.carrier)
                     if not base.q.leq_m[base.q.unit]
-                    [base.structure.rows[e.table[i]][i]]), None)
+                    [base.structure.rows[i][i]]), None)
         if lax is not None:
             raise ValidationError("base %s is not reflexive at %s"
                                   % (base.name, lax))
         self.base = base
         self.cls = cls
-        self.cond = presheaf_condition_matrix(base)
-        tuples = _enumerate_value_tuples(base.q, self.cond, max_space)
+        tuples = _enumerate_value_tuples(base.q, base.structure.T.rows,
+                                         max_space)
         # a cap below this count refuses the space, whatever the class keeps
         self.enumerated = len(tuples)
         if cls.name != "all":
             E = unit_category(base.M)
             keep = []
             for values in tuples:
-                rel = VRelation(base.q, base.tx, E.carrier,
+                rel = VRelation(base.q, base.carrier, E.carrier,
                                 ((v,) for v in values))
                 if cls.contains(Bimodule(base, E, rel)):
                     keep.append(values)
             tuples = keep
-        if len(tuples) ** 2 * max(1, len(base.tx)) > STRUCTURE_WORK_CAP:
+        if len(tuples) ** 2 * max(1, len(base.carrier)) > STRUCTURE_WORK_CAP:
             raise _OverWork(
                 "structure matrix for %d presheaves over %d lifted points "
-                "is past the work budget" % (len(tuples), len(base.tx)),
+                "is past the work budget" % (len(tuples), len(base.carrier)),
                 self.enumerated)
         self.presheaves = [Presheaf(base, v) for v in tuples]
         self.carrier = FinSet(p.name for p in self.presheaves)
         # row i holds the values of presheaf i
-        self.values = VRelation(base.q, self.carrier, base.tx, tuples)
+        self.values = VRelation(base.q, self.carrier, base.carrier, tuples)
         rows = base.M.presheaf_structure(tuples)
-        structure = VRelation(base.q, base.M.T_obj(self.carrier),
-                              self.carrier, rows)
+        structure = VRelation(base.q, self.carrier, self.carrier, rows)
         self.category = TVCategory(base.M, self.carrier, structure,
                                    "%s(%s)" % (cls.name, base.name))
         self.index = {p.values: i for i, p in enumerate(self.presheaves)}
@@ -392,10 +374,10 @@ def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
     if isinstance(hit, int):
         # more than `hit` presheaves, so more than any cap up to it
         if max_space <= hit:
-            raise _OverCap(max_space, len(C.tx))
+            raise _OverCap(max_space, len(C.carrier))
     elif hit is not None:
         if hit.enumerated > max_space:
-            raise _OverCap(max_space, len(C.tx))
+            raise _OverCap(max_space, len(C.carrier))
         if isinstance(hit, _OverWork):
             raise _OverWork(str(hit), hit.enumerated)
         return hit
@@ -436,16 +418,15 @@ def yoneda_lemma_check(C: TVCategory, cls: SaturatedClass | None = None,
     rep = LawReport("Yoneda lemma on %s" % C.name)
     space = presheaf_space(C, cls, max_space)
     y = yoneda(C, cls, max_space)
-    ty = y.tfn()
     ahat = space.category.structure
     bad = None
-    for ix in range(len(C.tx)):
+    for ix, t in enumerate(y.fn.table):
         for ip, psi in enumerate(space.presheaves):
-            if ahat.rows[ty.table[ix]][ip] != psi.values[ix]:
-                bad = (C.tx.elements[ix], psi.name)
+            if ahat.rows[t][ip] != psi.values[ix]:
+                bad = (C.carrier.elements[ix], psi.name)
     rep.add("evaluation", bad is None,
             "hom(y xx, psi) = psi(xx) on %d pairs"
-            % (len(C.tx) * len(space)) if bad is None
+            % (len(C.carrier) * len(space)) if bad is None
             else "fails at %s" % (bad,))
     return rep
 
@@ -458,15 +439,14 @@ def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
             max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Direct image: compose a presheaf with the restriction module of f.
 
-    The image of phi is the convolution phi o f^* = phi . T(f^*), m_Y being
-    the identity (see `kleisli`).  All presheaves go through one relation
-    composition: with Phi the relation PX -/-> TX of their values, row phi
-    of T(f^*)^T . Phi is phi's image, as the tensor is commutative.
+    The image of phi is the convolution phi o f^* = phi . f^*, T being the
+    identity (see `kleisli`).  All presheaves go through one relation
+    composition: with Phi the relation PX -/-> X of their values, row phi
+    of (f^*)^T . Phi is phi's image, as the tensor is commutative.
     """
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
-    ext = lax_extend(f.src.M, costar(f).rel)   # T(TY) -/-> TX
-    images = ext.T @ PX.values                  # PX -/-> T(TY)
+    images = costar(f).rel.T @ PX.values        # PX -/-> Y
     index = PY.index
     table = []
     for phi, vals in zip(PX.presheaves, images.rows):
@@ -488,10 +468,9 @@ def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
     """Inverse image psi -> psi . Tf; errors if some image leaves the class."""
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
-    tf = f.tfn()
     table = []
     for psi in PY.presheaves:
-        vals = bytes(map(psi.values.__getitem__, tf.table))
+        vals = bytes(map(psi.values.__getitem__, f.fn.table))
         try:
             table.append(PX.lookup(vals))
         except KeyError:
@@ -722,7 +701,7 @@ def _all_bimodules(C: TVCategory, D: TVCategory, cap: int):
 
 def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):
     q = C.q
-    size = len(C.tx) * len(D.carrier)
+    size = len(C.carrier) * len(D.carrier)
     if size and q.n ** size > cap:
         raise SizeCapError("bimodule scan %d^%d over cap %d"
                            % (q.n, size, cap))

@@ -726,32 +726,3 @@ def residual_left(t: VRelation, r: VRelation) -> VRelation:
                                   for i in range(len(r.src))))
         rows.append(row)
     return VRelation(q, r.dst, t.dst, rows)
-
-
-def residual_right(r: VRelation, t: VRelation) -> VRelation:
-    """Largest u with r @ u <= t.
-
-    Shapes: r: X -/-> Y, t: Z -/-> Y, result: Z -/-> X.  Pointwise
-    (z,x) |-> meet over y of hom(r(x,y), t(z,y)).
-    """
-    if r.q is not t.q:
-        raise InputError("relations live over different quantale objects")
-    if r.dst != t.dst:
-        raise InputError("right residual needs r and t with the same target")
-    q = r.q
-    rows = []
-    for iz in range(len(t.src)):
-        row = []
-        for ix in range(len(r.src)):
-            row.append(q.meet_all(q.hom_m[r.rows[ix][j]][t.rows[iz][j]]
-                                  for j in range(len(r.dst))))
-        rows.append(row)
-    return VRelation(q, t.src, r.src, rows)
-
-
-def vrel_residual(side: str, r: VRelation, t: VRelation) -> VRelation:
-    if side == "left":
-        return residual_left(t, r)
-    if side == "right":
-        return residual_right(r, t)
-    raise InputError("residual side must be 'left' or 'right', not %r" % side)

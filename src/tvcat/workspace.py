@@ -83,10 +83,9 @@ def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
         raise InputError("%s: carrier ids repeat" % where)
     M = instantiate_monad(kind, q)
     X = FinSet(carrier)
-    tx = M.T_obj(X)
     default = doc.get("default", "bot")
     base = q.bottom if default == "bot" else q.index_of(default)
-    rows = [[base] * len(carrier) for _ in range(len(tx))]
+    rows = [[base] * len(carrier) for _ in carrier]
     pos = {x: i for i, x in enumerate(carrier)}
     for entry in doc.get("structure", []):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -104,7 +103,7 @@ def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
         except InputError:
             raise InputError("%s: structure entry %r uses unknown value %r"
                              % (where, entry, v))
-    C = TVCategory(M, X, VRelation(q, tx, X, rows), name)
+    C = TVCategory(M, X, VRelation(q, X, X, rows), name)
     rep = check_category(C)
     if not rep.ok:
         first = rep.failures[0]
@@ -143,10 +142,10 @@ def functor_from_doc(doc: dict, src: TVCategory, dst: TVCategory,
 def _functor_witness(f: TVFunctor):
     a, b = f.src.structure, f.dst.structure
     leq = f.src.q.leq_m
-    tf = f.src.M.T_fn(f.fn).table
-    for i, xx in enumerate(f.src.tx):
+    t = f.fn.table
+    for i, xx in enumerate(f.src.carrier):
         for j, x in enumerate(f.src.carrier):
-            if not leq[a.rows[i][j]][b.rows[tf[i]][f.fn.table[j]]]:
+            if not leq[a.rows[i][j]][b.rows[t[i]][t[j]]]:
                 return (xx, x)
     return None
 
@@ -326,7 +325,7 @@ def _check_square(fns: dict, name: str, where: str):
 def category_doc(C: TVCategory, quantale_ref, name: str | None = None) -> dict:
     q = C.q
     entries = [[xx, x, q.elements[C.structure.rows[i][j]]]
-               for i, xx in enumerate(C.tx)
+               for i, xx in enumerate(C.carrier)
                for j, x in enumerate(C.carrier)
                if C.structure.rows[i][j] != q.bottom]
     return {"name": name or C.name,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tvcat import FinSet, Fn, InputError, boolean_quantale
+from tvcat import EngineError, FinSet, Fn, InputError, boolean_quantale
 from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             category_from_entries, check_bimodule,
                             check_category, check_enriched_calculus,
@@ -13,7 +13,7 @@ from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             tensor_category, underlying_order, unit_category,
                             v_category)
 from tvcat.corpus import seed_corpus
-from tvcat.monad import instantiate_monad
+from tvcat.monad import MonadInstance, instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
 
 BOOL = boolean_quantale()
@@ -34,6 +34,22 @@ def antichain(M, labels, name="antichain"):
 
 TWO = chain(ID_BOOL, ["a", "b"], "two")
 THREE = chain(ID_BOOL, ["a", "b", "c"], "three")
+
+
+@pytest.mark.parametrize("kind", ["identity", "finite_ultrafilter"])
+def test_new_carriers_pass_the_ultrafilter_check(kind, monkeypatch):
+    # TVCategory.__init__ is the engine's one call of T_obj: with no concrete
+    # ultrafilters to find, the ultrafilter instance refuses a new carrier
+    monkeypatch.setattr("tvcat.monad.ultrafilters_concrete",
+                        lambda items, exhaustive_crosscheck=True: [])
+    M = MonadInstance(kind, BOOL)
+    X = FinSet(["p", "q"])
+    structure = VRelation.identity(BOOL, X)
+    if kind == "identity":
+        TVCategory(M, X, structure, "P")
+    else:
+        with pytest.raises(EngineError, match="principal bijection"):
+            TVCategory(M, X, structure, "P")
 
 
 def test_chains_and_discretes_are_categories():
@@ -175,7 +191,7 @@ def test_functor_order_matches_pointwise_order():
 
 
 def test_bimodule_rejects_bad_shapes():
-    rel = VRelation.constant(BOOL, TWO.tx, THREE.carrier, "1")
+    rel = VRelation.constant(BOOL, TWO.carrier, THREE.carrier, "1")
     Bimodule(TWO, THREE, rel)  # fine
     with pytest.raises(InputError):
         Bimodule(THREE, TWO, rel)
@@ -183,7 +199,8 @@ def test_bimodule_rejects_bad_shapes():
 
 def test_non_module_fails_the_action_laws():
     # upward-closed in the first argument violates the right action on a chain
-    rel = VRelation.from_entries(BOOL, TWO.tx, unit_category(ID_BOOL).carrier,
+    rel = VRelation.from_entries(BOOL, TWO.carrier,
+                                 unit_category(ID_BOOL).carrier,
                                  {("b", "*"): "1"}, default="0")
     rep = check_bimodule(Bimodule(TWO, unit_category(ID_BOOL), rel))
     assert not rep.ok

@@ -84,11 +84,11 @@ def test_iso_key_invariant_under_relabelling():
         for ps in itertools.permutations(range(ns)):
             for pd in itertools.permutations(range(nd)):
                 src = TVCategory(ID, f.src.carrier, VRelation(
-                    BOOL, f.src.tx, f.src.carrier,
+                    BOOL, f.src.carrier, f.src.carrier,
                     [[f.src.structure.rows[ps[i]][ps[j]] for j in range(ns)]
                      for i in range(ns)]), "s")
                 dst = TVCategory(ID, f.dst.carrier, VRelation(
-                    BOOL, f.dst.tx, f.dst.carrier,
+                    BOOL, f.dst.carrier, f.dst.carrier,
                     [[f.dst.structure.rows[pd[i]][pd[j]] for j in range(nd)]
                      for i in range(nd)]), "d")
                 inv = {old: new for new, old in enumerate(pd)}

@@ -90,8 +90,9 @@ def ref_is_separated(C):
 def ref_is_functor(src, dst, fn):
     a, b, leq = src.structure, dst.structure, src.q.leq_m
     tf = src.M.T_fn(fn).table
+    n = len(src.carrier)
     return all(leq[a.rows[i][j]][b.rows[tf[i]][fn.table[j]]]
-               for i in range(len(src.tx)) for j in range(len(src.carrier)))
+               for i in range(n) for j in range(n))
 
 
 def ref_images(f, cls, cap):
@@ -100,7 +101,7 @@ def ref_images(f, cls, cap):
     M, q = f.src.M, f.src.q
     b = f.dst.structure
     costar = [[b.rows[yy][f.fn.table[x]] for x in range(len(f.src.carrier))]
-              for yy in range(len(f.dst.tx))]
+              for yy in range(len(f.dst.carrier))]
     xi = M.xi_table
     m = M.mult(f.dst.carrier)
     out = []
@@ -108,8 +109,8 @@ def ref_images(f, cls, cap):
         out.append(bytes(
             q.join_all(q.tensor_m[xi[costar[YY][x]]][phi.values[x]]
                        for YY in range(len(m.src)) if m.table[YY] == iy
-                       for x in range(len(f.src.tx)))
-            for iy in range(len(f.dst.tx))))
+                       for x in range(len(f.src.carrier)))
+            for iy in range(len(f.dst.carrier))))
     return out
 
 
@@ -121,7 +122,7 @@ def ref_pairs(F):
     return [(ip, iy) for ip in range(len(F.space))
             for iy in range(len(Y.carrier))
             if all(q.leq_m[PY.presheaves[pf.fn.table[ip]].values[jy]]
-                   [b.rows[jy][iy]] for jy in range(len(Y.tx)))]
+                   [b.rows[jy][iy]] for jy in range(len(Y.carrier)))]
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +453,15 @@ def ref_correspondence(Xcat, Ycat, cap):
     dom = tensor_category(dual_category(Xcat), Ycat)
     cod = v_category(M)
     ny = len(Ycat.carrier)
-    size = len(Xcat.tx) * ny
+    size = len(Xcat.carrier) * ny
     if size and q.n ** size > cap:
         return 0, None
     checked = 0
     for combo in itertools.product(range(q.n), repeat=size):
         line = bytes(combo)
-        rel = VRelation(q, Xcat.tx, Ycat.carrier,
+        rel = VRelation(q, Xcat.carrier, Ycat.carrier,
                         [line[i * ny:(i + 1) * ny]
-                         for i in range(len(Xcat.tx))])
+                         for i in range(len(Xcat.carrier))])
         fn = Fn(dom.carrier, cod.carrier, combo)
         checked += 1
         if is_bimodule(Xcat, Ycat, rel) != is_functor(dom, cod, fn):
@@ -472,10 +473,10 @@ def ref_bimodules(C, D):
     nd = len(D.carrier)
     out = []
     for combo in itertools.product(range(C.q.n),
-                                   repeat=len(C.tx) * nd):
-        rel = VRelation(C.q, C.tx, D.carrier,
+                                   repeat=len(C.carrier) * nd):
+        rel = VRelation(C.q, C.carrier, D.carrier,
                         (combo[i * nd:(i + 1) * nd]
-                         for i in range(len(C.tx))))
+                         for i in range(len(C.carrier))))
         if is_bimodule(C, D, rel):
             out.append(rel)
     return out

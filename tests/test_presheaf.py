@@ -183,8 +183,8 @@ def test_yoneda_lemma_fails_for_perturbed_structure():
     y = yoneda(TWO)
     rows = [list(r) for r in space.category.structure.rows]
     rows[1][0] ^= 1
-    broken = any(rows[y.tfn().table[ix]][ip] != psi.values[ix]
-                 for ix in range(len(TWO.tx))
+    broken = any(rows[y.fn.table[ix]][ip] != psi.values[ix]
+                 for ix in range(len(TWO.carrier))
                  for ip, psi in enumerate(space.presheaves))
     assert broken
 
@@ -343,8 +343,9 @@ def test_enumeration_matches_bimodule_oracle(drawn):
     E = unit_category(M)
     # the reference: every value tuple, in lexicographic order, kept when
     # it is a bimodule C -|-> E
-    expected = [bytes(vals) for vals in itertools.product(range(q.n),
-                                                          repeat=len(C.tx))
-                if is_bimodule(C, E, VRelation(q, C.tx, E.carrier,
+    expected = [bytes(vals)
+                for vals in itertools.product(range(q.n),
+                                              repeat=len(C.carrier))
+                if is_bimodule(C, E, VRelation(q, C.carrier, E.carrier,
                                                ((v,) for v in vals)))]
     assert [p.values for p in space.presheaves] == expected
