@@ -12,9 +12,8 @@ identity on values (see `tvcat.monad`), so TX is X, Tf is f, the unit and
 the multiplication are identities and the lax extension of a is a.  Every
 law here reads the structure tables directly: reflexivity is
 k <= a(x, x), transitivity a . a <= a, and a functor f satisfies
-a(x', x) <= b(f x', f x).  T, m, e and xi live in the law suite of
-`tvcat.monad` and in one carrier check, the `T_obj` call of
-`TVCategory.__init__`.
+a(x', x) <= b(f x', f x).  T, m, e and xi live only in the law suite of
+`tvcat.monad`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
-                   pair_label, product_finset)
+                   product_finset)
 from .monad import MonadInstance, kleisli
 from .quantale import VRelation, line_masks
 from .report import LawReport
@@ -41,9 +40,8 @@ class TVCategory:
         self.name = name
         if structure.q is not M.q:
             raise InputError("structure relation uses a different quantale")
-        # T_obj is the identity on carriers; the ultrafilter instance checks
-        # each new carrier against its concrete filters
-        if structure.src != M.T_obj(carrier) or structure.dst != carrier:
+        # TX is X for both instances
+        if structure.src != carrier or structure.dst != carrier:
             raise InputError("structure must be a relation T(X) -/-> X; got "
                              "%r -/-> %r for carrier %r"
                              % (structure.src.elements, structure.dst.elements,
@@ -543,23 +541,29 @@ def _bimodule_mask(X: TVCategory, Y: TVCategory) -> int:
     return _passing(n, tn * ny, laws)
 
 
-def _functor_mask(dom: TVCategory, cod: TVCategory) -> int:
-    """The candidate tables t that `is_functor(dom, cod, t)` accepts.
+def _functor_mask(X: TVCategory, Y: TVCategory) -> int:
+    """The candidate maps r that are functors X^op (x) Y -> V.
 
-    The law is dom(p, p') <= cod(t p, t p') for every p, p'.
+    Cell i*|Y| + y holds r(i, y).  The tensor's structure at the cells
+    (i, y) and (j, y') is a(j, i) (x) b(y, y'), and V's is hom, so the law
+    reads a(j, i) (x) b(y, y') <= hom(r(i, y), r(j, y')).
     """
-    leq = dom.q.leq_m
-    n = len(cod.carrier)
-    b = cod.structure.rows
-    refusals = {c: _refusals(n, lambda u, w: not leq[c][b[u][w]])
-                for c in {v for row in dom.structure.rows for v in row}}
+    q = X.q
+    n, leq, tm, hom = q.n, q.leq_m, q.tensor_m, q.hom_m
+    a, b = X.structure.rows, Y.structure.rows
+    ny = len(b)
+    refusals = {c: _refusals(n, lambda u, w: not leq[c][hom[u][w]])
+                for c in {tm[u][w] for row in a for u in row
+                          for brow in b for w in brow}}
     laws = {}
-    for p, row in enumerate(dom.structure.rows):
-        for pp, c in enumerate(row):
-            bad = refusals[c]
-            if any(bad):
-                _add_law(laws, p, pp, bad)
-    return _passing(n, len(dom.carrier), laws)
+    for j, arow in enumerate(a):
+        for i, c in enumerate(arow):
+            for y, brow in enumerate(b):
+                for yy, d in enumerate(brow):
+                    bad = refusals[tm[c][d]]
+                    if any(bad):
+                        _add_law(laws, i * ny + y, j * ny + yy, bad)
+    return _passing(n, len(a) * ny, laws)
 
 
 def _candidate_relation(X: TVCategory, Y: TVCategory, k: int) -> VRelation:
@@ -586,12 +590,10 @@ def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
     candidate at once by the law masks above.
     """
     q = Xcat.q
-    dom = tensor_category(dual_category(Xcat), Ycat)
-    cod = v_category(Xcat.M)
     size = len(Xcat.carrier) * len(Ycat.carrier)
     if size and q.n ** size > cap:
         return 0, None
-    diff = _bimodule_mask(Xcat, Ycat) ^ _functor_mask(dom, cod)
+    diff = _bimodule_mask(Xcat, Ycat) ^ _functor_mask(Xcat, Ycat)
     if not diff:
         return q.n ** size, None
     k = (diff & -diff).bit_length() - 1

@@ -16,8 +16,8 @@ from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
                        bim_compose, costar, identity_functor,
                        is_fully_faithful, is_functor, is_separated,
                        functor_leq, star, underlying_order)
-from .presheaf import (apply_P, apply_P_star, phi_dense, presheaf_space,
-                       saturated_class, space_mult, yoneda)
+from .presheaf import (apply_P, phi_dense, presheaf_space, saturated_class,
+                       space_mult, yoneda)
 from .quantale import VRelation, line_masks
 from .report import FAIL, SKIP, LawReport
 

@@ -17,9 +17,10 @@ s . Tr . m_X^op is s . r.  The engine reads structure tables directly and
 never transports along T, m, e or xi.  Those live here only: in the law
 suite (`check_monad_laws`, which evaluates the general formula
 `lax_extend_formula` and checks in its `identity-extension` row that it
-fixes r, and `_genuine_ultrafilter_checks`), and in `T_obj`, which
-`TVCategory` calls on every new carrier so that the ultrafilter instance
-checks it against its concrete filters.
+fixes r, and `_genuine_ultrafilter_checks`, which compares the concrete
+ultrafilters with the principal bijection on carriers up to
+`GENUINE_BOUND` points).  `verify-paper` builds one corpus for instances
+with equal `MonadInstance.tables`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import EngineError, FinSet, Fn, InputError, product_finset
 from .quantale import Quantale, VRelation, mask_rows
 from .report import LawReport
 
-GENUINE_BOUND = 5  # above this carrier size the principal construction is used
+GENUINE_BOUND = 5  # concrete filters are checked on carriers up to this
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +156,20 @@ class MonadInstance:
     ultrafilter monad this is the recorded principal-point naming) and
     their algebra is the identity on values, which the engine relies on
     everywhere it reads a structure table directly.  T, m, e and xi are
-    kept for the law suite, which checks both facts.
+    kept for the law suite, which checks both facts and the concrete filters.
     """
 
     def __init__(self, kind: str, q: Quantale):
         self.kind = kind
         self.q = q
-        self._tobj_seen: set[tuple] = set()
         self.xi_table = self._build_xi()
 
     # -- functor part -------------------------------------------------------
 
     def T_obj(self, X: FinSet) -> FinSet:
-        if self.kind == "finite_ultrafilter" and X.elements not in self._tobj_seen:
-            if len(X) <= GENUINE_BOUND:
-                ultras = ultrafilters_concrete(X.elements,
-                                               exhaustive_crosscheck=len(X) <= 3)
-                named = sorted(principal_witness(F, X.elements) for F in ultras)
-                if named != sorted(X.elements) or len(ultras) != len(X):
-                    raise EngineError("ultrafilter enumeration does not match "
-                                      "the principal bijection on %r" % (X,))
-            self._tobj_seen.add(X.elements)
         return X
 
     def T_fn(self, f: Fn) -> Fn:
-        # T_obj still sees both ends: the ultrafilter instance checks each
-        # new carrier against its concrete filters
-        self.T_obj(f.src)
-        self.T_obj(f.dst)
         return f
 
     def unit(self, X: FinSet) -> Fn:
@@ -205,6 +192,12 @@ class MonadInstance:
     def xi_fn(self) -> Fn:
         V = self.q.carrier()
         return Fn(self.T_obj(V), V, self.xi_table)
+
+    def tables(self) -> tuple:
+        """xi, and T, m and e on carriers up to GENUINE_BOUND; not the kind."""
+        return self.xi_table, tuple(
+            (self.T_obj(X).elements, self.mult(X).table, self.unit(X).table)
+            for X in _corpus_sets(GENUINE_BOUND))
 
     # -- presheaf space capability --------------------------------------------
 
@@ -565,21 +558,21 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
 def _genuine_ultrafilter_checks(M: MonadInstance, rep: LawReport, limit: int):
     """Replay the label-level data in the concrete filter representation."""
     q = M.q
-    bound = min(limit, 3)
     bad = None
-    for X in _corpus_sets(bound):
+    for X in _corpus_sets(GENUINE_BOUND):
+        # every family of subsets is scanned too on carriers up to 3 points
         ultras = ultrafilters_concrete(X.elements)
-        if len(ultras) != len(X):
-            bad = "carrier %r has %d ultrafilters" % (X.elements, len(ultras))
+        named = [principal_witness(F, X.elements) for F in ultras]
+        if (sorted(named) != sorted(X.elements) or len(ultras) != len(X)
+                or any(principal_filter(x, X.elements) != F
+                       for x, F in zip(named, ultras))):
+            bad = ("ultrafilter enumeration does not match the principal "
+                   "bijection on %r" % (X.elements,))
             break
-        for F in ultras:
-            x = principal_witness(F, X.elements)
-            if principal_filter(x, X.elements) != F:
-                bad = "ultrafilter at %r is not the principal filter" % (x,)
-                break
     rep.add("ultrafilter-enumeration", bad is None,
             "maximal proper filters are exactly the principal ones on "
-            "carriers up to %d" % bound if bad is None else bad)
+            "carriers up to %d" % GENUINE_BOUND if bad is None else bad)
+    bound = min(limit, 3)
 
     # unit, functor action and multiplication transport along the bijection
     bad = None

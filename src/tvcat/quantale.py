@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .core import EngineError, FinSet, Fn, InputError, ValidationError
+from .core import FinSet, Fn, InputError, ValidationError
 from .report import LawReport
 
 BUILTIN_NAMES = ("boolean", "truncated_chain", "lukasiewicz_chain", "powerset_frame")

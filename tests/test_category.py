@@ -2,7 +2,7 @@
 
 import pytest
 
-from tvcat import EngineError, FinSet, Fn, InputError, boolean_quantale
+from tvcat import FinSet, Fn, InputError, boolean_quantale
 from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             category_from_entries, check_bimodule,
                             check_category, check_enriched_calculus,
@@ -13,7 +13,7 @@ from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             tensor_category, underlying_order, unit_category,
                             v_category)
 from tvcat.corpus import seed_corpus
-from tvcat.monad import MonadInstance, instantiate_monad
+from tvcat.monad import MonadInstance, check_monad_laws, instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
 
 BOOL = boolean_quantale()
@@ -36,20 +36,21 @@ TWO = chain(ID_BOOL, ["a", "b"], "two")
 THREE = chain(ID_BOOL, ["a", "b", "c"], "three")
 
 
-@pytest.mark.parametrize("kind", ["identity", "finite_ultrafilter"])
-def test_new_carriers_pass_the_ultrafilter_check(kind, monkeypatch):
-    # TVCategory.__init__ is the engine's one call of T_obj: with no concrete
-    # ultrafilters to find, the ultrafilter instance refuses a new carrier
+def test_ultrafilter_check_runs_in_the_law_row(monkeypatch):
+    # the monad law suite is the one place that compares carriers with the
+    # concrete ultrafilters: with none to find, only the ultrafilter
+    # instance fails there, and building a category checks nothing
     monkeypatch.setattr("tvcat.monad.ultrafilters_concrete",
                         lambda items, exhaustive_crosscheck=True: [])
-    M = MonadInstance(kind, BOOL)
+    rep = check_monad_laws(MonadInstance("finite_ultrafilter", BOOL), 2)
+    assert [c.name for c in rep.failures] == ["ultrafilter-enumeration"]
+    assert "principal bijection" in rep.failures[0].detail
+    assert check_monad_laws(MonadInstance("identity", BOOL), 2).ok
     X = FinSet(["p", "q"])
-    structure = VRelation.identity(BOOL, X)
-    if kind == "identity":
-        TVCategory(M, X, structure, "P")
-    else:
-        with pytest.raises(EngineError, match="principal bijection"):
-            TVCategory(M, X, structure, "P")
+    for kind in ("identity", "finite_ultrafilter"):
+        C = TVCategory(MonadInstance(kind, BOOL), X,
+                       VRelation.identity(BOOL, X), "P")
+        assert check_category(C).ok
 
 
 def test_chains_and_discretes_are_categories():

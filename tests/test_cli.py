@@ -6,6 +6,8 @@ import sys
 
 from tvcat import category
 from tvcat.cli import run_command
+from tvcat.corpus import seed_corpus
+from tvcat.monad import MonadInstance
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
 
@@ -246,3 +248,83 @@ def test_bad_cap_values_are_input_errors(tmp_path, monkeypatch):
     for raw in ("0", "-1"):
         code, out = run_command(argv + ["--max-space", raw])
         assert code == 2 and "--max-space" in out, (raw, out)
+
+
+# verify-paper with --quantales boolean --monads finite_ultrafilter,identity
+# --max-size 2: the identity label comes second and shares the ultrafilter
+# corpus, yet the cross-check rows still run and carry its label
+SHARED_ORDER_REPORT = (
+    '== verify-paper: quantales=boolean monads=finite_ultrafilter,identity'
+    ' max-size=2 ==\n'
+    'PASS quantale laws: boolean: ok (9 checks)\n'
+    'PASS monad conditions and span preservation: boolean/finite_ultrafilter:'
+    ' ok (17 checks); boolean/identity: ok (14 checks)\n'
+    'PASS category and bimodule calculus: boolean/finite_ultrafilter: ok (11'
+    ' checks); boolean/identity: ok (11 checks)\n'
+    'PASS yoneda lemma: boolean/finite_ultrafilter: ok (3 checks);'
+    ' boolean/identity: ok (3 checks)\n'
+    'PASS presheaf monad laws and lax idempotency: boolean/finite_ultrafilter:'
+    ' ok (10 checks); boolean/identity: ok (10 checks)\n'
+    'PASS simplicity of the left leg: boolean/finite_ultrafilter: ok (6'
+    ' checks); boolean/identity: ok (6 checks)\n'
+    'PASS saturation closure: boolean/finite_ultrafilter: ok (9 checks);'
+    ' boolean/identity: ok (9 checks)\n'
+    'PASS saturated submonads: boolean/finite_ultrafilter: ok (24 checks);'
+    ' boolean/identity: ok (24 checks)\n'
+    'PASS left class characterisation: boolean/finite_ultrafilter: ok (17'
+    ' checks); boolean/identity: ok (17 checks)\n'
+    'PASS factorisation comonad, monad, distributivity:'
+    ' boolean/finite_ultrafilter: ok (8 checks); boolean/identity: ok (8'
+    ' checks)\n'
+    'PASS canonical fillers are least: boolean/identity: 84 lifting problems'
+    ' solved, canonical filler least each time\n'
+    'PASS classical factorisation cross-check: boolean/identity: left class ='
+    ' order-embeddings on 19 maps; all 9 non-members fail some lifting at this'
+    ' scale\n'
+    'result: ok (12 checks, 0 failed, 0 skipped)'
+)
+
+
+def test_shared_corpus_keeps_every_row_and_label():
+    code, out = run_command(["verify-paper", "--quantales", "boolean",
+                             "--monads", "finite_ultrafilter,identity",
+                             "--max-size", "2"])
+    assert code == 0
+    assert out == SHARED_ORDER_REPORT
+
+
+def count_corpora(monkeypatch):
+    """Record the quantale of every corpus verify-paper builds."""
+    built = []
+
+    def counted(M, size):
+        built.append(M.q)
+        return seed_corpus(M, size)
+
+    monkeypatch.setattr("tvcat.cli.seed_corpus", counted)
+    return built
+
+
+def test_instances_with_equal_tables_share_one_corpus(monkeypatch):
+    built = count_corpora(monkeypatch)
+    code, _ = run_command(["verify-paper", "--max-size", "1"])
+    assert code == 0
+    # identity and finite_ultrafilter over boolean, identity over the chain
+    assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_instances_with_other_tables_get_their_own_corpus(monkeypatch):
+    def patched(kind, q):
+        M = MonadInstance(kind, q)
+        if kind == "finite_ultrafilter":
+            M.xi_table = M.xi_table[::-1]
+        return M
+
+    monkeypatch.setattr("tvcat.cli.instantiate_monad", patched)
+    built = count_corpora(monkeypatch)
+    code, out = run_command(["verify-paper", "--quantales", "boolean",
+                             "--max-size", "1"])
+    assert len(built) == 2
+    # the reversed algebra breaks the ultrafilter instance's own laws
+    assert code == 1
+    assert "boolean/finite_ultrafilter: FAIL algebra-unit" in out
