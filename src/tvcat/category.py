@@ -18,12 +18,13 @@ a(x', x) <= b(f x', f x).  T, m, e and xi live only in the law suite of
 
 from __future__ import annotations
 
+from itertools import product
 from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
                    product_finset)
 from .monad import MonadInstance, kleisli
-from .quantale import VRelation, line_masks
+from .quantale import VRelation, line_masks, pair_rows
 from .report import LawReport
 
 
@@ -80,19 +81,6 @@ class TVCategory:
 MEMO: dict = {}
 
 
-def category_from_entries(M: MonadInstance, labels, entries: dict,
-                          default=None, name="X") -> TVCategory:
-    X = FinSet(labels)
-    rel = VRelation.from_entries(M.q, X, X, entries, default)
-    return TVCategory(M, X, rel, name)
-
-
-def discrete_category(M: MonadInstance, labels, name="X") -> TVCategory:
-    """Finest structure: the identity relation."""
-    X = FinSet(labels)
-    return TVCategory(M, X, VRelation.identity(M.q, X), name)
-
-
 def check_category(C: TVCategory) -> LawReport:
     q, a = C.q, C.structure
     rep = LawReport("category laws: %s" % C.name)
@@ -146,15 +134,17 @@ def identity_functor(C: TVCategory) -> TVFunctor:
 
 
 def check_functor(f: TVFunctor) -> LawReport:
+    """The functor law, decided by `is_functor`; a failure names the first
+    violating pair in row-major order."""
     rep = LawReport("functor laws: %s" % f.name)
-    a, b = f.src.structure, f.dst.structure
-    q = f.src.q
-    t = f.fn.table
     bad = None
-    for i in range(len(t)):
-        for j in range(len(t)):
-            if not q.leq_m[a.rows[i][j]][b.rows[t[i]][t[j]]]:
-                bad = (f.src.carrier.elements[i], f.src.carrier.elements[j])
+    if not is_functor(f.src, f.dst, f.fn):
+        a, b = f.src.structure.rows, f.dst.structure.rows
+        leq, t = f.src.q.leq_m, f.fn.table
+        labels = f.src.carrier.elements
+        bad = next((labels[i], labels[j]) for i in range(len(t))
+                   for j in range(len(t))
+                   if not leq[a[i][j]][b[t[i]][t[j]]])
     rep.add("structure-preservation", bad is None,
             "a(xx,x) <= b(Tf xx, f x) on all of TX x X" if bad is None
             else "fails at %s" % (bad,))
@@ -431,11 +421,9 @@ def tensor_category(C: TVCategory, D: TVCategory) -> TVCategory:
         raise InputError("tensor needs a shared monad instance")
     q = C.q
     XY = product_finset(C.carrier, D.carrier)
-    nD = len(D.carrier)
-    a, b = C.structure.rows, D.structure.rows
-    rows = [[q.tensor_m[a[w // nD][j // nD]][b[w % nD][j % nD]]
-             for j in range(len(XY))]
-            for w in range(len(XY))]
+    pairs = list(product(range(len(C.carrier)), range(len(D.carrier))))
+    rows = pair_rows(q, C.structure.rows, D.structure.rows, pairs,
+                     q.tensor_codes)
     return TVCategory(C.M, XY, VRelation(q, XY, XY, rows),
                       "%s(x)%s" % (C.name, D.name))
 

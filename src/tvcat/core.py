@@ -99,16 +99,6 @@ class Fn:
                 raise EngineError("function table index %d out of range" % t)
 
     @classmethod
-    def from_dict(cls, src: FinSet, dst: FinSet, mapping: dict) -> "Fn":
-        missing = [x for x in src if x not in mapping]
-        if missing:
-            raise InputError("map is not total, missing %r" % (missing,))
-        extra = [x for x in mapping if x not in src]
-        if extra:
-            raise InputError("map mentions elements outside the source: %r" % (extra,))
-        return cls(src, dst, (dst.index_of(mapping[x]) for x in src))
-
-    @classmethod
     def identity(cls, X: FinSet) -> "Fn":
         return cls(X, X, range(len(X)))
 

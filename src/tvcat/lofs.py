@@ -18,7 +18,7 @@ from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
                        functor_leq, star, underlying_order)
 from .presheaf import (apply_P, phi_dense, presheaf_space, saturated_class,
                        space_mult, yoneda)
-from .quantale import VRelation, line_masks
+from .quantale import VRelation, line_masks, pair_rows
 from .report import FAIL, SKIP, LawReport
 
 
@@ -29,6 +29,11 @@ class Factorisation:
     structure functors q (projection to the space), L, R.  density is
     True when the left leg was verified dense, None when the check hit a
     size cap.
+
+    The carrier of K(f) is `pairs`, the (phi, y) with P(f) phi <= b(-, y),
+    grouped by phi in space order.  Its structure at ((phi', y'), (phi, y))
+    is the meet of hom(phi', phi) and b(y', y); `pair_rows` builds it row
+    by row from the two structure tables, with no Python step per cell.
     """
 
     __slots__ = ("f", "cls", "max_space", "space", "K", "pairs",
@@ -64,11 +69,9 @@ class Factorisation:
         carrier = FinSet(pair_label(space.presheaves[ip].name,
                                     Y.carrier.elements[iy])
                          for ip, iy in pairs)
-        ahat = space.category.structure.rows
-        rows = [[q.meet_m[ahat[ip2][ip]][b.rows[iy2][iy]]
-                 for ip, iy in pairs]
-                for ip2, iy2 in pairs]
-        structure = VRelation(q, carrier, carrier, rows)
+        structure = VRelation(q, carrier, carrier,
+                              pair_rows(q, space.category.structure.rows,
+                                        b.rows, pairs, q.meet_codes))
         self.K = TVCategory(X.M, carrier, structure, "K(%s)" % f.name)
         self.q = TVFunctor(self.K, space.category,
                            Fn(carrier, space.carrier,

@@ -61,12 +61,16 @@ class Quantale:
     maps u to v (x) u and `hom_codes[c]` maps u to hom(u, c).  `rising`
     and `falling` list the values other than top (bottom) in a linear
     extension of the order, least (greatest) first.
+
+    `pair_rows` reads `meet_codes[v]`, which maps u to the meet of v and
+    u, or `tensor_codes`, and `lane_codes[v]`, which maps v to 0xff and
+    every other value to 0.
     """
 
     __slots__ = ("elements", "n", "leq_m", "tensor_m", "unit", "bottom", "top",
                  "join_m", "meet_m", "hom_m", "_vset", "fields", "eq_codes",
-                 "up_codes", "above", "below", "tensor_codes", "hom_codes",
-                 "rising", "falling")
+                 "up_codes", "above", "below", "tensor_codes", "meet_codes",
+                 "hom_codes", "lane_codes", "rising", "falling")
 
     def __init__(self, elements, leq_m, tensor_m, unit, join_m, meet_m, hom_m,
                  bottom, top):
@@ -93,6 +97,9 @@ class Quantale:
         self.below = tuple(table(49 if leq_m[w][v] else 48 for w in values)
                            for v in values)
         self.tensor_codes = tuple(map(table, tensor_m))
+        self.meet_codes = tuple(map(table, meet_m))
+        self.lane_codes = tuple(table(255 if w == v else 0 for w in values)
+                                for v in values)
         self.hom_codes = tuple(table(hom_m[w][c] for w in values)
                                for c in values)
         rising = sorted(values, key=lambda v: sum(r[v] for r in leq_m))
@@ -206,6 +213,64 @@ def mask_rows(lines, codes, order, columns, tests, rest: int,
                 if not left:
                     break
         out.append(acc.to_bytes(width, "big"))
+    return out
+
+
+def _gathered(table, idx) -> dict:
+    """{r: bytes(table[r][i] for i in idx)} for each r in idx, by bytes ops.
+
+    `table` is square and idx indexes its rows and columns.  The rows of
+    the distinct r are joined, column i is a stride of that block, and the
+    columns joined in idx order hold the wanted lines as strides again.
+    """
+    keep = list(dict.fromkeys(idx))
+    width = len(table[keep[0]])
+    block = b"".join(map(table.__getitem__, keep))
+    cols = {i: block[i::width] for i in keep}
+    flat = b"".join(map(cols.__getitem__, idx))
+    return {r: flat[k::len(keep)] for k, r in enumerate(keep)}
+
+
+def pair_rows(q: Quantale, a, b, pairs, codes) -> list:
+    """Byte rows of the table op(a[i'][i], b[j'][j]) over pairs x pairs.
+
+    Row (i', j') and column (i, j) run over `pairs` in order, and a and b
+    are square tables of byte rows; `codes[v]` maps u to op(v, u), as
+    `q.meet_codes` and `q.tensor_codes` do.  Row i' of a is gathered along
+    the pairs' first indices once, and row j' of b along their second
+    indices once.  An output row is then, over the values v of the gathered
+    a-row, the gathered b-row translated by codes[v] on the byte lanes
+    where the a-row holds v (`q.lane_codes`), so no cell costs a Python
+    step.  The lanes of an a-row are split once per run of pairs that share
+    i'.
+    """
+    if not pairs:
+        return []
+    firsts, seconds = zip(*pairs)
+    alines, blines = _gathered(a, firsts), _gathered(b, seconds)
+    lane_codes = q.lane_codes
+    pieces = {}
+    out = []
+    last = None
+    for i2, j2 in pairs:
+        if i2 != last:
+            last = i2
+            split = []
+            line = rest = alines[i2]
+            # each value once: take the first left, then delete it
+            while rest:
+                v = rest[0]
+                lane = line.translate(lane_codes[v])
+                split.append((v, int.from_bytes(lane, "big")))
+                rest = rest.translate(None, bytes((v,)))
+        acc = 0
+        for v, lane in split:
+            piece = pieces.get((v, j2))
+            if piece is None:
+                piece = pieces[v, j2] = int.from_bytes(
+                    blines[j2].translate(codes[v]), "big")
+            acc |= piece & lane
+        out.append(acc.to_bytes(len(pairs), "big"))
     return out
 
 
@@ -563,12 +628,6 @@ class VRelation:
     @classmethod
     def identity(cls, q: Quantale, X: FinSet) -> "VRelation":
         return cls.from_fn(q, Fn.identity(X))
-
-    @classmethod
-    def constant(cls, q: Quantale, src: FinSet, dst: FinSet, v) -> "VRelation":
-        if not isinstance(v, int):
-            v = q.index_of(v)
-        return cls(q, src, dst, (bytes((v,)) * len(dst),) * len(src))
 
     def row_masks(self) -> list:
         """Packed value masks of each row."""

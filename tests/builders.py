@@ -1,0 +1,42 @@
+"""Small constructors that only the tests use.
+
+The library builds its categories, relations and maps from tables; these
+helpers build them from labels and dicts, which is how tests spell their
+inputs.
+"""
+
+from tvcat.category import TVCategory
+from tvcat.core import FinSet, Fn, InputError
+from tvcat.quantale import VRelation
+
+
+def category_from_entries(M, labels, entries: dict, default=None,
+                          name="X") -> TVCategory:
+    X = FinSet(labels)
+    rel = VRelation.from_entries(M.q, X, X, entries, default)
+    return TVCategory(M, X, rel, name)
+
+
+def discrete_category(M, labels, name="X") -> TVCategory:
+    """Finest structure: the identity relation."""
+    X = FinSet(labels)
+    return TVCategory(M, X, VRelation.identity(M.q, X), name)
+
+
+def constant_relation(q, src: FinSet, dst: FinSet, v) -> VRelation:
+    """The relation with value v (an index or a name) in every cell."""
+    if not isinstance(v, int):
+        v = q.index_of(v)
+    return VRelation(q, src, dst, (bytes((v,)) * len(dst),) * len(src))
+
+
+def fn_from_dict(src: FinSet, dst: FinSet, mapping: dict) -> Fn:
+    """The map sending each label x of src to the label mapping[x] of dst."""
+    missing = [x for x in src if x not in mapping]
+    if missing:
+        raise InputError("map is not total, missing %r" % (missing,))
+    extra = [x for x in mapping if x not in src]
+    if extra:
+        raise InputError("map mentions elements outside the source: %r"
+                         % (extra,))
+    return Fn(src, dst, (dst.index_of(mapping[x]) for x in src))

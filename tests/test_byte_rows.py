@@ -12,9 +12,9 @@ import random
 
 import pytest
 
-from tvcat.category import (TVCategory, TVFunctor, costar, discrete_category,
-                            dual_category, identity_functor, star,
-                            tensor_category, unit_category, v_category)
+from tvcat.category import (TVCategory, TVFunctor, costar, dual_category,
+                            identity_functor, star, tensor_category,
+                            unit_category, v_category)
 from tvcat.cli import run_command
 from tvcat.core import FinSet, Fn, InputError
 from tvcat.corpus import _relabelled
@@ -25,6 +25,8 @@ from tvcat.presheaf import Presheaf, apply_P, apply_P_star, presheaf_space
 from tvcat.quantale import (VRelation, boolean_quantale, powerset_frame,
                             residual_left, truncated_chain)
 from tvcat.workspace import Workspace
+
+from builders import constant_relation, discrete_category
 
 BOOL = boolean_quantale()
 CHAIN = truncated_chain(2)
@@ -75,15 +77,15 @@ def test_constructors_yield_bytes_rows():
     f = Fn(X, Y, (1, 0, 1))
     for rel in (VRelation.from_fn(CHAIN, f),
                 VRelation.identity(CHAIN, X),
-                VRelation.constant(CHAIN, X, Y, "1"),
-                VRelation.constant(CHAIN, FinSet([]), Y, 0),
+                constant_relation(CHAIN, X, Y, "1"),
+                constant_relation(CHAIN, FinSet([]), Y, 0),
                 VRelation.from_entries(BOOL, X, Y, {("x0", "y1"): "1"},
                                        default="0")):
         assert byte_rows(rel)
     g = VRelation.from_fn(CHAIN, f)
     assert g.rows == tuple(bytes(CHAIN.unit if t == j else CHAIN.bottom
                                  for j in range(2)) for t in f.table)
-    assert VRelation.constant(CHAIN, X, Y, "1").rows \
+    assert constant_relation(CHAIN, X, Y, "1").rows \
         == (bytes((CHAIN.index_of("1"),)) * 2,) * 3
 
 

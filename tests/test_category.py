@@ -4,17 +4,19 @@ import pytest
 
 from tvcat import FinSet, Fn, InputError, boolean_quantale
 from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
-                            category_from_entries, check_bimodule,
-                            check_category, check_enriched_calculus,
-                            check_functor, check_graph_adjunction, costar,
-                            discrete_category, dual_category, functor_leq,
-                            identity_functor, is_fully_faithful, is_separated,
-                            module_functor_correspondence, star,
+                            check_bimodule, check_category,
+                            check_enriched_calculus, check_functor,
+                            check_graph_adjunction, costar, dual_category,
+                            functor_leq, identity_functor, is_fully_faithful,
+                            is_separated, module_functor_correspondence, star,
                             tensor_category, underlying_order, unit_category,
                             v_category)
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance, check_monad_laws, instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
+
+from builders import (category_from_entries, constant_relation,
+                      discrete_category, fn_from_dict)
 
 BOOL = boolean_quantale()
 ID_BOOL = instantiate_monad("identity", BOOL)
@@ -78,7 +80,7 @@ def test_missing_transitivity_is_caught():
 
 def test_structure_shape_is_validated():
     X = FinSet(["a", "b"])
-    wrong = VRelation.constant(BOOL, FinSet(["a"]), X, "1")
+    wrong = constant_relation(BOOL, FinSet(["a"]), X, "1")
     with pytest.raises(InputError):
         TVCategory(ID_BOOL, X, wrong)
 
@@ -122,13 +124,23 @@ def test_unit_and_quantale_categories():
 
 
 def test_functor_validation():
-    incl = TVFunctor(TWO, THREE, Fn.from_dict(TWO.carrier, THREE.carrier,
+    incl = TVFunctor(TWO, THREE, fn_from_dict(TWO.carrier, THREE.carrier,
                                               {"a": "a", "b": "b"}), "incl")
     assert check_functor(incl).ok
-    swap = TVFunctor(TWO, TWO, Fn.from_dict(TWO.carrier, TWO.carrier,
+    swap = TVFunctor(TWO, TWO, fn_from_dict(TWO.carrier, TWO.carrier,
                                             {"a": "b", "b": "a"}), "swap")
     rep = check_functor(swap)
     assert not rep.ok and "fails at" in rep.failures[0].detail
+
+
+def test_functor_failure_names_the_first_violating_pair():
+    # a -> c, b -> a, c -> b breaks a <= b and a <= c, and keeps b <= c
+    rot = TVFunctor(THREE, THREE,
+                    fn_from_dict(THREE.carrier, THREE.carrier,
+                                 {"a": "c", "b": "a", "c": "b"}), "rot")
+    rep = check_functor(rot)
+    assert [c.detail for c in rep.failures] == ["fails at ('a', 'b')"]
+    assert len(rep.checks) == 1
 
 
 def test_functor_carrier_mismatch():
@@ -148,7 +160,7 @@ def test_functor_carrier_mismatch():
 
 
 def test_graph_modules_of_an_inclusion():
-    incl = TVFunctor(TWO, THREE, Fn.from_dict(TWO.carrier, THREE.carrier,
+    incl = TVFunctor(TWO, THREE, fn_from_dict(TWO.carrier, THREE.carrier,
                                               {"a": "a", "b": "b"}), "incl")
     lo, hi = star(incl), costar(incl)
     assert check_bimodule(lo).ok and check_bimodule(hi).ok
@@ -159,7 +171,7 @@ def test_graph_modules_of_an_inclusion():
 
 
 def test_fully_faithful_detection():
-    incl = TVFunctor(TWO, THREE, Fn.from_dict(TWO.carrier, THREE.carrier,
+    incl = TVFunctor(TWO, THREE, fn_from_dict(TWO.carrier, THREE.carrier,
                                               {"a": "a", "b": "c"}), "skip")
     assert is_fully_faithful(incl)
     anti = antichain(ID_BOOL, ["a", "b"])
@@ -174,16 +186,16 @@ def test_functor_order_matches_pointwise_order():
     one = unit_category(ID_BOOL)
     pt = {}
     for x in TWO.carrier:
-        pt[x] = TVFunctor(one, TWO, Fn.from_dict(one.carrier, TWO.carrier,
+        pt[x] = TVFunctor(one, TWO, fn_from_dict(one.carrier, TWO.carrier,
                                                  {"*": x}), "pt_" + x)
     assert functor_leq(pt["a"], pt["b"])
     assert not functor_leq(pt["b"], pt["a"])
     assert functor_leq(pt["a"], pt["a"])
     # same labels and tables, different target structures: not parallel
     anti = antichain(ID_BOOL, ["a", "b"])
-    f = TVFunctor(one, TWO, Fn.from_dict(one.carrier, TWO.carrier,
+    f = TVFunctor(one, TWO, fn_from_dict(one.carrier, TWO.carrier,
                                          {"*": "b"}), "f")
-    g = TVFunctor(one, anti, Fn.from_dict(one.carrier, anti.carrier,
+    g = TVFunctor(one, anti, fn_from_dict(one.carrier, anti.carrier,
                                           {"*": "b"}), "g")
     with pytest.raises(InputError):
         functor_leq(f, g)
@@ -194,7 +206,7 @@ def test_functor_order_matches_pointwise_order():
 
 
 def test_bimodule_rejects_bad_shapes():
-    rel = VRelation.constant(BOOL, TWO.carrier, THREE.carrier, "1")
+    rel = constant_relation(BOOL, TWO.carrier, THREE.carrier, "1")
     Bimodule(TWO, THREE, rel)  # fine
     with pytest.raises(InputError):
         Bimodule(THREE, TWO, rel)
@@ -225,14 +237,14 @@ def _corpus(M):
             antichain(M, ["p", "q"], "anti")]
     fns = [identity_functor(C) for C in cats]
     one, two, anti = cats
-    fns.append(TVFunctor(one, two, Fn.from_dict(one.carrier, two.carrier,
+    fns.append(TVFunctor(one, two, fn_from_dict(one.carrier, two.carrier,
                                                 {"*": "a"}), "bot"))
-    fns.append(TVFunctor(one, two, Fn.from_dict(one.carrier, two.carrier,
+    fns.append(TVFunctor(one, two, fn_from_dict(one.carrier, two.carrier,
                                                 {"*": "b"}), "top"))
-    fns.append(TVFunctor(anti, two, Fn.from_dict(anti.carrier, two.carrier,
+    fns.append(TVFunctor(anti, two, fn_from_dict(anti.carrier, two.carrier,
                                                  {"p": "a", "q": "b"}),
                          "embed"))
-    fns.append(TVFunctor(two, one, Fn.from_dict(two.carrier, one.carrier,
+    fns.append(TVFunctor(two, one, fn_from_dict(two.carrier, one.carrier,
                                                 {"a": "*", "b": "*"}), "bang"))
     return cats, fns
 

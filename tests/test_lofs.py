@@ -4,10 +4,9 @@ from tvcat.core import (DEFAULT_MAX_SPACE, EngineError, Fn, InputError,
                         ValidationError)
 from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
-from tvcat.category import (TVFunctor, category_from_entries, check_category,
-                            discrete_category, functor_leq, identity_functor,
-                            is_fully_faithful, is_functor, is_separated,
-                            underlying_order)
+from tvcat.category import (TVFunctor, check_category, functor_leq,
+                            identity_functor, is_fully_faithful, is_functor,
+                            is_separated, underlying_order)
 from tvcat.presheaf import apply_P, saturated_class, space_mult
 from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
                         check_left_class, check_simplicity,
@@ -15,6 +14,8 @@ from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
                         coalgebra, comma_factorise, comma_map,
                         enumerate_fillers, l_membership, lari, r_membership,
                         solve_lifting, wfs_cross_check)
+
+from builders import category_from_entries, discrete_category
 
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)

@@ -8,7 +8,11 @@ matrix and composition are also drawn at widths on both sides of the
 composition's size rule (`MASK_CELLS`).  The law masks of the
 module-functor correspondence and the bimodule scan are checked against the
 per-map scans they replaced, on the first four quantales and a non-integral
-one, where a cell can break a law against itself.
+one, where a cell can break a law against itself.  The comma kernel
+`pair_rows` is checked against its cell formula for meet and tensor on
+those five quantales, a 22-value chain and a quantale whose bottom is not
+index 0, and `K(f)` against the comprehension it replaced on the boolean
+and chain corpora.
 """
 
 import itertools
@@ -24,12 +28,13 @@ from tvcat.quantale import (MASK_CELLS, VRelation, boolean_quantale,
                             lukasiewicz_chain, powerset_frame,
                             truncated_chain)
 from tvcat.monad import instantiate_monad
-from tvcat.category import (TVCategory, TVFunctor, dual_category,
+from tvcat.category import (MEMO, TVCategory, TVFunctor, dual_category,
                             is_bimodule, is_functor, is_separated,
                             module_functor_correspondence, tensor_category,
                             v_category)
 from tvcat.presheaf import (_scan_bimodules, apply_P, presheaf_space,
                             saturated_class)
+from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.lofs import comma_factorise
 from tvcat.report import FAIL
 
@@ -362,10 +367,102 @@ def test_is_functor_on_small_cases():
 
 
 # ---------------------------------------------------------------------------
-# the direct image and the comma carrier
+# the comma kernel
 # ---------------------------------------------------------------------------
 
 ALL = saturated_class("all")
+
+# 1 > h > 0 listed top first, so bottom is the last index, not 0
+TOP_FIRST = build_quantale({"elements": ["1", "h", "0"],
+                            "leq": [["0", "h"], ["h", "1"]],
+                            "tensor": {"%s|%s" % (a, b):
+                                       min(a, b, key="0h1".index)
+                                       for a in "1h0" for b in "1h0"},
+                            "unit": "1"})
+# truncated_chain(20) has 22 values
+KERNEL_QUANTALES = QUANTALES + [truncated_chain(20), TOP_FIRST]
+
+
+def ref_pair_rows(table, a, b, pairs):
+    """The cell loop `pair_rows` replaced: table[a[i'][i]][b[j'][j]]."""
+    return [bytes(table[a[i2][i]][b[j2][j]] for i, j in pairs)
+            for i2, j2 in pairs]
+
+
+def kernel_ops(q):
+    return [(q.meet_codes, q.meet_m), (q.tensor_codes, q.tensor_m)]
+
+
+def square(rng, q, n):
+    return [bytes(rng.randrange(q.n) for _ in range(n)) for _ in range(n)]
+
+
+def test_pair_rows_match_the_cell_formula():
+    assert TOP_FIRST.bottom == 2
+    rng = random.Random(12)
+    for q in KERNEL_QUANTALES:
+        for na, nb in [(1, 1), (1, 3), (3, 1), (2, 3), (4, 2), (5, 5)]:
+            a, b = square(rng, q, na), square(rng, q, nb)
+            grouped = [(i, j) for i in range(na) for j in range(nb)
+                       if rng.random() < 0.7]
+            drawn = [(rng.randrange(na), rng.randrange(nb))
+                     for _ in range(rng.randrange(1, 12))]
+            for pairs in (grouped, drawn, grouped[::-1]):
+                for codes, table in kernel_ops(q):
+                    assert quantale.pair_rows(q, a, b, pairs, codes) \
+                        == ref_pair_rows(table, a, b, pairs), (q, pairs)
+
+
+def test_pair_rows_on_empty_single_and_repeated_pairs():
+    for q in KERNEL_QUANTALES:
+        rng = random.Random(q.n)
+        a, b = square(rng, q, 3), square(rng, q, 2)
+        for pairs in ([], [(2, 1)], [(0, 0), (0, 0)],
+                      [(1, 0), (0, 0), (1, 0)], [(2, 1), (0, 1), (2, 0)]):
+            for codes, table in kernel_ops(q):
+                assert quantale.pair_rows(q, a, b, pairs, codes) \
+                    == ref_pair_rows(table, a, b, pairs)
+        # every value against every value, on one row and one column each
+        every = [bytes(range(q.n))] * q.n
+        pairs = [(i, i) for i in range(q.n)]
+        for codes, table in kernel_ops(q):
+            assert quantale.pair_rows(q, every, every, pairs, codes) \
+                == ref_pair_rows(table, every, every, pairs)
+
+
+def test_tensor_category_matches_the_product_cell_formula():
+    rng = random.Random(5)
+    for q in KERNEL_QUANTALES:
+        M = instantiate_monad("identity", q)
+        for nc, nd in [(0, 2), (1, 1), (2, 3), (3, 2)]:
+            C = category(M, CARRIERS[nc], random_rows(rng, q, nc, False))
+            D = category(M, CARRIERS[nd], random_rows(rng, q, nd, False))
+            a, b = C.structure.rows, D.structure.rows
+            n = nc * nd
+            assert cells(tensor_category(C, D).structure) \
+                == [[q.tensor_m[a[w // nd][j // nd]][b[w % nd][j % nd]]
+                     for j in range(n)] for w in range(n)]
+
+
+def test_comma_structure_matches_the_hom_meet_comprehension():
+    for q, size, cap in [(QUANTALES[0], 3, 4096), (QUANTALES[1], 2, 512)]:
+        for kind in KINDS:
+            _, fns = seed_corpus(monad(q, kind), size)
+            for f in iso_representatives(fns):
+                F = comma_factorise(f, ALL, cap)
+                ahat = F.space.category.structure.rows
+                b = f.dst.structure.rows
+                assert F.K.structure.rows == tuple(
+                    bytes(q.meet_m[ahat[ip2][ip]][b[iy2][iy]]
+                          for ip, iy in F.pairs)
+                    for ip2, iy2 in F.pairs)
+            MEMO.clear()
+
+
+# ---------------------------------------------------------------------------
+# the direct image and the comma carrier
+# ---------------------------------------------------------------------------
+
 CAP = 512
 
 

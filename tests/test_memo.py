@@ -8,14 +8,15 @@ empty.
 """
 
 from tvcat import category
-from tvcat.category import (category_from_entries, discrete_category,
-                            identity_functor)
+from tvcat.category import identity_functor
 from tvcat.cli import run_command
 from tvcat.core import SizeCapError
 from tvcat.lofs import comma_factorise, l_membership, r_membership
 from tvcat.monad import MonadInstance, instantiate_monad
 from tvcat.presheaf import Presheaf, presheaf_space, saturated_class
 from tvcat.quantale import boolean_quantale
+
+from builders import category_from_entries, discrete_category
 
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)

@@ -15,6 +15,8 @@ from tvcat.monad import (MonadInstance, check_monad_laws, filter_pushforward,
                          xi_concrete)
 from tvcat.quantale import VRelation, lukasiewicz_chain, powerset_frame
 
+from builders import constant_relation, fn_from_dict
+
 BOOL = boolean_quantale()
 CHAIN1 = truncated_chain(1)
 
@@ -63,7 +65,7 @@ def test_instance_runs_on_labels():
     assert M.T_obj(X) == X
     assert M.unit(X).is_identity()
     assert M.mult(X).is_identity()
-    f = Fn.from_dict(X, X, {"a": "b", "b": "b"})
+    f = fn_from_dict(X, X, {"a": "b", "b": "b"})
     assert M.T_fn(f) == f
 
 
@@ -86,8 +88,8 @@ def test_extension_on_empty_carriers():
     M = instantiate_monad("finite_ultrafilter", BOOL)
     E = FinSet([])
     X = FinSet(["a"])
-    assert lax_extend(M, VRelation.constant(BOOL, E, X, "0")).rows == ()
-    r = VRelation.constant(BOOL, X, E, "0")
+    assert lax_extend(M, constant_relation(BOOL, E, X, "0")).rows == ()
+    r = constant_relation(BOOL, X, E, "0")
     assert lax_extend(M, r) == r
 
 
@@ -104,8 +106,8 @@ def test_kleisli_is_plain_composition_here():
 def test_kleisli_shape_errors():
     M = instantiate_monad("identity", BOOL)
     X, Y = FinSet(["a"]), FinSet(["b", "c"])
-    r = VRelation.constant(BOOL, X, Y, "1")
-    s = VRelation.constant(BOOL, Y, X, "1")
+    r = constant_relation(BOOL, X, Y, "1")
+    s = constant_relation(BOOL, Y, X, "1")
     with pytest.raises(InputError):
         kleisli(M, s, r, Y)  # r does not start at T(Y)
 

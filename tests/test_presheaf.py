@@ -9,8 +9,7 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
 from tvcat.monad import instantiate_monad
 from tvcat import presheaf
 from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
-                            _structure_maps, category_from_entries,
-                            check_category, discrete_category, functor_leq,
+                            _structure_maps, check_category, functor_leq,
                             identity_functor, is_bimodule, is_separated, star,
                             underlying_order, unit_category)
 from tvcat.presheaf import (Presheaf, SaturatedClass, apply_P, apply_P_star,
@@ -18,6 +17,8 @@ from tvcat.presheaf import (Presheaf, SaturatedClass, apply_P, apply_P_star,
                             phi_dense, presheaf_space, saturated_class,
                             space_mult, unit_isomorphism_check, yoneda,
                             yoneda_lemma_check)
+
+from builders import category_from_entries, discrete_category
 
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)

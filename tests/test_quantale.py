@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvcat import (FinSet, Fn, InputError, ValidationError, VRelation,
+from tvcat import (FinSet, InputError, ValidationError, VRelation,
                    boolean_quantale, build_quantale, check_quantale_laws,
                    lukasiewicz_chain, powerset_frame, residual_left,
                    truncated_chain)
+
+from builders import fn_from_dict
 
 
 BOOLEAN_SPEC = {
@@ -166,12 +168,12 @@ def test_involution_is_contravariant():
 
 def test_from_fn_graph():
     q = boolean_quantale()
-    f = Fn.from_dict(X, Y, {"x1": "y2", "x2": "y2"})
+    f = fn_from_dict(X, Y, {"x1": "y2", "x2": "y2"})
     g = VRelation.from_fn(q, f)
     assert g.entry("x1", "y2") == "1"
     assert g.entry("x1", "y1") == "0"
     with pytest.raises(InputError, match="not total"):
-        Fn.from_dict(X, Y, {"x1": "y1"})
+        fn_from_dict(X, Y, {"x1": "y1"})
 
 
 def test_residuals_against_brute_force_boolean():

@@ -20,10 +20,11 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat.category import (TVCategory, TVFunctor, _structure_maps,
-                            category_from_entries, discrete_category,
                             identity_functor, is_functor)
 from tvcat.corpus import seed_categories, seed_functors
 from tvcat.lofs import enumerate_fillers, r_membership
+
+from builders import category_from_entries, discrete_category
 
 QUANTALES = [boolean_quantale(), truncated_chain(2), lukasiewicz_chain(2),
              powerset_frame(2)]
