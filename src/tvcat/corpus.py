@@ -67,37 +67,75 @@ def _relabelled(rows, p):
     return tuple(bytes(pick(rows[i])) for i in p)
 
 
+def _canonical(C):
+    """The least relabelling of C's structure, and every p that reaches it.
+
+    The permutations reaching the minimum form a coset of Aut(C): one for
+    most corpus categories, a few for the symmetric ones.
+    """
+    best, perms = None, []
+    for p in itertools.permutations(range(len(C.carrier))):
+        rows = _relabelled(C.structure.rows, p)
+        if best is None or rows < best:
+            best, perms = rows, [p]
+        elif rows == best:
+            perms.append(p)
+    return best, perms
+
+
+def _arrow_key(f: TVFunctor, src_form, dst_form):
+    """arrow_iso_key(f) from the canonical forms of its source and target."""
+    (a, sources), (b, targets) = src_form, dst_form
+    table = f.fn.table
+    least = None
+    for pd in targets:
+        inv = [0] * len(pd)
+        for new, old in enumerate(pd):
+            inv[old] = new
+        for ps in sources:
+            t = tuple(inv[table[i]] for i in ps)
+            if least is None or t < least:
+                least = t
+    return (len(f.src.carrier), len(f.dst.carrier), a, b, least)
+
+
 def arrow_iso_key(f: TVFunctor):
     """Canonical form of an arrow under relabelling of both carriers.
 
     Two functors with the same key differ by a pair of bijections, so any
     relabelling-invariant suite (all of the law suites are) has the same
     outcome on both.
+
+    The key is the least (source rows, target rows, table) over every pair
+    (ps, pd) of relabellings, compared lexicographically.  Its first part
+    is therefore the least relabelled source, reached exactly by the coset
+    of permutations `_canonical` returns; among those pairs its second part
+    is the least relabelled target, reached by that target's coset; and
+    only then is the table minimised, over the product of the two cosets.
+    So the key equals the minimum over all ns!*nd! pairs, while each
+    carrier is scanned once by itself.
     """
-    ns, nd = len(f.src.carrier), len(f.dst.carrier)
-    table = f.fn.table
-    targets = []
-    for pd in itertools.permutations(range(nd)):
-        inv = [0] * nd
-        for new, old in enumerate(pd):
-            inv[old] = new
-        targets.append((_relabelled(f.dst.structure.rows, pd), inv))
-    best = None
-    for ps in itertools.permutations(range(ns)):
-        a = _relabelled(f.src.structure.rows, ps)
-        for b, inv in targets:
-            key = (a, b, tuple(inv[table[i]] for i in ps))
-            if best is None or key < best:
-                best = key
-    return (ns, nd) + best
+    return _arrow_key(f, _canonical(f.src), _canonical(f.dst))
 
 
 def iso_representatives(fns) -> list:
-    """One functor per relabelling class, first in corpus order wins."""
+    """One functor per relabelling class, first in corpus order wins.
+
+    Each category is canonicalised once per call: its form depends only on
+    its structure rows, which key a dict local to the call.
+    """
+    forms = {}
+
+    def form(C):
+        rows = C.structure.rows
+        if rows not in forms:
+            forms[rows] = _canonical(C)
+        return forms[rows]
+
     seen = set()
     reps = []
     for f in fns:
-        k = arrow_iso_key(f)
+        k = _arrow_key(f, form(f.src), form(f.dst))
         if k not in seen:
             seen.add(k)
             reps.append(f)

@@ -98,29 +98,77 @@ def test_iso_key_invariant_under_relabelling():
                 assert arrow_iso_key(g) == key
 
 
+def _relabellings(C):
+    """Every (p, C's structure rows relabelled by p, as tuples of ints)."""
+    rows = C.structure.rows
+    n = len(rows)
+    return [(p, tuple(tuple(rows[p[i]][p[j]] for j in range(n))
+                      for i in range(n)))
+            for p in itertools.permutations(range(n))]
+
+
+def _least_relabelling(f, relabellings=_relabellings):
+    """The least (source, target, table) over all ns!*nd! relabellings."""
+    return min((rs, rd, tuple(pd.index(f.fn.table[i]) for i in ps))
+               for ps, rs in relabellings(f.src)
+               for pd, rd in relabellings(f.dst))
+
+
+def _key_as_tuples(key):
+    ns, nd, src, dst, table = key
+    return (ns, nd, tuple(map(tuple, src)), tuple(map(tuple, dst)), table)
+
+
 def test_iso_key_is_the_least_relabelling_as_tuples_of_ints():
     # keys hold byte rows; they must pick the relabelling that tuples of
     # ints would, so the representatives match the tuple-keyed ones
-    def as_tuples(rows):
-        return tuple(tuple(row) for row in rows)
-
-    def relabelled(rows, p):
-        return tuple(tuple(rows[p[i]][p[j]] for j in range(len(p)))
-                     for i in range(len(p)))
-
     for n, M in ((2, ID), (2, instantiate_monad("identity",
                                                 truncated_chain(2)))):
         for f in seed_corpus(M, n)[1][::11]:
             ns, nd = len(f.src.carrier), len(f.dst.carrier)
-            src, dst = f.src.structure.rows, f.dst.structure.rows
-            best = min(
-                (relabelled(src, ps), relabelled(dst, pd),
-                 tuple(pd.index(f.fn.table[i]) for i in ps))
-                for ps in itertools.permutations(range(ns))
-                for pd in itertools.permutations(range(nd)))
-            key = arrow_iso_key(f)
-            assert key[:2] == (ns, nd)
-            assert (as_tuples(key[2]), as_tuples(key[3]), key[4]) == best
+            assert _key_as_tuples(arrow_iso_key(f)) \
+                == (ns, nd) + _least_relabelling(f)
+
+
+# boolean size-3 categories whose least relabelling is reached by more than
+# one permutation, so the table is minimised over a coset of several
+SYMMETRIC = {"c2_00", "c3_00", "c3_03", "c3_06", "c3_08", "c3_11", "c3_14",
+             "c3_16"}
+
+
+def test_iso_key_is_the_least_relabelling_at_size_3():
+    cats, fns = seed_corpus(ID, 3)
+    forms = {C.name: _relabellings(C) for C in cats}
+    symmetric = set()
+    for name, relabellings in forms.items():
+        least = min(rows for _, rows in relabellings)
+        if sum(rows == least for _, rows in relabellings) > 1:
+            symmetric.add(name)
+    assert symmetric == SYMMETRIC
+    picked = [f for k, f in enumerate(fns)
+              if f.src.name in symmetric or f.dst.name in symmetric
+              or k % 7 == 0]
+    assert len(picked) > len(fns) // 2
+    for f in picked:
+        ns, nd = len(f.src.carrier), len(f.dst.carrier)
+        assert _key_as_tuples(arrow_iso_key(f)) \
+            == (ns, nd) + _least_relabelling(f, lambda C: forms[C.name])
+
+
+@pytest.mark.parametrize("q, n", [(BOOL, 3), (truncated_chain(2), 2)],
+                         ids=["boolean-3", "truncated_chain-2"])
+def test_representatives_match_the_least_relabelling_reference(q, n):
+    cats, fns = seed_corpus(instantiate_monad("identity", q), n)
+    forms = {C.name: _relabellings(C) for C in cats}
+    seen, reference = set(), []
+    for f in fns:
+        key = _least_relabelling(f, lambda C: forms[C.name])
+        if key not in seen:
+            seen.add(key)
+            reference.append(f)
+    reps = iso_representatives(fns)
+    assert len(reps) == len(reference)
+    assert all(f is g for f, g in zip(reps, reference))
 
 
 def test_representatives_cover_every_key_once():

@@ -1,7 +1,6 @@
 import pytest
 
-from tvcat.core import (DEFAULT_MAX_SPACE, EngineError, Fn, InputError,
-                        ValidationError)
+from tvcat.core import DEFAULT_MAX_SPACE, Fn, InputError, ValidationError
 from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
 from tvcat.category import (TVFunctor, check_category, functor_leq,

@@ -8,11 +8,11 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat import presheaf
-from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
-                            _structure_maps, check_category, functor_leq,
-                            identity_functor, is_bimodule, is_separated, star,
-                            underlying_order, unit_category)
-from tvcat.presheaf import (Presheaf, SaturatedClass, apply_P, apply_P_star,
+from tvcat.category import (MEMO, TVCategory, TVFunctor, _structure_maps,
+                            check_category, functor_leq, identity_functor,
+                            is_bimodule, is_separated, underlying_order,
+                            unit_category)
+from tvcat.presheaf import (SaturatedClass, apply_P, apply_P_star,
                             check_presheaf_monad, check_saturated,
                             phi_dense, presheaf_space, saturated_class,
                             space_mult, unit_isomorphism_check, yoneda,

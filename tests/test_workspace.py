@@ -9,7 +9,7 @@ from tvcat.lofs import comma_factorise
 from tvcat.presheaf import saturated_class
 from tvcat.report import LawReport
 from tvcat.workspace import (Workspace, category_doc, factorisation_doc,
-                             functor_doc, quantale_from_doc, quantale_spec)
+                             functor_doc, quantale_spec)
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
 
