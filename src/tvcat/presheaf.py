@@ -94,30 +94,45 @@ class _OverWork(SizeCapError):
 def _enumerate_value_tuples(q, cond, max_space):
     """Every presheaf's byte string of values, in lexicographic order.
 
-    cond is the transposed structure: a line of values w is a presheaf
-    exactly when cond[j][i] (x) w_j <= w_i for every ordered pair.  Raises
-    `_OverCap` past the cap.
+    cond is the transposed structure of a reflexive, transitive base: a
+    line of values w is a presheaf exactly when cond[j][i] (x) w_j <= w_i
+    for every ordered pair.  Raises `_OverCap` past the cap.
 
-    Positions are filled left to right.  Once positions j < pos carry values
-    w_j, the pair conditions between j and pos read, for a candidate v,
+    Once some positions s carry values w_s, the pair conditions between s
+    and another position y read, for a candidate v at y,
 
-        cond[j][pos] (x) w_j <= v      and      cond[pos][j] (x) v <= w_j,
+        cond[s][y] (x) w_s <= v      and      cond[y][s] (x) v <= w_s,
 
     and by residuation (c (x) v <= w iff v <= hom(c, w)) the second is
-    v <= hom(cond[pos][j], w_j).  So the admissible values at pos are exactly
-    domain[pos] cut down to the interval lb <= v <= ub, where
-    lb = join_j cond[j][pos] (x) w_j and ub = meet_j hom(cond[pos][j], w_j).
+    v <= hom(cond[y][s], w_s).  So the admissible values at y are exactly
+    its domain {v : cond[y][y] (x) v <= v} cut down to the interval
+    L_y <= v <= U_y, with L_y = join_s cond[s][y] (x) w_s and
+    U_y = meet_s hom(cond[y][s], w_s).
 
-    The search computes that interval as bitmasks over V.  Earlier positions
-    with the same (cond[j][pos], cond[pos][j]) pair form one group (an int
-    mask of positions), each (pair, w) has a precomputed mask of the values
-    between its two bounds, and `carrying[w]` holds the positions now set to
-    w.  A node ANDs the masks of the (group, w) whose positions meet: at most
-    groups x |V| tests, however many positions come before it.
+    The search keeps one int mask per value v, `admissible[v]`: the
+    positions where v is still admissible.  Putting w at position p ANDs
+    every mask with `cut[p][w][v]`, the positions y whose value v meets both
+    conditions against w at p; positions with the same pair
+    (cond[p][y], cond[y][p]) form one group and share one `interval` mask.
 
-    Values are tried in increasing index order at every position (set bits
-    lowest first), so the strings come out in lexicographic order, and the
-    search stops at the first string past `max_space`.
+    Only some positions get a search node.  On a transitive base the
+    bounds are consistent and lie in the domain.  For chosen s and t,
+    cond[y][t] (x) cond[s][y] <= cond[s][t] gives L_y <= U_y, so no
+    position is ever left without a value.  With d = cond[y][y],
+    d (x) cond[s][y] <= cond[s][y] gives d (x) L_y <= L_y, and
+    cond[y][s] (x) d <= cond[y][s] gives d (x) U_y <= U_y.  So L_y and U_y
+    are both admissible, and y has one admissible value exactly when
+    L_y = U_y, whatever its domain.  That value is forced, and its bounds on
+    every other position z are already implied by the chosen ones:
+    transitivity gives cond[y][z] (x) L_y <= L_z and
+    hom(cond[z][y], U_y) >= U_z.  So the next node is the lowest position
+    with two or more admissible values, and forced positions get none.
+    When no position has two, the masks spell out one string, which is
+    decoded from them with bytes operations.
+
+    Nodes take positions in increasing order and values in increasing index
+    order (set bits lowest first), so the strings come out in lexicographic
+    order, and the search stops at the first string past `max_space`.
     """
     tn, n = len(cond), q.n
     tensor, leq = q.tensor_m, q.leq_m
@@ -136,43 +151,62 @@ def _enumerate_value_tuples(q, cond, max_space):
     domain = [sum(1 << v for v in range(n)
                   if leq[tensor[cond[pos][pos]][v]][v])
               for pos in range(tn)]
-    tests = []
-    for pos in range(tn):
-        groups = {}
-        for j in range(pos):
-            pair = (cond[j][pos], cond[pos][j])
-            groups[pair] = groups.get(pair, 0) | 1 << j
-        # (w, group, mask) for the masks that can cut the domain down; the
-        # all-bottom pair and other vacuous ones drop out here
-        tests.append([(w, group, mask)
-                      for pair, group in groups.items()
-                      for w, mask in enumerate(interval(*pair))
-                      if mask & domain[pos] != domain[pos]])
-    out = []
-    chosen = [0] * tn
-    carrying = [0] * n
+    admissible = [sum(1 << pos for pos in range(tn) if domain[pos] >> v & 1)
+                  for v in range(n)]
+    # cut[p][w][v]: the positions y where v stays admissible once w is at p;
+    # positions before p are already set and keep their values.  Built for
+    # p when p first gets a node: forced positions never need theirs.
+    cut = [None] * tn
 
-    def extend(pos):
-        if pos == tn:
-            out.append(bytes(chosen))
+    def cut_at(p):
+        groups = {}
+        for y in range(p + 1, tn):
+            pair = (cond[p][y], cond[y][p])
+            groups[pair] = groups.get(pair, 0) | 1 << y
+        rows = []
+        for w in range(n):
+            masks = [(1 << p) - 1] * n
+            masks[w] |= 1 << p
+            for pair, group in groups.items():
+                allowed = interval(*pair)[w]
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    masks[low.bit_length() - 1] |= group
+            rows.append(masks)
+        cut[p] = rows
+        return rows
+
+    # bytes.translate tables from the '0'/'1' digits of a mask to 0/v
+    digits = [bytes.maketrans(b"01", bytes((0, v))) for v in range(n)]
+    out = []
+
+    def extend(admissible):
+        seen = twice = 0
+        for mask in admissible:
+            twice |= seen & mask
+            seen |= mask
+        if not twice:
+            # one value per position: position y holds the v whose mask has
+            # bit y, read off the binary digits as bytes (the string is
+            # written from the top bit down, hence little-endian)
+            acc = 0
+            for v in range(1, n):
+                if admissible[v]:
+                    acc |= int.from_bytes(format(admissible[v], "b").encode()
+                                          .translate(digits[v]), "big")
+            out.append(acc.to_bytes(tn, "little"))
             if len(out) > max_space:
                 raise _OverCap(max_space, tn)
             return
-        allowed = domain[pos]
-        for w, group, mask in tests[pos]:
-            if carrying[w] & group:
-                allowed &= mask
-        bit = 1 << pos
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            v = low.bit_length() - 1
-            chosen[pos] = v
-            carrying[v] |= bit
-            extend(pos + 1)
-            carrying[v] ^= bit
+        bit = twice & -twice
+        p = bit.bit_length() - 1
+        rows = cut[p] or cut_at(p)
+        for w in range(n):
+            if admissible[w] & bit:
+                extend([mask & c for mask, c in zip(admissible, rows[w])])
 
-    extend(0)
+    extend(admissible)
     return out
 
 
@@ -297,8 +331,11 @@ def saturated_class(kind: str) -> SaturatedClass:
 # chain (|PPX| = 1236).
 STRUCTURE_WORK_CAP = 48_000_000
 
-# Bases past this size make the pairwise pruning itself quadratic in a way
-# that dominates everything else, so refuse early.
+# Refuse bases past this size before enumerating.  The search makes one
+# node per real choice, so the cost left on a large base is building the
+# `cut` masks of `_enumerate_value_tuples`: one group lookup per pair of a
+# position that gets a node and a later position, quadratic in the base
+# when most positions get one.
 ENUM_BASE_CAP = 160
 
 
@@ -322,6 +359,13 @@ class PresheafSpace:
         if lax is not None:
             raise ValidationError("base %s is not reflexive at %s"
                                   % (base.name, lax))
+        # the enumeration skips forced positions, which is exact only when
+        # the base is transitive
+        a = base.structure
+        viol = (a @ a).first_violation(a)
+        if viol is not None:
+            raise ValidationError("base %s is not transitive at %s"
+                                  % (base.name, viol))
         self.base = base
         self.cls = cls
         tuples = _enumerate_value_tuples(base.q, base.structure.T.rows,

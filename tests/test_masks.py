@@ -32,7 +32,8 @@ from tvcat.category import (MEMO, TVCategory, TVFunctor, dual_category,
                             is_bimodule, is_functor, is_separated,
                             module_functor_correspondence, tensor_category,
                             v_category)
-from tvcat.presheaf import (_scan_bimodules, apply_P, presheaf_space,
+from tvcat.presheaf import (ENUM_BASE_CAP, _OverCap,
+                            _enumerate_value_tuples, _scan_bimodules, apply_P, presheaf_space,
                             saturated_class)
 from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.lofs import comma_factorise
@@ -146,9 +147,16 @@ def random_rows(rng, q, n, reflexive):
     return rows
 
 
-def closed_rows(rng, q, n):
-    """A random reflexive, transitively closed V-matrix: a V-category."""
+def closed_rows(rng, q, n, sparse=0.0):
+    """A random reflexive, transitively closed V-matrix: a V-category.
+
+    `sparse` is the chance that an off-diagonal cell starts at bottom.
+    """
     a = random_rows(rng, q, n, True)
+    if sparse:
+        for i, j in itertools.product(range(n), repeat=2):
+            if i != j and rng.random() < sparse:
+                a[i][j] = q.bottom
     changed = True
     while changed:
         changed = False
@@ -634,6 +642,185 @@ def test_the_cap_admits_exactly_its_own_count():
                            match=r"^bimodule scan %d\^2 over cap %d$"
                            % (q.n, count - 1)):
             next(_scan_bimodules(X, Y, count - 1))
+
+
+# ---------------------------------------------------------------------------
+# the presheaf enumeration
+# ---------------------------------------------------------------------------
+
+# The kernel before forced positions were filled in bulk: one search node
+# per position per string.
+def ref_enumerate_value_tuples(q, cond, max_space):
+    """Every presheaf's byte string of values, in lexicographic order.
+
+    cond is the transposed structure: a line of values w is a presheaf
+    exactly when cond[j][i] (x) w_j <= w_i for every ordered pair.  Raises
+    `_OverCap` past the cap.
+
+    Positions are filled left to right.  Once positions j < pos carry values
+    w_j, the pair conditions between j and pos read, for a candidate v,
+
+        cond[j][pos] (x) w_j <= v      and      cond[pos][j] (x) v <= w_j,
+
+    and by residuation (c (x) v <= w iff v <= hom(c, w)) the second is
+    v <= hom(cond[pos][j], w_j).  So the admissible values at pos are exactly
+    domain[pos] cut down to the interval lb <= v <= ub, where
+    lb = join_j cond[j][pos] (x) w_j and ub = meet_j hom(cond[pos][j], w_j).
+
+    The search computes that interval as bitmasks over V.  Earlier positions
+    with the same (cond[j][pos], cond[pos][j]) pair form one group (an int
+    mask of positions), each (pair, w) has a precomputed mask of the values
+    between its two bounds, and `carrying[w]` holds the positions now set to
+    w.  A node ANDs the masks of the (group, w) whose positions meet: at most
+    groups x |V| tests, however many positions come before it.
+
+    Values are tried in increasing index order at every position (set bits
+    lowest first), so the strings come out in lexicographic order, and the
+    search stops at the first string past `max_space`.
+    """
+    tn, n = len(cond), q.n
+    tensor, leq = q.tensor_m, q.leq_m
+    between = {}
+
+    def interval(a, b):
+        # per w, the mask of {v : a (x) w <= v and b (x) v <= w}, which by
+        # residuation is the interval a (x) w <= v <= hom(b, w)
+        if (a, b) not in between:
+            between[a, b] = [sum(1 << v for v in range(n)
+                                 if leq[tensor[a][w]][v]
+                                 and leq[tensor[b][v]][w])
+                             for w in range(n)]
+        return between[a, b]
+
+    domain = [sum(1 << v for v in range(n)
+                  if leq[tensor[cond[pos][pos]][v]][v])
+              for pos in range(tn)]
+    tests = []
+    for pos in range(tn):
+        groups = {}
+        for j in range(pos):
+            pair = (cond[j][pos], cond[pos][j])
+            groups[pair] = groups.get(pair, 0) | 1 << j
+        # (w, group, mask) for the masks that can cut the domain down; the
+        # all-bottom pair and other vacuous ones drop out here
+        tests.append([(w, group, mask)
+                      for pair, group in groups.items()
+                      for w, mask in enumerate(interval(*pair))
+                      if mask & domain[pos] != domain[pos]])
+    out = []
+    chosen = [0] * tn
+    carrying = [0] * n
+
+    def extend(pos):
+        if pos == tn:
+            out.append(bytes(chosen))
+            if len(out) > max_space:
+                raise _OverCap(max_space, tn)
+            return
+        allowed = domain[pos]
+        for w, group, mask in tests[pos]:
+            if carrying[w] & group:
+                allowed &= mask
+        bit = 1 << pos
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            chosen[pos] = v
+            carrying[v] |= bit
+            extend(pos + 1)
+            carrying[v] ^= bit
+
+    extend(0)
+    return out
+
+
+def enumerated(kernel, q, cond, cap):
+    """The kernel's strings, or the message of the `_OverCap` it raised."""
+    try:
+        return kernel(q, cond, cap)
+    except _OverCap as exc:
+        return str(exc)
+
+
+def assert_same_enumeration(q, cond, caps):
+    """Both kernels agree at each cap; returns the reference's last output."""
+    for cap in caps:
+        ref = enumerated(ref_enumerate_value_tuples, q, cond, cap)
+        assert enumerated(_enumerate_value_tuples, q, cond, cap) == ref, \
+            (cond, cap)
+    return ref
+
+
+ENUM_CAP = 300
+
+
+def transitive_rows(q, n):
+    """Every reflexive, transitive V-matrix on n points."""
+    for cells in itertools.product(range(q.n), repeat=n * n):
+        a = [cells[i * n:(i + 1) * n] for i in range(n)]
+        if all(q.leq_m[q.unit][a[i][i]] for i in range(n)) and all(
+                q.leq_m[q.tensor_m[a[i][j]][a[j][k]]][a[i][k]]
+                for i, j, k in itertools.product(range(n), repeat=3)):
+            yield a
+
+
+def test_enumeration_matches_the_parent_kernel_where_domains_are_cut():
+    # SPLIT's diagonal t cuts the domain to {0, t}, yet a position with one
+    # admissible value is still forced: transitivity keeps both bounds in
+    # the domain.  Every SPLIT category on up to 3 points.
+    restricted = 0
+    for n in range(4):
+        for rows in transitive_rows(SPLIT, n):
+            restricted += any(rows[i][i] == SPLIT.top for i in range(n))
+            cond = [bytes(col) for col in zip(*rows)]
+            ref = assert_same_enumeration(SPLIT, cond, [ENUM_CAP])
+            assert_same_enumeration(SPLIT, cond, [len(ref) - 1])
+    assert restricted > 100
+
+
+def test_enumeration_matches_the_parent_kernel():
+    rng = random.Random(14)
+    counted = over = 0
+    for q in KERNEL_QUANTALES + [SPLIT]:
+        for n in range(7):
+            for sparse in (0.0, 0.5, 0.9):
+                for _ in range(3):
+                    rows = closed_rows(rng, q, n, sparse)
+                    cond = [bytes(col) for col in zip(*rows)]
+                    ref = assert_same_enumeration(q, cond, [ENUM_CAP])
+                    if isinstance(ref, list):
+                        # below, at and above the count
+                        counted += 1
+                        assert_same_enumeration(q, cond, range(
+                            len(ref) - 1, len(ref) + 2))
+                    else:
+                        over += 1
+    # both sides of the cap occur
+    assert counted and over
+
+
+def test_enumeration_matches_the_parent_kernel_on_comma_objects():
+    # the comma objects K(f), K(Lf) and K(Rf) of the chain corpus, up to
+    # ENUM_BASE_CAP points, have long runs of positions with one admissible
+    # value
+    q = QUANTALES[1]
+    _, fns = seed_corpus(monad(q, "identity"), 2)
+    sizes = []
+    for f in iso_representatives(fns):
+        F = comma_factorise(f, ALL, 512)
+        bases = [F.K]
+        for side in (F.L, F.R):
+            try:
+                bases.append(comma_factorise(side, ALL, 512).K)
+            except SizeCapError:
+                pass
+        for K in bases:
+            if len(K.carrier) <= ENUM_BASE_CAP:
+                sizes.append(len(K.carrier))
+                assert_same_enumeration(q, K.structure.T.rows, [512])
+    MEMO.clear()
+    assert max(sizes) == 150
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,19 @@ def test_direct_image_frozen():
     assert images == {"[0]": "[0,0]", "[1]": "[1,1]"}
 
 
+def test_space_refuses_a_base_that_is_not_transitive():
+    # a <= b and b <= c but not a <= c: reflexive and separated only
+    entries = {(x, x): "1" for x in "abc"}
+    entries.update({("a", "b"): "1", ("b", "c"): "1"})
+    gap = category_from_entries(ID, ["a", "b", "c"], entries, default="0",
+                                name="gap")
+    assert is_separated(gap)
+    assert [c.name for c in check_category(gap).failures] == ["transitivity"]
+    with pytest.raises(ValidationError,
+                       match=r"^base gap is not transitive at \('a', 'c'\)$"):
+        presheaf_space(gap)
+
+
 def test_inverse_image_frozen_and_adjoint():
     top = TVFunctor(ONE, TWO, Fn(ONE.carrier, TWO.carrier, (1,)), "top")
     pf, pstar = apply_P(top), apply_P_star(top)
