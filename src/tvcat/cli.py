@@ -65,7 +65,39 @@ def _quantale_token(tok: str) -> dict:
 
 
 def _artifact(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The bytes of json.dumps(doc, indent=2, sort_keys=True).
+
+    An indent sends json.dumps to its pure-Python encoder; one recursive
+    join over the document is several times faster.  Keys must be str.
+    """
+    return _render(doc, "\n")
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _render(value, newline: str) -> str:
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("artifact keys must be str, not %s"
+                                % type(key).__name__)
+            items.append(_ESCAPE(key) + ": " + _render(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_render(v, inner) for v in value]) + newline + "]"
+    # null, booleans and numbers, as json writes them
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +248,7 @@ def _cmd_factor(args):
                 "the right leg carries the least algebra")
     except SizeCapError as exc:
         rep.skip("right-algebra", str(exc))
-    doc = factorisation_doc(F, rep)
+    doc = factorisation_doc(F, rep, f)
     return (EXIT_OK if rep.ok else EXIT_CHECK), _artifact(doc)
 
 
@@ -243,9 +275,11 @@ def _cmd_lift(args):
     ws = _workspace(args)
     square = ws.problem(args.problem)
     cls = saturated_class(args.cls)
-    d = solve_lifting(square["f"], square["g"], square["u"], square["v"],
-                      cls, args.max_space)
-    return EXIT_OK, _artifact(functor_doc(d, d.src.name, d.dst.name))
+    f, g = square["f"], square["g"]
+    d = solve_lifting(f, g, square["u"], square["v"], cls, args.max_space)
+    # named after the square: a memo hit may have built d between equal
+    # categories with other names
+    return EXIT_OK, _artifact(functor_doc(d, f.dst.name, g.src.name))
 
 
 def _cmd_complete(args):
@@ -255,10 +289,11 @@ def _cmd_complete(args):
     space = presheaf_space(C, cls, args.max_space)
     y = yoneda(C, cls, args.max_space)
     qspec = quantale_spec(C.q)
+    # named after C: a memo hit may return the space of an equal category
+    name = "%s(%s)" % (cls.name, C.name)
     return EXIT_OK, _artifact(
-        {"space": category_doc(space.category, qspec),
-         "unit": functor_doc(y, C.name, space.category.name,
-                             name="yoneda(%s)" % C.name)})
+        {"space": category_doc(space.category, qspec, name),
+         "unit": functor_doc(y, C.name, name, name="yoneda(%s)" % C.name)})
 
 
 def _cmd_presheaves(args):

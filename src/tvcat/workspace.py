@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import os
 
-from .category import TVCategory, TVFunctor, check_category, is_functor
+from .category import (MEMO, TVCategory, TVFunctor, check_category,
+                       is_functor)
 from .core import FinSet, Fn, InputError, ValidationError
 from .monad import instantiate_monad
 from .quantale import (VRelation, boolean_quantale, build_quantale,
@@ -187,40 +188,54 @@ class Workspace:
     # -- loading -------------------------------------------------------------
 
     def load_file(self, path: str):
-        """Parse, validate, and register one file; returns (kind, name)."""
+        """Parse, validate, and register one file; returns (kind, name).
+
+        The bytes are read on every call.  `MEMO` keeps one entry per
+        absolute path: those bytes, the parsed document, and the object
+        built from it with the references it resolved to.  Equal bytes
+        reuse the document, and the object too when its references resolve
+        to the same objects; a failed load leaves no entry.
+        """
         apath = os.path.abspath(path)
         if apath in self._by_path:
             return self._by_path[apath]
         if apath in self._loading:
             raise InputError("%s: reference cycle" % path)
         self._loading.add(apath)
+        key = ("file", apath)
         try:
             try:
-                with open(apath, encoding="utf-8") as fh:
-                    doc = json.load(fh)
+                with open(apath, "rb") as fh:
+                    data = fh.read()
             except OSError as exc:
                 raise InputError("%s: %s" % (path, exc))
-            except json.JSONDecodeError as exc:
-                raise InputError("%s: not valid JSON (%s)" % (path, exc))
-            if not isinstance(doc, dict):
-                raise InputError("%s: document must be a JSON object" % path)
-            out = self.add_document(doc, os.path.dirname(apath),
+            entry = MEMO.get(key)
+            if entry is None or entry.data != data:
+                entry = _FileEntry(data, _parse(data, path))
+            out = self.add_document(entry.doc, os.path.dirname(apath),
                                     where=path,
-                                    fallback=_basename_stem(apath))
+                                    fallback=_basename_stem(apath),
+                                    entry=entry)
+            MEMO[key] = entry
+        except BaseException:
+            MEMO.pop(key, None)
+            raise
         finally:
             self._loading.discard(apath)
         self._by_path[apath] = out
         return out
 
     def add_document(self, doc: dict, base_dir: str, where: str,
-                     fallback: str):
+                     fallback: str, entry: _FileEntry | None = None):
         kind = _doc_kind(doc)
         name = doc.get("name", fallback)
         if not isinstance(name, str) or not name:
             raise InputError("%s: name must be a non-empty string" % where)
+        built = (entry or _FileEntry(None, doc)).built
         if kind == "quantale":
             spec = {k: v for k, v in doc.items() if k != "name"}
-            self.quantales[name] = quantale_from_doc(spec, where)
+            self.quantales[name] = built(
+                (), lambda: quantale_from_doc(spec, where))
         elif kind == "monad":
             if doc["monad"] not in MONAD_KINDS:
                 raise InputError("%s: unknown monad kind %r"
@@ -231,7 +246,8 @@ class Workspace:
             if name in self.categories:
                 raise InputError("%s: category name %r already in use"
                                  % (where, name))
-            self.categories[name] = category_from_doc(doc, q, name, where)
+            self.categories[name] = built(
+                (q,), lambda: category_from_doc(doc, q, name, where))
             self.meta[name] = (doc.get("quantale"), doc.get("monad",
                                                             "identity"))
         elif kind == "functor":
@@ -240,13 +256,15 @@ class Workspace:
             if name in self.functors:
                 raise InputError("%s: functor name %r already in use"
                                  % (where, name))
-            self.functors[name] = functor_from_doc(doc, src, dst, name,
-                                                   where)
+            self.functors[name] = built(
+                (src, dst), lambda: functor_from_doc(doc, src, dst, name,
+                                                     where))
         elif kind == "problem":
             fns = {k: self.functor(doc[k], base_dir, where)
                    for k in ("f", "g", "u", "v")}
-            _check_square(fns, name, where)
-            self.problems[name] = fns
+            self.problems[name] = built(
+                tuple(fns.values()),
+                lambda: _check_square(fns, name, where))
         elif kind == "factorisation":
             for part in ("source", "target", "K", "space"):
                 if part in doc:
@@ -297,6 +315,48 @@ class Workspace:
         return self._resolve(self.problems, ref, base_dir, where, "problem")
 
 
+class _FileEntry:
+    """One model file's bytes, its parsed document, and the object last
+    built from it, with the objects its references resolved to.
+
+    A document embedded in another gets a throwaway entry with no bytes.
+    """
+
+    __slots__ = ("data", "doc", "refs", "obj")
+
+    def __init__(self, data: bytes | None, doc: dict):
+        self.data = data
+        self.doc = doc
+        self.refs = None
+        self.obj = None
+
+    def built(self, refs: tuple, make):
+        """The object for these references, made (and validated) once.
+
+        References count by identity: `TVCategory.__eq__` ignores names.
+        """
+        if self.refs is None or \
+                any(a is not b for a, b in zip(self.refs, refs)):
+            self.obj = make()
+            self.refs = refs
+        return self.obj
+
+
+def _parse(data: bytes, path: str) -> dict:
+    """The JSON object in a file's bytes, read as a UTF-8 text file is."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        # the newline translation of a file opened in text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError("%s: not valid JSON (%s)" % (path, exc))
+    if not isinstance(doc, dict):
+        raise InputError("%s: document must be a JSON object" % path)
+    return doc
+
+
 def _basename_stem(path: str) -> str:
     stem = os.path.splitext(os.path.basename(path))[0]
     return stem or path
@@ -316,6 +376,7 @@ def _check_square(fns: dict, name: str, where: str):
                    if left.table[i] != right.table[i])
         raise ValidationError("%s: problem %s square does not commute at %s"
                               % (where, name, bad))
+    return fns
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +411,24 @@ def report_rows(rep: LawReport) -> list:
             for c in rep.checks]
 
 
-def factorisation_doc(F, rep: LawReport) -> dict:
-    """Self-contained factor output: categories embedded, legs by name."""
-    qspec = quantale_spec(F.f.src.q)
-    src, dst = F.f.src, F.f.dst
-    space = F.space.category
-    doc = {"name": "factorisation(%s)" % F.f.name,
+def factorisation_doc(F, rep: LawReport, f: TVFunctor) -> dict:
+    """Self-contained factor output: categories embedded, legs by name.
+
+    Every name comes from f, the functor the caller asked about: a memo
+    hit may return the factorisation of an equal functor with other names.
+    """
+    qspec = quantale_spec(f.src.q)
+    src, dst = f.src, f.dst
+    K = "K(%s)" % f.name
+    space = "%s(%s)" % (F.cls.name, src.name)
+    doc = {"name": "factorisation(%s)" % f.name,
            "source": category_doc(src, qspec),
            "target": category_doc(dst, qspec),
-           "K": category_doc(F.K, qspec),
-           "space": category_doc(space, qspec),
-           "L": functor_doc(F.L, src.name, F.K.name),
-           "R": functor_doc(F.R, F.K.name, dst.name),
-           "q": functor_doc(F.q, F.K.name, space.name),
+           "K": category_doc(F.K, qspec, K),
+           "space": category_doc(F.space.category, qspec, space),
+           "L": functor_doc(F.L, src.name, K, "L(%s)" % f.name),
+           "R": functor_doc(F.R, K, dst.name, "R(%s)" % f.name),
+           "q": functor_doc(F.q, K, space),
            "report": report_rows(rep)}
     if dst is src:
         # an endofunctor's target is its source: a second copy would be

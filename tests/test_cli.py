@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
-from tvcat import category
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tvcat import category, cli
 from tvcat.cli import run_command
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance
@@ -29,6 +32,19 @@ ID2_DOC = {"name": "id2", "source": "two.json", "target": "two.json",
 
 BANG_DOC = {"name": "bang", "source": "pt.json", "target": "pt.json",
             "map": {"p": "p"}}
+
+
+@pytest.fixture(autouse=True)
+def artifacts_are_json_dumps(monkeypatch):
+    """Every artifact these tests produce has the bytes of json.dumps."""
+    render = cli._artifact
+
+    def checked(doc):
+        out = render(doc)
+        assert out == json.dumps(doc, indent=2, sort_keys=True)
+        return out
+
+    monkeypatch.setattr(cli, "_artifact", checked)
 
 
 def put(tmp_path, name, doc):
@@ -328,3 +344,61 @@ def test_instances_with_other_tables_get_their_own_corpus(monkeypatch):
     # the reversed algebra breaks the ultrafilter instance's own laws
     assert code == 1
     assert "boolean/finite_ultrafilter: FAIL algebra-unit" in out
+
+
+# two boolean categories with one structure and two names, and an
+# identity functor and lifting square on each
+ONE_DOC = dict(TWO_DOC, name="one")
+EFF_DOC = {"name": "eff", "source": "one.json", "target": "one.json",
+           "map": {"0": "0", "1": "1"}}
+GEE_DOC = dict(EFF_DOC, name="gee", source="two.json", target="two.json")
+PEFF_DOC = {"name": "peff", "f": "eff.json", "g": "eff.json",
+            "u": "eff.json", "v": "eff.json"}
+PGEE_DOC = {"name": "pgee", "f": "gee.json", "g": "gee.json",
+            "u": "gee.json", "v": "gee.json"}
+
+
+def test_output_does_not_depend_on_command_history(tmp_path):
+    # memo keys ignore names, so the second of two equal inputs hits the
+    # entry the first one filled; its output must still carry its own names
+    seed(tmp_path, ("one.json", ONE_DOC), ("eff.json", EFF_DOC),
+         ("gee.json", GEE_DOC), ("peff.json", PEFF_DOC),
+         ("pgee.json", PGEE_DOC))
+    pairs = [("factor", "eff", "gee"), ("complete", "one", "two"),
+             ("lift", "peff", "pgee")]
+    for command, a, b in pairs:
+        argv = {x: [command, str(tmp_path / (x + ".json"))] for x in (a, b)}
+        cold = {}
+        for x in (a, b):
+            category.MEMO.clear()
+            cold[x] = run_command(argv[x])
+            assert cold[x][0] == 0, cold[x]
+        assert cold[a] != cold[b]
+        for first, second in ((a, b), (b, a)):
+            category.MEMO.clear()
+            run_command(argv[first])
+            assert run_command(argv[second]) == cold[second], (command,
+                                                                second)
+
+
+_TEXT = st.text(st.characters() | st.sampled_from(
+    '"\\/\x00\x08\x0c\x1f\x7f\n\r\t\u00e9\u2028\ud800\U0001f600'))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_JSON)
+def test_artifact_is_json_dumps_on_any_json_value(value):
+    # the autouse fixture compares with json.dumps on every call
+    cli._artifact(value)
+
+
+def test_artifact_rejects_keys_that_are_not_str():
+    for key in (1, None, True, ("a",)):
+        with pytest.raises(TypeError):
+            cli._artifact({"ok": [{key: 0}]})

@@ -1,9 +1,13 @@
 """File loading, validation witnesses, and document round trips."""
 
 import json
+import os
 
 import pytest
 
+from tvcat import workspace
+from tvcat.category import MEMO
+from tvcat.cli import run_command
 from tvcat.core import InputError, ValidationError
 from tvcat.lofs import comma_factorise
 from tvcat.presheaf import saturated_class
@@ -185,10 +189,11 @@ def test_factorisation_doc_is_self_contained(tmp_path):
                                  "target": "two.json", "map": {"p": "1"}}))
     ws = Workspace()
     ws.load_file(str(tmp_path / "emb.json"))
-    F = comma_factorise(ws.functor("emb"), saturated_class("all"))
+    f = ws.functor("emb")
+    F = comma_factorise(f, saturated_class("all"))
     rep = LawReport("factor emb")
     rep.add("legs-compose", True, "R . L = emb")
-    out = factorisation_doc(F, rep)
+    out = factorisation_doc(F, rep, f)
     p = put(tmp_path, "out.json", out)
     fresh = Workspace()
     kind, name = fresh.load_file(p)
@@ -197,3 +202,107 @@ def test_factorisation_doc_is_self_contained(tmp_path):
     assert K.carrier.elements == ("([0],0)", "([0],1)", "([1],1)")
     L, R = fresh.functor("L(emb)"), fresh.functor("R(emb)")
     assert (R.fn @ L.fn) == ws.functor("emb").fn
+
+
+# -- reuse of unchanged files across workspaces -------------------------------
+
+ID_DOC = {"name": "id", "source": "two.json", "target": "two.json",
+          "map": {"0": "0", "1": "1"}}
+
+
+def cold(argv):
+    MEMO.clear()
+    return run_command(argv)
+
+
+def test_unchanged_files_are_validated_once(tmp_path, monkeypatch):
+    seed(tmp_path, ("id.json", ID_DOC))
+    calls = []
+    check = workspace.check_category
+    monkeypatch.setattr(workspace, "check_category",
+                        lambda C: calls.append(C.name) or check(C))
+    MEMO.clear()
+    first, second = Workspace(), Workspace()
+    first.load_file(str(tmp_path / "id.json"))
+    second.load_file(str(tmp_path / "id.json"))
+    assert second.functor("id") is first.functor("id")
+    assert calls == ["two"]
+
+
+def test_same_size_rewrite_with_old_mtime_is_seen(tmp_path):
+    seed(tmp_path)
+    path = str(tmp_path / "two.json")
+    assert Workspace().load_file(path) == ("category", "two")
+    before = os.stat(path)
+    # 0 <= 1 becomes 1 <= 0: same bytes count, same mtime
+    put(tmp_path, "two.json", dict(TWO_DOC, structure=[
+        ["0", "0", "1"], ["1", "1", "1"], ["1", "0", "1"]]))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size,
+                                                   before.st_mtime_ns)
+    ws = Workspace()
+    ws.load_file(path)
+    C = ws.category("two")
+    assert C.structure.entry("1", "0") == "1"
+    assert C.structure.entry("0", "1") == "0"
+
+
+@pytest.mark.parametrize("text, code", [
+    ("not json", 2),
+    # 0 <= 1 and 1 <= p but not 0 <= p
+    (json.dumps({"name": "two", "quantale": "bool.json",
+                 "carrier": ["0", "1", "p"],
+                 "structure": [["0", "0", "1"], ["1", "1", "1"],
+                               ["p", "p", "1"], ["0", "1", "1"],
+                               ["1", "p", "1"]]}), 1)])
+def test_file_made_invalid_gives_the_cold_error(tmp_path, text, code):
+    seed(tmp_path)
+    argv = ["check", str(tmp_path / "two.json")]
+    assert cold(argv)[0] == 0
+    (tmp_path / "two.json").write_text(text)
+    warm = run_command(argv)
+    assert warm[0] == code
+    assert warm == cold(argv)
+
+
+def test_functor_rechecked_when_its_category_changes(tmp_path):
+    seed(tmp_path, ("other.json", dict(TWO_DOC, name="other")),
+         ("id.json", dict(ID_DOC, target="other.json")))
+    argv = ["check", str(tmp_path / "id.json")]
+    assert cold(argv)[0] == 0
+    # other loses 0 <= 1, which the identity on two must preserve
+    put(tmp_path, "other.json", dict(TWO_DOC, name="other",
+                                     structure=TWO_DOC["structure"][:2]))
+    warm = run_command(argv)
+    assert warm[0] == 1 and "action inequality" in warm[1]
+    assert warm == cold(argv)
+
+
+def test_failed_load_leaves_no_entry(tmp_path):
+    seed(tmp_path)
+    path = str(tmp_path / "two.json")
+    key = ("file", os.path.abspath(path))
+    MEMO.clear()
+    Workspace().load_file(path)
+    assert key in MEMO
+    (tmp_path / "two.json").write_text("not json")
+    with pytest.raises(InputError):
+        Workspace().load_file(path)
+    assert key not in MEMO
+    # a valid file whose reference fails leaves none either
+    put(tmp_path, "two.json", dict(TWO_DOC, quantale="missing.json"))
+    with pytest.raises(InputError, match="missing.json"):
+        Workspace().load_file(path)
+    assert key not in MEMO
+
+
+def test_equal_files_without_names_keep_their_stems(tmp_path):
+    doc = {k: v for k, v in TWO_DOC.items() if k != "name"}
+    seed(tmp_path, ("a.json", doc), ("b.json", doc))
+    MEMO.clear()
+    for _ in range(2):
+        ws = Workspace()
+        assert ws.load_file(str(tmp_path / "a.json")) == ("category", "a")
+        assert ws.load_file(str(tmp_path / "b.json")) == ("category", "b")
+        assert (ws.category("a").name, ws.category("b").name) == ("a", "b")
