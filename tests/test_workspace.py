@@ -297,6 +297,14 @@ def test_failed_load_leaves_no_entry(tmp_path):
     assert key not in MEMO
 
 
+def test_crlf_file_reads_as_a_text_file(tmp_path):
+    # error positions count each line break as one character
+    p = tmp_path / "crlf.json"
+    p.write_bytes(b'{\r\n  "a": \r\n}')
+    with pytest.raises(InputError, match=r"line 3 column 1 \(char 10\)"):
+        Workspace().load_file(str(p))
+
+
 def test_equal_files_without_names_keep_their_stems(tmp_path):
     doc = {k: v for k, v in TWO_DOC.items() if k != "name"}
     seed(tmp_path, ("a.json", doc), ("b.json", doc))
