@@ -20,10 +20,10 @@ from .lofs import (Factorisation, check_awfs, check_awfs_corpus,
                    solve_lifting, wfs_cross_check)
 from .monad import (MonadInstance, check_monad_laws, instantiate_monad,
                     kleisli, lax_extend)
-from .presheaf import (Presheaf, PresheafSpace, check_presheaf_monad,
-                       check_saturated, phi_dense, presheaf_space,
-                       saturated_class, unit_isomorphism_check, yoneda,
-                       yoneda_lemma_check)
+from .presheaf import (Presheaf, PresheafSpace, check_adjoint_residual,
+                       check_presheaf_monad, check_saturated, phi_dense,
+                       presheaf_space, saturated_class,
+                       unit_isomorphism_check, yoneda, yoneda_lemma_check)
 from .quantale import (Quantale, VRelation, boolean_quantale, build_quantale,
                        check_quantale_laws, lukasiewicz_chain, powerset_frame,
                        residual_left, truncated_chain)
@@ -42,7 +42,8 @@ __all__ = [
     "costar", "dual_category", "functor_leq", "is_fully_faithful",
     "is_functor", "is_separated", "star", "tensor_category",
     "underlying_order", "unit_category", "v_category",
-    "Presheaf", "PresheafSpace", "check_presheaf_monad", "check_saturated",
+    "Presheaf", "PresheafSpace", "check_adjoint_residual",
+    "check_presheaf_monad", "check_saturated",
     "phi_dense", "presheaf_space", "saturated_class",
     "unit_isomorphism_check", "yoneda", "yoneda_lemma_check",
     "Factorisation", "check_awfs", "check_awfs_corpus", "check_left_class",

@@ -28,9 +28,10 @@ from .lofs import (check_awfs_corpus, check_left_class,
                    comma_factorise, r_membership, solve_lifting,
                    wfs_cross_check)
 from .monad import check_monad_laws, instantiate_monad
-from .presheaf import (check_presheaf_monad, check_saturated, phi_dense,
-                       presheaf_space, saturated_class,
-                       unit_isomorphism_check, yoneda, yoneda_lemma_check)
+from .presheaf import (check_adjoint_residual, check_presheaf_monad,
+                       check_saturated, phi_dense, presheaf_space,
+                       saturated_class, unit_isomorphism_check, yoneda,
+                       yoneda_lemma_check)
 from .quantale import check_quantale_laws
 from .report import SKIP, Check, LawReport
 from .workspace import (MONAD_KINDS, Workspace, category_doc,
@@ -42,7 +43,8 @@ EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-CLASS_TOKENS = ("all", "representable", "lawvere")
+# `lawvere` is an input alias of right_adjoint
+CLASS_TOKENS = ("all", "representable", "right_adjoint", "lawvere")
 
 # Enumeration caps per builtin family.  Boolean towers stay small enough
 # for the default cap; the chain quantales grow presheaf spaces much
@@ -122,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "command resolves references")
     cls_kw = dict(dest="cls", default="all", choices=CLASS_TOKENS,
                   metavar="CLS",
-                  help="bimodule class: all, representable, or lawvere")
+                  help="bimodule class: all, representable, or right_adjoint")
 
     top = argparse.ArgumentParser(
         prog="tvcat",
@@ -236,12 +238,8 @@ def _cmd_factor(args):
     rep.add("legs-compose", (F.R.fn @ F.L.fn) == f.fn, "R . L = %s" % f.name)
     rep.add("left-fully-faithful", is_fully_faithful(F.L),
             "the left leg embeds")
-    if F.density is None:
-        rep.skip("left-dense", "density scan over the cap %d"
-                 % args.max_space)
-    else:
-        rep.add("left-dense", F.density,
-                "the left leg's extension module is in %s" % cls.name)
+    rep.add("left-dense", F.density,
+            "the left leg's extension module is in %s" % cls.name)
     try:
         alg = r_membership(F.R, cls, args.max_space)
         rep.add("right-algebra", alg is not None,
@@ -262,7 +260,7 @@ def _cmd_classify(args):
     right = r_membership(f, cls, args.max_space) is not None
     if args.output == "json":
         return EXIT_OK, _artifact({"command": "classify", "functor": f.name,
-                                   "class": args.cls, "fully_faithful": ff,
+                                   "class": cls.name, "fully_faithful": ff,
                                    "dense": dense, "left": left,
                                    "right": right})
     detail = ", ".join(("fully faithful" if ff else "not fully faithful",
@@ -304,11 +302,11 @@ def _cmd_presheaves(args):
     names = list(space.carrier.elements)
     if args.output == "json":
         return EXIT_OK, _artifact({"command": "presheaves",
-                                   "category": C.name, "class": args.cls,
+                                   "category": C.name, "class": cls.name,
                                    "lifted-carrier": list(C.carrier.elements),
                                    "presheaves": names})
     lines = ["%d presheaves on %s in class %s (values over %s):"
-             % (len(names), C.name, args.cls, ",".join(C.carrier.elements))]
+             % (len(names), C.name, cls.name, ",".join(C.carrier.elements))]
     lines.extend(names)
     return EXIT_OK, "\n".join(lines)
 
@@ -406,6 +404,7 @@ def _cmd_verify_paper(args):
                       prefix=cls.name + ":")
             out.merge(check_presheaf_monad(cls, c.cats, c.reps, c.cap),
                       prefix=cls.name + ":")
+        out.merge(check_adjoint_residual(c.cats), prefix="right_adjoint:")
         return out
 
     # the rows after the quantale and monad laws, in printed order

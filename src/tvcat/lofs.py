@@ -26,9 +26,9 @@ class Factorisation:
     """The comma factorisation f = R . L through K(f).
 
     Fields: f, cls, space (presheaves on the source), K, and the three
-    structure functors q (projection to the space), L, R.  density is
-    True when the left leg was verified dense, None when the check hit a
-    size cap.
+    structure functors q (projection to the space), L, R.  density is the
+    bool membership of the left leg's extension module in the class; it is
+    True on every built factorisation, as a False raises EngineError.
 
     The carrier of K(f) is `pairs`, the (phi, y) with P(f) phi <= b(-, y),
     grouped by phi in space order.  Its structure at ((phi', y'), (phi, y))
@@ -101,14 +101,10 @@ class Factorisation:
         # density by definition (extension module in the class); the
         # restriction cross-check lives in phi_dense and would force the
         # presheaf space of K, which towers cannot afford
-        try:
-            dense = cls.contains(star(self.L))
-        except SizeCapError:
-            dense = None
-        if dense is False:
+        self.density = cls.contains(star(self.L))
+        if not self.density:
             raise EngineError("left leg of %s is not %s-dense"
                               % (f.name, cls.name))
-        self.density = dense
 
     def __repr__(self):
         return "Factorisation(%s through %d pairs)" % (self.f.name,

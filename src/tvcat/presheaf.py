@@ -15,14 +15,15 @@ hom(phi, psi) >= v holds exactly when v (x) phi <= psi entrywise, and
 way, one path at every size and for every quantale.  The space is the
 object part of a lax idempotent monad: unit = Yoneda, action on a
 functor f = composition with f^*, multiplication = restriction along the
-Yoneda embedding.  Saturated classes cut out submonads; representability
-is decided by bounded search, adjointness by a residual candidate with a
-bounded exhaustive cross-check.
+Yoneda embedding.  Saturated classes cut out submonads, and membership is
+decided without search: phi is representable exactly when every column of
+phi is a column of the structure of its source (Yoneda), and phi is a
+right adjoint exactly when the residual of that structure along phi is
+its left adjoint (adjoints are unique).  `check_adjoint_residual` holds the
+residual against an exhaustive scan on small corpus bimodules.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
@@ -232,90 +233,58 @@ class _All(SaturatedClass):
         return is_bimodule(phi.src, phi.dst, phi.rel)
 
 
-# Membership search spaces past this many candidates are refused rather
-# than ground through; callers treat the refusal as an honest skip.
-MEMBERSHIP_SEARCH_CAP = 16384
-
-
 class _Representable(SaturatedClass):
-    """phi = g^* for some functor g from target to source."""
+    """phi = g^* for some functor g from target to source.
+
+    g^* has column y equal to column g(y) of the structure a of the
+    source, so by Yoneda phi is some g^* exactly when each of its columns
+    is a column of a.  g is the column lookup, and it is a functor
+    because phi is a bimodule: at the row g y, the action of the target's
+    structure b gives b(y, y') <= a(g y, g y').
+    """
 
     def contains(self, phi: Bimodule) -> bool:
         if not is_bimodule(phi.src, phi.dst, phi.rel):
             return False
-        X, Y = phi.src, phi.dst
-        if len(Y.carrier) and \
-                len(X.carrier) ** len(Y.carrier) > MEMBERSHIP_SEARCH_CAP:
-            raise SizeCapError("representability scan %d^%d is too large"
-                               % (len(X.carrier), len(Y.carrier)))
-        for table in itertools.product(range(len(X.carrier)),
-                                       repeat=len(Y.carrier)):
-            g = Fn(Y.carrier, X.carrier, table)
-            if is_functor(Y, X, g) \
-                    and costar(TVFunctor(Y, X, g)).rel == phi.rel:
-                return True
-        return False
-
-
-# Exhaustive adjoint scans up to this many candidate tables double-check
-# the residual decision below; larger instances trust the residual.
-ADJOINT_CROSSCHECK_CAP = 64
+        columns = set(phi.src.structure.T.rows)
+        return all(col in columns for col in phi.rel.T.rows)
 
 
 class _RightAdjoint(SaturatedClass):
-    """phi has a left adjoint bimodule in the reverse direction."""
+    """phi has a left adjoint bimodule in the reverse direction.
+
+    Adjoints are unique, and any adjoint satisfies the counit inequality
+    lam . phi <= a, so it lies below the residual of a along phi: the
+    residual is the only candidate that needs testing (Lawvere 1973;
+    Hofmann, Seal and Tholen, Monoidal Topology, for the (T,V) case).
+    `check_adjoint_residual` holds this decision against an exhaustive
+    scan.
+    """
 
     def contains(self, phi: Bimodule) -> bool:
         from .monad import kleisli
         X, Y = phi.src, phi.dst
-        M, q = X.M, X.q
         if not is_bimodule(X, Y, phi.rel):
             return False
-        # adjoints are unique, and any adjoint satisfies the counit
-        # inequality, so the greatest solution (a residual) is the only
-        # candidate that needs testing
         lam = residual_left(X.structure, phi.rel)
-        found = is_bimodule(Y, X, lam) \
-            and Y.structure <= kleisli(M, phi.rel, lam, Y.carrier)
-        ty, nx = len(Y.carrier), len(X.carrier)
-        if q.n ** (ty * nx) <= ADJOINT_CROSSCHECK_CAP \
-                and found != self._scan(phi):
-            raise EngineError("adjoint residual disagrees with the "
-                              "exhaustive scan for %s -> %s"
-                              % (X.name, Y.name))
-        return found
-
-    def _scan(self, phi: Bimodule) -> bool:
-        from .monad import kleisli
-        X, Y = phi.src, phi.dst
-        M, q = X.M, X.q
-        ty, nx = len(Y.carrier), len(X.carrier)
-        for combo in itertools.product(range(q.n), repeat=ty * nx):
-            lam = VRelation(q, Y.carrier, X.carrier,
-                            (combo[i * nx:(i + 1) * nx] for i in range(ty)))
-            if not (lam @ phi.rel) <= X.structure:
-                continue
-            if not is_bimodule(Y, X, lam):
-                continue
-            if Y.structure <= kleisli(M, phi.rel, lam, Y.carrier):
-                return True
-        return False
+        return is_bimodule(Y, X, lam) \
+            and Y.structure <= kleisli(X.M, phi.rel, lam, Y.carrier)
 
 
 _BUILTIN_CLASSES = {
     "all": _All("all"),
     "representable": _Representable("representable"),
     "right_adjoint": _RightAdjoint("right_adjoint"),
-    "lawvere": _RightAdjoint("right_adjoint"),     # CLI alias
 }
+_BUILTIN_CLASSES["lawvere"] = _BUILTIN_CLASSES["right_adjoint"]  # input alias
 
 
 def saturated_class(kind: str) -> SaturatedClass:
     try:
         return _BUILTIN_CLASSES[kind]
     except KeyError:
-        raise InputError("unknown class %r (have all, representable, lawvere)"
-                         % kind)
+        raise InputError("unknown class %r (have all, representable, "
+                         "right_adjoint)" % kind)
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +724,45 @@ def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):
         low = found & -found
         found ^= low
         yield Bimodule(C, D, _candidate_relation(C, D, low.bit_length() - 1))
+
+
+# `check_adjoint_residual` holds the residual decision of `_RightAdjoint`
+# against an exhaustive scan on the pairs of corpus categories with at most
+# this many candidate adjoint tables, V^(|C|·|D|).
+ADJOINT_CROSSCHECK_CAP = 64
+
+
+def _adjoint_by_scan(phi: Bimodule, scan_cap: int) -> bool:
+    """Whether some bimodule Y -|-> X is left adjoint to phi: X -|-> Y.
+
+    Tries every bimodule in the reverse direction: the reference that the
+    residual decision of `_RightAdjoint` is checked against.
+    """
+    from .monad import kleisli
+    X, Y = phi.src, phi.dst
+    return any((lam.rel @ phi.rel) <= X.structure
+               and Y.structure <= kleisli(X.M, phi.rel, lam.rel, Y.carrier)
+               for lam in _all_bimodules(Y, X, scan_cap))
+
+
+def check_adjoint_residual(cats) -> LawReport:
+    """The residual decides adjointness as an exhaustive scan does.
+
+    Checked on every bimodule between two corpus categories with at most
+    ADJOINT_CROSSCHECK_CAP candidate adjoints.
+    """
+    rep = LawReport("adjoint residual")
+    cls, cap = _BUILTIN_CLASSES["right_adjoint"], ADJOINT_CROSSCHECK_CAP
+    mods = [phi for C in cats for D in cats
+            if C.q.n ** (len(C.carrier) * len(D.carrier)) <= cap
+            for phi in _all_bimodules(C, D, cap)]
+    bad = next((phi for phi in mods
+                if cls.contains(phi) != _adjoint_by_scan(phi, cap)), None)
+    rep.add("residual-matches-scan", bad is None,
+            "the residual decides as the scan on %d bimodules" % len(mods)
+            if bad is None else "disagrees on %s -> %s at %s"
+            % (bad.src.name, bad.dst.name, bad.rel.rows))
+    return rep
 
 
 def check_saturated(cls: SaturatedClass, cats, fns,

@@ -598,26 +598,6 @@ class VRelation:
                                 len(src), len(dst)))
 
     @classmethod
-    def from_entries(cls, q: Quantale, src: FinSet, dst: FinSet,
-                     entries: dict, default=None) -> "VRelation":
-        """Build from a ((x,y) -> value) dict; values are indices or names."""
-        def ix(v):
-            return v if isinstance(v, int) else q.index_of(v)
-        rows = []
-        for x in src:
-            row = []
-            for y in dst:
-                if (x, y) in entries:
-                    row.append(ix(entries[(x, y)]))
-                elif default is not None:
-                    row.append(ix(default))
-                else:
-                    raise InputError("missing relation entry (%s,%s) and no default"
-                                     % (x, y))
-            rows.append(row)
-        return cls(q, src, dst, rows)
-
-    @classmethod
     def from_fn(cls, q: Quantale, f: Fn) -> "VRelation":
         """The graph of a map: unit on the graph, bottom elsewhere."""
         k, bot = q.unit, q.bottom

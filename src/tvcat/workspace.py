@@ -344,7 +344,10 @@ class _FileEntry:
 
 def _parse(data: bytes, path: str) -> dict:
     """The JSON object in a file's bytes, read as a UTF-8 text file is."""
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8 text (%s)" % (path, exc))
     if "\r" in text:
         # the newline translation of a file opened in text mode
         text = text.replace("\r\n", "\n").replace("\r", "\n")

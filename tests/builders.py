@@ -10,10 +10,30 @@ from tvcat.core import FinSet, Fn, InputError
 from tvcat.quantale import VRelation
 
 
+def relation_from_entries(q, src: FinSet, dst: FinSet, entries: dict,
+                          default=None) -> VRelation:
+    """Build from a ((x,y) -> value) dict; values are indices or names."""
+    def ix(v):
+        return v if isinstance(v, int) else q.index_of(v)
+    rows = []
+    for x in src:
+        row = []
+        for y in dst:
+            if (x, y) in entries:
+                row.append(ix(entries[(x, y)]))
+            elif default is not None:
+                row.append(ix(default))
+            else:
+                raise InputError("missing relation entry (%s,%s) and no "
+                                 "default" % (x, y))
+        rows.append(row)
+    return VRelation(q, src, dst, rows)
+
+
 def category_from_entries(M, labels, entries: dict, default=None,
                           name="X") -> TVCategory:
     X = FinSet(labels)
-    rel = VRelation.from_entries(M.q, X, X, entries, default)
+    rel = relation_from_entries(M.q, X, X, entries, default)
     return TVCategory(M, X, rel, name)
 
 

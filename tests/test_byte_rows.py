@@ -26,7 +26,8 @@ from tvcat.quantale import (VRelation, boolean_quantale, powerset_frame,
                             residual_left, truncated_chain)
 from tvcat.workspace import Workspace
 
-from builders import constant_relation, discrete_category
+from builders import (constant_relation, discrete_category,
+                      relation_from_entries)
 
 BOOL = boolean_quantale()
 CHAIN = truncated_chain(2)
@@ -79,8 +80,8 @@ def test_constructors_yield_bytes_rows():
                 VRelation.identity(CHAIN, X),
                 constant_relation(CHAIN, X, Y, "1"),
                 constant_relation(CHAIN, FinSet([]), Y, 0),
-                VRelation.from_entries(BOOL, X, Y, {("x0", "y1"): "1"},
-                                       default="0")):
+                relation_from_entries(BOOL, X, Y, {("x0", "y1"): "1"},
+                                      default="0")):
         assert byte_rows(rel)
     g = VRelation.from_fn(CHAIN, f)
     assert g.rows == tuple(bytes(CHAIN.unit if t == j else CHAIN.bottom

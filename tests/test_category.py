@@ -16,7 +16,7 @@ from tvcat.monad import MonadInstance, check_monad_laws, instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
 
 from builders import (category_from_entries, constant_relation,
-                      discrete_category, fn_from_dict)
+                      discrete_category, fn_from_dict, relation_from_entries)
 
 BOOL = boolean_quantale()
 ID_BOOL = instantiate_monad("identity", BOOL)
@@ -214,9 +214,9 @@ def test_bimodule_rejects_bad_shapes():
 
 def test_non_module_fails_the_action_laws():
     # upward-closed in the first argument violates the right action on a chain
-    rel = VRelation.from_entries(BOOL, TWO.carrier,
-                                 unit_category(ID_BOOL).carrier,
-                                 {("b", "*"): "1"}, default="0")
+    rel = relation_from_entries(BOOL, TWO.carrier,
+                                unit_category(ID_BOOL).carrier,
+                                {("b", "*"): "1"}, default="0")
     rep = check_bimodule(Bimodule(TWO, unit_category(ID_BOOL), rel))
     assert not rep.ok
 

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tvcat import category, cli
 from tvcat.cli import run_command
+from tvcat.core import InputError
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance
+from tvcat.presheaf import saturated_class
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
 
@@ -106,6 +108,23 @@ def test_classify_right_map(tmp_path):
     code, out = run_command(["classify", str(tmp_path / "collapse.json")])
     assert code == 0
     assert out == "L: no (not fully faithful, dense); R: yes"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_lawvere_is_an_alias_of_right_adjoint(tmp_path, output):
+    seed(tmp_path, ("collapse.json", COLLAPSE_DOC))
+    for argv in (["classify", str(tmp_path / "collapse.json")],
+                 ["presheaves", str(tmp_path / "two.json")]):
+        argv += ["--output", output, "--class"]
+        canonical = run_command(argv + ["right_adjoint"])
+        assert canonical[0] == 0
+        assert run_command(argv + ["lawvere"]) == canonical
+        assert "lawvere" not in canonical[1]
+
+
+def test_unknown_class_names_right_adjoint():
+    with pytest.raises(InputError, match="right_adjoint"):
+        saturated_class("adjoint")
 
 
 def test_lift_solves_a_commuting_square(tmp_path):
@@ -285,8 +304,8 @@ SHARED_ORDER_REPORT = (
     ' checks); boolean/identity: ok (6 checks)\n'
     'PASS saturation closure: boolean/finite_ultrafilter: ok (9 checks);'
     ' boolean/identity: ok (9 checks)\n'
-    'PASS saturated submonads: boolean/finite_ultrafilter: ok (24 checks);'
-    ' boolean/identity: ok (24 checks)\n'
+    'PASS saturated submonads: boolean/finite_ultrafilter: ok (25 checks);'
+    ' boolean/identity: ok (25 checks)\n'
     'PASS left class characterisation: boolean/finite_ultrafilter: ok (17'
     ' checks); boolean/identity: ok (17 checks)\n'
     'PASS factorisation comonad, monad, distributivity:'

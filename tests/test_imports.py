@@ -1,14 +1,18 @@
-"""No module of tvcat, and no test module, imports a name it never reads.
+"""No module of tvcat, and no test module, imports a name it never reads,
+and tvcat defines nothing that only the tests read.
 
-`__init__.py` is left out: its imports are the package's public names.
-Stdlib `ast` only, so the check needs no lint tool.
+`__init__.py` is left out of the import check: its imports are the
+package's public names.  Stdlib `ast` only, so the check needs no lint tool.
 """
 
 import ast
 from pathlib import Path
 
+import tvcat
+
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "tvcat"
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") \
     + sorted(TESTS.glob("*.py"))
 
@@ -40,3 +44,64 @@ def test_every_import_is_read():
     unused = {"%s/%s" % (p.parent.name, p.name):
               unused_imports(ast.parse(p.read_text())) for p in MODULES}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def definitions(tree: ast.Module) -> list:
+    """Module-level functions and classes, and methods, as (line, name).
+
+    Dunder methods are left out: the language calls them.
+    """
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((item.lineno, item.name) for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return [(line, name) for line, name in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def read_names(tree: ast.Module, strings: bool = False) -> set:
+    """Names and attributes the module reads.
+
+    With strings, every dotted part of a string constant counts too, as
+    perfbench's tracer names the callables it wraps in strings.
+    """
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return read
+
+
+def test_the_guard_finds_an_unread_definition():
+    tree = ast.parse("def used():\n    pass\n\n"
+                     "def unused():\n    pass\n\n"
+                     "class K:\n    def __repr__(self):\n        return ''\n"
+                     "    def m(self):\n        pass\n\n"
+                     "used()\n")
+    unread = [d for d in definitions(tree) if d[1] not in read_names(tree)]
+    assert unread == [(4, "unused"), (7, "K"), (10, "m")]
+    script = ast.parse("TARGET = ('lib', 'K.m')\n")
+    assert {"K", "m"} <= read_names(script, strings=True)
+    assert not read_names(script) & {"K", "m"}
+
+
+def test_every_definition_is_read_outside_the_tests():
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    scripts = sorted(PERFBENCH.glob("*.py"))
+    assert "__init__.py" in trees and scripts
+    read = set(tvcat.__all__).union(
+        *(read_names(t) for t in trees.values()),
+        *(read_names(ast.parse(p.read_text()), strings=True)
+          for p in scripts))
+    unread = {name: [d for d in definitions(tree) if d[1] not in read]
+              for name, tree in trees.items()}
+    assert {name: found for name, found in unread.items() if found} == {}

@@ -63,6 +63,20 @@ def test_comma_of_point_into_chain():
         for y in F.K.carrier.elements[i:]}
 
 
+def test_density_is_decided_past_the_old_search_size():
+    # constant onto the bottom c of a V-shaped order: K has 9 points, so a
+    # search over the tables K -> X would try 3^9 of them
+    X = discrete_category(ID, ["a", "b", "c"], "anti3")
+    entries = {(x, x): "1" for x in "abc"}
+    entries.update({("c", "a"): "1", ("c", "b"): "1"})
+    Y = category_from_entries(ID, ["a", "b", "c"], entries, default="0",
+                              name="vee")
+    f = TVFunctor(X, Y, Fn(X.carrier, Y.carrier, (2, 2, 2)), "const")
+    F = comma_factorise(f, REPR)
+    assert len(X.carrier) ** len(F.K.carrier) == 3 ** 9
+    assert F.density is True
+
+
 def test_comma_legs_compose_and_project():
     for f in SAMPLE_FNS:
         F = comma_factorise(f)

@@ -15,7 +15,8 @@ from tvcat.monad import (MonadInstance, check_monad_laws, filter_pushforward,
                          xi_concrete)
 from tvcat.quantale import VRelation, lukasiewicz_chain, powerset_frame
 
-from builders import constant_relation, fn_from_dict
+from builders import (constant_relation, fn_from_dict,
+                      relation_from_entries)
 
 BOOL = boolean_quantale()
 CHAIN1 = truncated_chain(1)
@@ -96,10 +97,10 @@ def test_extension_on_empty_carriers():
 def test_kleisli_is_plain_composition_here():
     M = instantiate_monad("finite_ultrafilter", CHAIN1)
     X, Y, Z = FinSet(["a", "b"]), FinSet(["c", "d"]), FinSet(["e"])
-    r = VRelation.from_entries(CHAIN1, X, Y,
-                               {("a", "c"): "0", ("a", "d"): "1",
-                                ("b", "c"): "inf", ("b", "d"): "1"})
-    s = VRelation.from_entries(CHAIN1, Y, Z, {("c", "e"): "1", ("d", "e"): "0"})
+    r = relation_from_entries(CHAIN1, X, Y,
+                              {("a", "c"): "0", ("a", "d"): "1",
+                               ("b", "c"): "inf", ("b", "d"): "1"})
+    s = relation_from_entries(CHAIN1, Y, Z, {("c", "e"): "1", ("d", "e"): "0"})
     assert kleisli(M, s, r, X) == s @ r
 
 

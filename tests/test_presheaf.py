@@ -9,10 +9,13 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
 from tvcat.monad import instantiate_monad
 from tvcat import presheaf
 from tvcat.category import (MEMO, TVCategory, TVFunctor, _structure_maps,
-                            check_category, functor_leq, identity_functor,
-                            is_bimodule, is_separated, underlying_order,
-                            unit_category)
-from tvcat.presheaf import (SaturatedClass, apply_P, apply_P_star,
+                            check_category, costar, functor_leq,
+                            identity_functor, is_bimodule, is_functor,
+                            is_separated, underlying_order, unit_category)
+from tvcat.corpus import seed_corpus
+from tvcat.presheaf import (ADJOINT_CROSSCHECK_CAP, SaturatedClass,
+                            _adjoint_by_scan, _all_bimodules, apply_P,
+                            apply_P_star, check_adjoint_residual,
                             check_presheaf_monad, check_saturated,
                             phi_dense, presheaf_space, saturated_class,
                             space_mult, unit_isomorphism_check, yoneda,
@@ -299,6 +302,84 @@ def test_density():
     assert phi_dense(emb, REPR)
     assert not phi_dense(top, REPR)
     assert phi_dense(bot, REPR)
+
+
+def representable_by_search(phi):
+    """Whether phi = g^* for a functor g, by trying every table g."""
+    if not is_bimodule(phi.src, phi.dst, phi.rel):
+        return False
+    X, Y = phi.src, phi.dst
+    for table in itertools.product(range(len(X.carrier)),
+                                   repeat=len(Y.carrier)):
+        g = Fn(Y.carrier, X.carrier, table)
+        if is_functor(Y, X, g) \
+                and costar(TVFunctor(Y, X, g)).rel == phi.rel:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q", [BOOL, truncated_chain(2)],
+                         ids=["boolean", "truncated_chain(2)"])
+def test_representable_lookup_matches_the_table_search(q):
+    M = instantiate_monad("identity", q)
+    cats, _ = seed_corpus(M, 2)
+    cats = cats + [unit_category(M)]
+    checked = members = 0
+    for C in cats:
+        for D in cats:
+            for phi in _all_bimodules(C, D, q.n ** 4):
+                member = REPR.contains(phi)
+                assert member == representable_by_search(phi), phi.rel.rows
+                checked += 1
+                members += member
+    # both answers occur, on more than a handful of bimodules
+    assert 0 < members < checked and checked > 100
+
+
+def test_adjoint_residual_check_counts_every_small_bimodule():
+    cats, _ = seed_corpus(ID, 2)
+    rep = check_adjoint_residual(cats)
+    assert rep.ok, rep.to_text()
+    count = sum(len(_all_bimodules(C, D, ADJOINT_CROSSCHECK_CAP))
+                for C in cats for D in cats
+                if len(C.carrier) * len(D.carrier) <= 6)
+    assert [c.detail for c in rep.checks] == [
+        "the residual decides as the scan on %d bimodules" % count]
+
+
+def test_adjoint_residual_check_fails_on_one_flipped_answer(monkeypatch):
+    cats, _ = seed_corpus(ID, 2)
+    residual = presheaf._RightAdjoint.contains
+    flipped = []
+
+    def flip_first(self, phi):
+        answer = residual(self, phi)
+        if flipped:
+            return answer
+        flipped.append(phi)
+        return not answer
+
+    monkeypatch.setattr(presheaf._RightAdjoint, "contains", flip_first)
+    rep = check_adjoint_residual(cats)
+    assert [c.name for c in rep.failures] == ["residual-matches-scan"]
+    phi = flipped[0]
+    assert rep.failures[0].detail == "disagrees on %s -> %s at %s" % (
+        phi.src.name, phi.dst.name, phi.rel.rows)
+
+
+def test_residual_matches_the_scan_on_presheaves_over_spaces():
+    # the spaces over the 2-point boolean corpus categories, and the spaces
+    # over those: 3- to 6-point bases that are not corpus categories
+    cats, _ = seed_corpus(ID, 2)
+    spaces = [presheaf_space(C).category for C in cats
+              if len(C.carrier) == 2 and is_separated(C)]
+    bases = spaces + [presheaf_space(S).category for S in spaces]
+    assert {len(B.carrier) for B in bases} == {3, 4, 6}
+    for B in bases:
+        for psi in presheaf_space(B).presheaves:
+            phi = psi.as_bimodule()
+            assert ADJ.contains(phi) \
+                == _adjoint_by_scan(phi, ADJOINT_CROSSCHECK_CAP), psi.name
 
 
 def retractions(C):

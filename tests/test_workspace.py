@@ -305,6 +305,16 @@ def test_crlf_file_reads_as_a_text_file(tmp_path):
         Workspace().load_file(str(p))
 
 
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b"\xff{}")
+    MEMO.clear()
+    code, text = run_command(["check", str(p)])
+    assert code == 2
+    assert text.startswith("error: %s: not UTF-8 text" % p)
+    assert ("file", os.path.abspath(str(p))) not in MEMO
+
+
 def test_equal_files_without_names_keep_their_stems(tmp_path):
     doc = {k: v for k, v in TWO_DOC.items() if k != "name"}
     seed(tmp_path, ("a.json", doc), ("b.json", doc))
