@@ -94,9 +94,13 @@ class Fn:
         if len(self.table) != len(src):
             raise InputError("function table has %d entries for a %d-element source"
                              % (len(self.table), len(src)))
-        for t in self.table:
-            if not (0 <= t < len(dst)):
-                raise EngineError("function table index %d out of range" % t)
+        # one min and one max for the whole table; the entry loop only
+        # finds which entry to name
+        if self.table and not (0 <= min(self.table)
+                               and max(self.table) < len(dst)):
+            n = len(dst)
+            t = next(t for t in self.table if not 0 <= t < n)
+            raise EngineError("function table index %d out of range" % t)
 
     @classmethod
     def identity(cls, X: FinSet) -> "Fn":

@@ -26,9 +26,9 @@ class Factorisation:
     """The comma factorisation f = R . L through K(f).
 
     Fields: f, cls, space (presheaves on the source), K, and the three
-    structure functors q (projection to the space), L, R.  density is the
-    bool membership of the left leg's extension module in the class; it is
-    True on every built factorisation, as a False raises EngineError.
+    structure functors q (projection to the space), L, R.  The left leg is
+    dense on every built factorisation: its extension module is in the
+    class, or __init__ raises EngineError.
 
     The carrier of K(f) is `pairs`, the (phi, y) with P(f) phi <= b(-, y),
     grouped by phi in space order.  Its structure at ((phi', y'), (phi, y))
@@ -37,7 +37,7 @@ class Factorisation:
     """
 
     __slots__ = ("f", "cls", "max_space", "space", "K", "pairs",
-                 "pair_index", "q", "L", "R", "density")
+                 "pair_index", "q", "L", "R")
 
     def __init__(self, f: TVFunctor, cls, max_space: int):
         self.f = f
@@ -101,8 +101,7 @@ class Factorisation:
         # density by definition (extension module in the class); the
         # restriction cross-check lives in phi_dense and would force the
         # presheaf space of K, which towers cannot afford
-        self.density = cls.contains(star(self.L))
-        if not self.density:
+        if not cls.contains(star(self.L)):
             raise EngineError("left leg of %s is not %s-dense"
                               % (f.name, cls.name))
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
 from .category import (MEMO, Bimodule, TVCategory, TVFunctor, _bimodule_mask,
-                       _candidate_relation, bim_compose, check_bimodule,
+                       _candidate_relation, check_bimodule,
                        check_category, check_functor, costar,
                        identity_functor, is_bimodule, is_fully_faithful,
                        is_functor, is_separated, functor_leq, star,
                        underlying_order, unit_category)
-from .quantale import VRelation, residual_left
+from .quantale import VRelation, compose_rows, residual_left
 from .report import LawReport
 
 
@@ -768,7 +768,29 @@ def check_adjoint_residual(cats) -> LawReport:
 def check_saturated(cls: SaturatedClass, cats, fns,
                     scan_cap: int = 1024,
                     pair_budget: int = 40000) -> LawReport:
-    """The three closure conditions, scanned over the corpus."""
+    """The three closure conditions, scanned over the corpus.
+
+    contains-restrictions asks every corpus functor's f^* to be a member.
+    The other two scan the corpus categories of at most 2 points, in
+    corpus order, and stop at their first witness.
+
+    composition-closed runs over C, D, Z, then the members phi: C -|-> D,
+    then the members psi: D -|-> Z, in scan order, and asks each composite
+    psi . phi to be a member.  It stops after pair_budget pairs and then
+    reports "checked the first N".  Its witness is the pair (phi, psi).
+    The members D -|-> Z lie side by side as one row block, so one product
+    with phi gives all of phi's composites.
+
+    pointwise-detection runs over C, D, then every bimodule psi: C -|-> D.
+    When psi restricted along each point y of D (psi followed by the
+    restriction module of y: column y of psi composed with the structure
+    of D) is a member, psi must be one.  Its witness is the first psi that
+    is not.  The rows of all candidates C -|-> D are stacked, so one
+    product with the structure of D gives every restriction of the pair.
+
+    Membership is remembered by rows for the call, and a composite or a
+    restriction becomes a `Bimodule` only when its rows are new.
+    """
     rep = LawReport("saturation: %s" % cls.name)
 
     bad = next((f.name for f in fns if not cls.contains(costar(f))), None)
@@ -777,15 +799,20 @@ def check_saturated(cls: SaturatedClass, cats, fns,
             if bad is None else "missing f^* of %s" % bad)
 
     small = [C for C in cats if len(C.carrier) <= 2]
+    q = small[0].q if small else None
+    one = unit_category(cats[0].M) if cats else None
     member_memo: dict = {}
 
-    def member(si: int, di: int, phi: Bimodule) -> bool:
-        # di = -1 marks the unit category target
-        key = (si, di, phi.rel.rows)
+    def member(si: int, di: int, rows, phi: Bimodule | None = None) -> bool:
+        # phi: small[si] -|-> small[di] with these rows, or -|-> one when
+        # di = -1; built here only when the rows are new
+        key = (si, di, rows)
         hit = member_memo.get(key)
         if hit is None:
-            hit = cls.contains(phi)
-            member_memo[key] = hit
+            if phi is None:
+                C, D = small[si], small[di] if di >= 0 else one
+                phi = Bimodule(C, D, VRelation(q, C.carrier, D.carrier, rows))
+            hit = member_memo[key] = cls.contains(phi)
         return hit
 
     member_mods: dict = {}
@@ -793,53 +820,74 @@ def check_saturated(cls: SaturatedClass, cats, fns,
     def mods(i: int, j: int):
         hit = member_mods.get((i, j))
         if hit is None:
-            hit = [m for m in _all_bimodules(small[i], small[j], scan_cap)
-                   if member(i, j, m)]
-            member_mods[(i, j)] = hit
+            hit = member_mods[i, j] = [
+                m for m in _all_bimodules(small[i], small[j], scan_cap)
+                if member(i, j, m.rel.rows, m)]
         return hit
 
-    witness = None
-    pairs = 0
-    capped = False
-    try:
-        for ic, C in enumerate(small):
+    def composition_witness():
+        # (witness, pairs checked, capped)
+        pairs = 0
+        blocks: dict = {}
+        for ic in range(len(small)):
             for jd in range(len(small)):
+                phis = mods(ic, jd)
+                if not phis:
+                    continue
                 for kz, Z in enumerate(small):
-                    for phi in mods(ic, jd):
-                        for psi in mods(jd, kz):
+                    psis = mods(jd, kz)
+                    if not psis:
+                        continue
+                    # row y: row y of every psi, side by side
+                    block = blocks.get((jd, kz))
+                    if block is None:
+                        block = blocks[jd, kz] = [
+                            b"".join(lines)
+                            for lines in zip(*(psi.rel.rows for psi in psis))]
+                    nz = len(Z.carrier)
+                    for phi in phis:
+                        out = compose_rows(q, phi.rel.rows, block,
+                                           nz * len(psis))
+                        for k, psi in enumerate(psis):
                             if pairs == pair_budget:
-                                capped = True
-                                raise StopIteration
+                                return None, pairs, True
                             pairs += 1
-                            comp = Bimodule(C, Z, bim_compose(psi, phi))
-                            if not member(ic, kz, comp):
-                                witness = (phi.rel, psi.rel)
-                                raise StopIteration
-    except StopIteration:
-        pass
+                            at = k * nz
+                            if not member(ic, kz, tuple([line[at:at + nz]
+                                                         for line in out])):
+                                return (phi.rel, psi.rel), pairs, False
+        return None, pairs, False
+
+    witness, pairs, capped = composition_witness()
     rep.add("composition-closed", witness is None,
             "checked %s%d composable member pairs (carriers up to 2)"
             % ("the first " if capped else "", pairs)
             if witness is None else "witness: %s" % (witness,))
 
-    witness = None
-    scanned = 0
-    one = unit_category(cats[0].M) if cats else None
-    for ic, C in enumerate(small):
-        for jd, D in enumerate(small):
-            restrictions = [costar(TVFunctor(one, D,
-                                             Fn(one.carrier, D.carrier,
-                                                (jy,)), "pt"))
-                            for jy in range(len(D.carrier))]
-            for psi in _all_bimodules(C, D, scan_cap):
-                scanned += 1
-                cols_in = all(member(ic, -1,
-                                     Bimodule(C, one, bim_compose(r, psi)))
-                              for r in restrictions)
-                if cols_in and not member(ic, jd, psi):
-                    witness = psi.rel
-        if witness:
-            break
+    def detection_witness():
+        # (witness, bimodules scanned)
+        scanned = 0
+        for ic, C in enumerate(small):
+            nc = len(C.carrier)
+            for jd, D in enumerate(small):
+                nd = len(D.carrier)
+                psis = _all_bimodules(C, D, scan_cap)
+                # rows k*nc .. k*nc+nc-1 are psi_k's; column y of their
+                # composite with D's structure is psi_k restricted along y
+                out = compose_rows(
+                    q, [line for psi in psis for line in psi.rel.rows],
+                    D.structure.rows, nd)
+                for k, psi in enumerate(psis):
+                    scanned += 1
+                    lines = out[k * nc:(k + 1) * nc]
+                    if all(member(ic, -1, tuple([line[y:y + 1]
+                                                 for line in lines]))
+                           for y in range(nd)) \
+                            and not member(ic, jd, psi.rel.rows, psi):
+                        return psi.rel, scanned
+        return None, scanned
+
+    witness, scanned = detection_witness()
     rep.add("pointwise-detection", witness is None,
             "scanned %d bimodules (carriers up to 2)" % scanned
             if witness is None else "witness: %s" % (witness,))

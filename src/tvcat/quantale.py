@@ -22,7 +22,7 @@ BUILTIN_NAMES = ("boolean", "truncated_chain", "lukasiewicz_chain", "powerset_fr
 MAX_ELEMENTS = 256
 
 # Composites with at least this many cells are computed by `mask_rows`
-# (see `VRelation.__matmul__`).
+# (see `compose_rows`).
 MASK_CELLS = 128
 
 
@@ -213,6 +213,40 @@ def mask_rows(lines, codes, order, columns, tests, rest: int,
                 if not left:
                     break
         out.append(acc.to_bytes(width, "big"))
+    return out
+
+
+def compose_rows(q: Quantale, r_rows, s_rows, width: int) -> list:
+    """Byte rows of the composite s after r, given the rows of r and of s.
+
+    Row x, entry z is V_y r(x, y) (x) s(y, z): r_rows[x] runs over the
+    middle positions y, and s_rows[y] is a byte line of `width` values.
+    By residuation that entry is <= c exactly when s(y, z) <= hom(r(x, y),
+    c) for every y, so it is the least c that passes.  A composite of at
+    least MASK_CELLS cells comes from `mask_rows`, which tests each c
+    against the rows of s for a whole row at once; a smaller one is the
+    join over y cell by cell, which costs less there (measured crossover).
+    Every composition of relations comes here, through
+    `VRelation.__matmul__` or with rows laid side by side (one row block
+    of s for many relations, or many relations' rows stacked as r).
+    """
+    if len(r_rows) * width >= MASK_CELLS:
+        return mask_rows(r_rows, q.hom_codes, q.rising, s_rows, q.below,
+                         q.top, width)
+    tm, jm, bot, top = q.tensor_m, q.join_m, q.bottom, q.top
+    scols = list(zip(*s_rows)) if s_rows else [()] * width
+    out = []
+    for ri in r_rows:
+        live = [(j, v) for j, v in enumerate(ri) if v != bot]
+        row = []
+        for sk in scols:
+            acc = bot
+            for j, v in live:
+                acc = jm[acc][tm[v][sk[j]]]
+                if acc == top:
+                    break
+            row.append(acc)
+        out.append(bytes(row))
     return out
 
 
@@ -649,12 +683,7 @@ class VRelation:
     def __matmul__(self, other: "VRelation") -> "VRelation":
         """self (*) other = 'self after other': (s @ r)(x,z) = V_y r(x,y) ⊗ s(y,z).
 
-        By residuation (s @ r)(x, z) <= c holds exactly when
-        s(y, z) <= hom(r(x, y), c) for every y, so the composite is the
-        least c that passes.  A composite of at least MASK_CELLS cells
-        comes from `mask_rows`, which tests each c against the rows of s
-        for a whole row at once; a smaller one is the join over y cell by
-        cell, which costs less there (measured crossover).
+        The carriers are checked here and the rows come from `compose_rows`.
         """
         r, s = other, self
         if r.q is not s.q:
@@ -662,28 +691,8 @@ class VRelation:
         if r.dst is not s.src and r.dst != s.src:
             raise InputError("cannot compose: middle carriers %r and %r differ"
                              % (r.dst.elements, s.src.elements))
-        q = r.q
-        nz = len(s.dst)
-        if len(r.rows) * nz >= MASK_CELLS:
-            return VRelation(q, r.src, s.dst,
-                             mask_rows(r.rows, q.hom_codes, q.rising, s.rows,
-                                       q.below, q.top, nz))
-        tm, jm, bot, top = q.tensor_m, q.join_m, q.bottom, q.top
-        scols = list(zip(*s.rows)) if s.rows else [()] * nz
-        out = []
-        for ri in r.rows:
-            live = [(j, v) for j, v in enumerate(ri) if v != bot]
-            row = []
-            for kk in range(nz):
-                sk = scols[kk]
-                acc = bot
-                for j, v in live:
-                    acc = jm[acc][tm[v][sk[j]]]
-                    if acc == top:
-                        break
-                row.append(acc)
-            out.append(row)
-        return VRelation(q, r.src, s.dst, out)
+        return VRelation(r.q, r.src, s.dst,
+                         compose_rows(r.q, r.rows, s.rows, len(s.dst)))
 
     def leq(self, other: "VRelation") -> bool:
         """Entrywise order, decided on all rows at once.

@@ -3,6 +3,7 @@
 import pytest
 
 from tvcat import FinSet, Fn, InputError, boolean_quantale
+from tvcat.core import EngineError
 from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             check_bimodule, check_category,
                             check_enriched_calculus, check_functor,
@@ -141,6 +142,18 @@ def test_functor_failure_names_the_first_violating_pair():
     rep = check_functor(rot)
     assert [c.detail for c in rep.failures] == ["fails at ('a', 'b')"]
     assert len(rep.checks) == 1
+
+
+def test_fn_names_the_first_entry_out_of_range():
+    A, B = FinSet("abcd"), FinSet("xy")
+    for table, first in [((0, -1, 5, 1), -1), ((1, 5, -1, 0), 5),
+                         ((0, 1, 1, 2), 2), ((-3,) * 4, -3)]:
+        with pytest.raises(EngineError,
+                           match="^function table index %d out of range$"
+                           % first):
+            Fn(A, B, table)
+    assert Fn(A, B, iter((1, 0, 0, 1))).table == (1, 0, 0, 1)
+    assert Fn(FinSet(()), FinSet(()), ()).table == ()
 
 
 def test_functor_carrier_mismatch():
