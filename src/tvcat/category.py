@@ -52,9 +52,6 @@ class TVCategory:
     def q(self):
         return self.M.q
 
-    def hom(self, xx: str, x: str) -> str:
-        return self.structure.entry(xx, x)
-
     def __eq__(self, other):
         """One category: the same monad instance and structure table.
 
@@ -74,11 +71,35 @@ class TVCategory:
 
 
 # The engine's one cache: built spaces, bimodule scans, factorisations and
-# class memberships, keyed on a tag plus the categories or functors they
-# are about, so equal categories share entries.  It lives for the process;
-# `tvcat verify-paper` empties it after each corpus.  Other modules import
-# it by name, so it is emptied in place, never rebound.
+# class memberships, filled through `memoised`.  A key is a tag plus
+# everything the value depends on: the categories or functors (equal
+# categories share entries), the class name and the size cap.  A refusal
+# by a cap is remembered per key, so a different cap computes afresh.  The
+# memo also holds `Workspace.load_file`'s per-path entries.  It lives for
+# the process; `tvcat verify-paper` empties it after each corpus.  Other
+# modules import it by name, so it is emptied in place, never rebound.
 MEMO: dict = {}
+
+
+def memoised(key, build):
+    """MEMO[key], or build() on a miss.
+
+    A SizeCapError from build is remembered as its message alone, with no
+    traceback to keep the failed build alive, and every hit raises it
+    afresh.
+    """
+    try:
+        hit = MEMO[key]
+    except KeyError:
+        try:
+            hit = MEMO[key] = build()
+        except SizeCapError as exc:
+            MEMO[key] = SizeCapError(str(exc))
+            raise
+        return hit
+    if isinstance(hit, SizeCapError):
+        raise SizeCapError(str(hit))
+    return hit
 
 
 def check_category(C: TVCategory) -> LawReport:
@@ -137,18 +158,22 @@ def check_functor(f: TVFunctor) -> LawReport:
     """The functor law, decided by `is_functor`; a failure names the first
     violating pair in row-major order."""
     rep = LawReport("functor laws: %s" % f.name)
-    bad = None
-    if not is_functor(f.src, f.dst, f.fn):
-        a, b = f.src.structure.rows, f.dst.structure.rows
-        leq, t = f.src.q.leq_m, f.fn.table
-        labels = f.src.carrier.elements
-        bad = next((labels[i], labels[j]) for i in range(len(t))
-                   for j in range(len(t))
-                   if not leq[a[i][j]][b[t[i]][t[j]]])
+    bad = None if is_functor(f.src, f.dst, f.fn) else _functor_violation(f)
     rep.add("structure-preservation", bad is None,
             "a(xx,x) <= b(Tf xx, f x) on all of TX x X" if bad is None
             else "fails at %s" % (bad,))
     return rep
+
+
+def _functor_violation(f: TVFunctor):
+    """The first pair (xx, x) in row-major order with
+    a(xx, x) not <= b(f xx, f x), or None."""
+    a, b = f.src.structure.rows, f.dst.structure.rows
+    leq, t = f.src.q.leq_m, f.fn.table
+    labels = f.src.carrier.elements
+    return next(((labels[i], labels[j]) for i in range(len(t))
+                 for j in range(len(t))
+                 if not leq[a[i][j]][b[t[i]][t[j]]]), None)
 
 
 def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:

@@ -108,15 +108,12 @@ def _render(value, newline: str) -> str:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every command.
-
-    It holds no per-command state: --max-space defaults to None and
-    `_max_space` reads TVCAT_MAX_SPACE on every call.
-    """
+    """The parser, built on first use and shared by every command."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-space", type=int, metavar="N", default=None,
-                        help="presheaf enumeration cap (default %d, or "
-                             "TVCAT_MAX_SPACE)" % DEFAULT_MAX_SPACE)
+    common.add_argument("--max-space", type=int, metavar="N",
+                        default=DEFAULT_MAX_SPACE,
+                        help="presheaf enumeration cap (default %d)"
+                             % DEFAULT_MAX_SPACE)
     common.add_argument("--output", choices=("text", "json"), default="text",
                         help="report rendering (default text)")
     common.add_argument("--seed-corpus", metavar="DIR", default=None,
@@ -182,22 +179,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _max_space(args) -> int:
-    """The presheaf cap: --max-space, else TVCAT_MAX_SPACE, else the default."""
-    if args.max_space is not None:
-        cap, source = args.max_space, "--max-space"
-    else:
-        raw = os.environ.get("TVCAT_MAX_SPACE")
-        if raw is None:
-            return DEFAULT_MAX_SPACE
-        source = "TVCAT_MAX_SPACE"
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InputError("%s must be an integer, got %r" % (source, raw))
-    if cap < 1:
-        raise InputError("%s must be at least 1 (every space has a "
-                         "presheaf), got %d" % (source, cap))
-    return cap
+    """The presheaf cap given by --max-space."""
+    if args.max_space < 1:
+        raise InputError("--max-space must be at least 1 (every space has a "
+                         "presheaf), got %d" % args.max_space)
+    return args.max_space
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
-from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
+from .category import (TVCategory, TVFunctor, _structure_maps,
                        bim_compose, costar, identity_functor,
                        is_fully_faithful, is_functor, is_separated,
-                       functor_leq, star, underlying_order)
+                       functor_leq, memoised, star)
 from .presheaf import (apply_P, phi_dense, presheaf_space, saturated_class,
                        space_mult, yoneda)
 from .quantale import VRelation, line_masks, pair_rows
@@ -113,12 +113,8 @@ class Factorisation:
 def comma_factorise(f: TVFunctor, cls=None,
                     max_space: int = DEFAULT_MAX_SPACE) -> Factorisation:
     cls = cls or saturated_class("all")
-    key = ("fact", f, cls.name, max_space)
-    hit = MEMO.get(key)
-    if hit is None:
-        hit = Factorisation(f, cls, max_space)
-        MEMO[key] = hit
-    return hit
+    return memoised(("fact", f, cls.name, max_space),
+                    lambda: Factorisation(f, cls, max_space))
 
 
 def comma_map(Ff: Factorisation, Fg: Factorisation, u: TVFunctor,
@@ -170,12 +166,9 @@ def l_membership(f: TVFunctor, cls=None,
                  max_space: int = DEFAULT_MAX_SPACE) -> bool:
     """f is in the left class: fully faithful and dense for the class."""
     cls = cls or saturated_class("all")
-    key = ("lmem", f, cls.name, max_space)
-    hit = MEMO.get(key)
-    if hit is None:
-        hit = is_fully_faithful(f) and phi_dense(f, cls, max_space)
-        MEMO[key] = hit
-    return hit
+    return memoised(("lmem", f, cls.name, max_space),
+                    lambda: is_fully_faithful(f)
+                    and phi_dense(f, cls, max_space))
 
 
 def _fibres(g: TVFunctor, over) -> list:
@@ -195,16 +188,17 @@ def r_membership(g: TVFunctor, cls=None,
     satisfy the lax-idempotent algebra inequality id <= L(g) . p.
     """
     cls = cls or saturated_class("all")
-    key = ("alg", g, cls.name, max_space)
-    if key in MEMO:
-        return MEMO[key]
+    return memoised(("alg", g, cls.name, max_space),
+                    lambda: _least_algebra(g, cls, max_space))
+
+
+def _least_algebra(g: TVFunctor, cls, max_space: int):
     F = comma_factorise(g, cls, max_space)
     K, Z = F.K, g.src
     pinned = {F.L.fn.table[z]: z for z in range(len(Z.carrier))}
     solutions = _structure_maps(K, Z, "algebra search for %s" % g.name,
                                 pinned, _fibres(g, F.R.fn.table))
     if not solutions:
-        MEMO[key] = None
         return None
     cands = [TVFunctor(K, Z, Fn(K.carrier, Z.carrier, t), "alg(%s)" % g.name)
              for t in solutions]
@@ -228,7 +222,6 @@ def r_membership(g: TVFunctor, cls=None,
     if least.fn.table not in adjoint:
         raise EngineError("least algebra of %s fails the lax-idempotent "
                           "inequality" % g.name)
-    MEMO[key] = least
     return least
 
 
@@ -668,14 +661,6 @@ def check_subspace_fullness(cats, cls,
 # the classical cross-check
 # ---------------------------------------------------------------------------
 
-def _order_embedding(f: TVFunctor) -> bool:
-    src = underlying_order(f.src)
-    dst = underlying_order(f.dst)
-    names = f.src.carrier.elements
-    return all(((f(x), f(y)) in dst) == ((x, y) in src)
-               for x in names for y in names)
-
-
 def _maps_between(C: TVCategory, D: TVCategory) -> list:
     return _structure_maps(C, D, "functor search for %s -> %s"
                            % (C.name, D.name))
@@ -718,9 +703,9 @@ def wfs_cross_check(cats, fns, cls=None, max_space: int = DEFAULT_MAX_SPACE,
                     problem_cap: int = 20000) -> LawReport:
     """Compare the lax system against independent descriptions of L.
 
-    For the unrestricted class the left class must be the order
-    embeddings; for the representable class it must be the maps with an
-    adjoint section; any other class is compared against representable.
+    For the unrestricted class the left class must be the fully faithful
+    maps (the order embeddings when V = 2); for the representable class it
+    must be the maps with an adjoint section; any other class is compared against representable.
     In every case canonical fillers must be least diagonal fillers.
     """
     cls = cls or saturated_class("all")
@@ -729,7 +714,7 @@ def wfs_cross_check(cats, fns, cls=None, max_space: int = DEFAULT_MAX_SPACE,
     bad = []
     if cls.name == "all":
         for f in fns:
-            if l_membership(f, cls, max_space) != _order_embedding(f):
+            if l_membership(f, cls, max_space) != is_fully_faithful(f):
                 bad.append(f.name)
         rep.add("left-class-is-embeddings", not bad,
                 "left class = order-embeddings on %d maps" % len(fns)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
-from .category import (MEMO, Bimodule, TVCategory, TVFunctor, _bimodule_mask,
+from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        _candidate_relation, check_bimodule,
                        check_category, check_functor, costar,
                        identity_functor, is_bimodule, is_fully_faithful,
-                       is_functor, is_separated, functor_leq, star,
+                       is_functor, is_separated, functor_leq, memoised, star,
                        underlying_order, unit_category)
 from .quantale import VRelation, compose_rows, residual_left
 from .report import LawReport
@@ -70,34 +70,12 @@ class Presheaf:
         return "Presheaf(%s)" % self.name
 
 
-class _OverCap(SizeCapError):
-    """The enumeration found more than `cap` presheaves."""
-
-    def __init__(self, cap: int, tn: int):
-        super().__init__("presheaf space exceeds the cap of %d (carrier of %d "
-                         "lifted points)" % (cap, tn))
-        self.cap = cap
-
-
-class _OverWork(SizeCapError):
-    """The space's structure matrix is past STRUCTURE_WORK_CAP.
-
-    `enumerated` counts the presheaves enumerated before the class cut
-    them down: a cap below it refuses the space before the work budget
-    does.
-    """
-
-    def __init__(self, message: str, enumerated: int):
-        super().__init__(message)
-        self.enumerated = enumerated
-
-
 def _enumerate_value_tuples(q, cond, max_space):
     """Every presheaf's byte string of values, in lexicographic order.
 
     cond is the transposed structure of a reflexive, transitive base: a
     line of values w is a presheaf exactly when cond[j][i] (x) w_j <= w_i
-    for every ordered pair.  Raises `_OverCap` past the cap.
+    for every ordered pair.  Raises SizeCapError past the cap.
 
     Once some positions s carry values w_s, the pair conditions between s
     and another position y read, for a candidate v at y,
@@ -198,7 +176,9 @@ def _enumerate_value_tuples(q, cond, max_space):
                                           .translate(digits[v]), "big")
             out.append(acc.to_bytes(tn, "little"))
             if len(out) > max_space:
-                raise _OverCap(max_space, tn)
+                raise SizeCapError("presheaf space exceeds the cap of %d "
+                                   "(carrier of %d lifted points)"
+                                   % (max_space, tn))
             return
         bit = twice & -twice
         p = bit.bit_length() - 1
@@ -311,8 +291,8 @@ ENUM_BASE_CAP = 160
 class PresheafSpace:
     """All presheaves on a base category that lie in a saturated class."""
 
-    __slots__ = ("base", "cls", "enumerated", "presheaves", "carrier",
-                 "category", "index", "values")
+    __slots__ = ("base", "cls", "presheaves", "carrier", "category",
+                 "index", "values")
 
     def __init__(self, base: TVCategory, cls: SaturatedClass, max_space: int):
         if len(base.carrier) > ENUM_BASE_CAP:
@@ -339,8 +319,6 @@ class PresheafSpace:
         self.cls = cls
         tuples = _enumerate_value_tuples(base.q, base.structure.T.rows,
                                          max_space)
-        # a cap below this count refuses the space, whatever the class keeps
-        self.enumerated = len(tuples)
         if cls.name != "all":
             E = unit_category(base.M)
             keep = []
@@ -351,10 +329,9 @@ class PresheafSpace:
                     keep.append(values)
             tuples = keep
         if len(tuples) ** 2 * max(1, len(base.carrier)) > STRUCTURE_WORK_CAP:
-            raise _OverWork(
+            raise SizeCapError(
                 "structure matrix for %d presheaves over %d lifted points "
-                "is past the work budget" % (len(tuples), len(base.carrier)),
-                self.enumerated)
+                "is past the work budget" % (len(tuples), len(base.carrier)))
         self.presheaves = [Presheaf(base, v) for v in tuples]
         self.carrier = FinSet(p.name for p in self.presheaves)
         # row i holds the values of presheaf i
@@ -380,31 +357,8 @@ class PresheafSpace:
 def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
                    max_space: int = DEFAULT_MAX_SPACE) -> PresheafSpace:
     cls = cls or _BUILTIN_CLASSES["all"]
-    key = ("space", C, cls.name)
-    # a built space, its refusal by the work budget, or the largest cap its
-    # enumeration went past; a hit raises what a cold call would
-    hit = MEMO.get(key)
-    if isinstance(hit, int):
-        # more than `hit` presheaves, so more than any cap up to it
-        if max_space <= hit:
-            raise _OverCap(max_space, len(C.carrier))
-    elif hit is not None:
-        if hit.enumerated > max_space:
-            raise _OverCap(max_space, len(C.carrier))
-        if isinstance(hit, _OverWork):
-            raise _OverWork(str(hit), hit.enumerated)
-        return hit
-    try:
-        space = PresheafSpace(C, cls, max_space)
-    except _OverCap as exc:
-        MEMO[key] = exc.cap
-        raise
-    except _OverWork as exc:
-        # a fresh copy: the raised one's traceback holds the enumeration
-        MEMO[key] = _OverWork(str(exc), exc.enumerated)
-        raise
-    MEMO[key] = space
-    return space
+    return memoised(("space", C, cls.name, max_space),
+                    lambda: PresheafSpace(C, cls, max_space))
 
 
 def yoneda(C: TVCategory, cls: SaturatedClass | None = None,
@@ -704,12 +658,8 @@ def unit_isomorphism_check(cls: SaturatedClass, cats,
 
 def _all_bimodules(C: TVCategory, D: TVCategory, cap: int):
     # class-independent, so remembered rather than rescanned per class
-    key = ("bimodules", C, D, cap)
-    hit = MEMO.get(key)
-    if hit is None:
-        hit = tuple(_scan_bimodules(C, D, cap))
-        MEMO[key] = hit
-    return hit
+    return memoised(("bimodules", C, D, cap),
+                    lambda: tuple(_scan_bimodules(C, D, cap)))
 
 
 def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):

@@ -141,18 +141,6 @@ class Quantale:
             raise InputError("unknown quantale element %r (have %r)"
                              % (name, self.elements))
 
-    def name(self, i: int) -> str:
-        return self.elements[i]
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.leq_m[self.index_of(a)][self.index_of(b)]
-
-    def tensor(self, a: str, b: str) -> str:
-        return self.elements[self.tensor_m[self.index_of(a)][self.index_of(b)]]
-
-    def hom(self, a: str, b: str) -> str:
-        return self.elements[self.hom_m[self.index_of(a)][self.index_of(b)]]
-
     def carrier(self) -> FinSet:
         return self._vset
 
@@ -661,9 +649,6 @@ class VRelation:
                                for j in range(nc)]
         return self._col_masks
 
-    def entry(self, x: str, y: str) -> str:
-        return self.q.elements[self.rows[self.src.index_of(x)][self.dst.index_of(y)]]
-
     def transpose(self) -> "VRelation":
         return VRelation(self.q, self.dst, self.src, zip(*self.rows)) \
             if self.rows else VRelation(self.q, self.dst, self.src,
@@ -718,26 +703,6 @@ class VRelation:
                 if not lm[self.rows[i][j]][other.rows[i][j]]:
                     return (self.src.elements[i], self.dst.elements[j])
         return None
-
-    def meet(self, other: "VRelation") -> "VRelation":
-        self._check_parallel(other)
-        mm = self.q.meet_m
-        return VRelation(self.q, self.src, self.dst,
-                         (bytes(mm[a][b] for a, b in zip(ra, rb))
-                          for ra, rb in zip(self.rows, other.rows)))
-
-    def join(self, other: "VRelation") -> "VRelation":
-        self._check_parallel(other)
-        jm = self.q.join_m
-        return VRelation(self.q, self.src, self.dst,
-                         (bytes(jm[a][b] for a, b in zip(ra, rb))
-                          for ra, rb in zip(self.rows, other.rows)))
-
-    def __and__(self, other):
-        return self.meet(other)
-
-    def __or__(self, other):
-        return self.join(other)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VRelation) and self.q is other.q

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import os
 
-from .category import (MEMO, TVCategory, TVFunctor, check_category,
-                       is_functor)
+from .category import (MEMO, TVCategory, TVFunctor, _functor_violation,
+                       check_category, is_functor)
 from .core import FinSet, Fn, InputError, ValidationError
 from .monad import instantiate_monad
 from .quantale import (VRelation, boolean_quantale, build_quantale,
@@ -134,21 +134,10 @@ def functor_from_doc(doc: dict, src: TVCategory, dst: TVCategory,
                          % (where, sorted(extra)))
     f = TVFunctor(src, dst, Fn(src.carrier, dst.carrier, table), name)
     if not is_functor(src, dst, f.fn):
-        wit = _functor_witness(f)
+        wit = _functor_violation(f)
         raise ValidationError("%s: functor %s fails the action inequality "
                               "at %s" % (where, name, wit))
     return f
-
-
-def _functor_witness(f: TVFunctor):
-    a, b = f.src.structure, f.dst.structure
-    leq = f.src.q.leq_m
-    t = f.fn.table
-    for i, xx in enumerate(f.src.carrier):
-        for j, x in enumerate(f.src.carrier):
-            if not leq[a.rows[i][j]][b.rows[t[i]][t[j]]]:
-                return (xx, x)
-    return None
 
 
 # ---------------------------------------------------------------------------

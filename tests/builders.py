@@ -50,6 +50,19 @@ def constant_relation(q, src: FinSet, dst: FinSet, v) -> VRelation:
     return VRelation(q, src, dst, (bytes((v,)) * len(dst),) * len(src))
 
 
+def entry(rel: VRelation, x: str, y: str) -> str:
+    """The name of rel's value at the labels (x, y)."""
+    return rel.q.elements[rel.rows[rel.src.index_of(x)][rel.dst.index_of(y)]]
+
+
+def pointwise(table, r: VRelation, s: VRelation) -> VRelation:
+    """The parallel relation with table[r(x, y)][s(x, y)] in each cell,
+    e.g. the meet of r and s for the quantale's meet table."""
+    return VRelation(r.q, r.src, r.dst,
+                     (bytes(table[a][b] for a, b in zip(ra, rb))
+                      for ra, rb in zip(r.rows, s.rows)))
+
+
 def fn_from_dict(src: FinSet, dst: FinSet, mapping: dict) -> Fn:
     """The map sending each label x of src to the label mapping[x] of dst."""
     missing = [x for x in src if x not in mapping]

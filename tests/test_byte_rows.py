@@ -26,7 +26,7 @@ from tvcat.quantale import (VRelation, boolean_quantale, powerset_frame,
                             residual_left, truncated_chain)
 from tvcat.workspace import Workspace
 
-from builders import (constant_relation, discrete_category,
+from builders import (constant_relation, discrete_category, pointwise,
                       relation_from_entries)
 
 BOOL = boolean_quantale()
@@ -98,13 +98,9 @@ def test_transpose_meet_join_and_residuals_yield_bytes_rows():
     t = random_rel(rng, q, X, Z)
     for rel in (r.transpose(), r.T,
                 VRelation(q, FinSet([]), Y, []).transpose(),
-                r.meet(r2), r.join(r2), r & r2, r | r2,
+                pointwise(q.meet_m, r, r2), pointwise(q.join_m, r, r2),
                 residual_left(t, r)):
         assert byte_rows(rel)
-    assert r.meet(r2).rows == tuple(bytes(q.meet_m[a][b] for a, b in zip(x, y))
-                                    for x, y in zip(r.rows, r2.rows))
-    assert r.join(r2).rows == tuple(bytes(q.join_m[a][b] for a, b in zip(x, y))
-                                    for x, y in zip(r.rows, r2.rows))
     assert r.T.rows == tuple(bytes(col) for col in zip(*r.rows))
 
 
@@ -230,10 +226,9 @@ def test_equal_but_distinct_carriers_compose_and_compare(q):
         same = VRelation(q, Y, Z, s.rows)
         assert (s @ r).rows == (same @ r).rows
         r2 = VRelation(q, X2, Y2, r.rows)
-        bigger = r.join(random_rel(rng, q, X2, Y2))
+        bigger = pointwise(q.join_m, r, random_rel(rng, q, X2, Y2))
         assert r <= r2 and r2 <= r and r == r2
         assert r <= bigger and r.first_violation(bigger) is None
-        assert r.meet(r2).rows == r.rows and r.join(r2).rows == r.rows
         M = instantiate_monad("identity", q)
         assert kleisli(M, same, r2, X).rows == (s @ r).rows
         assert kleisli(M, VRelation(q, Y2, Z2, s.rows), r, X2).rows \
@@ -248,7 +243,7 @@ def test_unequal_carriers_still_raise():
     with pytest.raises(InputError, match="cannot compose"):
         s @ r
     other = random_rel(rng, q, X, carrier(3, "w"))
-    for op in (r.leq, r.first_violation, r.meet, r.join):
+    for op in (r.leq, r.first_violation):
         with pytest.raises(InputError, match="not parallel"):
             op(other)
     with pytest.raises(InputError, match="not parallel"):
@@ -272,7 +267,8 @@ def test_leq_matches_the_cell_formula(q):
     for _ in range(300):
         X, Y = carrier(rng.randrange(5)), carrier(rng.randrange(12), "y")
         r, s = random_rel(rng, q, X, Y), random_rel(rng, q, X, Y)
-        for a, b in ((r, s), (r, r.join(s)), (r.meet(s), r), (r, r)):
+        for a, b in ((r, s), (r, pointwise(q.join_m, r, s)),
+                     (pointwise(q.meet_m, r, s), r), (r, r)):
             expected = all(q.leq_m[u][v] for ra, rb in zip(a.rows, b.rows)
                            for u, v in zip(ra, rb))
             assert a.leq(b) == expected == (a.first_violation(b) is None)

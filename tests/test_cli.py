@@ -200,13 +200,6 @@ def test_seed_corpus_resolves_names(tmp_path):
     assert out.startswith("L: yes")
 
 
-def test_max_space_env_mirror(tmp_path, monkeypatch):
-    seed(tmp_path)
-    monkeypatch.setenv("TVCAT_MAX_SPACE", "2")
-    code, _ = run_command(["presheaves", str(tmp_path / "two.json")])
-    assert code == 3
-
-
 def test_verify_paper_trivial_config_is_green():
     code, out = run_command(["verify-paper", "--max-size", "1"])
     assert code == 0
@@ -257,29 +250,22 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.strip() == "L: yes (fully faithful, dense); R: no"
 
 
-def test_cap_is_read_on_every_command(tmp_path, monkeypatch):
+def test_cap_is_read_on_every_command(tmp_path):
+    # one process, one memo: each command's cap decides its own answer
     seed(tmp_path)
     argv = ["presheaves", str(tmp_path / "two.json")]
-    monkeypatch.delenv("TVCAT_MAX_SPACE", raising=False)
     first = run_command(argv)
-    monkeypatch.setenv("TVCAT_MAX_SPACE", "2")
-    capped = run_command(argv)
-    monkeypatch.delenv("TVCAT_MAX_SPACE")
+    capped = run_command(argv + ["--max-space", "2"])
     again = run_command(argv)
+    capped_again = run_command(argv + ["--max-space", "2"])
     assert [first[0], capped[0], again[0]] == [0, 3, 0]
-    assert again == first
+    assert again == first and capped_again == capped
 
 
-def test_bad_cap_values_are_input_errors(tmp_path, monkeypatch):
+def test_bad_cap_values_are_input_errors(tmp_path):
     seed(tmp_path)
     argv = ["presheaves", str(tmp_path / "two.json")]
-    for raw in ("abc", "", "0", "-3"):
-        monkeypatch.setenv("TVCAT_MAX_SPACE", raw)
-        code, out = run_command(argv)
-        assert code == 2 and "TVCAT_MAX_SPACE" in out, (raw, out)
-    # the flag wins over the variable, and is checked the same way
     assert run_command(argv + ["--max-space", "8"])[0] == 0
-    monkeypatch.delenv("TVCAT_MAX_SPACE")
     for raw in ("0", "-1"):
         code, out = run_command(argv + ["--max-space", raw])
         assert code == 2 and "--max-space" in out, (raw, out)

@@ -47,38 +47,50 @@ def test_every_import_is_read():
 
 
 def definitions(tree: ast.Module) -> list:
-    """Module-level functions and classes, and methods, as (line, name).
+    """Module-level functions and classes, and methods, as (line, name, kind).
 
-    Dunder methods are left out: the language calls them.
+    kind is "method" for a method and "name" otherwise.  Dunder methods are
+    left out: the language calls them.
     """
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.lineno, node.name))
+            found.append((node.lineno, node.name, "name"))
         if isinstance(node, ast.ClassDef):
-            found.extend((item.lineno, item.name) for item in node.body
+            found.extend((item.lineno, item.name, "method")
+                         for item in node.body
                          if isinstance(item, ast.FunctionDef))
-    return [(line, name) for line, name in found
+    return [(line, name, kind) for line, name, kind in found
             if not (name.startswith("__") and name.endswith("__"))]
 
 
-def read_names(tree: ast.Module, strings: bool = False) -> set:
-    """Names and attributes the module reads.
+def read_names(tree: ast.Module, strings: bool = False) -> dict:
+    """Names and attributes the module reads, by kind.
 
-    With strings, every dotted part of a string constant counts too, as
+    A method is read only through an attribute load ("method"); a function
+    or class may also be read as a bare name ("name" holds both).  With
+    strings, every dotted part of a string constant counts as both, as
     perfbench's tracer names the callables it wraps in strings.
     """
-    read = set()
+    read = {"name": set(), "method": set()}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            read["name"].add(node.id)
         elif isinstance(node, ast.Attribute) \
                 and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            read["name"].add(node.attr)
+            read["method"].add(node.attr)
         elif strings and isinstance(node, ast.Constant) \
                 and isinstance(node.value, str):
-            read.update(node.value.split("."))
+            for part in node.value.split("."):
+                read["name"].add(part)
+                read["method"].add(part)
     return read
+
+
+def unread(tree: ast.Module, read: dict) -> list:
+    return [(line, name) for line, name, kind in definitions(tree)
+            if name not in read[kind]]
 
 
 def test_the_guard_finds_an_unread_definition():
@@ -86,22 +98,26 @@ def test_the_guard_finds_an_unread_definition():
                      "def unused():\n    pass\n\n"
                      "class K:\n    def __repr__(self):\n        return ''\n"
                      "    def m(self):\n        pass\n\n"
-                     "used()\n")
-    unread = [d for d in definitions(tree) if d[1] not in read_names(tree)]
-    assert unread == [(4, "unused"), (7, "K"), (10, "m")]
+                     "    def n(self):\n        pass\n\n"
+                     "used()\nn = 1\nprint(n)\n")
+    # n is read as a variable, never as an attribute: the method is unread
+    assert unread(tree, read_names(tree)) == [(4, "unused"), (7, "K"),
+                                              (10, "m"), (13, "n")]
     script = ast.parse("TARGET = ('lib', 'K.m')\n")
-    assert {"K", "m"} <= read_names(script, strings=True)
-    assert not read_names(script) & {"K", "m"}
+    read = read_names(script, strings=True)
+    assert {"K", "m"} <= read["name"] and "m" in read["method"]
+    assert not read_names(script)["method"] & {"K", "m"}
 
 
 def test_every_definition_is_read_outside_the_tests():
     trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     scripts = sorted(PERFBENCH.glob("*.py"))
     assert "__init__.py" in trees and scripts
-    read = set(tvcat.__all__).union(
-        *(read_names(t) for t in trees.values()),
-        *(read_names(ast.parse(p.read_text()), strings=True)
-          for p in scripts))
-    unread = {name: [d for d in definitions(tree) if d[1] not in read]
-              for name, tree in trees.items()}
-    assert {name: found for name, found in unread.items() if found} == {}
+    reads = [read_names(t) for t in trees.values()] \
+        + [read_names(ast.parse(p.read_text()), strings=True)
+           for p in scripts]
+    read = {kind: set().union(*(r[kind] for r in reads))
+            for kind in ("name", "method")}
+    read["name"] |= set(tvcat.__all__)
+    found = {name: unread(tree, read) for name, tree in trees.items()}
+    assert {name: defs for name, defs in found.items() if defs} == {}

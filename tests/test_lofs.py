@@ -1,6 +1,7 @@
 import pytest
 
 from tvcat.core import DEFAULT_MAX_SPACE, Fn, InputError, ValidationError
+from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
 from tvcat.category import (TVFunctor, check_category, functor_leq,
@@ -13,6 +14,8 @@ from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
                         coalgebra, comma_factorise, comma_map,
                         enumerate_fillers, l_membership, lari, r_membership,
                         solve_lifting, wfs_cross_check)
+
+from tvcat.report import PASS
 
 from builders import category_from_entries, discrete_category
 
@@ -283,6 +286,17 @@ def test_wfs_cross_check_restricted_class():
     assert rep.ok, rep.failures
     names = {c.name for c in rep.checks}
     assert "left-class-is-laris" in names
+
+
+def test_left_class_is_the_fully_faithful_maps_on_a_chain_quantale():
+    # on a many-valued chain, comparing underlying orders is weaker than
+    # fully faithful: the size-2 corpus has maps that are order embeddings
+    # without being fully faithful
+    M = instantiate_monad("identity", truncated_chain(2))
+    cats, fns = seed_corpus(M, 2)
+    rep = wfs_cross_check(cats, iso_representatives(fns))
+    check = {c.name: c for c in rep.checks}["left-class-is-embeddings"]
+    assert check.status == PASS, check.detail
 
 
 def test_corpus_aggregators():

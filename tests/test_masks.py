@@ -35,7 +35,7 @@ from tvcat.category import (MEMO, TVCategory, TVFunctor, dual_category,
                             is_bimodule, is_functor, is_separated,
                             module_functor_correspondence, tensor_category,
                             v_category)
-from tvcat.presheaf import (ENUM_BASE_CAP, _OverCap, _enumerate_value_tuples,
+from tvcat.presheaf import (ENUM_BASE_CAP, _enumerate_value_tuples,
                             _scan_bimodules, apply_P, presheaf_space,
                             saturated_class)
 from tvcat.corpus import iso_representatives, seed_corpus
@@ -658,7 +658,7 @@ def ref_enumerate_value_tuples(q, cond, max_space):
 
     cond is the transposed structure: a line of values w is a presheaf
     exactly when cond[j][i] (x) w_j <= w_i for every ordered pair.  Raises
-    `_OverCap` past the cap.
+    SizeCapError past the cap.
 
     Positions are filled left to right.  Once positions j < pos carry values
     w_j, the pair conditions between j and pos read, for a candidate v,
@@ -718,7 +718,9 @@ def ref_enumerate_value_tuples(q, cond, max_space):
         if pos == tn:
             out.append(bytes(chosen))
             if len(out) > max_space:
-                raise _OverCap(max_space, tn)
+                raise SizeCapError("presheaf space exceeds the cap of %d "
+                                   "(carrier of %d lifted points)"
+                                   % (max_space, tn))
             return
         allowed = domain[pos]
         for w, group, mask in tests[pos]:
@@ -739,10 +741,10 @@ def ref_enumerate_value_tuples(q, cond, max_space):
 
 
 def enumerated(kernel, q, cond, cap):
-    """The kernel's strings, or the message of the `_OverCap` it raised."""
+    """The kernel's strings, or the message of the SizeCapError it raised."""
     try:
         return kernel(q, cond, cap)
-    except _OverCap as exc:
+    except SizeCapError as exc:
         return str(exc)
 
 

@@ -7,6 +7,9 @@ give what a cold call at the same cap gives, and verify-paper leaves it
 empty.
 """
 
+import ast
+from pathlib import Path
+
 from tvcat import category
 from tvcat.category import identity_functor
 from tvcat.cli import run_command
@@ -18,6 +21,7 @@ from tvcat.quantale import boolean_quantale
 
 from builders import category_from_entries, discrete_category
 
+SRC = Path(category.__file__).resolve().parent
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)
 UF = instantiate_monad("finite_ultrafilter", BOOL)
@@ -93,9 +97,54 @@ def test_cache_hits_honour_the_callers_cap():
     assert outcomes(warm_f, 2) == cold
 
 
+def test_refusals_are_remembered_at_their_cap(monkeypatch):
+    f = fresh_id2()
+    cold = outcomes(f, 2)
+    assert [kind for kind, _ in cold] == ["capped"] * 5
+
+    def rebuilt(*args):
+        raise AssertionError("rebuilt a refused memo entry")
+
+    # every refusal at cap 2 is answered from the memo, none recomputed
+    monkeypatch.setattr("tvcat.presheaf._enumerate_value_tuples", rebuilt)
+    monkeypatch.setattr("tvcat.lofs.Factorisation", rebuilt)
+    assert outcomes(f, 2) == cold
+
+
 def test_memo_is_empty_after_verify_paper():
     presheaf_space(chain_cat(ID, ["0", "1"], "two"))
     assert category.MEMO
     code, _ = run_command(["verify-paper", "--max-size", "1"])
     assert code == 0
     assert category.MEMO == {}
+
+
+def memo_stores(tree: ast.Module, module: str) -> set:
+    """Qualified names of the functions that assign MEMO[...]."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Subscript) \
+                    and isinstance(child.ctx, ast.Store) \
+                    and isinstance(child.value, ast.Name) \
+                    and child.value.id == "MEMO":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, (module,))
+    return found
+
+
+def test_memo_is_filled_in_two_places_only():
+    stores = set()
+    for path in sorted(SRC.glob("*.py")):
+        stores |= memo_stores(ast.parse(path.read_text()), path.stem)
+    assert stores == {"category.memoised", "workspace.Workspace.load_file"}
+    probe = ast.parse("def f():\n    MEMO[1] = 2\n"
+                      "class C:\n    def g(self):\n"
+                      "        x = MEMO[1]\n        MEMO[2] = x\n")
+    assert memo_stores(probe, "m") == {"m.f", "m.C.g"}

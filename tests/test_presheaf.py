@@ -106,17 +106,19 @@ def test_size_cap(monkeypatch):
         presheaf_space(base, ALL, max_space=7)
     assert str(exc.value) == message % 7
 
-    # the over-cap verdict is remembered: no enumeration at or below 7
+    # the over-cap verdict is remembered: no enumeration at the same cap
     def refuse(*args):
         raise AssertionError("enumerated an over-cap space again")
 
     with monkeypatch.context() as m:
         m.setattr("tvcat.presheaf._enumerate_value_tuples", refuse)
-        for cap in (7, 3):
-            with pytest.raises(SizeCapError) as exc:
-                presheaf_space(base, ALL, max_space=cap)
-            assert str(exc.value) == message % cap
-    # a larger cap enumerates again
+        with pytest.raises(SizeCapError) as exc:
+            presheaf_space(base, ALL, max_space=7)
+        assert str(exc.value) == message % 7
+    # another cap is a cold call, with its own message or its space
+    with pytest.raises(SizeCapError) as exc:
+        presheaf_space(base, ALL, max_space=3)
+    assert str(exc.value) == message % 3
     assert len(presheaf_space(base, ALL, max_space=8)) == 8
 
 
@@ -127,29 +129,25 @@ def test_work_capped_space_is_enumerated_once(monkeypatch):
                  "is past the work budget")
     over_cap = ("presheaf space exceeds the cap of %d "
                 "(carrier of 3 lifted points)")
-    enumerate_once = presheaf._enumerate_value_tuples
-    calls = []
+    original = presheaf._enumerate_value_tuples
+    caps = []
 
-    def once(*args):
-        if calls:
-            raise AssertionError("enumerated a work-capped space again")
-        calls.append(args)
-        return enumerate_once(*args)
+    def counted(q, cond, max_space):
+        caps.append(max_space)
+        return original(q, cond, max_space)
 
     monkeypatch.setattr("tvcat.presheaf.STRUCTURE_WORK_CAP", 100)
-    monkeypatch.setattr("tvcat.presheaf._enumerate_value_tuples", once)
+    monkeypatch.setattr("tvcat.presheaf._enumerate_value_tuples", counted)
     try:
-        # from the cap that admits all 8 presheaves up, the budget refuses
-        for cap in (8, 100, 8):
+        # from the cap that admits all 8 presheaves up, the budget refuses;
+        # below 8 the enumeration cap refuses first
+        for cap in (8, 100, 8, 7, 2, 7, 100):
             with pytest.raises(SizeCapError) as exc:
                 presheaf_space(base, ALL, max_space=cap)
-            assert str(exc.value) == over_work
-        # below 8 the enumeration cap refuses first, as on a cold call
-        for cap in (7, 2):
-            with pytest.raises(SizeCapError) as exc:
-                presheaf_space(base, ALL, max_space=cap)
-            assert str(exc.value) == over_cap % cap
-        assert len(calls) == 1
+            assert str(exc.value) == (over_work if cap >= 8
+                                      else over_cap % cap)
+        # a repeated cap is answered from the memo; a new cap is a cold call
+        assert caps == [8, 100, 7, 2]
     finally:
         # the remembered refusal holds for the lowered budget only
         MEMO.clear()

@@ -13,7 +13,7 @@ from tvcat import (FinSet, InputError, ValidationError, VRelation,
                    lukasiewicz_chain, powerset_frame, residual_left,
                    truncated_chain)
 
-from builders import fn_from_dict
+from builders import entry, fn_from_dict, pointwise
 
 
 BOOLEAN_SPEC = {
@@ -33,12 +33,17 @@ def test_builtins_pass_all_laws():
         assert rep.ok, rep.to_text()
 
 
+def value(q, table, a, b):
+    """The name of table[a][b] for the value names a and b."""
+    return q.elements[table[q.index_of(a)][q.index_of(b)]]
+
+
 def test_boolean_hom_table():
     q = boolean_quantale()
-    assert q.hom("1", "0") == "0"
-    assert q.hom("0", "0") == "1"
-    assert q.hom("0", "1") == "1"
-    assert q.hom("1", "1") == "1"
+    assert value(q, q.hom_m, "1", "0") == "0"
+    assert value(q, q.hom_m, "0", "0") == "1"
+    assert value(q, q.hom_m, "0", "1") == "1"
+    assert value(q, q.hom_m, "1", "1") == "1"
     assert q.elements[q.unit] == "1"
     assert q.elements[q.bottom] == "0"
 
@@ -49,36 +54,37 @@ def test_truncated_chain_orientation():
     assert q.elements[q.unit] == "0"
     assert q.elements[q.top] == "0"
     assert q.elements[q.bottom] == "inf"
-    assert q.leq("2", "1") and not q.leq("1", "2")
-    assert q.tensor("1", "2") == "inf"  # 3 > 2 truncates
-    assert q.tensor("1", "1") == "2"
+    two, one = q.index_of("2"), q.index_of("1")
+    assert q.leq_m[two][one] and not q.leq_m[one][two]
+    assert value(q, q.tensor_m, "1", "2") == "inf"  # 3 > 2 truncates
+    assert value(q, q.tensor_m, "1", "1") == "2"
 
 
 def test_truncated_chain_hom_truncation_effect():
     # hom(1, inf) = 1 in the 0,1,inf chain: 1 (*) 1 already truncates to inf
     q = truncated_chain(1)
-    assert q.hom("1", "inf") == "1"
-    assert q.hom("0", "1") == "1"
-    assert q.hom("1", "0") == "0"
+    assert value(q, q.hom_m, "1", "inf") == "1"
+    assert value(q, q.hom_m, "0", "1") == "1"
+    assert value(q, q.hom_m, "1", "0") == "0"
 
 
 def test_lukasiewicz_tables():
     q = lukasiewicz_chain(2)
     assert q.elements[q.unit] == "2"
-    assert q.tensor("1", "1") == "0"
-    assert q.tensor("1", "2") == "1"
-    assert q.hom("2", "1") == "1"
-    assert q.hom("1", "0") == "1"
+    assert value(q, q.tensor_m, "1", "1") == "0"
+    assert value(q, q.tensor_m, "1", "2") == "1"
+    assert value(q, q.hom_m, "2", "1") == "1"
+    assert value(q, q.hom_m, "1", "0") == "1"
 
 
 def test_powerset_frame_is_heyting():
     q = powerset_frame(2)
     assert q.elements[q.unit] == "{1,2}"
-    assert q.tensor("{1}", "{2}") == "{}"
+    assert value(q, q.tensor_m, "{1}", "{2}") == "{}"
     # hom(a,c) = complement(a) union c
-    assert q.hom("{1}", "{2}") == "{2}"
-    assert q.hom("{1}", "{1}") == "{1,2}"
-    assert q.hom("{}", "{}") == "{1,2}"
+    assert value(q, q.hom_m, "{1}", "{2}") == "{2}"
+    assert value(q, q.hom_m, "{1}", "{1}") == "{1,2}"
+    assert value(q, q.hom_m, "{}", "{}") == "{1,2}"
 
 
 def test_antisymmetry_violation_is_an_error():
@@ -170,8 +176,8 @@ def test_from_fn_graph():
     q = boolean_quantale()
     f = fn_from_dict(X, Y, {"x1": "y2", "x2": "y2"})
     g = VRelation.from_fn(q, f)
-    assert g.entry("x1", "y2") == "1"
-    assert g.entry("x1", "y1") == "0"
+    assert entry(g, "x1", "y2") == "1"
+    assert entry(g, "x1", "y1") == "0"
     with pytest.raises(InputError, match="not total"):
         fn_from_dict(X, Y, {"x1": "y1"})
 
@@ -238,4 +244,6 @@ def test_composition_distributes_over_join(ra, sa, sb):
     r = VRelation(q, X, Y, unpack(ra))
     s1 = VRelation(q, Y, X, unpack(sa))
     s2 = VRelation(q, Y, X, unpack(sb))
-    assert ((s1 | s2) @ r) == ((s1 @ r) | (s2 @ r))
+    join = q.join_m
+    assert (pointwise(join, s1, s2) @ r) \
+        == pointwise(join, s1 @ r, s2 @ r)

@@ -15,6 +15,8 @@ from tvcat.report import LawReport
 from tvcat.workspace import (Workspace, category_doc, factorisation_doc,
                              functor_doc, quantale_spec)
 
+from builders import entry
+
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
 
 TWO_DOC = {"name": "two", "quantale": "bool.json", "monad": "identity",
@@ -45,8 +47,8 @@ def test_category_file_loads(tmp_path):
     assert ws.load_file(str(tmp_path / "two.json")) == ("category", "two")
     C = ws.category("two")
     assert C.carrier.elements == ("0", "1")
-    assert C.structure.entry("0", "1") == "1"
-    assert C.structure.entry("1", "0") == "0"
+    assert entry(C.structure, "0", "1") == "1"
+    assert entry(C.structure, "1", "0") == "0"
 
 
 def test_unknown_structure_element_names_the_entry(tmp_path):
@@ -244,8 +246,8 @@ def test_same_size_rewrite_with_old_mtime_is_seen(tmp_path):
     ws = Workspace()
     ws.load_file(path)
     C = ws.category("two")
-    assert C.structure.entry("1", "0") == "1"
-    assert C.structure.entry("0", "1") == "0"
+    assert entry(C.structure, "1", "0") == "1"
+    assert entry(C.structure, "0", "1") == "0"
 
 
 @pytest.mark.parametrize("text, code", [
