@@ -70,12 +70,13 @@ class TVCategory:
         return "TVCategory(%s, %d objects)" % (self.name, len(self.carrier))
 
 
-# The engine's one cache: built spaces, bimodule scans, factorisations and
-# class memberships, filled through `memoised`.  A key is a tag plus
-# everything the value depends on: the categories or functors (equal
-# categories share entries), the class name and the size cap.  A refusal
-# by a cap is remembered per key, so a different cap computes afresh.  The
-# memo also holds `Workspace.load_file`'s per-path entries.  It lives for
+# The engine's one cache: built spaces, bimodule scans, factorisations,
+# density decisions and algebras, filled through `memoised`.  A key is a
+# tag plus everything the value depends on: the categories or functors
+# (equal categories share entries), the class name and the size cap.  A
+# refusal by a cap is remembered per key, so a different cap computes
+# afresh.  The memo also holds `run_command`'s parsed command lines and
+# `Workspace.load_file`'s per-path entries.  It lives for
 # the process; `tvcat verify-paper` empties it after each corpus.  Other
 # modules import it by name, so it is emptied in place, never rebound.
 MEMO: dict = {}

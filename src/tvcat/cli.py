@@ -19,7 +19,8 @@ import os
 import re
 import sys
 
-from .category import MEMO, check_enriched_calculus, is_fully_faithful
+from .category import (MEMO, check_enriched_calculus, is_fully_faithful,
+                       memoised)
 from .core import (DEFAULT_MAX_SPACE, InputError, SizeCapError,
                    ValidationError)
 from .corpus import iso_representatives, seed_corpus
@@ -176,14 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "chains up to min(2, N)")
     p.add_argument("--corrupt-builtin", default=None, help=argparse.SUPPRESS)
     return top
-
-
-def _max_space(args) -> int:
-    """The presheaf cap given by --max-space."""
-    if args.max_space < 1:
-        raise InputError("--max-space must be at least 1 (every space has a "
-                         "presheaf), got %d" % args.max_space)
-    return args.max_space
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +499,22 @@ _COMMANDS = {"check": _cmd_check, "factor": _cmd_factor,
 
 
 def run_command(argv) -> tuple[int, str]:
-    """Dispatch one command line; returns (exit code, rendered output)."""
+    """Dispatch one command line; returns (exit code, rendered output).
+
+    Each distinct command line is parsed once and its namespace kept in
+    `MEMO`, so commands only read `args`.  A usage error or --help is not
+    kept: it prints its text on every run.
+    """
+    argv = tuple(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = memoised(("argv", argv),
+                        lambda: _build_parser().parse_args(argv))
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else EXIT_INPUT), ""
     try:
-        args.max_space = _max_space(args)
+        if args.max_space < 1:
+            raise InputError("--max-space must be at least 1 (every space "
+                             "has a presheaf), got %d" % args.max_space)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         return EXIT_INPUT, "error: %s" % exc

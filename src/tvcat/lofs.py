@@ -165,10 +165,8 @@ def coalgebra(F: Factorisation):
 def l_membership(f: TVFunctor, cls=None,
                  max_space: int = DEFAULT_MAX_SPACE) -> bool:
     """f is in the left class: fully faithful and dense for the class."""
-    cls = cls or saturated_class("all")
-    return memoised(("lmem", f, cls.name, max_space),
-                    lambda: is_fully_faithful(f)
-                    and phi_dense(f, cls, max_space))
+    return is_fully_faithful(f) and phi_dense(
+        f, cls or saturated_class("all"), max_space)
 
 
 def _fibres(g: TVFunctor, over) -> list:

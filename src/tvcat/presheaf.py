@@ -196,7 +196,12 @@ def _enumerate_value_tuples(q, cond, max_space):
 # ---------------------------------------------------------------------------
 
 class SaturatedClass:
-    """Named membership predicate on bimodules."""
+    """Named membership predicate on bimodules.
+
+    `contains` decides any relation.  `admits` decides a relation that the
+    caller knows is a bimodule (an enumerated presheaf, a scanned
+    bimodule); it asks `contains` unless a class has a cheaper test.
+    """
 
     def __init__(self, name: str):
         self.name = name
@@ -204,16 +209,27 @@ class SaturatedClass:
     def contains(self, phi: Bimodule) -> bool:
         raise NotImplementedError
 
+    def admits(self, phi: Bimodule) -> bool:
+        return self.contains(phi)
+
     def __repr__(self):
         return "SaturatedClass(%s)" % self.name
 
 
-class _All(SaturatedClass):
+class _BuiltinClass(SaturatedClass):
+    """A class decided as the bimodule test plus a class-only part,
+    `admits`."""
+
     def contains(self, phi: Bimodule) -> bool:
-        return is_bimodule(phi.src, phi.dst, phi.rel)
+        return is_bimodule(phi.src, phi.dst, phi.rel) and self.admits(phi)
 
 
-class _Representable(SaturatedClass):
+class _All(_BuiltinClass):
+    def admits(self, phi: Bimodule) -> bool:
+        return True
+
+
+class _Representable(_BuiltinClass):
     """phi = g^* for some functor g from target to source.
 
     g^* has column y equal to column g(y) of the structure a of the
@@ -223,14 +239,12 @@ class _Representable(SaturatedClass):
     structure b gives b(y, y') <= a(g y, g y').
     """
 
-    def contains(self, phi: Bimodule) -> bool:
-        if not is_bimodule(phi.src, phi.dst, phi.rel):
-            return False
+    def admits(self, phi: Bimodule) -> bool:
         columns = set(phi.src.structure.T.rows)
         return all(col in columns for col in phi.rel.T.rows)
 
 
-class _RightAdjoint(SaturatedClass):
+class _RightAdjoint(_BuiltinClass):
     """phi has a left adjoint bimodule in the reverse direction.
 
     Adjoints are unique, and any adjoint satisfies the counit inequality
@@ -241,11 +255,9 @@ class _RightAdjoint(SaturatedClass):
     scan.
     """
 
-    def contains(self, phi: Bimodule) -> bool:
+    def admits(self, phi: Bimodule) -> bool:
         from .monad import kleisli
         X, Y = phi.src, phi.dst
-        if not is_bimodule(X, Y, phi.rel):
-            return False
         lam = residual_left(X.structure, phi.rel)
         return is_bimodule(Y, X, lam) \
             and Y.structure <= kleisli(X.M, phi.rel, lam, Y.carrier)
@@ -325,7 +337,8 @@ class PresheafSpace:
             for values in tuples:
                 rel = VRelation(base.q, base.carrier, E.carrier,
                                 ((v,) for v in values))
-                if cls.contains(Bimodule(base, E, rel)):
+                # an enumerated presheaf is a bimodule base -|-> E
+                if cls.admits(Bimodule(base, E, rel)):
                     keep.append(values)
             tuples = keep
         if len(tuples) ** 2 * max(1, len(base.carrier)) > STRUCTURE_WORK_CAP:
@@ -676,6 +689,10 @@ def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):
         yield Bimodule(C, D, _candidate_relation(C, D, low.bit_length() - 1))
 
 
+# The cap of every bimodule scan in the saturation rows: a pair of
+# categories is scanned at one cap, once per corpus.
+SATURATION_SCAN_CAP = 1024
+
 # `check_adjoint_residual` holds the residual decision of `_RightAdjoint`
 # against an exhaustive scan on the pairs of corpus categories with at most
 # this many candidate adjoint tables, V^(|C|·|D|).
@@ -702,9 +719,12 @@ def check_adjoint_residual(cats) -> LawReport:
     ADJOINT_CROSSCHECK_CAP candidate adjoints.
     """
     rep = LawReport("adjoint residual")
-    cls, cap = _BUILTIN_CLASSES["right_adjoint"], ADJOINT_CROSSCHECK_CAP
+    cls, cap = _BUILTIN_CLASSES["right_adjoint"], SATURATION_SCAN_CAP
+    # the pairs are those under ADJOINT_CROSSCHECK_CAP, scanned at the cap
+    # of the saturation scans so that each pair is scanned once
     mods = [phi for C in cats for D in cats
-            if C.q.n ** (len(C.carrier) * len(D.carrier)) <= cap
+            if C.q.n ** (len(C.carrier) * len(D.carrier))
+            <= ADJOINT_CROSSCHECK_CAP
             for phi in _all_bimodules(C, D, cap)]
     bad = next((phi for phi in mods
                 if cls.contains(phi) != _adjoint_by_scan(phi, cap)), None)
@@ -716,7 +736,7 @@ def check_adjoint_residual(cats) -> LawReport:
 
 
 def check_saturated(cls: SaturatedClass, cats, fns,
-                    scan_cap: int = 1024,
+                    scan_cap: int = SATURATION_SCAN_CAP,
                     pair_budget: int = 40000) -> LawReport:
     """The three closure conditions, scanned over the corpus.
 
@@ -739,7 +759,9 @@ def check_saturated(cls: SaturatedClass, cats, fns,
     product with the structure of D gives every restriction of the pair.
 
     Membership is remembered by rows for the call, and a composite or a
-    restriction becomes a `Bimodule` only when its rows are new.
+    restriction becomes a `Bimodule` only when its rows are new.  A
+    scanned bimodule is asked only the class-only part, `admits`; a
+    composite or a restriction is asked `contains`.
     """
     rep = LawReport("saturation: %s" % cls.name)
 
@@ -755,14 +777,17 @@ def check_saturated(cls: SaturatedClass, cats, fns,
 
     def member(si: int, di: int, rows, phi: Bimodule | None = None) -> bool:
         # phi: small[si] -|-> small[di] with these rows, or -|-> one when
-        # di = -1; built here only when the rows are new
+        # di = -1; given when scanned, else built here when the rows are
+        # new.  Equal rows are one relation, so the two tests agree on it.
         key = (si, di, rows)
         hit = member_memo.get(key)
         if hit is None:
-            if phi is None:
+            if phi is not None:
+                hit = member_memo[key] = cls.admits(phi)
+            else:
                 C, D = small[si], small[di] if di >= 0 else one
-                phi = Bimodule(C, D, VRelation(q, C.carrier, D.carrier, rows))
-            hit = member_memo[key] = cls.contains(phi)
+                hit = member_memo[key] = cls.contains(
+                    Bimodule(C, D, VRelation(q, C.carrier, D.carrier, rows)))
         return hit
 
     member_mods: dict = {}
@@ -853,8 +878,14 @@ def phi_dense(f: TVFunctor, cls: SaturatedClass,
     """Whether the extension module of f belongs to the class.
 
     Cross-checked against the restriction criterion: the inverse-image map
-    stays inside the class spaces exactly for dense functors.
+    stays inside the class spaces exactly for dense functors.  Decided
+    once per key in `MEMO`.
     """
+    return memoised(("dense", f, cls.name, max_space),
+                    lambda: _decide_dense(f, cls, max_space))
+
+
+def _decide_dense(f: TVFunctor, cls: SaturatedClass, max_space: int) -> bool:
     member = cls.contains(star(f))
     try:
         apply_P_star(f, cls, max_space)

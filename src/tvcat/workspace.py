@@ -180,10 +180,12 @@ class Workspace:
         """Parse, validate, and register one file; returns (kind, name).
 
         The bytes are read on every call.  `MEMO` keeps one entry per
-        absolute path: those bytes, the parsed document, and the object
-        built from it with the references it resolved to.  Equal bytes
-        reuse the document, and the object too when its references resolve
-        to the same objects; a failed load leaves no entry.
+        absolute path: those bytes, the parsed document, the file's
+        directory and name stem, and the object built from it with the
+        references it resolved to.  Equal bytes reuse the document, and the
+        object too when its references resolve to the same objects; a
+        failed load leaves no entry.  A file that cannot be opened raises
+        `_Unopened`.
         """
         apath = os.path.abspath(path)
         if apath in self._by_path:
@@ -197,14 +199,14 @@ class Workspace:
                 with open(apath, "rb") as fh:
                     data = fh.read()
             except OSError as exc:
-                raise InputError("%s: %s" % (path, exc))
+                raise _Unopened("%s: %s" % (path, exc))
             entry = MEMO.get(key)
             if entry is None or entry.data != data:
-                entry = _FileEntry(data, _parse(data, path))
-            out = self.add_document(entry.doc, os.path.dirname(apath),
-                                    where=path,
-                                    fallback=_basename_stem(apath),
-                                    entry=entry)
+                entry = _FileEntry(data, _parse(data, path),
+                                   os.path.dirname(apath),
+                                   _basename_stem(apath))
+            out = self.add_document(entry.doc, entry.base_dir, where=path,
+                                    fallback=entry.stem, entry=entry)
             MEMO[key] = entry
         except BaseException:
             MEMO.pop(key, None)
@@ -279,14 +281,19 @@ class Workspace:
         if ref in table:
             return table[ref]
         candidate = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-        if os.path.exists(candidate):
+        try:
             kind, name = self.load_file(candidate)
-            if kind not in (wanted, "factorisation"):
-                raise InputError("%s: %s is a %s, expected a %s"
-                                 % (where, ref, kind, wanted))
-            return table[name]
-        raise InputError("%s: cannot resolve %s reference %r"
-                         % (where, wanted, ref))
+        except _Unopened:
+            # stat only when the open failed: a path that is there but
+            # cannot be read keeps the loader's message
+            if os.path.exists(candidate):
+                raise
+            raise InputError("%s: cannot resolve %s reference %r"
+                             % (where, wanted, ref)) from None
+        if kind not in (wanted, "factorisation"):
+            raise InputError("%s: %s is a %s, expected a %s"
+                             % (where, ref, kind, wanted))
+        return table[name]
 
     def _quantale_ref(self, ref, base_dir, where):
         if isinstance(ref, dict):
@@ -304,18 +311,26 @@ class Workspace:
         return self._resolve(self.problems, ref, base_dir, where, "problem")
 
 
+class _Unopened(InputError):
+    """A model file could not be opened."""
+
+
 class _FileEntry:
-    """One model file's bytes, its parsed document, and the object last
-    built from it, with the objects its references resolved to.
+    """One model file's bytes, its parsed document, its directory and name
+    stem, and the object last built from it, with the objects its
+    references resolved to.
 
     A document embedded in another gets a throwaway entry with no bytes.
     """
 
-    __slots__ = ("data", "doc", "refs", "obj")
+    __slots__ = ("data", "doc", "base_dir", "stem", "refs", "obj")
 
-    def __init__(self, data: bytes | None, doc: dict):
+    def __init__(self, data: bytes | None, doc: dict,
+                 base_dir: str | None = None, stem: str | None = None):
         self.data = data
         self.doc = doc
+        self.base_dir = base_dir
+        self.stem = stem
         self.refs = None
         self.obj = None
 

@@ -3,8 +3,8 @@
 One `verify-paper` run covers boolean, truncated_chain(2),
 lukasiewicz_chain(2) and powerset_frame(2) with both monad instances
 (boolean corpora up to 3 points, chain corpora up to 2); each verdict row
-is one test.  The run takes minutes, so these tests are marked `slow` and
-left out of the default selection:
+is one test.  The tests run in the default selection; they are marked
+`slow`, so `-m 'not slow'` leaves them out and this runs them alone:
 
     pytest -v -m slow tests/test_acceptance.py
 """

@@ -1,5 +1,6 @@
 """Command dispatch, exit codes, artifact round trips, and report stability."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -260,6 +261,60 @@ def test_cap_is_read_on_every_command(tmp_path):
     capped_again = run_command(argv + ["--max-space", "2"])
     assert [first[0], capped[0], again[0]] == [0, 3, 0]
     assert again == first and capped_again == capped
+
+
+def test_identical_commands_parse_once(tmp_path, monkeypatch):
+    seed(tmp_path)
+    parser = cli._build_parser()
+    parse = parser.parse_args
+    calls = []
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv: calls.append(argv) or parse(argv))
+    argv = ["check", str(tmp_path / "two.json"), str(tmp_path / "emb.json")]
+    first = run_command(argv)
+    args = category.MEMO[("argv", tuple(argv))]
+    before = copy.deepcopy(vars(args))
+    second = run_command(argv)
+    assert first == second and first[0] == 0
+    assert len(calls) == 1
+    # commands only read the namespace the memo hands out again
+    assert vars(args) == before
+
+
+def test_malformed_line_prints_its_usage_every_time(capsys):
+    for _ in range(2):
+        assert run_command(["classify"]) == (2, "")
+        assert "usage:" in capsys.readouterr().err
+    assert ("argv", ("classify",)) not in category.MEMO
+
+
+def test_file_rewritten_between_identical_commands(tmp_path):
+    seed(tmp_path)
+    argv = ["presheaves", str(tmp_path / "two.json")]
+    chain = run_command(argv)
+    # the discrete category on the same carrier has one more presheaf
+    put(tmp_path, "two.json", dict(TWO_DOC, structure=[["0", "0", "1"],
+                                                       ["1", "1", "1"]]))
+    discrete = run_command(argv)
+    assert chain[0] == discrete[0] == 0
+    assert chain[1].startswith("3 presheaves on two")
+    assert discrete[1].startswith("4 presheaves on two")
+
+
+def test_second_classify_builds_no_inverse_image(tmp_path, monkeypatch):
+    seed(tmp_path)
+    argv = ["classify", str(tmp_path / "emb.json"), "--class",
+            "representable"]
+    # emb is not representable-dense: restriction along it leaves the
+    # class space, which only the first run works out
+    first = run_command(argv)
+    assert first == (0, "L: no (fully faithful, not dense); R: yes")
+
+    def rebuilt(*args):
+        raise AssertionError("density decided again")
+
+    monkeypatch.setattr("tvcat.presheaf.apply_P_star", rebuilt)
+    assert run_command(argv) == first
 
 
 def test_bad_cap_values_are_input_errors(tmp_path):

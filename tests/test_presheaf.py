@@ -8,7 +8,8 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat import presheaf
-from tvcat.category import (MEMO, TVCategory, TVFunctor, _structure_maps,
+from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
+                            _candidate_relation, _structure_maps,
                             check_category, costar, functor_leq,
                             identity_functor, is_bimodule, is_functor,
                             is_separated, underlying_order, unit_category)
@@ -332,6 +333,27 @@ def test_representable_lookup_matches_the_table_search(q):
                 members += member
     # both answers occur, on more than a handful of bimodules
     assert 0 < members < checked and checked > 100
+
+
+def test_contains_is_the_bimodule_test_plus_admits():
+    # every relation between the boolean size-2 corpus categories; on the
+    # bimodules among them, admits alone is checked against the references
+    cats, _ = seed_corpus(ID, 2)
+    references = {ALL: lambda phi: True, REPR: representable_by_search,
+                  ADJ: lambda phi: _adjoint_by_scan(phi, 2 ** 4)}
+    bimodules = 0
+    for C in cats:
+        for D in cats:
+            for k in range(2 ** (len(C.carrier) * len(D.carrier))):
+                phi = Bimodule(C, D, _candidate_relation(C, D, k))
+                bimodule = is_bimodule(C, D, phi.rel)
+                bimodules += bimodule
+                for cls, reference in references.items():
+                    assert cls.contains(phi) \
+                        == (bimodule and cls.admits(phi)), (cls, k)
+                    if bimodule:
+                        assert cls.admits(phi) == reference(phi), (cls, k)
+    assert bimodules > 50
 
 
 def test_adjoint_residual_check_counts_every_small_bimodule():

@@ -326,3 +326,26 @@ def test_equal_files_without_names_keep_their_stems(tmp_path):
         assert ws.load_file(str(tmp_path / "a.json")) == ("category", "a")
         assert ws.load_file(str(tmp_path / "b.json")) == ("category", "b")
         assert (ws.category("a").name, ws.category("b").name) == ("a", "b")
+
+
+def test_missing_reference_cannot_be_resolved(tmp_path):
+    seed(tmp_path, ("id.json", dict(ID_DOC, target="nowhere.json")))
+    code, text = run_command(["check", str(tmp_path / "id.json")])
+    assert (code, text) == (2, "error: %s: cannot resolve category "
+                               "reference 'nowhere.json'"
+                            % (tmp_path / "id.json"))
+    code, text = run_command(["classify", str(tmp_path / "nowhere.json")])
+    assert (code, text) == (2, "error: <args>: cannot resolve functor "
+                               "reference %r" % str(tmp_path / "nowhere.json"))
+
+
+def test_directory_reference_gives_the_loader_message(tmp_path):
+    # the path is there, so the open error is the message, as for `check`
+    (tmp_path / "sub").mkdir()
+    seed(tmp_path, ("id.json", dict(ID_DOC, target="sub")))
+    candidate = os.path.join(str(tmp_path), "sub")
+    with pytest.raises(OSError) as exc:
+        open(candidate, "rb")
+    code, text = run_command(["check", str(tmp_path / "id.json")])
+    assert (code, text) == (2, "error: %s: %s" % (candidate, exc.value))
+    assert run_command(["check", candidate]) == (code, text)
