@@ -184,8 +184,7 @@ class Workspace:
         directory and name stem, and the object built from it with the
         references it resolved to.  Equal bytes reuse the document, and the
         object too when its references resolve to the same objects; a
-        failed load leaves no entry.  A file that cannot be opened raises
-        `_Unopened`.
+        failed load leaves no entry.
         """
         apath = os.path.abspath(path)
         if apath in self._by_path:
@@ -199,7 +198,7 @@ class Workspace:
                 with open(apath, "rb") as fh:
                     data = fh.read()
             except OSError as exc:
-                raise _Unopened("%s: %s" % (path, exc))
+                raise InputError("%s: %s" % (path, exc))
             entry = MEMO.get(key)
             if entry is None or entry.data != data:
                 entry = _FileEntry(data, _parse(data, path),
@@ -283,9 +282,9 @@ class Workspace:
         candidate = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
         try:
             kind, name = self.load_file(candidate)
-        except _Unopened:
-            # stat only when the open failed: a path that is there but
-            # cannot be read keeps the loader's message
+        except InputError:
+            # stat only when the load failed: a path that is there keeps
+            # the loader's message
             if os.path.exists(candidate):
                 raise
             raise InputError("%s: cannot resolve %s reference %r"
@@ -309,10 +308,6 @@ class Workspace:
 
     def problem(self, ref, base_dir: str = ".", where: str = "<args>"):
         return self._resolve(self.problems, ref, base_dir, where, "problem")
-
-
-class _Unopened(InputError):
-    """A model file could not be opened."""
 
 
 class _FileEntry:
