@@ -8,8 +8,8 @@ and the comma-object factorisation systems they generate.
 from .category import (TVCategory, TVFunctor, check_category,
                        check_enriched_calculus, costar, dual_category,
                        functor_leq, is_fully_faithful, is_functor,
-                       is_separated, star, tensor_category, underlying_order,
-                       unit_category, v_category)
+                       is_separated, star, tensor_category, unit_category,
+                       v_category)
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, WorkbenchError)
 from .corpus import iso_representatives, seed_categories, seed_corpus
@@ -20,7 +20,7 @@ from .lofs import (Factorisation, check_awfs, check_awfs_corpus,
                    solve_lifting, wfs_cross_check)
 from .monad import (MonadInstance, check_monad_laws, instantiate_monad,
                     kleisli, lax_extend)
-from .presheaf import (Presheaf, PresheafSpace, check_adjoint_residual,
+from .presheaf import (PresheafSpace, check_adjoint_residual,
                        check_presheaf_monad, check_saturated, phi_dense,
                        presheaf_space, saturated_class,
                        unit_isomorphism_check, yoneda, yoneda_lemma_check)
@@ -41,8 +41,8 @@ __all__ = [
     "TVCategory", "TVFunctor", "check_category", "check_enriched_calculus",
     "costar", "dual_category", "functor_leq", "is_fully_faithful",
     "is_functor", "is_separated", "star", "tensor_category",
-    "underlying_order", "unit_category", "v_category",
-    "Presheaf", "PresheafSpace", "check_adjoint_residual",
+    "unit_category", "v_category",
+    "PresheafSpace", "check_adjoint_residual",
     "check_presheaf_monad", "check_saturated",
     "phi_dense", "presheaf_space", "saturated_class",
     "unit_isomorphism_check", "yoneda", "yoneda_lemma_check",

@@ -396,14 +396,6 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     return by_modules
 
 
-def underlying_order(C: TVCategory) -> set:
-    """Pairs (x,y) with k <= a(e x, y)."""
-    q, a = C.q, C.structure
-    return {(x, y) for i, x in enumerate(C.carrier)
-            for j, y in enumerate(C.carrier)
-            if q.leq_m[q.unit][a.rows[i][j]]}
-
-
 def is_separated(C: TVCategory) -> bool:
     """No two distinct objects lie below each other in the underlying order.
 

@@ -66,7 +66,7 @@ class Factorisation:
             pairs.extend((ip, iy) for iy in points)
         self.pairs = pairs
         self.pair_index = {pr: i for i, pr in enumerate(pairs)}
-        carrier = FinSet(pair_label(space.presheaves[ip].name,
+        carrier = FinSet(pair_label(space.carrier.elements[ip],
                                     Y.carrier.elements[iy])
                          for ip, iy in pairs)
         structure = VRelation(q, carrier, carrier,
@@ -499,13 +499,11 @@ def lari(f: TVFunctor, cls=None, max_space: int = DEFAULT_MAX_SPACE):
     for psi in PY.presheaves:
         cands = [ip for ip in range(len(PX))
                  if all(q.leq_m[a][b] for a, b in
-                        zip(PY.presheaves[pf.fn.table[ip]].values,
-                            psi.values))]
+                        zip(PY.presheaves[pf.fn.table[ip]], psi))]
         greatest = None
         for c in cands:
-            cv = PX.presheaves[c].values
-            if all(all(q.leq_m[a][b] for a, b in
-                       zip(PX.presheaves[other].values, cv))
+            cv = PX.presheaves[c]
+            if all(all(q.leq_m[a][b] for a, b in zip(PX.presheaves[other], cv))
                    for other in cands):
                 greatest = c
                 break
@@ -643,12 +641,13 @@ def check_subspace_fullness(cats, cls,
     for C in cats:
         sub = presheaf_space(C, cls, max_space)
         amb = presheaf_space(C, full_cls, max_space)
-        for i, p in enumerate(sub.presheaves):
-            for j, r in enumerate(sub.presheaves):
-                ii, jj = amb.lookup(p.values), amb.lookup(r.values)
+        at = [amb.index[p] for p in sub.presheaves]
+        names = sub.carrier.elements
+        for i, ii in enumerate(at):
+            for j, jj in enumerate(at):
                 if sub.category.structure.rows[i][j] \
                         != amb.category.structure.rows[ii][jj]:
-                    bad = "%s at (%s, %s)" % (C.name, p.name, r.name)
+                    bad = "%s at (%s, %s)" % (C.name, names[i], names[j])
     rep.add("full-inclusion", bad is None,
             "inclusion into the full space preserves all homs"
             if bad is None else bad)

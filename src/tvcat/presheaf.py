@@ -28,46 +28,13 @@ from __future__ import annotations
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
 from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
-                       _candidate_relation, check_bimodule,
-                       check_category, check_functor, costar,
-                       identity_functor, is_bimodule, is_fully_faithful,
-                       is_functor, is_separated, functor_leq, memoised, star,
-                       underlying_order, unit_category)
+                       _candidate_relation, check_category, check_functor,
+                       costar, identity_functor, is_bimodule,
+                       is_fully_faithful, is_functor, is_separated,
+                       functor_leq, memoised, star, unit_category)
+from .monad import kleisli
 from .quantale import VRelation, compose_rows, residual_left
 from .report import LawReport
-
-
-class Presheaf:
-    """Byte string of values over TX, printable as a bracketed list."""
-
-    __slots__ = ("base", "values", "name")
-
-    def __init__(self, base: TVCategory, values):
-        self.base = base
-        self.values = bytes(values)
-        if len(self.values) != len(base.carrier):
-            raise InputError("presheaf needs one value per element of TX")
-        names = base.q.elements
-        self.name = "[%s]" % ",".join(names[v] for v in self.values)
-
-    def as_relation(self) -> VRelation:
-        one = FinSet(["*"])
-        return VRelation(self.base.q, self.base.carrier, one,
-                         ((v,) for v in self.values))
-
-    def as_bimodule(self) -> Bimodule:
-        E = unit_category(self.base.M)
-        return Bimodule(self.base, E, self.as_relation(), self.name)
-
-    def __eq__(self, other):
-        return (isinstance(other, Presheaf) and self.values == other.values
-                and self.base == other.base)
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return "Presheaf(%s)" % self.name
 
 
 def _enumerate_value_tuples(q, cond, max_space):
@@ -256,7 +223,6 @@ class _RightAdjoint(_BuiltinClass):
     """
 
     def admits(self, phi: Bimodule) -> bool:
-        from .monad import kleisli
         X, Y = phi.src, phi.dst
         lam = residual_left(X.structure, phi.rel)
         return is_bimodule(Y, X, lam) \
@@ -301,7 +267,11 @@ ENUM_BASE_CAP = 160
 
 
 class PresheafSpace:
-    """All presheaves on a base category that lie in a saturated class."""
+    """All presheaves on a base category that lie in a saturated class.
+
+    Presheaf i is its line of values, `presheaves[i]`, which is row i of
+    `values` (the same tuple), and its label is `carrier[i]`.
+    """
 
     __slots__ = ("base", "cls", "presheaves", "carrier", "category",
                  "index", "values")
@@ -345,22 +315,19 @@ class PresheafSpace:
             raise SizeCapError(
                 "structure matrix for %d presheaves over %d lifted points "
                 "is past the work budget" % (len(tuples), len(base.carrier)))
-        self.presheaves = [Presheaf(base, v) for v in tuples]
-        self.carrier = FinSet(p.name for p in self.presheaves)
-        # row i holds the values of presheaf i
+        names = base.q.elements
+        self.carrier = FinSet("[%s]" % ",".join(names[v] for v in values)
+                              for values in tuples)
         self.values = VRelation(base.q, self.carrier, base.carrier, tuples)
+        self.presheaves = self.values.rows
         rows = base.M.presheaf_structure(tuples)
         structure = VRelation(base.q, self.carrier, self.carrier, rows)
         self.category = TVCategory(base.M, self.carrier, structure,
                                    "%s(%s)" % (cls.name, base.name))
-        self.index = {p.values: i for i, p in enumerate(self.presheaves)}
+        self.index = {values: i for i, values in enumerate(self.presheaves)}
 
     def __len__(self):
         return len(self.presheaves)
-
-    def lookup(self, values: bytes) -> int:
-        """Position of the presheaf with these values; KeyError if none."""
-        return self.index[values]
 
     def __repr__(self):
         return "PresheafSpace(%s, %d presheaves)" % (self.category.name,
@@ -383,7 +350,7 @@ def yoneda(C: TVCategory, cls: SaturatedClass | None = None,
     for j in range(len(C.carrier)):
         values = bytes(row[j] for row in a.rows)
         try:
-            table.append(space.lookup(values))
+            table.append(space.index[values])
         except KeyError:
             raise EngineError(
                 "representable %s of %s is missing from %s: the class "
@@ -398,12 +365,14 @@ def yoneda_lemma_check(C: TVCategory, cls: SaturatedClass | None = None,
     rep = LawReport("Yoneda lemma on %s" % C.name)
     space = presheaf_space(C, cls, max_space)
     y = yoneda(C, cls, max_space)
-    ahat = space.category.structure
+    ahat = space.category.structure.rows
     bad = None
-    for ix, t in enumerate(y.fn.table):
-        for ip, psi in enumerate(space.presheaves):
-            if ahat.rows[t][ip] != psi.values[ix]:
-                bad = (C.carrier.elements[ix], psi.name)
+    # the row of y x against column x of the values; the witness is the
+    # last disagreeing pair
+    for ix, (t, col) in enumerate(zip(y.fn.table, space.values.T.rows)):
+        if ahat[t] != col:
+            ip = max(i for i, v in enumerate(col) if ahat[t][i] != v)
+            bad = (C.carrier.elements[ix], space.carrier.elements[ip])
     rep.add("evaluation", bad is None,
             "hom(y xx, psi) = psi(xx) on %d pairs"
             % (len(C.carrier) * len(space)) if bad is None
@@ -429,12 +398,12 @@ def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
     images = costar(f).rel.T @ PX.values        # PX -/-> Y
     index = PY.index
     table = []
-    for phi, vals in zip(PX.presheaves, images.rows):
+    for name, vals in zip(PX.carrier, images.rows):
         ip = index.get(vals)
         if ip is None:
             raise EngineError("image of %s under the direct-image map "
                               "escapes %s: class predicate is broken"
-                              % (phi.name, PY.category.name))
+                              % (name, PY.category.name))
         table.append(ip)
     out = TVFunctor(PX.category, PY.category,
                     Fn(PX.carrier, PY.carrier, table), "P(%s)" % f.name)
@@ -449,14 +418,14 @@ def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
     table = []
-    for psi in PY.presheaves:
-        vals = bytes(map(psi.values.__getitem__, f.fn.table))
+    for name, psi in zip(PY.carrier, PY.presheaves):
+        vals = bytes(map(psi.__getitem__, f.fn.table))
         try:
-            table.append(PX.lookup(vals))
+            table.append(PX.index[vals])
         except KeyError:
             raise ValidationError(
                 "restriction of %s along %s leaves the class %s"
-                % (psi.name, f.name, PX.cls.name))
+                % (name, f.name, PX.cls.name))
     out = TVFunctor(PY.category, PX.category,
                     Fn(PY.carrier, PX.carrier, table), "P*(%s)" % f.name)
     if not is_functor(out.src, out.dst, out.fn):
@@ -478,14 +447,14 @@ def space_mult(C: TVCategory, cls: SaturatedClass | None = None,
 # ---------------------------------------------------------------------------
 
 def _pointwise_order_matches(space: PresheafSpace) -> bool:
+    # k <= ahat(i, j) exactly when presheaf i lies below j pointwise
     q = space.base.q
-    order = underlying_order(space.category)
-    for p in space.presheaves:
-        for r in space.presheaves:
-            pointwise = all(q.leq_m[a][b] for a, b in zip(p.values, r.values))
-            if ((p.name, r.name) in order) != pointwise:
-                return False
-    return True
+    leq, above_unit = q.leq_m, q.leq_m[q.unit]
+    ahat = space.category.structure.rows
+    return all(above_unit[ahat[i][j]]
+               == all(leq[a][b] for a, b in zip(p, r))
+               for i, p in enumerate(space.presheaves)
+               for j, r in enumerate(space.presheaves))
 
 
 def check_presheaf_monad(cls: SaturatedClass, cats, fns,
@@ -629,14 +598,19 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     else:
         rep.skip("lax-idempotency", "all towers over the cap %d" % max_space)
 
+    # the right action a(i, j) (x) phi(j) <= phi(i) for every presheaf phi
+    # at once, as one relation X -/-> PX; the left action over E is the
+    # unit law and always holds
     bad = []
     for C in cats:
         space = presheaf_space(C, cls, max_space)
-        if len(space) > 64:
-            continue
-        for p in space.presheaves:
-            if not check_bimodule(p.as_bimodule()).ok:
-                bad.append("%s at %s" % (p.name, C.name))
+        lines = space.values.T
+        acted = lines @ C.structure
+        if not acted <= lines:
+            leq = C.q.leq_m
+            bad.extend("%s at %s" % (name, C.name) for name, got, have
+                       in zip(space.carrier, acted.T.rows, space.presheaves)
+                       if not all(leq[u][v] for u, v in zip(got, have)))
     rep.add("members-are-bimodules", not bad,
             "every enumerated presheaf passes both action laws" if not bad
             else "failing: %s" % ", ".join(bad[:4]))
@@ -705,7 +679,6 @@ def _adjoint_by_scan(phi: Bimodule, scan_cap: int) -> bool:
     Tries every bimodule in the reverse direction: the reference that the
     residual decision of `_RightAdjoint` is checked against.
     """
-    from .monad import kleisli
     X, Y = phi.src, phi.dst
     return any((lam.rel @ phi.rel) <= X.structure
                and Y.structure <= kleisli(X.M, phi.rel, lam.rel, Y.carrier)

@@ -513,24 +513,13 @@ def _builtin_spec(name: str, n: int | None) -> dict:
 
 
 def check_quantale_laws(spec) -> LawReport:
-    """Validate every quantale law for a description or an existing quantale.
-
-    Accepts the same dict format as `build_quantale`, or a Quantale (whose
-    tables are rescanned from scratch).
-    """
+    """Validate every quantale law for a description in the dict format of
+    `build_quantale`."""
     rep = LawReport("quantale laws")
     try:
-        if isinstance(spec, Quantale):
-            elements = spec.elements
-            leq_pairs = [(a, b) for a in range(spec.n) for b in range(spec.n)
-                         if spec.leq_m[a][b]]
-            tensor = {(a, b): spec.tensor_m[a][b]
-                      for a in range(spec.n) for b in range(spec.n)}
-            unit, hom_given = spec.unit, None
-        else:
-            if "builtin" in spec:
-                spec = _builtin_spec(spec["builtin"], spec.get("n"))
-            elements, leq_pairs, tensor, unit, hom_given = _raw_from_spec(spec)
+        if "builtin" in spec:
+            spec = _builtin_spec(spec["builtin"], spec.get("n"))
+        elements, leq_pairs, tensor, unit, hom_given = _raw_from_spec(spec)
         _scan_laws(elements, leq_pairs, tensor, unit, rep, hom_given)
     except InputError as exc:
         rep.add("well-formed", False, str(exc))

@@ -166,11 +166,9 @@ class Workspace:
 
     def __init__(self):
         self.quantales: dict = {}
-        self.monads: dict = {}
         self.categories: dict = {}
         self.functors: dict = {}
         self.problems: dict = {}
-        self.meta: dict = {}          # category name -> (quantale ref, monad)
         self._by_path: dict = {}      # absolute path -> (kind, name)
         self._loading: set = set()
 
@@ -230,7 +228,6 @@ class Workspace:
             if doc["monad"] not in MONAD_KINDS:
                 raise InputError("%s: unknown monad kind %r"
                                  % (where, doc["monad"]))
-            self.monads[name] = doc["monad"]
         elif kind == "category":
             q = self._quantale_ref(doc.get("quantale"), base_dir, where)
             if name in self.categories:
@@ -238,8 +235,6 @@ class Workspace:
                                  % (where, name))
             self.categories[name] = built(
                 (q,), lambda: category_from_doc(doc, q, name, where))
-            self.meta[name] = (doc.get("quantale"), doc.get("monad",
-                                                            "identity"))
         elif kind == "functor":
             src = self.category(doc.get("source"), base_dir, where)
             dst = self.category(doc.get("target"), base_dir, where)

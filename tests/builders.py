@@ -63,6 +63,14 @@ def pointwise(table, r: VRelation, s: VRelation) -> VRelation:
                       for ra, rb in zip(r.rows, s.rows)))
 
 
+def underlying_order(C: TVCategory) -> set:
+    """Label pairs (x,y) with k <= a(e x, y)."""
+    q, a = C.q, C.structure
+    return {(x, y) for i, x in enumerate(C.carrier)
+            for j, y in enumerate(C.carrier)
+            if q.leq_m[q.unit][a.rows[i][j]]}
+
+
 def fn_from_dict(src: FinSet, dst: FinSet, mapping: dict) -> Fn:
     """The map sending each label x of src to the label mapping[x] of dst."""
     missing = [x for x in src if x not in mapping]

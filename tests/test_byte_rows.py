@@ -21,7 +21,7 @@ from tvcat.corpus import _relabelled
 from tvcat.lofs import _sigma, coalgebra, comma_factorise
 from tvcat.monad import (instantiate_monad, kleisli, lax_extend,
                          lax_extend_formula)
-from tvcat.presheaf import Presheaf, apply_P, apply_P_star, presheaf_space
+from tvcat.presheaf import apply_P, apply_P_star, presheaf_space
 from tvcat.quantale import (VRelation, boolean_quantale, powerset_frame,
                             residual_left, truncated_chain)
 from tvcat.workspace import Workspace
@@ -134,16 +134,13 @@ def test_presheaf_structure_and_values_are_bytes():
     M = instantiate_monad("identity", CHAIN)
     C = chain_category(M)
     space = presheaf_space(C)
-    assert all(type(p.values) is bytes for p in space.presheaves)
+    assert all(type(p) is bytes for p in space.presheaves)
     assert byte_rows(space.values) and byte_rows(space.category.structure)
-    # the value relation keeps the presheaves' own byte strings
-    assert all(row is p.values
-               for row, p in zip(space.values.rows, space.presheaves))
-    rows = M.presheaf_structure([p.values for p in space.presheaves])
+    # the presheaves are the value relation's rows, the same tuple
+    assert space.presheaves is space.values.rows
+    rows = M.presheaf_structure(space.presheaves)
     assert all(type(row) is bytes for row in rows)
     assert tuple(rows) == space.category.structure.rows
-    assert type(Presheaf(C, [0, 1]).values) is bytes
-    assert Presheaf(C, (0, 1)) == Presheaf(C, b"\x00\x01")
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +152,12 @@ def test_a_tuple_key_cannot_pass_a_lookup():
     C = chain_category(M)
     space = presheaf_space(C)
     for i, p in enumerate(space.presheaves):
-        assert space.lookup(p.values) == i
+        assert space.index[p] == i
         with pytest.raises(KeyError):
-            space.lookup(tuple(p.values))
-        assert space.index.get(tuple(p.values)) is None
+            space.index[tuple(p)]
     # the structure kernel refuses value tuples outright
     with pytest.raises(AttributeError):
-        M.presheaf_structure([tuple(p.values) for p in space.presheaves])
+        M.presheaf_structure([tuple(p) for p in space.presheaves])
 
 
 def test_direct_and_inverse_images_look_up_byte_lines():

@@ -10,15 +10,14 @@ from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             check_graph_adjunction, costar, dual_category,
                             functor_leq, identity_functor, is_fully_faithful,
                             is_separated, module_functor_correspondence, star,
-                            tensor_category, underlying_order, unit_category,
-                            v_category)
+                            tensor_category, unit_category, v_category)
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance, check_monad_laws, instantiate_monad
 from tvcat.quantale import VRelation, truncated_chain
 
 from builders import (category_from_entries, constant_relation,
                       discrete_category, entry, fn_from_dict,
-                      relation_from_entries)
+                      relation_from_entries, underlying_order)
 
 BOOL = boolean_quantale()
 ID_BOOL = instantiate_monad("identity", BOOL)

@@ -6,7 +6,7 @@ from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
 from tvcat.category import (TVFunctor, check_category, functor_leq,
                             identity_functor, is_fully_faithful, is_functor,
-                            is_separated, star, underlying_order)
+                            is_separated, star)
 from tvcat.presheaf import apply_P, saturated_class, space_mult
 from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
                         check_left_class, check_simplicity,
@@ -17,7 +17,8 @@ from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
 
 from tvcat.report import PASS
 
-from builders import category_from_entries, discrete_category
+from builders import (category_from_entries, discrete_category,
+                      underlying_order)
 
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)

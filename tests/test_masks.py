@@ -116,7 +116,7 @@ def ref_images(f, cls, cap):
     out = []
     for phi in PX.presheaves:
         out.append(bytes(
-            q.join_all(q.tensor_m[xi[costar[YY][x]]][phi.values[x]]
+            q.join_all(q.tensor_m[xi[costar[YY][x]]][phi[x]]
                        for YY in range(len(m.src)) if m.table[YY] == iy
                        for x in range(len(f.src.carrier)))
             for iy in range(len(f.dst.carrier))))
@@ -130,7 +130,7 @@ def ref_pairs(F):
     pf = apply_P(F.f, F.cls, F.max_space)
     return [(ip, iy) for ip in range(len(F.space))
             for iy in range(len(Y.carrier))
-            if all(q.leq_m[PY.presheaves[pf.fn.table[ip]].values[jy]]
+            if all(q.leq_m[PY.presheaves[pf.fn.table[ip]][jy]]
                    [b.rows[jy][iy]] for jy in range(len(Y.carrier)))]
 
 
@@ -509,7 +509,7 @@ def test_direct_image_and_comma_pairs_match_the_reference(drawn, nx, ny):
         except SizeCapError:
             continue
         PY = presheaf_space(f.dst, ALL, CAP)
-        assert [PY.presheaves[i].values for i in pf.fn.table] \
+        assert [PY.presheaves[i] for i in pf.fn.table] \
             == ref_images(f, ALL, CAP)
         assert F.pairs == ref_pairs(F)
         assert is_separated(F.K) and ref_is_separated(F.K)
@@ -526,7 +526,7 @@ def test_direct_image_over_empty_and_one_point_targets():
                 for f in random_functors(rng, M, nx, ny, tries=8):
                     pf = apply_P(f, ALL, CAP)
                     PY = presheaf_space(f.dst, ALL, CAP)
-                    assert [PY.presheaves[i].values for i in pf.fn.table] \
+                    assert [PY.presheaves[i] for i in pf.fn.table] \
                         == ref_images(f, ALL, CAP)
                     F = comma_factorise(f, ALL, CAP)
                     assert F.pairs == ref_pairs(F)

@@ -16,7 +16,7 @@ from tvcat.cli import run_command
 from tvcat.core import SizeCapError
 from tvcat.lofs import comma_factorise, l_membership, r_membership
 from tvcat.monad import MonadInstance, instantiate_monad
-from tvcat.presheaf import Presheaf, presheaf_space, saturated_class
+from tvcat.presheaf import presheaf_space, saturated_class
 from tvcat.quantale import boolean_quantale
 
 from builders import category_from_entries, discrete_category
@@ -51,14 +51,6 @@ def test_category_equality_tells_identity_from_ultrafilter():
     assert a.structure.rows == u.structure.rows
     assert a != u
     assert presheaf_space(a) is not presheaf_space(u)
-
-
-def test_presheaf_equality_compares_base_categories():
-    chain = chain_cat(ID, ["0", "1"], "two")
-    disc = discrete_category(ID, ["0", "1"], "two")
-    assert Presheaf(chain, b"\x01\x01") != Presheaf(disc, b"\x01\x01")
-    renamed = chain_cat(ID, ["0", "1"], "other")
-    assert Presheaf(chain, b"\x01\x01") == Presheaf(renamed, b"\x01\x01")
 
 
 def fresh_id2():

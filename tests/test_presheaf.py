@@ -12,8 +12,9 @@ from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
                             _candidate_relation, _structure_maps,
                             check_category, costar, functor_leq,
                             identity_functor, is_bimodule, is_functor,
-                            is_separated, underlying_order, unit_category)
+                            is_separated, unit_category)
 from tvcat.corpus import seed_corpus
+from tvcat.report import FAIL
 from tvcat.presheaf import (ADJOINT_CROSSCHECK_CAP, SaturatedClass,
                             _adjoint_by_scan, _all_bimodules, apply_P,
                             apply_P_star, check_adjoint_residual,
@@ -22,7 +23,8 @@ from tvcat.presheaf import (ADJOINT_CROSSCHECK_CAP, SaturatedClass,
                             space_mult, unit_isomorphism_check, yoneda,
                             yoneda_lemma_check)
 
-from builders import category_from_entries, discrete_category
+from builders import (category_from_entries, discrete_category,
+                      underlying_order)
 
 BOOL = boolean_quantale()
 ID = instantiate_monad("identity", BOOL)
@@ -50,7 +52,8 @@ EMPTY = discrete_category(ID, [], "empty")
 
 def test_downsets_of_two_chain():
     space = presheaf_space(TWO)
-    assert [p.name for p in space.presheaves] == ["[0,0]", "[1,0]", "[1,1]"]
+    assert list(space.carrier) == ["[0,0]", "[1,0]", "[1,1]"]
+    assert space.presheaves == (b"\x00\x00", b"\x01\x00", b"\x01\x01")
     assert check_category(space.category).ok
     assert is_separated(space.category)
     assert underlying_order(space.category) == {
@@ -60,7 +63,7 @@ def test_downsets_of_two_chain():
 
 def test_empty_base_has_one_presheaf():
     space = presheaf_space(EMPTY)
-    assert [p.name for p in space.presheaves] == ["[]"]
+    assert list(space.carrier) == ["[]"] and space.presheaves == (b"",)
     assert yoneda_lemma_check(EMPTY).ok
 
 
@@ -73,8 +76,8 @@ def test_point_space_is_the_quantale():
     # structure on the point space is the internal hom
     for i in range(q.n):
         for j in range(q.n):
-            u = space.presheaves[i].values[0]
-            v = space.presheaves[j].values[0]
+            u = space.presheaves[i][0]
+            v = space.presheaves[j][0]
             assert space.category.structure.rows[i][j] == q.hom_m[u][v]
 
 
@@ -156,13 +159,13 @@ def test_work_capped_space_is_enumerated_once(monkeypatch):
 
 def test_representable_space_of_chain():
     space = presheaf_space(TWO, REPR)
-    assert [p.name for p in space.presheaves] == ["[1,0]", "[1,1]"]
+    assert list(space.carrier) == ["[1,0]", "[1,1]"]
     assert unit_isomorphism_check(REPR, [ONE, TWO, THREE, ANTI]).ok
 
 
 def test_right_adjoint_space_keeps_principal_downsets():
     space = presheaf_space(ANTI, ADJ)
-    assert [p.name for p in space.presheaves] == ["[0,1]", "[1,0]"]
+    assert list(space.carrier) == ["[0,1]", "[1,0]"]
     assert unit_isomorphism_check(ADJ, [ONE, TWO, THREE, ANTI]).ok
 
 
@@ -186,7 +189,7 @@ def test_yoneda_lemma_fails_for_perturbed_structure():
     y = yoneda(TWO)
     rows = [list(r) for r in space.category.structure.rows]
     rows[1][0] ^= 1
-    broken = any(rows[y.fn.table[ix]][ip] != psi.values[ix]
+    broken = any(rows[y.fn.table[ix]][ip] != psi[ix]
                  for ix in range(len(TWO.carrier))
                  for ip, psi in enumerate(space.presheaves))
     assert broken
@@ -197,7 +200,7 @@ def test_direct_image_frozen():
     pf = apply_P(top)
     src = presheaf_space(ONE)
     dst = presheaf_space(TWO)
-    images = {src.presheaves[i].name: dst.presheaves[pf.fn.table[i]].name
+    images = {src.carrier[i]: dst.carrier[pf.fn.table[i]]
               for i in range(len(src))}
     assert images == {"[0]": "[0,0]", "[1]": "[1,1]"}
 
@@ -268,6 +271,38 @@ def test_monad_suite_ultrafilter_and_chain_quantale():
     pt = chain_cat(M, ["p"], "pt")
     rep = check_presheaf_monad(ALL, [pt], [identity_functor(pt)])
     assert rep.ok, rep.to_text()
+
+
+def test_members_are_bimodules_checks_spaces_past_64(monkeypatch):
+    # a <= b beside five isolated points: 3 * 2^5 = 96 presheaves, and the
+    # line [0,1,0,0,0,0,0] breaks the right action a(a, b) (x) phi(b) <= phi(a)
+    labels = ["a", "b", "p", "q", "r", "s", "t"]
+    entries = {(x, x): "1" for x in labels}
+    entries[("a", "b")] = "1"
+    C = category_from_entries(ID, labels, entries, default="0", name="wide")
+    enumerate_lines = presheaf._enumerate_value_tuples
+    intruder = bytes([0, 1, 0, 0, 0, 0, 0])
+
+    def with_intruder(q, cond, max_space):
+        lines = enumerate_lines(q, cond, max_space)
+        return lines + [intruder] if len(cond) == len(labels) else lines
+
+    monkeypatch.setattr(presheaf, "_enumerate_value_tuples", with_intruder)
+    MEMO.clear()
+    try:
+        space = presheaf_space(C, ALL, 128)
+        assert len(space) == 97 and intruder in space.index
+        assert space.presheaves is space.values.rows
+        rep = check_presheaf_monad(ALL, [C], [], 128)
+        # hom(y b, intruder) is 0 but the intruder is 1 at b
+        assert yoneda_lemma_check(C, ALL, 128).failures[0].detail \
+            == "fails at ('b', '[0,1,0,0,0,0,0]')"
+    finally:
+        MEMO.clear()
+    # the Yoneda lemma row fails on the intruder too
+    row = {c.name: c for c in rep.checks}["members-are-bimodules"]
+    assert (row.status, row.detail) \
+        == (FAIL, "failing: [0,1,0,0,0,0,0] at wide")
 
 
 def test_saturation_suite_builtin_classes():
@@ -396,10 +431,13 @@ def test_residual_matches_the_scan_on_presheaves_over_spaces():
     bases = spaces + [presheaf_space(S).category for S in spaces]
     assert {len(B.carrier) for B in bases} == {3, 4, 6}
     for B in bases:
-        for psi in presheaf_space(B).presheaves:
-            phi = psi.as_bimodule()
+        E = unit_category(B.M)
+        space = presheaf_space(B)
+        for name, psi in zip(space.carrier, space.presheaves):
+            phi = Bimodule(B, E, VRelation(B.q, B.carrier, E.carrier,
+                                           ((v,) for v in psi)))
             assert ADJ.contains(phi) \
-                == _adjoint_by_scan(phi, ADJOINT_CROSSCHECK_CAP), psi.name
+                == _adjoint_by_scan(phi, ADJOINT_CROSSCHECK_CAP), name
 
 
 def retractions(C):
@@ -463,4 +501,4 @@ def test_enumeration_matches_bimodule_oracle(drawn):
                                               repeat=len(C.carrier))
                 if is_bimodule(C, E, VRelation(q, C.carrier, E.carrier,
                                                ((v,) for v in vals)))]
-    assert [p.values for p in space.presheaves] == expected
+    assert list(space.presheaves) == expected

@@ -137,11 +137,6 @@ def test_every_boolean_tensor_mutation_is_caught():
             assert not rep.ok, "mutation %s->%s slipped through" % (key, wrong)
 
 
-def test_check_accepts_constructed_quantale():
-    rep = check_quantale_laws(truncated_chain(2))
-    assert rep.ok
-
-
 # ---------------------------------------------------------------------------
 # V-relations
 # ---------------------------------------------------------------------------
