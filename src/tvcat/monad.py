@@ -79,8 +79,12 @@ def all_filters(items) -> list[frozenset]:
     return fams
 
 
-def ultrafilters_concrete(items, exhaustive_crosscheck=True) -> list[frozenset]:
-    """Maximal proper filters on the powerset of `items`."""
+def ultrafilters_concrete(items) -> list[frozenset]:
+    """Maximal proper filters on the powerset of `items`.
+
+    At 3 items or fewer, a brute scan over every family of subsets checks
+    that the up-closure enumeration of `all_filters` missed no filter.
+    """
     items = list(items)
     subs = subsets(items)
     whole = frozenset(items)
@@ -94,7 +98,7 @@ def ultrafilters_concrete(items, exhaustive_crosscheck=True) -> list[frozenset]:
             comp = whole - B
             if (B in F) == (comp in F):
                 raise EngineError("maximal proper filter is not an ultrafilter")
-    if exhaustive_crosscheck and len(items) <= 3:
+    if len(items) <= 3:
         # brute scan over every family of subsets: no filter was missed
         found = set()
         for mask in range(1 << len(subs)):

@@ -457,26 +457,31 @@ def _pointwise_order_matches(space: PresheafSpace) -> bool:
                for j, r in enumerate(space.presheaves))
 
 
+# Spaces of at most this many presheaves get the category-law check of
+# `check_presheaf_monad`, which is cubic in the carrier.
+SPACE_LAW_BOUND = 160
+
+
 def check_presheaf_monad(cls: SaturatedClass, cats, fns,
-                         max_space: int = DEFAULT_MAX_SPACE,
-                         law_bound: int = 160) -> LawReport:
+                         max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Monad and KZ laws for the class over a corpus.
 
     Towers over the cap are reported as skips with the offending bound;
-    category-law verification of a space is bounded by law_bound since it
-    is cubic in the carrier.
+    category-law verification of a space is bounded by SPACE_LAW_BOUND
+    since it is cubic in the carrier.
     """
     rep = LawReport("presheaf monad: %s" % cls.name)
     skipped = []
     bad = []
     for C in cats:
         space = presheaf_space(C, cls, max_space)
-        if len(space) <= law_bound:
+        if len(space) <= SPACE_LAW_BOUND:
             if not check_category(space.category).ok \
                     or not is_separated(space.category):
                 bad.append(C.name)
     rep.add("space-laws", not bad,
-            "spaces are separated categories (carriers up to %d)" % law_bound
+            "spaces are separated categories (carriers up to %d)"
+            % SPACE_LAW_BOUND
             if not bad else "failing: %s" % ", ".join(bad))
 
     bad = [C.name for C in cats

@@ -1,10 +1,11 @@
 import pytest
 
-from tvcat.core import DEFAULT_MAX_SPACE, Fn, InputError, ValidationError
+from tvcat.core import (DEFAULT_MAX_SPACE, Fn, InputError, SizeCapError,
+                        ValidationError)
 from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
-from tvcat.category import (TVFunctor, check_category, functor_leq,
+from tvcat.category import (MEMO, TVFunctor, check_category, functor_leq,
                             identity_functor, is_fully_faithful, is_functor,
                             is_separated, star)
 from tvcat.presheaf import apply_P, saturated_class, space_mult
@@ -109,7 +110,7 @@ def test_sigma_pi_frozen_tables():
     FL = comma_factorise(F.L)
     FR = comma_factorise(F.R)
     sig = _sigma(F, FL)
-    pi = _pi(F, FR, ALL, DEFAULT_MAX_SPACE)
+    pi = _pi(F, FR)
     # sigma lands in K(Lf) as a section of its right leg; pi fixes the
     # right leg and projects to the space multiplication
     assert (FL.R.fn @ sig.fn) == Fn.identity(F.K.carrier)
@@ -124,6 +125,42 @@ def test_sigma_pi_frozen_tables():
         "([0,0,0],0)", "([0,0,0],1)", "([1,0,0],0)", "([1,0,0],1)",
         "([1,1,0],1)", "([1,1,1],1)")
     assert pi.fn.table == (0, 1, 0, 1, 1, 2)
+
+
+def test_pi_matches_the_multiplication_of_the_space_over_the_space():
+    # pi reads mult . P(q) Psi as one relation product (Yoneda); where the
+    # space over P(X) fits, the table is the one that space gives
+    checked = []
+    for q, size in ((BOOL, 3), (truncated_chain(2), 2)):
+        _, fns = seed_corpus(instantiate_monad("identity", q), size)
+        checked.append(0)
+        for f in iso_representatives(fns):
+            try:
+                F = comma_factorise(f, ALL, 512)
+                FR = comma_factorise(F.R, ALL, 512)
+                pi = _pi(F, FR)
+                old = space_mult(f.src, ALL, 512) @ apply_P(F.q, ALL, 512)
+            except SizeCapError:
+                continue
+            assert (F.q.fn @ pi.fn) == (old.fn @ FR.q.fn), f.name
+            assert (F.R.fn @ pi.fn) == FR.R.fn, f.name
+            checked[-1] += 1
+        MEMO.clear()
+    assert checked == [263, 63]
+
+
+def test_comonad_laws_are_never_capped_on_the_chain_corpus():
+    # the comonad tower needs the space over the source only, so the
+    # enumeration cap of 512 never binds on it
+    _, fns = seed_corpus(instantiate_monad("identity", truncated_chain(2)), 2)
+    comonad = {"comonad-counit-right", "comonad-counit-comma",
+               "comonad-coassociativity"}
+    reps = iso_representatives(fns)[::8]
+    assert len(reps) == 27
+    for f in reps:
+        status = {c.name: c.status for c in check_awfs(f, ALL, 512).checks}
+        assert {status[law] for law in comonad} == {PASS}, (f.name, status)
+    MEMO.clear()
 
 
 def test_perturbed_comultiplication_fails_the_laws():

@@ -515,6 +515,19 @@ def test_direct_image_and_comma_pairs_match_the_reference(drawn, nx, ny):
         assert is_separated(F.K) and ref_is_separated(F.K)
 
 
+def test_comma_pairs_match_the_space_over_the_target_on_the_corpora():
+    # the pairs come from one relation product over the source space; the
+    # reference reads them off P(f) and the space over the target
+    for q, size in ((QUANTALES[0], 3), (QUANTALES[1], 2)):
+        _, fns = seed_corpus(monad(q, "identity"), size)
+        reps = iso_representatives(fns)
+        for f in reps:
+            F = comma_factorise(f, ALL, CAP)
+            assert F.pairs == ref_pairs(F), f.name
+        assert len(reps) == {2: 265, 4: 216}[q.n]
+        MEMO.clear()
+
+
 def test_direct_image_over_empty_and_one_point_targets():
     for q in QUANTALES:
         for kind in KINDS:
@@ -827,7 +840,7 @@ def test_enumeration_matches_the_reference_on_comma_objects():
                 sizes.append(len(K.carrier))
                 assert_same_enumeration(q, K.structure.T.rows, [512])
     MEMO.clear()
-    assert max(sizes) == 150
+    assert max(sizes) == ENUM_BASE_CAP
 
 
 # ---------------------------------------------------------------------------

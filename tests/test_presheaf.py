@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -184,15 +185,20 @@ def test_yoneda_lemma_everywhere():
             assert yoneda_lemma_check(C, cls).ok
 
 
-def test_yoneda_lemma_fails_for_perturbed_structure():
-    space = presheaf_space(TWO)
-    y = yoneda(TWO)
-    rows = [list(r) for r in space.category.structure.rows]
+def test_yoneda_lemma_fails_for_perturbed_structure(monkeypatch):
+    # the check reads the space it is handed: flip hom([1,0], [0,0]) in a
+    # copy and the row of y a no longer matches column a of the values
+    space = copy.copy(presheaf_space(TWO))
+    rows = [bytearray(r) for r in space.category.structure.rows]
     rows[1][0] ^= 1
-    broken = any(rows[y.fn.table[ix]][ip] != psi[ix]
-                 for ix in range(len(TWO.carrier))
-                 for ip, psi in enumerate(space.presheaves))
-    assert broken
+    space.category = TVCategory(ID, space.carrier,
+                                VRelation(BOOL, space.carrier, space.carrier,
+                                          rows), "perturbed")
+    monkeypatch.setattr(presheaf, "presheaf_space",
+                        lambda C, cls=None, max_space=None: space)
+    rep = yoneda_lemma_check(TWO)
+    assert [(c.name, c.status) for c in rep.checks] == [("evaluation", FAIL)]
+    assert rep.checks[0].detail == "fails at ('a', '[0,0]')"
 
 
 def test_direct_image_frozen():
