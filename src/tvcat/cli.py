@@ -255,8 +255,6 @@ def _cmd_lift(args):
     cls = saturated_class(args.cls)
     f, g = square["f"], square["g"]
     d = solve_lifting(f, g, square["u"], square["v"], cls, args.max_space)
-    # named after the square: a memo hit may have built d between equal
-    # categories with other names
     return EXIT_OK, _artifact(functor_doc(d, f.dst.name, g.src.name))
 
 

@@ -17,7 +17,7 @@ from .category import (TVCategory, TVFunctor, _structure_maps,
                        is_fully_faithful, is_functor, is_separated,
                        functor_leq, memoised, star)
 from .presheaf import (apply_P, phi_dense, presheaf_space, saturated_class,
-                       space_mult, yoneda)
+                       yoneda)
 from .quantale import VRelation, line_masks, pair_rows
 from .report import FAIL, SKIP, LawReport
 
@@ -249,10 +249,21 @@ def enumerate_fillers(f: TVFunctor, g: TVFunctor, u: TVFunctor,
 
 def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
                   cls=None, max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
-    """Canonical filler p . K(u,v) . s through both comma objects."""
+    """Canonical filler p . K(u,v) . s through both comma objects.
+
+    The filler's table is memoised; the functor is built on this call's
+    own categories and named after this call's square.
+    """
     cls = cls or saturated_class("all")
     if (v.fn @ f.fn) != (g.fn @ u.fn):
         raise InputError("lifting square does not commute")
+    table = memoised(("lift", f, g, u, v, cls.name, max_space),
+                     lambda: _canonical_filler(f, g, u, v, cls, max_space))
+    return TVFunctor(f.dst, g.src, Fn(f.dst.carrier, g.src.carrier, table),
+                     "filler(%s,%s)" % (u.name, v.name))
+
+
+def _canonical_filler(f, g, u, v, cls, max_space: int) -> tuple:
     Ff = comma_factorise(f, cls, max_space)
     s = coalgebra(Ff)
     if s is None:
@@ -265,8 +276,7 @@ def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
     if (d.fn @ f.fn) != u.fn or (g.fn @ d.fn) != v.fn:
         raise EngineError("canonical filler of (%s, %s) does not fill"
                           % (u.name, v.name))
-    d.name = "filler(%s,%s)" % (u.name, v.name)
-    return d
+    return d.fn.table
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +303,46 @@ def _sigma(F: Factorisation, FL: Factorisation) -> TVFunctor:
     return out
 
 
-def _pi(F: Factorisation, FR: Factorisation) -> TVFunctor:
-    """pi: K(Rf) -> K(f), (Psi, y) -> (mult(P(q) Psi), y).
+def mult_P(PX, g, PZ) -> list:
+    """The table of mult . P(g): P(Z) -> P(X), for g: Z -> P(X).
 
-    mult(P(q) Psi) at x is P(q) Psi at the representable y x, which is the
-    join over k of Psi(k) (x) hom(y x, q k), and by the Yoneda lemma
-    hom(y x, q k) = (q k)(x).  So with Q the relation K -/-> X whose row k
-    is the presheaf q k, the new presheaf is row Psi of the product of Q
-    with the values of the space over K: no space over P(X) is built.
+    g is given by its table into PX, the space over X, and PZ is a space
+    over Z.  mult(P(g) Psi) at x is P(g) Psi at the representable y x,
+    which is the join over z of Psi(z) (x) hom(y x, g z), and by the Yoneda
+    lemma hom(y x, g z) = (g z)(x).  So with G the relation Z -/-> X whose
+    row z is the presheaf g z, the image of Psi is row Psi of the product
+    of G with the values of PZ: no space over P(X) is built.
     """
-    X = F.f.src
-    Q = VRelation(X.q, F.K.carrier, X.carrier,
-                  (F.space.presheaves[ip] for ip in F.q.fn.table))
-    mults = (Q @ FR.space.values).rows           # P(K) -/-> X
-    index = F.space.index
+    X = PX.base
+    G = VRelation(X.q, PZ.base.carrier, X.carrier,
+                  (PX.presheaves[i] for i in g))
+    index = PX.index
+    table = []
+    for name, vals in zip(PZ.carrier, (G @ PZ.values).rows):
+        ip = index.get(vals)
+        if ip is None:
+            raise EngineError("multiplication of %s escapes %s: class "
+                              "predicate is broken"
+                              % (name, PX.category.name))
+        table.append(ip)
+    return table
+
+
+def _space_functor(PZ, PX, table, name: str) -> TVFunctor:
+    """The table of `mult_P` as a functor P(Z) -> P(X), checked."""
+    out = TVFunctor(PZ.category, PX.category,
+                    Fn(PZ.carrier, PX.carrier, table), name)
+    if not is_functor(out.src, out.dst, out.fn):
+        raise EngineError("%s is not a functor" % name)
+    return out
+
+
+def _pi(F: Factorisation, FR: Factorisation) -> TVFunctor:
+    """pi: K(Rf) -> K(f), (Psi, y) -> (mult(P(q) Psi), y)."""
+    mults = mult_P(F.space, F.q.fn.table, FR.space)
     table = []
     for ipsi, iy in FR.pairs:
-        pr = (index.get(mults[ipsi]), iy)
+        pr = (mults[ipsi], iy)
         if pr not in F.pair_index:
             raise EngineError("multiplication pair for %s is outside K(%s)"
                               % (FR.K.carrier.elements[len(table)],
@@ -429,8 +462,9 @@ def check_simplicity(f: TVFunctor, cls=None,
                                                 or rhs.first_violation(lhs),))
     try:
         plf = apply_P(F.L, cls, max_space)
-        radj = space_mult(f.src, cls, max_space) @ apply_P(F.q, cls,
-                                                           max_space)
+        PK = presheaf_space(F.K, cls, max_space)
+        radj = _space_functor(PK, F.space, mult_P(F.space, F.q.fn.table, PK),
+                              "mult.P(q)")
         ok_unit = functor_leq(identity_functor(plf.src), radj @ plf)
         ok_counit = functor_leq(plf @ radj, identity_functor(plf.dst))
         rep.add("adjunction", ok_unit and ok_counit,
@@ -574,8 +608,10 @@ def check_left_class(cats, fns, cls=None,
                 continue
             F = comma_factorise(f, cls, max_space)
             s = coalgebra(F)
-            formula = space_mult(f.src, cls, max_space) \
-                @ apply_P(F.q, cls, max_space) @ apply_P(s, cls, max_space)
+            PY = presheaf_space(f.dst, cls, max_space)
+            qs = [F.q.fn.table[k] for k in s.fn.table]
+            formula = _space_functor(PY, F.space, mult_P(F.space, qs, PY),
+                                     "mult.P(q).P(s)")
             section = lari(f, cls, max_space)
             if section is None or section.fn != formula.fn:
                 bad.append(f.name)

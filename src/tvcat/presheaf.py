@@ -457,8 +457,9 @@ def _pointwise_order_matches(space: PresheafSpace) -> bool:
                for j, r in enumerate(space.presheaves))
 
 
-# Spaces of at most this many presheaves get the category-law check of
-# `check_presheaf_monad`, which is cubic in the carrier.
+# Spaces of at most this many presheaves get the category-law and
+# pointwise-order checks of `check_presheaf_monad`; the first is cubic in
+# the carrier.
 SPACE_LAW_BOUND = 160
 
 
@@ -467,8 +468,8 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     """Monad and KZ laws for the class over a corpus.
 
     Towers over the cap are reported as skips with the offending bound;
-    category-law verification of a space is bounded by SPACE_LAW_BOUND
-    since it is cubic in the carrier.
+    the category laws and the pointwise order of a space are checked up to
+    SPACE_LAW_BOUND presheaves, since the first is cubic in the carrier.
     """
     rep = LawReport("presheaf monad: %s" % cls.name)
     skipped = []
@@ -485,11 +486,12 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
             if not bad else "failing: %s" % ", ".join(bad))
 
     bad = [C.name for C in cats
-           if len(presheaf_space(C, cls, max_space)) <= 128
+           if len(presheaf_space(C, cls, max_space)) <= SPACE_LAW_BOUND
            and not _pointwise_order_matches(presheaf_space(C, cls, max_space))]
     rep.add("pointwise-order", not bad,
-            "space order = pointwise order of the data" if not bad
-            else "failing: %s" % ", ".join(bad))
+            "space order = pointwise order of the data (carriers up to %d)"
+            % SPACE_LAW_BOUND
+            if not bad else "failing: %s" % ", ".join(bad))
 
     bad = []
     for C in cats:

@@ -8,13 +8,14 @@ from tvcat.monad import instantiate_monad
 from tvcat.category import (MEMO, TVFunctor, check_category, functor_leq,
                             identity_functor, is_fully_faithful, is_functor,
                             is_separated, star)
-from tvcat.presheaf import apply_P, saturated_class, space_mult
+from tvcat.presheaf import (apply_P, presheaf_space, saturated_class,
+                            space_mult)
 from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
                         check_left_class, check_simplicity,
                         check_simplicity_corpus, check_subspace_fullness,
                         coalgebra, comma_factorise, comma_map,
-                        enumerate_fillers, l_membership, lari, r_membership,
-                        solve_lifting, wfs_cross_check)
+                        enumerate_fillers, l_membership, lari, mult_P,
+                        r_membership, solve_lifting, wfs_cross_check)
 
 from tvcat.report import PASS
 
@@ -128,25 +129,57 @@ def test_sigma_pi_frozen_tables():
 
 
 def test_pi_matches_the_multiplication_of_the_space_over_the_space():
-    # pi reads mult . P(q) Psi as one relation product (Yoneda); where the
-    # space over P(X) fits, the table is the one that space gives
+    # mult . P(g) is one relation product (Yoneda); wherever the space over
+    # P(X) fits, each use gives the table that space gives: pi's g = q over
+    # the space of K(Rf)'s source, the simplicity adjoint's g = q over P(K),
+    # and the LARI formula's g = q . s over P(Y)
     checked = []
     for q, size in ((BOOL, 3), (truncated_chain(2), 2)):
         _, fns = seed_corpus(instantiate_monad("identity", q), size)
-        checked.append(0)
+        counts = {"pi": 0, "simplicity": 0, "lari-formula": 0}
         for f in iso_representatives(fns):
             try:
                 F = comma_factorise(f, ALL, 512)
-                FR = comma_factorise(F.R, ALL, 512)
-                pi = _pi(F, FR)
                 old = space_mult(f.src, ALL, 512) @ apply_P(F.q, ALL, 512)
             except SizeCapError:
                 continue
+            FR = comma_factorise(F.R, ALL, 512)
+            pi = _pi(F, FR)
             assert (F.q.fn @ pi.fn) == (old.fn @ FR.q.fn), f.name
             assert (F.R.fn @ pi.fn) == FR.R.fn, f.name
-            checked[-1] += 1
+            counts["pi"] += 1
+            PK = presheaf_space(F.K, ALL, 512)
+            assert mult_P(F.space, F.q.fn.table, PK) == list(old.fn.table)
+            counts["simplicity"] += 1
+            s = coalgebra(F)
+            if s is None:
+                continue
+            PY = presheaf_space(f.dst, ALL, 512)
+            qs = [F.q.fn.table[k] for k in s.fn.table]
+            ref = old @ apply_P(s, ALL, 512)
+            assert mult_P(F.space, qs, PY) == list(ref.fn.table), f.name
+            counts["lari-formula"] += 1
+        checked.append(counts)
         MEMO.clear()
-    assert checked == [263, 63]
+    assert checked == [{"pi": 263, "simplicity": 263, "lari-formula": 42},
+                       {"pi": 63, "simplicity": 63, "lari-formula": 28}]
+
+
+def test_left_class_caps_on_the_chain_are_spaces_over_spaces():
+    # the LARI formula needs no space over K(f), so the only caps left are
+    # P(P X) of the four largest corpus objects, which the density decision
+    # of yoneda-in-left-class reaches
+    cats, fns = seed_corpus(instantiate_monad("identity",
+                                              truncated_chain(2)), 2)
+    rep = check_left_class(cats, iso_representatives(fns), ALL, 512)
+    MEMO.clear()
+    row = {c.name: c for c in rep.checks}["lari-formula"]
+    assert (row.status, row.detail) == (
+        PASS, "mult . P(q) . P(s) is the LARI section on 36 left maps")
+    capped = [c for c in rep.checks if c.name == "capped"]
+    assert [c.detail.split(":")[0] for c in capped] \
+        == ["c2_09", "c2_10", "c2_13", "c2_14"]
+    assert all("exceeds the cap of 512" in c.detail for c in capped)
 
 
 def test_comonad_laws_are_never_capped_on_the_chain_corpus():

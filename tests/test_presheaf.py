@@ -15,7 +15,7 @@ from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
                             identity_functor, is_bimodule, is_functor,
                             is_separated, unit_category)
 from tvcat.corpus import seed_corpus
-from tvcat.report import FAIL
+from tvcat.report import FAIL, PASS
 from tvcat.presheaf import (ADJOINT_CROSSCHECK_CAP, SaturatedClass,
                             _adjoint_by_scan, _all_bimodules, apply_P,
                             apply_P_star, check_adjoint_residual,
@@ -309,6 +309,37 @@ def test_members_are_bimodules_checks_spaces_past_64(monkeypatch):
     row = {c.name: c for c in rep.checks}["members-are-bimodules"]
     assert (row.status, row.detail) \
         == (FAIL, "failing: [0,1,0,0,0,0,0] at wide")
+
+
+def test_pointwise_order_checks_spaces_up_to_the_law_bound():
+    # two 2-chains beside four isolated points: 3 * 3 * 2^4 = 144
+    # presheaves.  Dropping hom(bottom, [0,0,0,0,1,0,0,0]), a covering
+    # pair, keeps the space a separated category, but its order is no
+    # longer the pointwise order
+    labels = ["a", "b", "c", "d", "p", "q", "r", "s"]
+    entries = {(x, x): "1" for x in labels}
+    entries[("a", "b")] = entries[("c", "d")] = "1"
+    C = category_from_entries(ID, labels, entries, default="0", name="wide")
+    MEMO.clear()
+    try:
+        space = presheaf_space(C, ALL, 256)
+        assert len(space) == 144 <= presheaf.SPACE_LAW_BOUND
+        rows = [bytearray(r) for r in space.category.structure.rows]
+        rows[space.index[bytes(8)]][space.index[bytes([0, 0, 0, 0,
+                                                       1, 0, 0, 0])]] = 0
+        space.category = TVCategory(ID, space.carrier,
+                                    VRelation(BOOL, space.carrier,
+                                              space.carrier, rows),
+                                    "perturbed")
+        rep = check_presheaf_monad(ALL, [C], [], 256)
+    finally:
+        MEMO.clear()
+    row = {c.name: c for c in rep.checks}["pointwise-order"]
+    assert (row.status, row.detail) == (FAIL, "failing: wide")
+    row = {c.name: c for c in rep.checks}["space-laws"]
+    assert (row.status, row.detail) == (
+        PASS, "spaces are separated categories (carriers up to %d)"
+        % presheaf.SPACE_LAW_BOUND)
 
 
 def test_saturation_suite_builtin_classes():
