@@ -313,25 +313,19 @@ def mult_P(PX, g, PZ) -> list:
     row z is the presheaf g z, the image of Psi is row Psi of the product
     of G with the values of PZ: no space over P(X) is built.
     """
-    X = PX.base
-    G = VRelation(X.q, PZ.base.carrier, X.carrier,
+    G = VRelation(PX.base.q, PZ.base.carrier, PX.base.carrier,
                   (PX.presheaves[i] for i in g))
-    index = PX.index
-    table = []
-    for name, vals in zip(PZ.carrier, (G @ PZ.values).rows):
-        ip = index.get(vals)
-        if ip is None:
-            raise EngineError("multiplication of %s escapes %s: class "
-                              "predicate is broken"
-                              % (name, PX.category.name))
-        table.append(ip)
+    table = [PX.index.get(vals) for vals in (G @ PZ.values).rows]
+    if None in table:
+        raise EngineError("mult . P(g) escapes %s: class predicate is "
+                          "broken" % PX.category.name)
     return table
 
 
-def _space_functor(PZ, PX, table, name: str) -> TVFunctor:
-    """The table of `mult_P` as a functor P(Z) -> P(X), checked."""
+def _mult_P_functor(PX, g, PZ, name: str) -> TVFunctor:
+    """`mult_P` as a functor P(Z) -> P(X), checked as `apply_P` checks."""
     out = TVFunctor(PZ.category, PX.category,
-                    Fn(PZ.carrier, PX.carrier, table), name)
+                    Fn(PZ.carrier, PX.carrier, mult_P(PX, g, PZ)), name)
     if not is_functor(out.src, out.dst, out.fn):
         raise EngineError("%s is not a functor" % name)
     return out
@@ -463,8 +457,7 @@ def check_simplicity(f: TVFunctor, cls=None,
     try:
         plf = apply_P(F.L, cls, max_space)
         PK = presheaf_space(F.K, cls, max_space)
-        radj = _space_functor(PK, F.space, mult_P(F.space, F.q.fn.table, PK),
-                              "mult.P(q)")
+        radj = _mult_P_functor(F.space, F.q.fn.table, PK, "mult.P(q)")
         ok_unit = functor_leq(identity_functor(plf.src), radj @ plf)
         ok_counit = functor_leq(plf @ radj, identity_functor(plf.dst))
         rep.add("adjunction", ok_unit and ok_counit,
@@ -609,9 +602,8 @@ def check_left_class(cats, fns, cls=None,
             F = comma_factorise(f, cls, max_space)
             s = coalgebra(F)
             PY = presheaf_space(f.dst, cls, max_space)
-            qs = [F.q.fn.table[k] for k in s.fn.table]
-            formula = _space_functor(PY, F.space, mult_P(F.space, qs, PY),
-                                     "mult.P(q).P(s)")
+            formula = _mult_P_functor(F.space, (F.q.fn @ s.fn).table, PY,
+                                      "mult.P(q).P(s)")
             section = lari(f, cls, max_space)
             if section is None or section.fn != formula.fn:
                 bad.append(f.name)

@@ -155,7 +155,7 @@ def test_pi_matches_the_multiplication_of_the_space_over_the_space():
             if s is None:
                 continue
             PY = presheaf_space(f.dst, ALL, 512)
-            qs = [F.q.fn.table[k] for k in s.fn.table]
+            qs = (F.q.fn @ s.fn).table
             ref = old @ apply_P(s, ALL, 512)
             assert mult_P(F.space, qs, PY) == list(ref.fn.table), f.name
             counts["lari-formula"] += 1
