@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
                    product_finset)
-from .monad import MonadInstance, kleisli
+from .monad import MonadInstance
 from .quantale import VRelation, line_masks, pair_rows
 from .report import LawReport
 
@@ -309,18 +309,17 @@ def bim_compose(psi: Bimodule, phi: Bimodule) -> VRelation:
     """Convolution of phi: X -|-> Y with psi: Y -|-> Z, as a raw relation."""
     if phi.dst != psi.src:
         raise InputError("modules do not share the middle category")
-    return kleisli(phi.src.M, psi.rel, phi.rel, phi.src.carrier)
+    return psi.rel @ phi.rel
 
 
 def check_bimodule(phi: Bimodule) -> LawReport:
     rep = LawReport("bimodule laws: %s" % phi.name)
-    M = phi.src.M
     a, b, rel = phi.src.structure, phi.dst.structure, phi.rel
-    right = kleisli(M, rel, a, phi.src.carrier)
+    right = rel @ a
     viol = right.first_violation(rel)
     rep.add("right-action", viol is None,
             "phi o a <= phi" if viol is None else "fails at %s" % (viol,))
-    left = kleisli(M, b, rel, phi.src.carrier)
+    left = b @ rel
     viol = left.first_violation(rel)
     rep.add("left-action", viol is None,
             "b o phi <= phi" if viol is None else "fails at %s" % (viol,))
@@ -328,9 +327,7 @@ def check_bimodule(phi: Bimodule) -> LawReport:
 
 
 def is_bimodule(src: TVCategory, dst: TVCategory, rel: VRelation) -> bool:
-    M = src.M
-    return (kleisli(M, rel, src.structure, src.carrier) <= rel
-            and kleisli(M, dst.structure, rel, src.carrier) <= rel)
+    return rel @ src.structure <= rel and dst.structure @ rel <= rel
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +353,12 @@ def star(f: TVFunctor) -> Bimodule:
 def check_graph_adjunction(f: TVFunctor) -> LawReport:
     """star(f) is left adjoint to costar(f) in the module calculus."""
     rep = LawReport("graph modules: %s" % f.name)
-    M = f.src.M
     lo, hi = star(f), costar(f)
-    unit_side = kleisli(M, hi.rel, lo.rel, f.src.carrier)
+    unit_side = hi.rel @ lo.rel
     viol = f.src.structure.first_violation(unit_side)
     rep.add("unit", viol is None,
             "a <= f^* o f_*" if viol is None else "fails at %s" % (viol,))
-    counit_side = kleisli(M, lo.rel, hi.rel, f.dst.carrier)
+    counit_side = lo.rel @ hi.rel
     viol = counit_side.first_violation(f.dst.structure)
     rep.add("counit", viol is None,
             "f_* o f^* <= b" if viol is None else "fails at %s" % (viol,))

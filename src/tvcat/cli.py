@@ -175,7 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=3, metavar="N",
                    help="carrier bound: boolean corpora up to min(3, N), "
                         "chains up to min(2, N)")
-    p.add_argument("--corrupt-builtin", default=None, help=argparse.SUPPRESS)
     return top
 
 
@@ -294,19 +293,6 @@ def _cmd_presheaves(args):
 # ---------------------------------------------------------------------------
 
 _Corpus = collections.namedtuple("_Corpus", "M cats reps cap")
-
-
-def _corrupted_spec(spec: dict) -> dict:
-    """Explicit tables for a builtin with one tensor cell broken (k*k = bot)."""
-    q = quantale_from_doc(spec, "<corrupt-hook>")
-    names = q.elements
-    tensor = {"%s|%s" % (names[a], names[b]): names[q.tensor_m[a][b]]
-              for a in range(q.n) for b in range(q.n)}
-    tensor["%s|%s" % (names[q.unit], names[q.unit])] = names[q.bottom]
-    return {"elements": list(names),
-            "leq": [[names[a], names[b]] for a in range(q.n)
-                    for b in range(q.n) if q.leq_m[a][b]],
-            "tensor": tensor, "unit": names[q.unit]}
 
 
 def _summary(rep: LawReport) -> str:
@@ -446,12 +432,8 @@ def _cmd_verify_paper(args):
 
     rep = LawReport("verify-paper: quantales=%s monads=%s max-size=%d"
                     % (args.quantales, args.monads, args.max_size))
-    laws = []
-    for tok, spec in specs:
-        if args.corrupt_builtin and spec["builtin"] == args.corrupt_builtin:
-            spec = _corrupted_spec(spec)
-        laws.append((tok, check_quantale_laws(spec)))
-    _add_row(rep, "quantale laws", laws)
+    _add_row(rep, "quantale laws",
+             [(tok, check_quantale_laws(spec)) for tok, spec in specs])
     _add_row(rep, "monad conditions and span preservation", monad_laws)
     for (name, _), row in zip(rows, parts):
         _add_row(rep, name, row)

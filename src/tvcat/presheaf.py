@@ -15,7 +15,9 @@ hom(phi, psi) >= v holds exactly when v (x) phi <= psi entrywise, and
 way, one path at every size and for every quantale.  The space is the
 object part of a lax idempotent monad: unit = Yoneda, action on a
 functor f = composition with f^*, multiplication = restriction along the
-Yoneda embedding.  Saturated classes cut out submonads, and membership is
+Yoneda embedding.  Every map mult . P(g), for g: Z -> P(X), is one
+relation product by the Yoneda lemma (`mult_P`); P(f) is the case
+g = y . f.  Saturated classes cut out submonads, and membership is
 decided without search: phi is representable exactly when every column of
 phi is a column of the structure of its source (Yoneda), and phi is a
 right adjoint exactly when the residual of that structure along phi is
@@ -32,7 +34,6 @@ from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        costar, identity_functor, is_bimodule,
                        is_fully_faithful, is_functor, is_separated,
                        functor_leq, memoised, star, unit_category)
-from .monad import kleisli
 from .quantale import VRelation, compose_rows, residual_left
 from .report import LawReport
 
@@ -225,8 +226,7 @@ class _RightAdjoint(_BuiltinClass):
     def admits(self, phi: Bimodule) -> bool:
         X, Y = phi.src, phi.dst
         lam = residual_left(X.structure, phi.rel)
-        return is_bimodule(Y, X, lam) \
-            and Y.structure <= kleisli(X.M, phi.rel, lam, Y.carrier)
+        return is_bimodule(Y, X, lam) and Y.structure <= phi.rel @ lam
 
 
 _BUILTIN_CLASSES = {
@@ -384,32 +384,46 @@ def yoneda_lemma_check(C: TVCategory, cls: SaturatedClass | None = None,
 # functorial actions and the multiplication
 # ---------------------------------------------------------------------------
 
+def mult_P(G: VRelation, PZ: PresheafSpace, PX: PresheafSpace) -> list:
+    """The table of mult . P(g): P(Z) -> P(X), for g: Z -> P(X).
+
+    G is the relation Z -/-> X whose row z is the presheaf g z, and PZ and
+    PX are spaces over Z and X.  mult(P(g) Psi) at x is P(g) Psi at the
+    representable y x, which is the join over z of Psi(z) (x) hom(y x, g z),
+    and by the Yoneda lemma hom(y x, g z) = (g z)(x).  So the image of Psi
+    is row Psi of the product of G with the values of PZ: no space over
+    P(X) is built.
+    """
+    index = PX.index
+    table = [index.get(vals) for vals in (G @ PZ.values).rows]
+    if None in table:
+        raise EngineError("image of %s escapes %s: class predicate is broken"
+                          % (PZ.carrier.elements[table.index(None)],
+                             PX.category.name))
+    return table
+
+
+def mult_P_functor(G: VRelation, PZ: PresheafSpace, PX: PresheafSpace,
+                   name: str) -> TVFunctor:
+    """`mult_P` as a functor P(Z) -> P(X), checked."""
+    out = TVFunctor(PZ.category, PX.category,
+                    Fn(PZ.carrier, PX.carrier, mult_P(G, PZ, PX)), name)
+    if not is_functor(out.src, out.dst, out.fn):
+        raise EngineError("%s is not a functor" % name)
+    return out
+
+
 def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
             max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
-    """Direct image: compose a presheaf with the restriction module of f.
+    """Direct image phi -> phi . f^*, the extension mult . P(y . f).
 
-    The image of phi is the convolution phi o f^* = phi . f^*, T being the
-    identity (see `kleisli`).  All presheaves go through one relation
-    composition: with Phi the relation PX -/-> X of their values, row phi
-    of (f^*)^T . Phi is phi's image, as the tensor is commutative.
+    Row x of (f^*)^T is the representable b(-, f x), so `mult_P` along it
+    composes every presheaf with the restriction module of f in one
+    relation product.
     """
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
-    images = costar(f).rel.T @ PX.values        # PX -/-> Y
-    index = PY.index
-    table = []
-    for name, vals in zip(PX.carrier, images.rows):
-        ip = index.get(vals)
-        if ip is None:
-            raise EngineError("image of %s under the direct-image map "
-                              "escapes %s: class predicate is broken"
-                              % (name, PY.category.name))
-        table.append(ip)
-    out = TVFunctor(PX.category, PY.category,
-                    Fn(PX.carrier, PY.carrier, table), "P(%s)" % f.name)
-    if not is_functor(out.src, out.dst, out.fn):
-        raise EngineError("direct image of %s is not a functor" % f.name)
-    return out
+    return mult_P_functor(costar(f).rel.T, PX, PY, "P(%s)" % f.name)
 
 
 def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
@@ -688,7 +702,7 @@ def _adjoint_by_scan(phi: Bimodule, scan_cap: int) -> bool:
     """
     X, Y = phi.src, phi.dst
     return any((lam.rel @ phi.rel) <= X.structure
-               and Y.structure <= kleisli(X.M, phi.rel, lam.rel, Y.carrier)
+               and Y.structure <= phi.rel @ lam.rel
                for lam in _all_bimodules(Y, X, scan_cap))
 
 

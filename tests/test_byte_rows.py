@@ -178,7 +178,7 @@ def test_comultiplication_and_coalgebra_find_their_byte_keys():
     FL = comma_factorise(F.L)
     # both look a column of a structure up in a space's index; a miss
     # raises (sigma) or answers None (coalgebra)
-    sigma = _sigma(F, FL)
+    sigma = _sigma(FL)
     assert (FL.R.fn @ sigma.fn).is_identity()
     s = coalgebra(FL)
     assert s is not None and (FL.R.fn @ s.fn).is_identity()

@@ -14,6 +14,7 @@ from tvcat.core import InputError
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance
 from tvcat.presheaf import saturated_class
+from tvcat.quantale import boolean_quantale
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
 
@@ -226,9 +227,21 @@ def test_verify_paper_json_envelope():
     assert len(doc["report"]["checks"]) == 12
 
 
-def test_corrupt_builtin_fails_only_its_row():
-    code, out = run_command(["verify-paper", "--max-size", "1",
-                             "--corrupt-builtin", "boolean"])
+def test_corrupt_builtin_fails_only_its_row(monkeypatch):
+    # the boolean description with one tensor cell broken, k (x) k = bot
+    q = boolean_quantale()
+    names = q.elements
+    tensor = {"%s|%s" % (names[a], names[b]): names[q.tensor_m[a][b]]
+              for a in range(q.n) for b in range(q.n)}
+    tensor["%s|%s" % (names[q.unit], names[q.unit])] = names[q.bottom]
+    broken = {"elements": list(names),
+              "leq": [[names[a], names[b]] for a in range(q.n)
+                      for b in range(q.n) if q.leq_m[a][b]],
+              "tensor": tensor, "unit": names[q.unit]}
+    real = cli.check_quantale_laws
+    monkeypatch.setattr(cli, "check_quantale_laws", lambda spec: real(
+        broken if spec["builtin"] == "boolean" else spec))
+    code, out = run_command(["verify-paper", "--max-size", "1"])
     assert code == 1
     rows = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert rows[0].startswith("FAIL quantale laws")

@@ -1,20 +1,21 @@
 import pytest
 
-from tvcat.core import (DEFAULT_MAX_SPACE, Fn, InputError, SizeCapError,
-                        ValidationError)
+from tvcat import lofs
+from tvcat.core import (DEFAULT_MAX_SPACE, EngineError, Fn, InputError,
+                        SizeCapError, ValidationError)
 from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
 from tvcat.monad import instantiate_monad
 from tvcat.category import (MEMO, TVFunctor, check_category, functor_leq,
                             identity_functor, is_fully_faithful, is_functor,
                             is_separated, star)
-from tvcat.presheaf import (apply_P, presheaf_space, saturated_class,
+from tvcat.presheaf import (apply_P, mult_P, presheaf_space, saturated_class,
                             space_mult)
-from tvcat.lofs import (_pi, _sigma, check_awfs, check_awfs_corpus,
-                        check_left_class, check_simplicity,
+from tvcat.lofs import (_pi, _presheaf_rows, _sigma, check_awfs,
+                        check_awfs_corpus, check_left_class, check_simplicity,
                         check_simplicity_corpus, check_subspace_fullness,
                         coalgebra, comma_factorise, comma_map,
-                        enumerate_fillers, l_membership, lari, mult_P,
+                        enumerate_fillers, l_membership, lari,
                         r_membership, solve_lifting, wfs_cross_check)
 
 from tvcat.report import PASS
@@ -110,7 +111,7 @@ def test_sigma_pi_frozen_tables():
     F = comma_factorise(TOP)
     FL = comma_factorise(F.L)
     FR = comma_factorise(F.R)
-    sig = _sigma(F, FL)
+    sig = _sigma(FL)
     pi = _pi(F, FR)
     # sigma lands in K(Lf) as a section of its right leg; pi fixes the
     # right leg and projects to the space multiplication
@@ -149,7 +150,8 @@ def test_pi_matches_the_multiplication_of_the_space_over_the_space():
             assert (F.R.fn @ pi.fn) == FR.R.fn, f.name
             counts["pi"] += 1
             PK = presheaf_space(F.K, ALL, 512)
-            assert mult_P(F.space, F.q.fn.table, PK) == list(old.fn.table)
+            Q = _presheaf_rows(F.space, F.K.carrier, F.q.fn.table)
+            assert mult_P(Q, PK, F.space) == list(old.fn.table)
             counts["simplicity"] += 1
             s = coalgebra(F)
             if s is None:
@@ -157,7 +159,8 @@ def test_pi_matches_the_multiplication_of_the_space_over_the_space():
             PY = presheaf_space(f.dst, ALL, 512)
             qs = (F.q.fn @ s.fn).table
             ref = old @ apply_P(s, ALL, 512)
-            assert mult_P(F.space, qs, PY) == list(ref.fn.table), f.name
+            QS = _presheaf_rows(F.space, f.dst.carrier, qs)
+            assert mult_P(QS, PY, F.space) == list(ref.fn.table), f.name
             counts["lari-formula"] += 1
         checked.append(counts)
         MEMO.clear()
@@ -173,9 +176,13 @@ def test_left_class_caps_on_the_chain_are_spaces_over_spaces():
                                               truncated_chain(2)), 2)
     rep = check_left_class(cats, iso_representatives(fns), ALL, 512)
     MEMO.clear()
-    row = {c.name: c for c in rep.checks}["lari-formula"]
-    assert (row.status, row.detail) == (
+    rows = {c.name: c for c in rep.checks}
+    assert (rows["lari-formula"].status, rows["lari-formula"].detail) == (
         PASS, "mult . P(q) . P(s) is the LARI section on 36 left maps")
+    # the capped objects are not counted as decided
+    assert (rows["yoneda-in-left-class"].status,
+            rows["yoneda-in-left-class"].detail) == (
+        PASS, "the unit is in the left class on 13 corpus objects")
     capped = [c for c in rep.checks if c.name == "capped"]
     assert [c.detail.split(":")[0] for c in capped] \
         == ["c2_09", "c2_10", "c2_13", "c2_14"]
@@ -199,7 +206,7 @@ def test_comonad_laws_are_never_capped_on_the_chain_corpus():
 def test_perturbed_comultiplication_fails_the_laws():
     F = comma_factorise(TOP)
     FL = comma_factorise(F.L)
-    sig = _sigma(F, FL)
+    sig = _sigma(FL)
     k_counit = comma_map(FL, F, identity_functor(PT), F.R)
     ident = Fn.identity(F.K.carrier)
     for k in range(len(F.K.carrier)):
@@ -258,6 +265,24 @@ def test_comma_map_requires_commuting_square():
     swap = TVFunctor(TWO, TWO, Fn(TWO.carrier, TWO.carrier, (1, 0)), "swap")
     with pytest.raises(InputError):
         comma_map(F, F, identity_functor(PT), swap)
+
+
+def test_comma_map_names_the_map_and_the_point_on_a_miss(monkeypatch):
+    # a P(u) that sends [0] to [1] takes the pair ([0],0) to ([1],0), which
+    # is not in K(top): the image of [1] is not below b(-, 0)
+    F = comma_factorise(TOP)
+    real = lofs.apply_P
+
+    def broken(u, *args):
+        pu = real(u, *args)
+        table = (1,) + pu.fn.table[1:]
+        return TVFunctor(pu.src, pu.dst,
+                         Fn(pu.src.carrier, pu.dst.carrier, table), pu.name)
+
+    monkeypatch.setattr(lofs, "apply_P", broken)
+    with pytest.raises(EngineError, match=r"^K\(id,id\) sends "
+                       r"\(\[0\],0\) outside K\(top\)$"):
+        comma_map(F, F, identity_functor(PT), identity_functor(TWO))
 
 
 def test_awfs_laws_on_boolean_morphisms():

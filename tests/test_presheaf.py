@@ -14,12 +14,12 @@ from tvcat.category import (MEMO, Bimodule, TVCategory, TVFunctor,
                             check_category, costar, functor_leq,
                             identity_functor, is_bimodule, is_functor,
                             is_separated, unit_category)
-from tvcat.corpus import seed_corpus
+from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.report import FAIL, PASS
 from tvcat.presheaf import (ADJOINT_CROSSCHECK_CAP, SaturatedClass,
                             _adjoint_by_scan, _all_bimodules, apply_P,
                             apply_P_star, check_adjoint_residual,
-                            check_presheaf_monad, check_saturated,
+                            check_presheaf_monad, check_saturated, mult_P,
                             phi_dense, presheaf_space, saturated_class,
                             space_mult, unit_isomorphism_check, yoneda,
                             yoneda_lemma_check)
@@ -245,6 +245,27 @@ def test_direct_image_respects_composition():
     assert both.fn == (apply_P(emb).fn @ apply_P(top).fn)
     ident = apply_P(identity_functor(TWO))
     assert ident.fn.is_identity()
+
+
+def test_direct_image_is_the_extension_along_yoneda():
+    # P(f) = mult . P(y . f): the extension of the representables y(f x)
+    counts = []
+    for q, size in ((BOOL, 3), (truncated_chain(2), 2)):
+        _, fns = seed_corpus(instantiate_monad("identity", q), size)
+        n = 0
+        for cls in (ALL, REPR, ADJ):
+            for f in iso_representatives(fns):
+                PX = presheaf_space(f.src, cls)
+                PY = presheaf_space(f.dst, cls)
+                g = yoneda(f.dst, cls).fn @ f.fn
+                G = VRelation(q, f.src.carrier, f.dst.carrier,
+                              (PY.presheaves[i] for i in g.table))
+                assert list(apply_P(f, cls).fn.table) \
+                    == mult_P(G, PX, PY), (cls.name, f.name)
+                n += 1
+        counts.append(n)
+        MEMO.clear()
+    assert counts == [795, 648]
 
 
 def test_mult_frozen_on_chain():
