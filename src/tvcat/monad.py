@@ -333,13 +333,52 @@ def _random_relation(q, A, B, rng) -> VRelation:
     return VRelation(q, A, B, ((rng.randrange(q.n) for _ in B) for _ in A))
 
 
-def check_monad_laws(M: MonadInstance, size_limit: int = 3,
-                     rel_samples: int = 150, seed: int = 20260814) -> LawReport:
-    """Monad, algebra, compatibility and extension laws on small carriers."""
+def _pullback_image(M: MonadInstance, X: FinSet, Y: FinSet, pairs) -> set:
+    """The pairs (T pr1 w, T pr2 w) over all w in T(P).
+
+    P is the pullback whose points are `pairs` of positions in X x Y, and
+    pr1, pr2 are its projections.
+    """
+    P = FinSet("(%s,%s)" % (X.elements[i], Y.elements[j]) for i, j in pairs)
+    tp1 = M.T_fn(Fn(P, X, (i for i, j in pairs)))
+    tp2 = M.T_fn(Fn(P, Y, (j for i, j in pairs)))
+    return {(tp1.table[w], tp2.table[w]) for w in range(len(M.T_obj(P)))}
+
+
+REL_SAMPLES = 150  # random composable pairs when q has more than 2 values
+REL_SEED = 20260814  # draws those pairs; REL_SEED + 1 draws the relation pool
+
+
+def check_monad_laws(M: MonadInstance, size_limit: int = 3) -> LawReport:
+    """Monad, algebra, compatibility and extension laws on small carriers.
+
+    Within one call each distinct object is computed once: every map
+    between two carriers with its T-image, T of each distinct pullback
+    (keyed by its two carriers and its pairs of points), and
+    `lax_extend_formula` of each distinct relation.  A cone point is one
+    membership test in the set of T-image pairs.  Nothing outlives the call.
+    """
     q = M.q
     rep = LawReport("monad laws: %s over %s" % (M.kind, ",".join(q.elements)))
     sets = _corpus_sets(size_limit)
     V = q.carrier()
+    maps: dict = {}
+    extensions: dict = {}
+
+    def fns(X, Y) -> dict:
+        """Every map X -> Y with its T-image, keyed by table, in scan order."""
+        hit = maps.get((X, Y))
+        if hit is None:
+            hit = maps[X, Y] = {f.table: (f, M.T_fn(f))
+                                for f in _all_fns(X, Y)}
+        return hit
+
+    def extend(r: VRelation) -> VRelation:
+        key = (r.src, r.dst, r.rows)
+        hit = extensions.get(key)
+        if hit is None:
+            hit = extensions[key] = lax_extend_formula(M, r)
+        return hit
 
     # monad unit laws: m . Te = m . eT = id
     bad = None
@@ -404,23 +443,27 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
     sup_limit = size_limit
     while q.n ** sup_limit > 128 and sup_limit > 1:
         sup_limit -= 1
+    xi_t, join_all = M.xi_table, q.join_all
     scanned = 0
     witness = None
-    for X in _corpus_sets(sup_limit):
-        for Y in _corpus_sets(sup_limit):
-            for f in _all_fns(X, Y):
-                tf = M.T_fn(f)
-                for phi in _all_fns(X, V):
-                    psi = Fn(Y, V, (q.join_all(phi.table[i]
-                                               for i in range(len(X))
-                                               if f.table[i] == j)
-                                    for j in range(len(Y))))
-                    tphi, tpsi = M.T_fn(phi), M.T_fn(psi)
-                    for yy in range(len(M.T_obj(Y))):
-                        lhs = M.xi_table[tpsi.table[yy]]
-                        rhs = q.join_all(M.xi_table[tphi.table[xx]]
-                                         for xx in range(len(M.T_obj(X)))
-                                         if tf.table[xx] == yy)
+    for X in sets[:sup_limit + 1]:
+        into_X = fns(X, V).values()
+        for Y in sets[:sup_limit + 1]:
+            into_Y = fns(Y, V)
+            nTY = len(M.T_obj(Y))
+            for f, tf in fns(X, Y).values():
+                fibres = [[i for i, t in enumerate(f.table) if t == j]
+                          for j in range(len(Y))]
+                tfibres = [[xx for xx, t in enumerate(tf.table) if t == yy]
+                           for yy in range(nTY)]
+                for phi, tphi in into_X:
+                    # psi is the fibrewise join of phi along f
+                    tpsi = into_Y[tuple(join_all(phi.table[i] for i in fibre)
+                                        for fibre in fibres)][1]
+                    values = [xi_t[t] for t in tphi.table]
+                    for yy in range(nTY):
+                        lhs = xi_t[tpsi.table[yy]]
+                        rhs = join_all(values[xx] for xx in tfibres[yy])
                         scanned += 1
                         if not q.leq_m[lhs][rhs]:
                             witness = (X, Y, f, phi, yy)
@@ -433,27 +476,27 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
     witness = None
     scanned = 0
     for X in sets:
+        nTX = len(M.T_obj(X))
         for Y in sets:
+            nTY = len(M.T_obj(Y))
+            images: dict = {}  # pullback pairs -> T-image pairs of T(P)
             for Z in sets:
-                for f in _all_fns(X, Z):
-                    for g in _all_fns(Y, Z):
-                        pairs = [(i, j) for i in range(len(X))
-                                 for j in range(len(Y))
-                                 if f.table[i] == g.table[j]]
-                        P = FinSet("(%s,%s)" % (X.elements[i], Y.elements[j])
-                                   for i, j in pairs)
-                        pr1 = Fn(P, X, (i for i, j in pairs))
-                        pr2 = Fn(P, Y, (j for i, j in pairs))
-                        tf, tg = M.T_fn(f), M.T_fn(g)
-                        tp1, tp2 = M.T_fn(pr1), M.T_fn(pr2)
-                        TP = M.T_obj(P)
-                        for xx in range(len(M.T_obj(X))):
-                            for yy in range(len(M.T_obj(Y))):
-                                if tf.table[xx] != tg.table[yy]:
+                over = fns(Y, Z).values()
+                for f, tf in fns(X, Z).values():
+                    for g, tg in over:
+                        pairs = tuple((i, j) for i, a in enumerate(f.table)
+                                      for j, b in enumerate(g.table) if a == b)
+                        image = images.get(pairs)
+                        if image is None:
+                            image = images[pairs] = \
+                                _pullback_image(M, X, Y, pairs)
+                        tft, tgt = tf.table, tg.table
+                        for xx in range(nTX):
+                            for yy in range(nTY):
+                                if tft[xx] != tgt[yy]:
                                     continue
                                 scanned += 1
-                                if not any(tp1.table[w] == xx and tp2.table[w] == yy
-                                           for w in range(len(TP))):
+                                if (xx, yy) not in image:
                                     witness = (f, g, xx, yy)
     rep.add("weak-pullback-preservation", witness is None,
             "checked %d cone points over all spans on carriers up to %d"
@@ -464,19 +507,21 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
     witness = None
     scanned = 0
     for X in sets:
+        mx = M.mult(X)
+        nTX = len(M.T_obj(X))
+        nTTX = len(M.T_obj(M.T_obj(X)))
         for Y in sets:
-            for f in _all_fns(X, Y):
-                tf = M.T_fn(f)
+            my = M.mult(Y)
+            nTTY = len(M.T_obj(M.T_obj(Y)))
+            for f, tf in fns(X, Y).values():
                 ttf = M.T_fn(tf)
-                mx, my = M.mult(X), M.mult(Y)
-                TTX = M.T_obj(M.T_obj(X))
-                for xx in range(len(M.T_obj(X))):
-                    for YY in range(len(M.T_obj(M.T_obj(Y)))):
+                image = {(mx.table[w], ttf.table[w]) for w in range(nTTX)}
+                for xx in range(nTX):
+                    for YY in range(nTTY):
                         if tf.table[xx] != my.table[YY]:
                             continue
                         scanned += 1
-                        if not any(mx.table[w] == xx and ttf.table[w] == YY
-                                   for w in range(len(TTX))):
+                        if (xx, YY) not in image:
                             witness = (f, xx, YY)
     rep.add("multiplication-weak-pullback", witness is None,
             "checked %d cone points on carriers up to %d" % (scanned, size_limit)
@@ -486,24 +531,20 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
     A = FinSet(["x1", "x2"])
     B = FinSet(["y1", "y2"])
     C = FinSet(["z1", "z2"])
+    if q.n == 2:
+        composable = ((r, s) for r in _all_relations(q, A, B)
+                      for s in _all_relations(q, B, C))
+    else:
+        rng = random.Random(REL_SEED)
+        composable = ((_random_relation(q, A, B, rng),
+                       _random_relation(q, B, C, rng))
+                      for _ in range(REL_SAMPLES))
     witness = None
     scanned = 0
-    if q.n == 2:
-        for r in _all_relations(q, A, B):
-            for s in _all_relations(q, B, C):
-                scanned += 1
-                if lax_extend_formula(M, s @ r) != \
-                        lax_extend_formula(M, s) @ lax_extend_formula(M, r):
-                    witness = (r, s)
-    else:
-        rng = random.Random(seed)
-        for _ in range(rel_samples):
-            r = _random_relation(q, A, B, rng)
-            s = _random_relation(q, B, C, rng)
-            scanned += 1
-            if lax_extend_formula(M, s @ r) != \
-                    lax_extend_formula(M, s) @ lax_extend_formula(M, r):
-                witness = (r, s)
+    for r, s in composable:
+        scanned += 1
+        if extend(s @ r) != extend(s) @ extend(r):
+            witness = (r, s)
     rep.add("extension-functoriality", witness is None,
             "T(s.r) = T(s).T(r) for %d composable pairs" % scanned
             if witness is None else "witness: %r" % (witness,))
@@ -512,9 +553,8 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
     witness = None
     for X in sets[:3]:
         for Y in sets[:3]:
-            for f in _all_fns(X, Y):
-                if lax_extend_formula(M, VRelation.from_fn(q, f)) != \
-                        VRelation.from_fn(q, M.T_fn(f)):
+            for f, tf in fns(X, Y).values():
+                if extend(VRelation.from_fn(q, f)) != VRelation.from_fn(q, tf):
                     witness = f
     rep.add("extension-extends-maps", witness is None,
             "T of a graph is the graph of Tf" if witness is None
@@ -523,21 +563,19 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
     # m is natural, e is op-lax for the extended functor
     witness_m = None
     witness_e = None
-    rng = random.Random(seed + 1)
-    rel_pool = []
     if q.n == 2:
-        rel_pool = [r for r in _all_relations(q, A, B)]
+        rel_pool = list(_all_relations(q, A, B))
     else:
+        rng = random.Random(REL_SEED + 1)
         rel_pool = [_random_relation(q, A, B, rng) for _ in range(60)]
+    m_x = VRelation.from_fn(q, M.mult(A))
+    m_y = VRelation.from_fn(q, M.mult(B))
+    e_x = VRelation.from_fn(q, M.unit(A))
+    e_y = VRelation.from_fn(q, M.unit(B))
     for r in rel_pool:
-        ext = lax_extend_formula(M, r)
-        ext2 = lax_extend_formula(M, ext)
-        m_x = VRelation.from_fn(q, M.mult(A))
-        m_y = VRelation.from_fn(q, M.mult(B))
-        if (m_y @ ext2) != (ext @ m_x):
+        ext = extend(r)
+        if (m_y @ extend(ext)) != (ext @ m_x):
             witness_m = r
-        e_x = VRelation.from_fn(q, M.unit(A))
-        e_y = VRelation.from_fn(q, M.unit(B))
         if not (e_y @ r) <= (ext @ e_x):
             witness_e = r
     rep.add("multiplication-naturality", witness_m is None,
@@ -551,8 +589,7 @@ def check_monad_laws(M: MonadInstance, size_limit: int = 3,
         _genuine_ultrafilter_checks(M, rep, size_limit)
 
     # the formula fixes r, which is why lax_extend may return r itself
-    bad = next((r for r in rel_pool[:20] if lax_extend_formula(M, r) != r),
-               None)
+    bad = next((r for r in rel_pool[:20] if extend(r) != r), None)
     rep.add("identity-extension", bad is None,
             "the extension of the %s instance is the identity" % M.kind
             if bad is None else "witness: %r" % (bad,))

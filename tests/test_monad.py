@@ -14,6 +14,7 @@ from tvcat.monad import (MonadInstance, check_monad_laws, filter_pushforward,
                          principal_witness, subsets, ultrafilters_concrete,
                          xi_concrete)
 from tvcat.quantale import VRelation, lukasiewicz_chain, powerset_frame
+from tvcat.report import PASS
 
 from builders import (constant_relation, fn_from_dict,
                       relation_from_entries)
@@ -131,7 +132,7 @@ def test_law_suite_passes(kind, q, monkeypatch):
 def test_law_suite_smoke_on_wider_quantales():
     for q in (lukasiewicz_chain(2), powerset_frame(2)):
         rep = check_monad_laws(instantiate_monad("finite_ultrafilter", q),
-                               size_limit=2, rel_samples=40)
+                               size_limit=2)
         assert rep.ok, rep.to_text()
 
 
@@ -171,8 +172,7 @@ def test_fast_paths_match_the_reference_formula(kind, q):
 
 
 def test_corrupted_multiplication_is_caught():
-    rep = check_monad_laws(_BrokenMult("identity", BOOL), size_limit=2,
-                           rel_samples=10)
+    rep = check_monad_laws(_BrokenMult("identity", BOOL), size_limit=2)
     names = {c.name for c in rep.failures}
     assert "unit-laws" in names
 
@@ -180,11 +180,104 @@ def test_corrupted_multiplication_is_caught():
 def test_corrupted_algebra_is_caught():
     # lax_extend returns r, which is the extension only while xi is the
     # identity; the law suite refuses any other algebra
-    rep = check_monad_laws(_BrokenXi("identity", BOOL), size_limit=2,
-                           rel_samples=10)
+    rep = check_monad_laws(_BrokenXi("identity", BOOL), size_limit=2)
     names = {c.name for c in rep.failures}
     assert "algebra-unit" in names
     assert "identity-extension" in names
+
+
+def _pinned_rows(kind, tvv, joins, pairs, rels):
+    """Every row of a passing law suite at size 3, with its scan counts."""
+    rows = [
+        ("unit-laws", PASS, "m.Te = m.eT = id on carriers up to 3"),
+        ("associativity", PASS, "m.Tm = m.mT on carriers up to 3"),
+        ("algebra-unit", PASS, "xi restricts the unit to the identity"),
+        ("algebra-multiplication", PASS, "xi . T(xi) = xi . m_V"),
+        ("unit-compatibility", PASS, "checked for all 1 points of T1"),
+        ("tensor-compatibility", PASS,
+         "checked for all %d points of T(VxV)" % tvv),
+        ("join-compatibility", PASS,
+         "checked %d instances on carriers up to 3" % joins),
+        ("weak-pullback-preservation", PASS,
+         "checked 4082 cone points over all spans on carriers up to 3"),
+        ("multiplication-weak-pullback", PASS,
+         "checked 142 cone points on carriers up to 3"),
+        ("extension-functoriality", PASS,
+         "T(s.r) = T(s).T(r) for %d composable pairs" % pairs),
+        ("extension-extends-maps", PASS, "T of a graph is the graph of Tf"),
+        ("multiplication-naturality", PASS,
+         "m_Y . TTr = Tr . m_X for %d relations" % rels),
+        ("unit-oplax", PASS, "e_Y . r <= Tr . e_X for %d relations" % rels),
+    ]
+    if kind == "finite_ultrafilter":
+        rows += [
+            ("ultrafilter-enumeration", PASS,
+             "maximal proper filters are exactly the principal ones on "
+             "carriers up to 5"),
+            ("ultrafilter-transport", PASS,
+             "unit, maps and Kleisli sums match the principal bijection on "
+             "carriers up to 3"),
+            ("ultrafilter-algebra", PASS,
+             "the join formula evaluated on concrete filters matches the "
+             "table"),
+        ]
+    return rows + [("identity-extension", PASS,
+                    "the extension of the %s instance is the identity" % kind)]
+
+
+@pytest.mark.parametrize("kind,q,tvv,joins,pairs,rels", [
+    ("identity", BOOL, 4, 962, 256, 16),
+    ("finite_ultrafilter", BOOL, 4, 962, 256, 16),
+    ("finite_ultrafilter", truncated_chain(2), 16, 6910, 150, 60),
+], ids=["identity-boolean", "ultrafilter-boolean", "ultrafilter-chain2"])
+def test_law_suite_rows_are_frozen(kind, q, tvv, joins, pairs, rels):
+    rep = check_monad_laws(instantiate_monad(kind, q), size_limit=3)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == \
+        _pinned_rows(kind, tvv, joins, pairs, rels)
+
+
+class _ConstantOnPullbacks(MonadInstance):
+    # T collapses each map out of a pullback object (labels "(x,y)") onto
+    # its first target point, so T(P) misses every other cone point
+    def T_fn(self, f):
+        if (len(f.src) >= 2 and len(f.dst) >= 2
+                and f.src.elements[0].startswith("(")):
+            return Fn(f.src, f.dst, (0,) * len(f.src))
+        return super().T_fn(f)
+
+
+def test_collapsed_pullbacks_fail_weak_pullback_preservation():
+    rep = check_monad_laws(_ConstantOnPullbacks("identity", BOOL),
+                           size_limit=3)
+    details = {c.name: c.detail for c in rep.failures}
+    # the last failing cone point of the last failing span
+    assert details["weak-pullback-preservation"] == (
+        "witness: (Fn(x1->x3, x2->x3, x3->x3), Fn(x1->x3, x2->x3, x3->x3), "
+        "2, 2)")
+
+
+@pytest.mark.parametrize("q,witness", [
+    (BOOL, "witness: (VRelation(x1,y1:1; x1,y2:1; x2,y1:1; x2,y2:1), "
+           "VRelation(y1,z1:1; y1,z2:1; y2,z1:1; y2,z2:0))"),
+    (truncated_chain(2),
+     "witness: (VRelation(x1,y1:1; x1,y2:inf; x2,y1:1; x2,y2:1), "
+     "VRelation(y1,z1:1; y1,z2:1; y2,z1:inf; y2,z2:2))"),
+], ids=["boolean-all-pairs", "chain2-sampled-pairs"])
+def test_non_functorial_extension_fails_functoriality(q, witness,
+                                                     monkeypatch):
+    # the formula with its first row sent to bottom is not a functor
+    def first_row_dropped(M, r):
+        ext = lax_extend_formula(M, r)
+        if not ext.rows:
+            return ext
+        bottom = bytes((M.q.bottom,)) * len(ext.dst)
+        return VRelation(M.q, ext.src, ext.dst, (bottom,) + ext.rows[1:])
+    monkeypatch.setattr("tvcat.monad.lax_extend_formula", first_row_dropped)
+    rep = check_monad_laws(instantiate_monad("finite_ultrafilter", q),
+                           size_limit=2)
+    details = {c.name: c.detail for c in rep.failures}
+    # the last failing composable pair in scan order
+    assert details["extension-functoriality"] == witness
 
 
 def test_presheaf_structure_rows_frozen():
