@@ -76,9 +76,10 @@ class TVCategory:
 # categories or functors (equal categories share entries), the class name
 # and the size cap.  A refusal by a cap is remembered per key, so a
 # different cap computes afresh.  The memo also holds `run_command`'s
-# parsed command lines and `Workspace.load_file`'s per-path entries.  It
-# lives for the process; `tvcat verify-paper` empties it after each
-# corpus.  Other modules import it by name, so it is emptied in place,
+# parsed command lines, one answer per command line (valid while the same
+# object resolves, by identity), and `Workspace.load_file`'s per-path
+# entries.  It lives for the process; `tvcat verify-paper` empties it after
+# each corpus.  Other modules import it by name, so it is emptied in place,
 # never rebound.
 MEMO: dict = {}
 

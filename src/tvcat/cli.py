@@ -207,9 +207,7 @@ def _cmd_check(args):
     return EXIT_OK, "\n".join(lines)
 
 
-def _cmd_factor(args):
-    ws = _workspace(args)
-    f = ws.functor(args.functor)
+def _cmd_factor(args, f):
     cls = saturated_class(args.cls)
     F = comma_factorise(f, cls, args.max_space)
     rep = LawReport("factorisation of %s through %s" % (f.name, cls.name))
@@ -229,9 +227,7 @@ def _cmd_factor(args):
     return (EXIT_OK if rep.ok else EXIT_CHECK), _artifact(doc)
 
 
-def _cmd_classify(args):
-    ws = _workspace(args)
-    f = ws.functor(args.functor)
+def _cmd_classify(args, f):
     cls = saturated_class(args.cls)
     ff = is_fully_faithful(f)
     dense = phi_dense(f, cls, args.max_space)
@@ -248,18 +244,14 @@ def _cmd_classify(args):
                                            "yes" if right else "no")
 
 
-def _cmd_lift(args):
-    ws = _workspace(args)
-    square = ws.problem(args.problem)
+def _cmd_lift(args, square):
     cls = saturated_class(args.cls)
     f, g = square["f"], square["g"]
     d = solve_lifting(f, g, square["u"], square["v"], cls, args.max_space)
     return EXIT_OK, _artifact(functor_doc(d, f.dst.name, g.src.name))
 
 
-def _cmd_complete(args):
-    ws = _workspace(args)
-    C = ws.category(args.category)
+def _cmd_complete(args, C):
     cls = saturated_class(args.cls)
     space = presheaf_space(C, cls, args.max_space)
     y = yoneda(C, cls, args.max_space)
@@ -271,9 +263,7 @@ def _cmd_complete(args):
          "unit": functor_doc(y, C.name, name, name="yoneda(%s)" % C.name)})
 
 
-def _cmd_presheaves(args):
-    ws = _workspace(args)
-    C = ws.category(args.category)
+def _cmd_presheaves(args, C):
     cls = saturated_class(args.cls)
     space = presheaf_space(C, cls, args.max_space)
     names = list(space.carrier.elements)
@@ -472,10 +462,46 @@ def _cmd_verify_paper(args):
 # entry points
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {"check": _cmd_check, "factor": _cmd_factor,
-             "classify": _cmd_classify, "lift": _cmd_lift,
-             "complete": _cmd_complete, "presheaves": _cmd_presheaves,
-             "verify-paper": _cmd_verify_paper}
+_COMMANDS = {"check": _cmd_check, "verify-paper": _cmd_verify_paper}
+
+# The commands that read one named object, with how each resolves it
+_OBJECT_COMMANDS = {
+    "factor": (_cmd_factor, lambda ws, args: ws.functor(args.functor)),
+    "classify": (_cmd_classify, lambda ws, args: ws.functor(args.functor)),
+    "lift": (_cmd_lift, lambda ws, args: ws.problem(args.problem)),
+    "complete": (_cmd_complete,
+                 lambda ws, args: ws.category(args.category)),
+    "presheaves": (_cmd_presheaves,
+                   lambda ws, args: ws.category(args.category))}
+
+
+def _answer(compute) -> tuple[int, str]:
+    """compute(), or the exit code and message of the error it raises."""
+    try:
+        return compute()
+    except InputError as exc:
+        return EXIT_INPUT, "error: %s" % exc
+    except ValidationError as exc:
+        return EXIT_CHECK, "error: %s" % exc
+    except SizeCapError as exc:
+        return EXIT_CAP, "error: %s" % exc
+
+
+def _dispatch(args, argv: tuple) -> tuple[int, str]:
+    if args.max_space < 1:
+        raise InputError("--max-space must be at least 1 (every space "
+                         "has a presheaf), got %d" % args.max_space)
+    if args.command in _COMMANDS:
+        return _COMMANDS[args.command](args)
+    command, resolve = _OBJECT_COMMANDS[args.command]
+    obj = resolve(_workspace(args), args)
+    key = ("answer", argv)
+    kept = MEMO.get(key)
+    if kept is not None and kept[0] is not obj:
+        MEMO.pop(key)
+    # the entry holds obj, so its identity cannot pass to a later object
+    return memoised(key, lambda: (obj, _answer(
+        lambda: command(args, obj))))[1]
 
 
 def run_command(argv) -> tuple[int, str]:
@@ -484,6 +510,13 @@ def run_command(argv) -> tuple[int, str]:
     Each distinct command line is parsed once and its namespace kept in
     `MEMO`, so commands only read `args`.  A usage error or --help is not
     kept: it prints its text on every run.
+
+    `factor`, `classify`, `lift`, `complete` and `presheaves` read one
+    object, which every run resolves afresh from the files.  One answer is
+    kept per command line, size-cap refusals included, together with that
+    object: it is returned while the same object (by identity) resolves,
+    and computed afresh otherwise.  The loader builds a new object whenever
+    the file's bytes or any reference changes.
     """
     argv = tuple(argv)
     try:
@@ -491,17 +524,7 @@ def run_command(argv) -> tuple[int, str]:
                         lambda: _build_parser().parse_args(argv))
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else EXIT_INPUT), ""
-    try:
-        if args.max_space < 1:
-            raise InputError("--max-space must be at least 1 (every space "
-                             "has a presheaf), got %d" % args.max_space)
-        return _COMMANDS[args.command](args)
-    except InputError as exc:
-        return EXIT_INPUT, "error: %s" % exc
-    except ValidationError as exc:
-        return EXIT_CHECK, "error: %s" % exc
-    except SizeCapError as exc:
-        return EXIT_CAP, "error: %s" % exc
+    return _answer(lambda: _dispatch(args, argv))
 
 
 def main(argv=None) -> int:

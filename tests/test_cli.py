@@ -475,3 +475,71 @@ def test_artifact_rejects_keys_that_are_not_str():
     for key in (1, None, True, ("a",)):
         with pytest.raises(TypeError):
             cli._artifact({"ok": [{key: 0}]})
+
+
+def render_once(monkeypatch):
+    """Make a second `_artifact` call fail; returns the documents rendered."""
+    render = cli._artifact
+    rendered = []
+
+    def once(doc):
+        if rendered:
+            raise AssertionError("rendered a second document")
+        rendered.append(doc)
+        return render(doc)
+
+    monkeypatch.setattr(cli, "_artifact", once)
+    return rendered
+
+
+@pytest.mark.parametrize("command,name", [("factor", "emb"),
+                                          ("complete", "pt")])
+def test_repeated_command_renders_once(tmp_path, monkeypatch, command, name):
+    seed(tmp_path)
+    rendered = render_once(monkeypatch)
+    argv = [command, str(tmp_path / (name + ".json"))]
+    first = run_command(argv)
+    assert first[0] == 0
+    assert run_command(argv) == first
+    assert len(rendered) == 1
+
+
+def test_rewritten_reference_gives_a_cold_answer(tmp_path):
+    seed(tmp_path)
+    argv = ["factor", str(tmp_path / "emb.json")]
+    chain = run_command(argv)
+    # emb.json keeps its bytes; only the category it maps into changes
+    put(tmp_path, "two.json", dict(TWO_DOC, structure=[["0", "0", "1"],
+                                                       ["1", "1", "1"]]))
+    warm = run_command(argv)
+    cold = subprocess.run([sys.executable, "-m", "tvcat.cli"] + argv,
+                          capture_output=True, text=True)
+    assert cold.returncode == warm[0] == 0
+    assert warm[1] == cold.stdout.rstrip("\n")
+    assert warm != chain
+
+
+def test_kept_refusal_holds_only_for_its_category(tmp_path):
+    # four presheaves on the discrete category, three on the chain
+    discrete = dict(TWO_DOC, structure=[["0", "0", "1"], ["1", "1", "1"]])
+    seed(tmp_path)
+    argv = ["presheaves", str(tmp_path / "two.json"), "--max-space", "3"]
+    put(tmp_path, "two.json", discrete)
+    capped = run_command(argv)
+    assert capped[0] == 3 and "cap of 3" in capped[1]
+    put(tmp_path, "two.json", TWO_DOC)
+    code, out = run_command(argv)
+    assert code == 0 and out.startswith("3 presheaves on two")
+    put(tmp_path, "two.json", discrete)
+    assert run_command(argv) == capped
+
+
+def test_rewrite_with_the_same_bytes_keeps_the_answer(tmp_path, monkeypatch):
+    seed(tmp_path)
+    argv = ["factor", str(tmp_path / "emb.json")]
+    rendered = render_once(monkeypatch)
+    first = run_command(argv)
+    for name, doc in (("two.json", TWO_DOC), ("emb.json", EMB_DOC)):
+        put(tmp_path, name, doc)
+    assert run_command(argv) == first
+    assert len(rendered) == 1

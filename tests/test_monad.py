@@ -256,6 +256,27 @@ def test_collapsed_pullbacks_fail_weak_pullback_preservation():
         "2, 2)")
 
 
+class _ConstantOntoTwoPoints(MonadInstance):
+    # T collapses each map out of a pullback object onto a 2-point target,
+    # so whether a span's cone points lie in T(P) depends on the size of
+    # the pullback's second carrier, not only on its pairs of points
+    def T_fn(self, f):
+        if (len(f.src) >= 2 and len(f.dst) == 2
+                and f.src.elements[0].startswith("(")):
+            return Fn(f.src, f.dst, (0,) * len(f.src))
+        return super().T_fn(f)
+
+
+def test_pullbacks_differ_by_their_second_carrier():
+    rep = check_monad_laws(_ConstantOntoTwoPoints("identity", BOOL),
+                           size_limit=3)
+    details = {c.name: c.detail for c in rep.failures}
+    # the last failing span has a 2-point second carrier: the 3-point one
+    # with the same pairs of points passes
+    assert details["weak-pullback-preservation"] == (
+        "witness: (Fn(x1->x3, x2->x3, x3->x3), Fn(x1->x3, x2->x3), 2, 1)")
+
+
 @pytest.mark.parametrize("q,witness", [
     (BOOL, "witness: (VRelation(x1,y1:1; x1,y2:1; x2,y1:1; x2,y2:1), "
            "VRelation(y1,z1:1; y1,z2:1; y2,z1:1; y2,z2:0))"),
