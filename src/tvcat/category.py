@@ -71,16 +71,16 @@ class TVCategory:
 
 
 # The engine's one cache: built spaces, bimodule scans, factorisations,
-# density decisions, algebras and canonical filler tables, filled through
-# `memoised`.  A key is a tag plus everything the value depends on: the
-# categories or functors (equal categories share entries), the class name
-# and the size cap.  A refusal by a cap is remembered per key, so a
-# different cap computes afresh.  The memo also holds `run_command`'s
-# parsed command lines, one answer per command line (valid while the same
-# object resolves, by identity), and `Workspace.load_file`'s per-path
-# entries.  It lives for the process; `tvcat verify-paper` empties it after
-# each corpus.  Other modules import it by name, so it is emptied in place,
-# never rebound.
+# density decisions and algebras, filled through `memoised`.  A key is a
+# tag plus everything the value depends on: the categories or functors
+# (equal categories share entries), the class name and the size cap.  A
+# refusal by a cap is remembered per key, so a different cap computes
+# afresh.  The memo also holds `run_command`'s parsed command lines, one
+# answer per command line and working directory (valid while every file
+# and listing it read reads the same again), and `Workspace.load_file`'s
+# per-path entries.  It lives for the process; `tvcat verify-paper` empties
+# it after each corpus.  Other modules import it by name, so it is emptied
+# in place, never rebound.
 MEMO: dict = {}
 
 

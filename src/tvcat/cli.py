@@ -21,8 +21,8 @@ import sys
 
 from .category import (MEMO, check_enriched_calculus, is_fully_faithful,
                        memoised)
-from .core import (DEFAULT_MAX_SPACE, InputError, SizeCapError,
-                   ValidationError)
+from .core import (DEFAULT_MAX_SPACE, EngineError, InputError,
+                   SizeCapError, ValidationError)
 from .corpus import iso_representatives, seed_corpus
 from .lofs import (check_awfs_corpus, check_left_class,
                    check_simplicity_corpus, check_subspace_fullness,
@@ -182,16 +182,21 @@ def _build_parser() -> argparse.ArgumentParser:
 # plain commands
 # ---------------------------------------------------------------------------
 
+def _corpus_names(path: str) -> tuple:
+    """The .json names in a directory, sorted."""
+    return tuple(sorted(n for n in os.listdir(path) if n.endswith(".json")))
+
+
 def _workspace(args) -> Workspace:
     ws = Workspace()
     if args.seed_corpus:
         try:
-            names = sorted(os.listdir(args.seed_corpus))
+            names = _corpus_names(args.seed_corpus)
         except OSError as exc:
             raise InputError("cannot read seed corpus: %s" % exc)
+        ws.reads.append((os.path.abspath(args.seed_corpus), names))
         for name in names:
-            if name.endswith(".json"):
-                ws.load_file(os.path.join(args.seed_corpus, name))
+            ws.load_file(os.path.join(args.seed_corpus, name))
     return ws
 
 
@@ -309,13 +314,16 @@ def _add_row(rep: LawReport, name: str, parts):
 
 
 def _capped(build, c: _Corpus) -> LawReport:
-    """build(c), or a skip note when a size cap stops it."""
+    """build(c); a skip note when a size cap stops it, and a failed check
+    carrying the message when an engine invariant breaks."""
+    note = LawReport()
     try:
         return build(c)
     except SizeCapError as exc:
-        note = LawReport()
         note.skip("capped", str(exc))
-        return note
+    except EngineError as exc:
+        note.add("engine-error", False, str(exc))
+    return note
 
 
 def _merged(builders) -> LawReport:
@@ -415,8 +423,8 @@ def _cmd_verify_paper(args):
                 for row, sub in zip(parts, subs):
                     row.append((label, sub))
                 if wfs is None and kind == "identity" and q.n == 2:
-                    wfs = (label, wfs_cross_check(c.cats, c.reps,
-                                                  classes[0], cap))
+                    wfs = (label, _capped(lambda c: wfs_cross_check(
+                        c.cats, c.reps, classes[0], c.cap), c))
             finally:
                 MEMO.clear()
 
@@ -435,16 +443,22 @@ def _cmd_verify_paper(args):
                  "needs the boolean identity corpus")
     else:
         label, report = wfs
-        by_name = {c.name: c for c in report.checks}
-        least = by_name["liftings-exist-and-are-least"]
-        rep.checks.append(Check("canonical fillers are least", least.status,
-                                "%s: %s" % (label, least.detail)))
-        rest = LawReport()
-        rest.checks = [c for c in report.checks if c is not least]
-        rep.add("classical factorisation cross-check", rest.ok,
-                "%s: %s" % (label,
-                            "; ".join(c.detail for c in rest.checks)
-                            if rest.ok else _summary(rest)))
+        least = next((c for c in report.checks
+                      if c.name == "liftings-exist-and-are-least"), None)
+        if least is None:
+            # a cap or an engine error stopped the cross-check
+            _add_row(rep, "canonical fillers are least", [wfs])
+            _add_row(rep, "classical factorisation cross-check", [wfs])
+        else:
+            rep.checks.append(Check("canonical fillers are least",
+                                    least.status,
+                                    "%s: %s" % (label, least.detail)))
+            rest = LawReport()
+            rest.checks = [c for c in report.checks if c is not least]
+            rep.add("classical factorisation cross-check", rest.ok,
+                    "%s: %s" % (label,
+                                "; ".join(c.detail for c in rest.checks)
+                                if rest.ok else _summary(rest)))
 
     code = EXIT_OK if rep.ok else EXIT_CHECK
     if args.output == "json":
@@ -487,6 +501,26 @@ def _answer(compute) -> tuple[int, str]:
         return EXIT_CAP, "error: %s" % exc
 
 
+def _reads_again(reads) -> bool:
+    """Whether every file and listing of a read-set still reads the same."""
+    try:
+        for path, seen in reads:
+            if isinstance(seen, bytes):
+                fd = os.open(path, os.O_RDONLY)
+                try:
+                    # asks for one byte more than was kept, then checks
+                    # that the file ends there
+                    if os.read(fd, len(seen) + 1) != seen or os.read(fd, 1):
+                        return False
+                finally:
+                    os.close(fd)
+            elif _corpus_names(path) != seen:
+                return False
+    except OSError:
+        return False
+    return True
+
+
 def _dispatch(args, argv: tuple) -> tuple[int, str]:
     if args.max_space < 1:
         raise InputError("--max-space must be at least 1 (every space "
@@ -494,13 +528,19 @@ def _dispatch(args, argv: tuple) -> tuple[int, str]:
     if args.command in _COMMANDS:
         return _COMMANDS[args.command](args)
     command, resolve = _OBJECT_COMMANDS[args.command]
-    obj = resolve(_workspace(args), args)
-    key = ("answer", argv)
+    try:
+        key = ("answer", argv, os.getcwd())
+    except OSError:
+        # the working directory is gone: answer without keeping
+        return _answer(lambda: command(args, resolve(_workspace(args), args)))
     kept = MEMO.get(key)
-    if kept is not None and kept[0] is not obj:
+    if kept is not None:
+        if _reads_again(kept[0]):
+            return kept[1]
         MEMO.pop(key)
-    # the entry holds obj, so its identity cannot pass to a later object
-    return memoised(key, lambda: (obj, _answer(
+    ws = _workspace(args)
+    obj = resolve(ws, args)
+    return memoised(key, lambda: (tuple(ws.reads), _answer(
         lambda: command(args, obj))))[1]
 
 
@@ -512,11 +552,13 @@ def run_command(argv) -> tuple[int, str]:
     kept: it prints its text on every run.
 
     `factor`, `classify`, `lift`, `complete` and `presheaves` read one
-    object, which every run resolves afresh from the files.  One answer is
-    kept per command line, size-cap refusals included, together with that
-    object: it is returned while the same object (by identity) resolves,
-    and computed afresh otherwise.  The loader builds a new object whenever
-    the file's bytes or any reference changes.
+    object resolved from the files.  One answer is kept per command line
+    and working directory, size-cap refusals included, together with its
+    read-set: the path and bytes of every file the loads read and the
+    .json names of the --seed-corpus listing.  A repeat reads that set
+    again and returns the kept answer when all of it is equal; otherwise
+    the entry is dropped and the command runs in full, keeping a new set.
+    A run whose object does not resolve keeps nothing.
     """
     argv = tuple(argv)
     try:

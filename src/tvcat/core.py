@@ -30,7 +30,8 @@ class SizeCapError(WorkbenchError):
 
 
 class EngineError(WorkbenchError):
-    """Internal invariant violated.  Signals a bug, never swallowed."""
+    """Internal invariant violated.  Signals a bug, never swallowed:
+    `verify-paper` reports it as a failed row, other commands raise it."""
 
 
 class FinSet:

@@ -268,14 +268,13 @@ def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
                   cls=None, max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Canonical filler p . K(u,v) . s through both comma objects.
 
-    The filler's table is memoised; the functor is built on this call's
-    own categories and named after this call's square.
+    The functor lies between this call's own categories and is named
+    after this call's square.
     """
     cls = cls or saturated_class("all")
     if (v.fn @ f.fn) != (g.fn @ u.fn):
         raise InputError("lifting square does not commute")
-    table = memoised(("lift", f, g, u, v, cls.name, max_space),
-                     lambda: _canonical_filler(f, g, u, v, cls, max_space))
+    table = _canonical_filler(f, g, u, v, cls, max_space)
     return TVFunctor(f.dst, g.src, Fn(f.dst.carrier, g.src.carrier, table),
                      "filler(%s,%s)" % (u.name, v.name))
 

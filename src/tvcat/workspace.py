@@ -171,6 +171,9 @@ class Workspace:
         self.problems: dict = {}
         self._by_path: dict = {}      # absolute path -> (kind, name)
         self._loading: set = set()
+        # what the loads read, in order: (absolute path, bytes) per file;
+        # the CLI adds (absolute directory, sorted .json names) per listing
+        self.reads: list = []
 
     # -- loading -------------------------------------------------------------
 
@@ -182,7 +185,7 @@ class Workspace:
         directory and name stem, and the object built from it with the
         references it resolved to.  Equal bytes reuse the document, and the
         object too when its references resolve to the same objects; a
-        failed load leaves no entry.
+        failed load leaves no entry.  The path and bytes join `reads`.
         """
         apath = os.path.abspath(path)
         if apath in self._by_path:
@@ -202,6 +205,7 @@ class Workspace:
                 entry = _FileEntry(data, _parse(data, path),
                                    os.path.dirname(apath),
                                    _basename_stem(apath))
+            self.reads.append((apath, entry.data))
             out = self.add_document(entry.doc, entry.base_dir, where=path,
                                     fallback=entry.stem, entry=entry)
             MEMO[key] = entry

@@ -1,7 +1,9 @@
 """Command dispatch, exit codes, artifact round trips, and report stability."""
 
+import builtins
 import copy
 import json
+import os
 import subprocess
 import sys
 
@@ -10,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tvcat import category, cli
 from tvcat.cli import run_command
-from tvcat.core import InputError
+from tvcat.core import EngineError, InputError
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance
 from tvcat.presheaf import saturated_class
@@ -247,6 +249,27 @@ def test_corrupt_builtin_fails_only_its_row(monkeypatch):
     assert rows[0].startswith("FAIL quantale laws")
     assert "tensor-unit" in rows[0]
     assert all(l.startswith("PASS") for l in rows[1:])
+
+
+def test_engine_error_fails_its_rows(tmp_path, monkeypatch):
+    # every comma object reads as not separated, so each Factorisation
+    # raises EngineError from its own invariant check
+    monkeypatch.setattr("tvcat.lofs.is_separated", lambda K: False)
+    code, out = run_command(["verify-paper", "--quantales", "boolean",
+                             "--monads", "identity", "--max-size", "2"])
+    assert code == 1
+    failed = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert [l.split(":")[0] for l in failed] == [
+        "FAIL simplicity of the left leg", "FAIL left class characterisation",
+        "FAIL factorisation comonad, monad, distributivity",
+        "FAIL canonical fillers are least",
+        "FAIL classical factorisation cross-check"]
+    assert all("FAIL engine-error (comma object of " in l for l in failed)
+    # other commands do not swallow it
+    seed(tmp_path)
+    category.MEMO.clear()
+    with pytest.raises(EngineError, match="is not separated"):
+        run_command(["factor", str(tmp_path / "emb.json")])
 
 
 def test_unknown_monad_kind_is_an_input_error():
@@ -543,3 +566,112 @@ def test_rewrite_with_the_same_bytes_keeps_the_answer(tmp_path, monkeypatch):
         put(tmp_path, name, doc)
     assert run_command(argv) == first
     assert len(rendered) == 1
+
+
+DISCRETE_DOC = dict(TWO_DOC, structure=[["0", "0", "1"], ["1", "1", "1"]])
+
+
+def cold_answer(argv):
+    """What the command gives in a process that has run nothing else."""
+    category.MEMO.clear()
+    return run_command(argv)
+
+
+def test_relative_path_after_chdir_reads_the_new_directory(tmp_path,
+                                                           monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    seed(tmp_path / "a")
+    seed(tmp_path / "b", ("two.json", DISCRETE_DOC))
+    argv = ["presheaves", "two.json"]
+    monkeypatch.chdir(tmp_path / "a")
+    chain = run_command(argv)
+    monkeypatch.chdir(tmp_path / "b")
+    # the first directory's files still read the same
+    discrete = run_command(argv)
+    assert chain[1].startswith("3 presheaves on two")
+    assert discrete[1].startswith("4 presheaves on two")
+    assert discrete == cold_answer(argv)
+
+
+def test_absolute_paths_work_from_a_removed_directory(tmp_path,
+                                                     monkeypatch):
+    seed(tmp_path)
+    (tmp_path / "gone").mkdir()
+    monkeypatch.chdir(tmp_path / "gone")
+    (tmp_path / "gone").rmdir()
+    argv = ["presheaves", str(tmp_path / "two.json")]
+    for _ in range(2):
+        code, out = run_command(argv)
+        assert code == 0 and out.startswith("3 presheaves on two")
+
+
+def test_seed_corpus_that_gains_a_file_gives_a_cold_answer(tmp_path):
+    seed(tmp_path)
+    argv = ["classify", "emb", "--seed-corpus", str(tmp_path)]
+    assert run_command(argv)[0] == 0
+    # a second category named two: the listing changed, no kept file did
+    put(tmp_path, "z.json", DISCRETE_DOC)
+    warm = run_command(argv)
+    assert warm[0] == 2 and "'two' already in use" in warm[1]
+    assert warm == cold_answer(argv)
+
+
+def test_deleted_reference_gives_the_cold_error(tmp_path):
+    seed(tmp_path)
+    argv = ["factor", str(tmp_path / "emb.json")]
+    assert run_command(argv)[0] == 0
+    (tmp_path / "pt.json").unlink()
+    warm = run_command(argv)
+    assert warm[0] == 2 and "cannot resolve category reference" in warm[1]
+    assert warm == cold_answer(argv)
+
+
+def test_rewrite_and_restore_give_cold_answers(tmp_path):
+    seed(tmp_path)
+    argv = ["presheaves", str(tmp_path / "two.json"), "--output", "json"]
+    answers = []
+    for doc in (TWO_DOC, DISCRETE_DOC, TWO_DOC):
+        put(tmp_path, "two.json", doc)
+        answers.append(run_command(argv))
+    assert answers[0] != answers[1]
+    assert answers[2] == answers[0] == cold_answer(argv)
+    put(tmp_path, "two.json", DISCRETE_DOC)
+    assert answers[1] == cold_answer(argv)
+
+
+def test_repeat_reads_every_file_and_listing_of_its_first_run(tmp_path,
+                                                             monkeypatch):
+    # idtwo and prob name the corpus's objects
+    idtwo = {"name": "idtwo", "source": "two", "target": "two",
+             "map": {"0": "0", "1": "1"}}
+    prob = {"name": "prob", "f": "emb", "g": "idtwo.json",
+            "u": "emb", "v": "idtwo.json"}
+    (tmp_path / "corpus").mkdir()
+    seed(tmp_path / "corpus")
+    put(tmp_path, "idtwo.json", idtwo)
+    put(tmp_path, "prob.json", prob)
+    argv = ["lift", str(tmp_path / "prob.json"), "--seed-corpus",
+            str(tmp_path / "corpus")]
+    reads = []
+
+    def counted(real, kind):
+        def wrapper(path, *args, **kw):
+            reads.append((kind, os.path.abspath(path)))
+            return real(path, *args, **kw)
+        return wrapper
+
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", counted(builtins.open, "file"))
+            m.setattr(os, "open", counted(os.open, "file"))
+            m.setattr(os, "listdir", counted(os.listdir, "dir"))
+            runs.append(run_command(argv))
+        assert runs[-1][0] == 0
+        if len(runs) == 1:
+            first, reads[:] = sorted(set(reads)), []
+    assert runs[0] == runs[1]
+    # seed corpus listing, its four files, and the two top-level files
+    assert len(first) == 7 and first[0][0] == "dir"
+    assert sorted(set(reads)) == first

@@ -260,6 +260,20 @@ def test_solve_lifting_rejects_outsiders():
         solve_lifting(TOP, BANG_A, u2, v2)
 
 
+def test_filler_lies_between_its_own_squares_categories():
+    # equal squares under other names: each filler is built on its own
+    # square's categories and named after its own top and bottom
+    for names in (("pt", "two", "u"), ("point", "arrow", "w")):
+        pt = chain_cat(ID, ["p"], names[0])
+        two = chain_cat(ID, ["0", "1"], names[1])
+        top = TVFunctor(pt, two, Fn(pt.carrier, two.carrier, (1,)), names[2])
+        ident = identity_functor(two)
+        d = solve_lifting(top, ident, top, ident)
+        assert d.fn.table == (0, 1)
+        assert d.name == "filler(%s,id)" % names[2]
+        assert d.src is top.dst and d.dst is ident.src
+
+
 def test_comma_map_requires_commuting_square():
     F = comma_factorise(TOP)
     swap = TVFunctor(TWO, TWO, Fn(TWO.carrier, TWO.carrier, (1, 0)), "swap")

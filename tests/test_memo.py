@@ -11,11 +11,10 @@ import ast
 from pathlib import Path
 
 from tvcat import category
-from tvcat.category import TVFunctor, identity_functor
+from tvcat.category import identity_functor
 from tvcat.cli import run_command
-from tvcat.core import Fn, SizeCapError
-from tvcat.lofs import (comma_factorise, l_membership, r_membership,
-                        solve_lifting)
+from tvcat.core import SizeCapError
+from tvcat.lofs import comma_factorise, l_membership, r_membership
 from tvcat.monad import MonadInstance, instantiate_monad
 from tvcat.presheaf import presheaf_space, saturated_class
 from tvcat.quantale import boolean_quantale
@@ -102,33 +101,6 @@ def test_refusals_are_remembered_at_their_cap(monkeypatch):
     monkeypatch.setattr("tvcat.presheaf._enumerate_value_tuples", rebuilt)
     monkeypatch.setattr("tvcat.lofs.Factorisation", rebuilt)
     assert outcomes(f, 2) == cold
-
-
-def lifting_square(names):
-    """top: pt -> two against the identity of two, under the given names."""
-    pt = chain_cat(ID, ["p"], names[0])
-    two = chain_cat(ID, ["0", "1"], names[1])
-    top = TVFunctor(pt, two, Fn(pt.carrier, two.carrier, (1,)), names[2])
-    ident = identity_functor(two)
-    return top, ident, top, ident
-
-
-def test_canonical_fillers_are_memoised_as_tables(monkeypatch):
-    category.MEMO.clear()
-    cold = solve_lifting(*lifting_square(("pt", "two", "u")))
-    assert cold.fn.table == (0, 1)
-
-    def rebuilt(*args):
-        raise AssertionError("rebuilt a memoised canonical filler")
-
-    # an equal square under other names reads the table from the memo,
-    # and its filler lies between its own categories, under its own names
-    monkeypatch.setattr("tvcat.lofs._canonical_filler", rebuilt)
-    f, g, u, v = lifting_square(("point", "arrow", "w"))
-    warm = solve_lifting(f, g, u, v)
-    assert warm.fn == cold.fn and warm.name == "filler(w,id)"
-    assert warm.src is f.dst and warm.dst is g.src
-    category.MEMO.clear()
 
 
 def test_memo_is_empty_after_verify_paper():
