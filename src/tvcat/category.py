@@ -75,12 +75,11 @@ class TVCategory:
 # tag plus everything the value depends on: the categories or functors
 # (equal categories share entries), the class name and the size cap.  A
 # refusal by a cap is remembered per key, so a different cap computes
-# afresh.  The memo also holds `run_command`'s parsed command lines, one
-# answer per command line and working directory (valid while every file
-# and listing it read reads the same again), and `Workspace.load_file`'s
-# per-path entries.  It lives for the process; `tvcat verify-paper` empties
-# it after each corpus.  Other modules import it by name, so it is emptied
-# in place, never rebound.
+# afresh.  The memo also holds `run_command`'s one answer per command line
+# and working directory, valid while every file and listing it read reads
+# the same again; the CLI keeps nothing else.  It lives for the process;
+# `tvcat verify-paper` empties it after each corpus.  Other modules import
+# it by name, so it is emptied in place, never rebound.
 MEMO: dict = {}
 
 

@@ -521,25 +521,17 @@ def _reads_again(reads) -> bool:
     return True
 
 
-def _dispatch(args, argv: tuple) -> tuple[int, str]:
+def _dispatch(args, key) -> tuple[int, str]:
     if args.max_space < 1:
         raise InputError("--max-space must be at least 1 (every space "
                          "has a presheaf), got %d" % args.max_space)
     if args.command in _COMMANDS:
         return _COMMANDS[args.command](args)
     command, resolve = _OBJECT_COMMANDS[args.command]
-    try:
-        key = ("answer", argv, os.getcwd())
-    except OSError:
-        # the working directory is gone: answer without keeping
-        return _answer(lambda: command(args, resolve(_workspace(args), args)))
-    kept = MEMO.get(key)
-    if kept is not None:
-        if _reads_again(kept[0]):
-            return kept[1]
-        MEMO.pop(key)
     ws = _workspace(args)
     obj = resolve(ws, args)
+    if key is None:
+        return _answer(lambda: command(args, obj))
     return memoised(key, lambda: (tuple(ws.reads), _answer(
         lambda: command(args, obj))))[1]
 
@@ -547,26 +539,33 @@ def _dispatch(args, argv: tuple) -> tuple[int, str]:
 def run_command(argv) -> tuple[int, str]:
     """Dispatch one command line; returns (exit code, rendered output).
 
-    Each distinct command line is parsed once and its namespace kept in
-    `MEMO`, so commands only read `args`.  A usage error or --help is not
-    kept: it prints its text on every run.
-
     `factor`, `classify`, `lift`, `complete` and `presheaves` read one
-    object resolved from the files.  One answer is kept per command line
-    and working directory, size-cap refusals included, together with its
-    read-set: the path and bytes of every file the loads read and the
-    .json names of the --seed-corpus listing.  A repeat reads that set
-    again and returns the kept answer when all of it is equal; otherwise
-    the entry is dropped and the command runs in full, keeping a new set.
-    A run whose object does not resolve keeps nothing.
+    object resolved from the files.  One answer is kept in `MEMO` per
+    command line and working directory, size-cap refusals included,
+    together with its read-set: the path and bytes of every file the
+    loads read and the .json names of the --seed-corpus listing.  A repeat
+    reads that set again and returns the kept answer when all of it is
+    equal, before parsing the command line; otherwise the entry is dropped
+    and the command is parsed and run in full, keeping a new set.  Nothing
+    else is kept between commands.  A run whose object does not resolve,
+    a usage error or --help keeps nothing, and neither does a run whose
+    working directory is gone.
     """
     argv = tuple(argv)
     try:
-        args = memoised(("argv", argv),
-                        lambda: _build_parser().parse_args(argv))
+        key = ("answer", argv, os.getcwd())
+    except OSError:
+        key = None  # the working directory is gone: answer without keeping
+    kept = MEMO.get(key)
+    if kept is not None:
+        if _reads_again(kept[0]):
+            return kept[1]
+        MEMO.pop(key)
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else EXIT_INPUT), ""
-    return _answer(lambda: _dispatch(args, argv))
+    return _answer(lambda: _dispatch(args, key))
 
 
 def main(argv=None) -> int:

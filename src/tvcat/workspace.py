@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-from .category import (MEMO, TVCategory, TVFunctor, _functor_violation,
+from .category import (TVCategory, TVFunctor, _functor_violation,
                        check_category, is_functor)
 from .core import FinSet, Fn, InputError, ValidationError
 from .monad import instantiate_monad
@@ -26,25 +26,20 @@ _SPEC_BY_ID: dict = {}
 MONAD_KINDS = ("identity", "finite_ultrafilter")
 
 
-def _canonical_spec(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)
-
-
 def quantale_from_doc(doc: dict, where: str):
     if not isinstance(doc, dict):
         raise InputError("%s: quantale document must be an object" % where)
-    key = _canonical_spec(doc)
-    hit = _QUANTALE_INTERN.get(key)
-    if hit is not None:
-        return hit
     try:
-        q = _build_interned(doc)
+        spec = _builtin_spec(doc) if "builtin" in doc else doc
+        key = json.dumps(spec, sort_keys=True)
+        q = _QUANTALE_INTERN.get(key)
+        if q is None:
+            q = _QUANTALE_INTERN[key] = _build_interned(spec)
+            _SPEC_BY_ID[id(q)] = spec
     except InputError as exc:
         raise InputError("%s: %s" % (where, exc))
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (where, exc))
-    _QUANTALE_INTERN[key] = q
-    _SPEC_BY_ID[id(q)] = doc
     return q
 
 
@@ -54,14 +49,31 @@ _BUILTIN_BUILDERS = {"boolean": lambda n: boolean_quantale(),
                      "powerset_frame": powerset_frame}
 
 
-def _build_interned(doc: dict):
+def _builtin_spec(doc: dict) -> dict:
+    """The one spec of a builtin quantale: its name, and n for the
+    families that take one.  Documents that differ elsewhere build the
+    same object, so they must print the same spec."""
+    family = doc["builtin"]
+    if not isinstance(family, str):
+        raise InputError("builtin must be a quantale name, got %r" % family)
+    if family not in _BUILTIN_BUILDERS or family == "boolean":
+        return {"builtin": family}
+    n = doc.get("n")
+    # an n of 2.0 or True would share the memoised constructor's object
+    # for 2 or 1 once that exists, and fail or mislabel before
+    if type(n) is not int:
+        raise InputError("%s needs an integer n, got %r" % (family, n))
+    return {"builtin": family, "n": n}
+
+
+def _build_interned(spec: dict):
     # builtin references go through the memoised constructors so documents
     # share object identity (and hence every downstream cache) with
     # programmatic users of the same quantale
-    builder = _BUILTIN_BUILDERS.get(doc.get("builtin"))
+    builder = _BUILTIN_BUILDERS.get(spec.get("builtin"))
     if builder is not None:
-        return builder(doc.get("n"))
-    return build_quantale(doc)
+        return builder(spec.get("n"))
+    return build_quantale(spec)
 
 
 def quantale_spec(q) -> dict:
@@ -169,6 +181,7 @@ class Workspace:
         self.categories: dict = {}
         self.functors: dict = {}
         self.problems: dict = {}
+        self.factorisations: dict = {}  # name -> {part: registered name}
         self._by_path: dict = {}      # absolute path -> (kind, name)
         self._loading: set = set()
         # what the loads read, in order: (absolute path, bytes) per file;
@@ -178,14 +191,12 @@ class Workspace:
     # -- loading -------------------------------------------------------------
 
     def load_file(self, path: str):
-        """Parse, validate, and register one file; returns (kind, name).
+        """Read, parse, validate and register one file; returns (kind, name).
 
-        The bytes are read on every call.  `MEMO` keeps one entry per
-        absolute path: those bytes, the parsed document, the file's
-        directory and name stem, and the object built from it with the
-        references it resolved to.  Equal bytes reuse the document, and the
-        object too when its references resolve to the same objects; a
-        failed load leaves no entry.  The path and bytes join `reads`.
+        Every call reads the bytes and parses and validates the document
+        again; nothing outlives the workspace but the interned quantales
+        and monad instances.  The path and bytes join `reads`.  A file
+        that is already loading is a reference cycle.
         """
         apath = os.path.abspath(path)
         if apath in self._by_path:
@@ -193,41 +204,30 @@ class Workspace:
         if apath in self._loading:
             raise InputError("%s: reference cycle" % path)
         self._loading.add(apath)
-        key = ("file", apath)
         try:
             try:
                 with open(apath, "rb") as fh:
                     data = fh.read()
             except OSError as exc:
                 raise InputError("%s: %s" % (path, exc))
-            entry = MEMO.get(key)
-            if entry is None or entry.data != data:
-                entry = _FileEntry(data, _parse(data, path),
-                                   os.path.dirname(apath),
-                                   _basename_stem(apath))
-            self.reads.append((apath, entry.data))
-            out = self.add_document(entry.doc, entry.base_dir, where=path,
-                                    fallback=entry.stem, entry=entry)
-            MEMO[key] = entry
-        except BaseException:
-            MEMO.pop(key, None)
-            raise
+            doc = _parse(data, path)
+            self.reads.append((apath, data))
+            out = self.add_document(doc, os.path.dirname(apath), where=path,
+                                    fallback=_basename_stem(apath))
         finally:
             self._loading.discard(apath)
         self._by_path[apath] = out
         return out
 
     def add_document(self, doc: dict, base_dir: str, where: str,
-                     fallback: str, entry: _FileEntry | None = None):
+                     fallback: str):
         kind = _doc_kind(doc)
         name = doc.get("name", fallback)
         if not isinstance(name, str) or not name:
             raise InputError("%s: name must be a non-empty string" % where)
-        built = (entry or _FileEntry(None, doc)).built
         if kind == "quantale":
             spec = {k: v for k, v in doc.items() if k != "name"}
-            self.quantales[name] = built(
-                (), lambda: quantale_from_doc(spec, where))
+            self.quantales[name] = quantale_from_doc(spec, where)
         elif kind == "monad":
             if doc["monad"] not in MONAD_KINDS:
                 raise InputError("%s: unknown monad kind %r"
@@ -237,31 +237,25 @@ class Workspace:
             if name in self.categories:
                 raise InputError("%s: category name %r already in use"
                                  % (where, name))
-            self.categories[name] = built(
-                (q,), lambda: category_from_doc(doc, q, name, where))
+            self.categories[name] = category_from_doc(doc, q, name, where)
         elif kind == "functor":
             src = self.category(doc.get("source"), base_dir, where)
             dst = self.category(doc.get("target"), base_dir, where)
             if name in self.functors:
                 raise InputError("%s: functor name %r already in use"
                                  % (where, name))
-            self.functors[name] = built(
-                (src, dst), lambda: functor_from_doc(doc, src, dst, name,
-                                                     where))
+            self.functors[name] = functor_from_doc(doc, src, dst, name, where)
         elif kind == "problem":
             fns = {k: self.functor(doc[k], base_dir, where)
                    for k in ("f", "g", "u", "v")}
-            self.problems[name] = built(
-                tuple(fns.values()),
-                lambda: _check_square(fns, name, where))
+            self.problems[name] = _check_square(fns, name, where)
         elif kind == "factorisation":
-            for part in ("source", "target", "K", "space"):
-                if part in doc:
-                    self._add_inline(doc[part], base_dir, where,
-                                     "%s.%s" % (name, part))
-            for leg in ("L", "R", "q"):
-                self._add_inline(doc[leg], base_dir, where,
-                                 "%s.%s" % (name, leg))
+            # an embedded category may be left out, a leg may not
+            parts = [p for p in ("source", "target", "K", "space")
+                     if p in doc] + ["L", "R", "q"]
+            self.factorisations[name] = {
+                p: self._add_inline(doc.get(p), base_dir, where,
+                                    "%s.%s" % (name, p)) for p in parts}
         return (kind, name)
 
     def _add_inline(self, doc, base_dir, where, fallback):
@@ -288,7 +282,14 @@ class Workspace:
                 raise
             raise InputError("%s: cannot resolve %s reference %r"
                              % (where, wanted, ref)) from None
-        if kind not in (wanted, "factorisation"):
+        if kind == "factorisation":
+            parts = self.factorisations[name]
+            raise InputError("%s: %s is the factorisation %s, expected a %s;"
+                             " name one of its parts instead: %s"
+                             % (where, ref, name, wanted,
+                                ", ".join("%s=%s" % kv
+                                          for kv in parts.items())))
+        if kind != wanted:
             raise InputError("%s: %s is a %s, expected a %s"
                              % (where, ref, kind, wanted))
         return table[name]
@@ -307,37 +308,6 @@ class Workspace:
 
     def problem(self, ref, base_dir: str = ".", where: str = "<args>"):
         return self._resolve(self.problems, ref, base_dir, where, "problem")
-
-
-class _FileEntry:
-    """One model file's bytes, its parsed document, its directory and name
-    stem, and the object last built from it, with the objects its
-    references resolved to.
-
-    A document embedded in another gets a throwaway entry with no bytes.
-    """
-
-    __slots__ = ("data", "doc", "base_dir", "stem", "refs", "obj")
-
-    def __init__(self, data: bytes | None, doc: dict,
-                 base_dir: str | None = None, stem: str | None = None):
-        self.data = data
-        self.doc = doc
-        self.base_dir = base_dir
-        self.stem = stem
-        self.refs = None
-        self.obj = None
-
-    def built(self, refs: tuple, make):
-        """The object for these references, made (and validated) once.
-
-        References count by identity: `TVCategory.__eq__` ignores names.
-        """
-        if self.refs is None or \
-                any(a is not b for a, b in zip(self.refs, refs)):
-            self.obj = make()
-            self.refs = refs
-        return self.obj
 
 
 def _parse(data: bytes, path: str) -> dict:

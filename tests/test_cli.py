@@ -1,7 +1,6 @@
 """Command dispatch, exit codes, artifact round trips, and report stability."""
 
 import builtins
-import copy
 import json
 import os
 import subprocess
@@ -306,22 +305,20 @@ def test_identical_commands_parse_once(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(parser, "parse_args",
                         lambda argv: calls.append(argv) or parse(argv))
-    argv = ["check", str(tmp_path / "two.json"), str(tmp_path / "emb.json")]
+    argv = ["factor", str(tmp_path / "emb.json")]
     first = run_command(argv)
-    args = category.MEMO[("argv", tuple(argv))]
-    before = copy.deepcopy(vars(args))
     second = run_command(argv)
     assert first == second and first[0] == 0
+    # the repeat is answered from the kept answer, before parsing
     assert len(calls) == 1
-    # commands only read the namespace the memo hands out again
-    assert vars(args) == before
 
 
 def test_malformed_line_prints_its_usage_every_time(capsys):
     for _ in range(2):
         assert run_command(["classify"]) == (2, "")
         assert "usage:" in capsys.readouterr().err
-    assert ("argv", ("classify",)) not in category.MEMO
+    assert not [key for key in category.MEMO
+                if key[:2] == ("answer", ("classify",))]
 
 
 def test_file_rewritten_between_identical_commands(tmp_path):
@@ -475,6 +472,89 @@ def test_output_does_not_depend_on_command_history(tmp_path):
             run_command(argv[first])
             assert run_command(argv[second]) == cold[second], (command,
                                                                 second)
+
+
+def test_builtin_spec_does_not_depend_on_command_history(tmp_path):
+    # both documents build the one boolean quantale; the second one's n is
+    # ignored, and must not reach the first one's output
+    seed(tmp_path, ("b1.json", {"builtin": "boolean"}),
+         ("b2.json", {"builtin": "boolean", "n": 7}),
+         ("c1.json", dict(PT_DOC, name="c1", quantale="b1.json")),
+         ("c2.json", dict(PT_DOC, name="c2", quantale="b2.json")))
+    argv = ["complete", str(tmp_path / "c1.json")]
+    category.MEMO.clear()
+    cold = run_command(argv)
+    assert cold[0] == 0
+    assert json.loads(cold[1])["space"]["quantale"] == {"builtin": "boolean"}
+    category.MEMO.clear()
+    assert run_command(["check", str(tmp_path / "c2.json")])[0] == 0
+    category.MEMO.clear()
+    assert run_command(argv) == cold
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_builtin_family_needs_an_integer_n(tmp_path, n):
+    doc = {"builtin": "truncated_chain", "n": n}
+    seed(tmp_path, ("chain.json", doc))
+    code, text = run_command(["check", str(tmp_path / "chain.json")])
+    assert code == 2
+    assert text == "error: %s: truncated_chain needs an integer n, got %r" \
+        % (tmp_path / "chain.json", n)
+
+
+# what each object command resolves its argument to
+_WANTS = {"factor": "functor", "classify": "functor", "lift": "problem",
+          "complete": "category", "presheaves": "category"}
+
+
+def test_object_commands_take_one_kind_each(tmp_path):
+    idtwo = {"name": "idtwo", "source": "two.json", "target": "two.json",
+             "map": {"0": "0", "1": "1"}}
+    prob = {"name": "prob", "f": "emb.json", "g": "idtwo.json",
+            "u": "emb.json", "v": "idtwo.json"}
+    seed(tmp_path, ("idtwo.json", idtwo), ("prob.json", prob),
+         ("ident.json", {"monad": "identity"}))
+    fact = json.loads(run_command(["factor", str(tmp_path / "emb.json")])[1])
+    put(tmp_path, "fact.json", fact)
+    files = {"quantale": "bool.json", "monad": "ident.json",
+             "category": "two.json", "functor": "emb.json",
+             "problem": "prob.json", "factorisation": "fact.json"}
+    parts = ("source=pt, target=two, K=K(emb), space=all(pt), L=L(emb), "
+             "R=R(emb), q=q")
+    for command, wanted in _WANTS.items():
+        for kind, name in files.items():
+            path = str(tmp_path / name)
+            code, text = run_command([command, path])
+            if kind == wanted:
+                assert code == 0, (command, kind, text)
+            elif kind == "factorisation":
+                assert (code, text) == (
+                    2, "error: <args>: %s is the factorisation "
+                       "factorisation(emb), expected a %s; name one of its "
+                       "parts instead: %s" % (path, wanted, parts))
+            else:
+                assert (code, text) == (
+                    2, "error: <args>: %s is a %s, expected a %s"
+                       % (path, kind, wanted)), (command, kind)
+
+
+def test_functor_over_a_factorisation_file_is_an_input_error(tmp_path):
+    seed(tmp_path)
+    fact = json.loads(run_command(["factor", str(tmp_path / "emb.json")])[1])
+    put(tmp_path, "fact.json", fact)
+    put(tmp_path, "over.json", dict(EMB_DOC, name="over", source="fact.json"))
+    code, text = run_command(["classify", str(tmp_path / "over.json")])
+    assert code == 2
+    assert text.startswith("error: %s: fact.json is the factorisation "
+                           "factorisation(emb), expected a category; "
+                           % (tmp_path / "over.json"))
+    # loaded first, its parts resolve by name
+    put(tmp_path, "over.json", dict(EMB_DOC, name="over", source="pt",
+                                    target="K(emb)",
+                                    map={"p": "([1],1)"}))
+    code, text = run_command(["check", str(tmp_path / "fact.json"),
+                              str(tmp_path / "over.json")])
+    assert code == 0, text
 
 
 _TEXT = st.text(st.characters() | st.sampled_from(

@@ -8,6 +8,7 @@ empty.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 from tvcat import category
@@ -131,12 +132,90 @@ def memo_stores(tree: ast.Module, module: str) -> set:
     return found
 
 
-def test_memo_is_filled_in_two_places_only():
+def test_memo_is_filled_in_one_place_only():
     stores = set()
     for path in sorted(SRC.glob("*.py")):
         stores |= memo_stores(ast.parse(path.read_text()), path.stem)
-    assert stores == {"category.memoised", "workspace.Workspace.load_file"}
+    assert stores == {"category.memoised"}
     probe = ast.parse("def f():\n    MEMO[1] = 2\n"
                       "class C:\n    def g(self):\n"
                       "        x = MEMO[1]\n        MEMO[2] = x\n")
     assert memo_stores(probe, "m") == {"m.f", "m.C.g"}
+
+
+_CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,
+               ast.ListComp)
+_MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+             "popitem", "remove", "setdefault", "update"}
+_CACHES = {"cache", "lru_cache"}
+
+
+def process_state(trees: dict) -> set:
+    """Qualified names of what a module keeps for the life of the process.
+
+    That is a module-level name bound to a dict, set or list that starts
+    empty or that some function writes to (an item store or delete, or a
+    mutating method call through the name), and a function decorated with
+    `functools.cache` or `lru_cache`.  A non-empty table that only the
+    module body writes, such as a dispatch table, is a constant.
+    """
+    bound, written, found = {}, set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                is_call = isinstance(value, ast.Call) and \
+                    isinstance(value.func, ast.Name) and \
+                    value.func.id in ("dict", "set", "list")
+                if isinstance(value, _CONTAINERS) or is_call:
+                    empty = is_call and not value.args or \
+                        isinstance(value, ast.Dict) and not value.keys or \
+                        isinstance(value, (ast.Set, ast.List)) and \
+                        not value.elts
+                    for t in targets:
+                        if isinstance(t, ast.Name):
+                            bound[t.id, module] = empty
+            if isinstance(node, ast.FunctionDef):
+                for d in node.decorator_list:
+                    f = d.func if isinstance(d, ast.Call) else d
+                    name = f.attr if isinstance(f, ast.Attribute) else \
+                        getattr(f, "id", None)
+                    if name in _CACHES:
+                        found.add("%s.%s" % (module, node.name))
+        code = [ast.walk(node) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in itertools.chain.from_iterable(code):
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)) and \
+                    isinstance(node.value, ast.Name):
+                written.add(node.value.id)
+            elif isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in _MUTATORS and \
+                    isinstance(node.func.value, ast.Name):
+                written.add(node.func.value.id)
+    found |= {"%s.%s" % (module, name) for (name, module), empty
+              in bound.items() if empty or name in written}
+    return found
+
+
+def test_process_state_is_pinned():
+    """A new module-level cache is added here on purpose, or not at all."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert process_state(trees) == {
+        "category.MEMO", "monad._INSTANCES", "workspace._QUANTALE_INTERN",
+        "workspace._SPEC_BY_ID", "quantale.boolean_quantale",
+        "quantale.truncated_chain", "quantale.lukasiewicz_chain",
+        "quantale.powerset_frame", "cli._build_parser"}
+    probe = ast.parse("import functools\n"
+                      "A = {}\nB = {1: 2}\nC = {1: 2}\nD = set()\n"
+                      "E: list = []\nF = [1]\nB[3] = 4\n"
+                      "def f(k):\n    C[k] = 1\n    F.append(k)\n"
+                      "@functools.lru_cache(maxsize=None)\ndef g():\n"
+                      "    pass\n"
+                      "@functools.cache\ndef h():\n    pass\n")
+    assert process_state({"m": probe}) == {"m.A", "m.C", "m.D", "m.E",
+                                           "m.F", "m.g", "m.h"}

