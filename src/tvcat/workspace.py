@@ -30,7 +30,7 @@ def quantale_from_doc(doc: dict, where: str):
     if not isinstance(doc, dict):
         raise InputError("%s: quantale document must be an object" % where)
     try:
-        spec = _builtin_spec(doc) if "builtin" in doc else doc
+        spec = _normal_builtin_spec(doc) if "builtin" in doc else doc
         key = json.dumps(spec, sort_keys=True)
         q = _QUANTALE_INTERN.get(key)
         if q is None:
@@ -49,7 +49,7 @@ _BUILTIN_BUILDERS = {"boolean": lambda n: boolean_quantale(),
                      "powerset_frame": powerset_frame}
 
 
-def _builtin_spec(doc: dict) -> dict:
+def _normal_builtin_spec(doc: dict) -> dict:
     """The one spec of a builtin quantale: its name, and n for the
     families that take one.  Documents that differ elsewhere build the
     same object, so they must print the same spec."""
