@@ -170,7 +170,7 @@ def process_state(trees: dict) -> set:
                     isinstance(value.func, ast.Name) and \
                     value.func.id in ("dict", "set", "list")
                 if isinstance(value, _CONTAINERS) or is_call:
-                    empty = is_call and not value.args or \
+                    empty = is_call and not (value.args or value.keywords) or \
                         isinstance(value, ast.Dict) and not value.keys or \
                         isinstance(value, (ast.Set, ast.List)) and \
                         not value.elts
