@@ -36,8 +36,7 @@ from .presheaf import (check_adjoint_residual, check_presheaf_monad,
 from .quantale import check_quantale_laws
 from .report import SKIP, Check, LawReport
 from .workspace import (MONAD_KINDS, Workspace, category_doc,
-                        factorisation_doc, functor_doc, quantale_from_doc,
-                        quantale_spec)
+                        factorisation_doc, functor_doc, quantale_from_doc)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -260,11 +259,10 @@ def _cmd_complete(args, C):
     cls = saturated_class(args.cls)
     space = presheaf_space(C, cls, args.max_space)
     y = yoneda(C, cls, args.max_space)
-    qspec = quantale_spec(C.q)
     # named after C: a memo hit may return the space of an equal category
     name = "%s(%s)" % (cls.name, C.name)
     return EXIT_OK, _artifact(
-        {"space": category_doc(space.category, qspec, name),
+        {"space": category_doc(space.category, C.q.spec, name),
          "unit": functor_doc(y, C.name, name, name="yoneda(%s)" % C.name)})
 
 

@@ -235,7 +235,7 @@ def instantiate_monad(kind: str, q: Quantale) -> MonadInstance:
     """
     if kind not in ("identity", "finite_ultrafilter"):
         raise InputError("unknown monad kind %r" % kind)
-    key = (kind, id(q))
+    key = (kind, q)
     hit = _INSTANCES.get(key)
     if hit is None:
         hit = _INSTANCES[key] = MonadInstance(kind, q)

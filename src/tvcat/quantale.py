@@ -9,7 +9,7 @@ trusted from input (an input hom table is validated against the scan).
 
 from __future__ import annotations
 
-from functools import lru_cache
+import json
 from typing import Iterable, Sequence
 
 from .core import FinSet, Fn, InputError, ValidationError
@@ -44,8 +44,11 @@ class Quantale:
     """Finite commutative unital quantale with precomputed operation tables.
 
     Elements are addressed by index into `elements`; the string names only
-    matter at the I/O boundary.  Constructed through `build_quantale` or one
-    of the builtin helpers, which validate every law first.
+    matter at the I/O boundary.  Constructed only through `build_quantale`
+    (the builtin helpers call it), which validates every law first and
+    hands back one object per spec.  `spec` is that spec, the document the
+    quantale prints as: `{"builtin": name}`, plus `n` for the families
+    that take one, or the explicit tables.
 
     Value masks.  A line of m values (a row or column of a relation, one
     byte per value) is summarised by one int, its packed masks, with one
@@ -67,13 +70,14 @@ class Quantale:
     every other value to 0.
     """
 
-    __slots__ = ("elements", "n", "leq_m", "tensor_m", "unit", "bottom", "top",
-                 "join_m", "meet_m", "hom_m", "_vset", "fields", "eq_codes",
-                 "up_codes", "above", "below", "tensor_codes", "meet_codes",
-                 "hom_codes", "lane_codes", "rising", "falling")
+    __slots__ = ("spec", "elements", "n", "leq_m", "tensor_m", "unit", "bottom",
+                 "top", "join_m", "meet_m", "hom_m", "_vset", "fields",
+                 "eq_codes", "up_codes", "above", "below", "tensor_codes",
+                 "meet_codes", "hom_codes", "lane_codes", "rising", "falling")
 
-    def __init__(self, elements, leq_m, tensor_m, unit, join_m, meet_m, hom_m,
-                 bottom, top):
+    def __init__(self, spec, elements, leq_m, tensor_m, unit, join_m, meet_m,
+                 hom_m, bottom, top):
+        self.spec = spec
         self.elements = tuple(elements)
         self.n = len(self.elements)
         self.leq_m = leq_m
@@ -432,7 +436,9 @@ def _scan_laws(elements: Sequence[str], leq_pairs, tensor: dict, unit: int,
 
 
 def _raw_from_spec(spec: dict):
-    """Parse an explicit quantale description into raw index tables."""
+    """Parse a normal quantale spec into raw index tables."""
+    if "builtin" in spec:
+        spec = _builtin_spec(spec["builtin"], spec.get("n"))
     for field in ("elements", "leq", "tensor", "unit"):
         if field not in spec:
             raise InputError("quantale description missing %r" % field)
@@ -474,7 +480,7 @@ def _builtin_spec(name: str, n: int | None) -> dict:
                 "tensor": {"0|0": "0", "0|1": "0", "1|0": "0", "1|1": "1"},
                 "unit": "1"}
     if name == "truncated_chain":
-        if n is None or n < 0:
+        if n < 0:
             raise InputError("truncated_chain needs n >= 0")
         # numeric values 0..n plus inf; the quantale order is numeric >=,
         # so 0 is the top and the unit, inf is the bottom
@@ -489,7 +495,7 @@ def _builtin_spec(name: str, n: int | None) -> dict:
                 tensor["%s|%s" % (a, b)] = names[min(s, INF)] if s <= n else "inf"
         return {"elements": names, "leq": leq, "tensor": tensor, "unit": "0"}
     if name == "lukasiewicz_chain":
-        if n is None or n < 1:
+        if n < 1:
             raise InputError("lukasiewicz_chain needs n >= 1")
         names = [str(i) for i in range(n + 1)]
         leq = [[str(a), str(b)] for a in range(n + 1) for b in range(n + 1) if a <= b]
@@ -497,7 +503,7 @@ def _builtin_spec(name: str, n: int | None) -> dict:
                   for a in range(n + 1) for b in range(n + 1)}
         return {"elements": names, "leq": leq, "tensor": tensor, "unit": str(n)}
     if name == "powerset_frame":
-        if n is None or n < 0:
+        if n < 0:
             raise InputError("powerset_frame needs n >= 0")
         def label(mask):
             return "{%s}" % ",".join(str(i + 1) for i in range(n) if mask >> i & 1)
@@ -512,60 +518,86 @@ def _builtin_spec(name: str, n: int | None) -> dict:
                      % (name, ", ".join(BUILTIN_NAMES)))
 
 
+def _normal_spec(spec: dict) -> dict:
+    """The one spec of a quantale description: a builtin becomes its name,
+    plus n for the families that take one, whatever else the description
+    holds; explicit tables are kept as they are."""
+    if "builtin" not in spec:
+        return spec
+    family = spec["builtin"]
+    if not isinstance(family, str):
+        raise InputError("builtin must be a quantale name, got %r" % family)
+    if family not in BUILTIN_NAMES or family == "boolean":
+        return {"builtin": family}
+    n = spec.get("n")
+    # an n of True would key a second object for the quantale of 1, and
+    # 2.0, None or "2" would fail inside the table builder
+    if type(n) is not int:
+        raise InputError("%s needs an integer n, got %r" % (family, n))
+    return {"builtin": family, "n": n}
+
+
 def check_quantale_laws(spec) -> LawReport:
     """Validate every quantale law for a description in the dict format of
     `build_quantale`."""
     rep = LawReport("quantale laws")
     try:
-        if "builtin" in spec:
-            spec = _builtin_spec(spec["builtin"], spec.get("n"))
-        elements, leq_pairs, tensor, unit, hom_given = _raw_from_spec(spec)
+        elements, leq_pairs, tensor, unit, hom_given = \
+            _raw_from_spec(_normal_spec(spec))
         _scan_laws(elements, leq_pairs, tensor, unit, rep, hom_given)
     except InputError as exc:
         rep.add("well-formed", False, str(exc))
     return rep
 
 
+# Every quantale built in this process, by the JSON text of its normal
+# spec.  The paper fixes one V, and relations compose only over the same
+# quantale object, so equal specs must give one object however they were
+# written down; engine caches keyed by the object then survive a rebuilt
+# corpus.
+_QUANTALES: dict = {}
+
+
 def build_quantale(spec: dict) -> Quantale:
-    """Build a validated quantale from a description dict.
+    """The validated quantale of a description dict, one object per spec.
 
     Either {"builtin": name, "n": int} or an explicit table
     {"elements": [...], "leq": [[a,b],...], "tensor": {"a|b": c,...},
     "unit": k}.  Unlisted leq pairs are closed reflexively/transitively;
-    missing tensor entries are an error.
+    missing tensor entries are an error.  A builtin's spec is normalised
+    to its name and integer n; descriptions with equal normal specs get
+    the same object, whose `spec` is a private copy of that spec.
     """
-    if "builtin" in spec:
-        spec = _builtin_spec(spec["builtin"], spec.get("n"))
-    elements, leq_pairs, tensor, unit, hom_given = _raw_from_spec(spec)
-    rep = LawReport()
-    tables = _scan_laws(elements, leq_pairs, tensor, unit, rep, hom_given)
-    if tables is None:
-        first = rep.failures[0]
-        raise ValidationError("not a quantale: %s (%s)" % (first.name, first.detail))
-    return Quantale(elements, tables["leq"], tables["tensor"], tables["unit"],
-                    tables["join"], tables["meet"], tables["hom"],
-                    tables["bottom"], tables["top"])
+    key = json.dumps(_normal_spec(spec), sort_keys=True)
+    q = _QUANTALES.get(key)
+    if q is None:
+        spec = json.loads(key)
+        elements, leq_pairs, tensor, unit, hom_given = _raw_from_spec(spec)
+        rep = LawReport()
+        tables = _scan_laws(elements, leq_pairs, tensor, unit, rep, hom_given)
+        if tables is None:
+            first = rep.failures[0]
+            raise ValidationError("not a quantale: %s (%s)"
+                                  % (first.name, first.detail))
+        q = _QUANTALES[key] = Quantale(
+            spec, elements, tables["leq"], tables["tensor"], tables["unit"],
+            tables["join"], tables["meet"], tables["hom"], tables["bottom"],
+            tables["top"])
+    return q
 
 
-# The builtin constructors memoise: downstream caches key spaces and
-# factorisations by object identity, so handing back the same Quantale
-# lets a rebuilt corpus reuse them.
-@lru_cache(maxsize=None)
 def boolean_quantale() -> Quantale:
     return build_quantale({"builtin": "boolean"})
 
 
-@lru_cache(maxsize=None)
 def truncated_chain(n: int) -> Quantale:
     return build_quantale({"builtin": "truncated_chain", "n": n})
 
 
-@lru_cache(maxsize=None)
 def lukasiewicz_chain(n: int) -> Quantale:
     return build_quantale({"builtin": "lukasiewicz_chain", "n": n})
 
 
-@lru_cache(maxsize=None)
 def powerset_frame(n: int) -> Quantale:
     return build_quantale({"builtin": "powerset_frame", "n": n})
 

@@ -3,8 +3,9 @@
 One object per file.  A reference is either the name another file
 declared or a path, resolved relative to the referencing file.  Loaded
 objects are validated immediately; a failure names the file, the object,
-the offending law, and a witness.  Quantales are interned by their
-canonical spec so relations built from different files stay composable.
+the offending law, and a witness.  A quantale document goes through
+`build_quantale`, so files that name the same quantale share one object
+and relations built from them compose.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from .category import (TVCategory, TVFunctor, _functor_violation,
                        check_category, is_functor)
 from .core import FinSet, Fn, InputError, ValidationError
 from .monad import instantiate_monad
-from .quantale import (VRelation, boolean_quantale, build_quantale,
-                       lukasiewicz_chain, powerset_frame, truncated_chain)
+from .quantale import VRelation, build_quantale
 from .report import LawReport
-
-_QUANTALE_INTERN: dict = {}
-_SPEC_BY_ID: dict = {}
 
 MONAD_KINDS = ("identity", "finite_ultrafilter")
 
@@ -30,58 +27,11 @@ def quantale_from_doc(doc: dict, where: str):
     if not isinstance(doc, dict):
         raise InputError("%s: quantale document must be an object" % where)
     try:
-        spec = _normal_builtin_spec(doc) if "builtin" in doc else doc
-        key = json.dumps(spec, sort_keys=True)
-        q = _QUANTALE_INTERN.get(key)
-        if q is None:
-            q = _QUANTALE_INTERN[key] = _build_interned(spec)
-            _SPEC_BY_ID[id(q)] = spec
+        return build_quantale(doc)
     except InputError as exc:
         raise InputError("%s: %s" % (where, exc))
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (where, exc))
-    return q
-
-
-_BUILTIN_BUILDERS = {"boolean": lambda n: boolean_quantale(),
-                     "truncated_chain": truncated_chain,
-                     "lukasiewicz_chain": lukasiewicz_chain,
-                     "powerset_frame": powerset_frame}
-
-
-def _normal_builtin_spec(doc: dict) -> dict:
-    """The one spec of a builtin quantale: its name, and n for the
-    families that take one.  Documents that differ elsewhere build the
-    same object, so they must print the same spec."""
-    family = doc["builtin"]
-    if not isinstance(family, str):
-        raise InputError("builtin must be a quantale name, got %r" % family)
-    if family not in _BUILTIN_BUILDERS or family == "boolean":
-        return {"builtin": family}
-    n = doc.get("n")
-    # an n of 2.0 or True would share the memoised constructor's object
-    # for 2 or 1 once that exists, and fail or mislabel before
-    if type(n) is not int:
-        raise InputError("%s needs an integer n, got %r" % (family, n))
-    return {"builtin": family, "n": n}
-
-
-def _build_interned(spec: dict):
-    # builtin references go through the memoised constructors so documents
-    # share object identity (and hence every downstream cache) with
-    # programmatic users of the same quantale
-    builder = _BUILTIN_BUILDERS.get(spec.get("builtin"))
-    if builder is not None:
-        return builder(spec.get("n"))
-    return build_quantale(spec)
-
-
-def quantale_spec(q) -> dict:
-    """The spec document a quantale was built from (for self-contained output)."""
-    spec = _SPEC_BY_ID.get(id(q))
-    if spec is None:
-        raise InputError("quantale %r was not loaded from a document" % q)
-    return spec
 
 
 def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
@@ -194,8 +144,8 @@ class Workspace:
         """Read, parse, validate and register one file; returns (kind, name).
 
         Every call reads the bytes and parses and validates the document
-        again; nothing outlives the workspace but the interned quantales
-        and monad instances.  The path and bytes join `reads`.  A file
+        again; nothing outlives the workspace but the quantales of
+        `build_quantale` and the monad instances.  The path and bytes join `reads`.  A file
         that is already loading is a reference cycle.
         """
         apath = os.path.abspath(path)
@@ -388,7 +338,7 @@ def factorisation_doc(F, rep: LawReport, f: TVFunctor) -> dict:
     Every name comes from f, the functor the caller asked about: a memo
     hit may return the factorisation of an equal functor with other names.
     """
-    qspec = quantale_spec(f.src.q)
+    qspec = f.src.q.spec
     src, dst = f.src, f.dst
     K = "K(%s)" % f.name
     space = "%s(%s)" % (F.cls.name, src.name)

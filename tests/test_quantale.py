@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from tvcat import (FinSet, InputError, ValidationError, VRelation,
                    boolean_quantale, build_quantale, check_quantale_laws,
                    lukasiewicz_chain, powerset_frame, residual_left,
                    truncated_chain)
+from tvcat.workspace import quantale_from_doc
 
 from builders import entry, fn_from_dict, pointwise
 
@@ -100,6 +102,34 @@ def test_missing_tensor_entry_is_an_error():
     spec["tensor"] = {"0|0": "0", "0|1": "0", "1|1": "1"}
     with pytest.raises(ValidationError, match="tensor-total"):
         build_quantale(spec)
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2", None])
+def test_builtin_family_needs_an_integer_n(n):
+    message = "truncated_chain needs an integer n, got %r" % n
+    spec = {"builtin": "truncated_chain", "n": n}
+    rep = check_quantale_laws(spec)
+    assert [(c.name, c.status, c.detail) for c in rep.checks] == \
+        [("well-formed", "fail", message)]
+    for build in (lambda: truncated_chain(n), lambda: build_quantale(spec)):
+        with pytest.raises(InputError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_equal_specs_give_one_quantale():
+    spec = {"elements": ["no", "yes"], "leq": [["no", "yes"]],
+            "tensor": {"no|no": "no", "no|yes": "no", "yes|no": "no",
+                       "yes|yes": "yes"},
+            "unit": "yes"}
+    q = build_quantale(spec)
+    assert build_quantale(copy.deepcopy(spec)) is q
+    assert quantale_from_doc(spec, "<doc>") is q
+    # the object keeps its own copy of the spec
+    spec["unit"] = "no"
+    assert q.spec["unit"] == "yes"
+    # extra keys of a builtin do not make a second object
+    assert build_quantale({"builtin": "boolean", "n": 5}) is boolean_quantale()
 
 
 def test_union_tensor_on_frame_fails_unit_law():

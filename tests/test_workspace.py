@@ -5,16 +5,18 @@ import os
 
 import pytest
 
-from tvcat.category import MEMO
+from tvcat.category import MEMO, TVFunctor
 from tvcat.cli import run_command
-from tvcat.core import InputError, ValidationError
+from tvcat.core import Fn, InputError, ValidationError
 from tvcat.lofs import comma_factorise
+from tvcat.monad import instantiate_monad
 from tvcat.presheaf import saturated_class
+from tvcat.quantale import powerset_frame
 from tvcat.report import LawReport
 from tvcat.workspace import (Workspace, category_doc, factorisation_doc,
-                             functor_doc, quantale_spec)
+                             functor_doc)
 
-from builders import entry
+from builders import discrete_category, entry
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
 
@@ -134,7 +136,7 @@ def test_inline_quantale_reference(tmp_path):
     put(tmp_path, "inline.json", doc)
     ws = Workspace()
     ws.load_file(str(tmp_path / "inline.json"))
-    assert quantale_spec(ws.category("inline").q) == {"builtin": "boolean"}
+    assert ws.category("inline").q.spec == {"builtin": "boolean"}
 
 
 def test_duplicate_names_are_rejected(tmp_path):
@@ -165,7 +167,7 @@ def test_category_doc_round_trip(tmp_path):
     ws = Workspace()
     ws.load_file(str(tmp_path / "two.json"))
     C = ws.category("two")
-    doc = category_doc(C, quantale_spec(C.q), name="copy")
+    doc = category_doc(C, C.q.spec, name="copy")
     assert doc["default"] == "bot"
     assert ["0", "0", "1"] in doc["structure"]
     assert ["1", "0", "1"] not in doc["structure"]  # bottom rows are elided
@@ -203,6 +205,17 @@ def test_factorisation_doc_is_self_contained(tmp_path):
     assert K.carrier.elements == ("([0],0)", "([0],1)", "([1],1)")
     L, R = fresh.functor("L(emb)"), fresh.functor("R(emb)")
     assert (R.fn @ L.fn) == ws.functor("emb").fn
+
+
+def test_factorisation_doc_of_a_quantale_built_in_code():
+    # no document loads this quantale, so its spec comes from the object
+    M = instantiate_monad("identity", powerset_frame(3))
+    C = discrete_category(M, ["p"], name="pt")
+    f = TVFunctor(C, C, Fn(C.carrier, C.carrier, [0]), "one")
+    out = factorisation_doc(comma_factorise(f, saturated_class("all")),
+                            LawReport("factor one"), f)
+    assert out["source"]["quantale"] == {"builtin": "powerset_frame", "n": 3}
+    assert out["K"]["quantale"] == {"builtin": "powerset_frame", "n": 3}
 
 
 # -- reuse of unchanged files across workspaces -------------------------------
