@@ -27,7 +27,9 @@ def quantale_from_doc(doc: dict, where: str):
     if not isinstance(doc, dict):
         raise InputError("%s: quantale document must be an object" % where)
     try:
-        return build_quantale(doc)
+        # a name belongs to the document, not to the quantale: a named file
+        # and an inline copy of it give one object
+        return build_quantale({k: v for k, v in doc.items() if k != "name"})
     except InputError as exc:
         raise InputError("%s: %s" % (where, exc))
     except ValidationError as exc:
@@ -145,8 +147,8 @@ class Workspace:
 
         Every call reads the bytes and parses and validates the document
         again; nothing outlives the workspace but the quantales of
-        `build_quantale` and the monad instances.  The path and bytes join `reads`.  A file
-        that is already loading is a reference cycle.
+        `build_quantale` and the monad instances.  The path and bytes join
+        `reads`.  A file that is already loading is a reference cycle.
         """
         apath = os.path.abspath(path)
         if apath in self._by_path:
@@ -176,8 +178,7 @@ class Workspace:
         if not isinstance(name, str) or not name:
             raise InputError("%s: name must be a non-empty string" % where)
         if kind == "quantale":
-            spec = {k: v for k, v in doc.items() if k != "name"}
-            self.quantales[name] = quantale_from_doc(spec, where)
+            self.quantales[name] = quantale_from_doc(doc, where)
         elif kind == "monad":
             if doc["monad"] not in MONAD_KINDS:
                 raise InputError("%s: unknown monad kind %r"

@@ -131,6 +131,22 @@ def test_quantales_intern_across_files(tmp_path):
     assert ws.category("two").q is ws.category("other").q
 
 
+def test_named_and_inline_quantales_are_one_object(tmp_path):
+    tables = {"elements": ["no", "yes"], "leq": [["no", "yes"]],
+              "tensor": {"no|no": "no", "no|yes": "no", "yes|no": "no",
+                         "yes|yes": "yes"},
+              "unit": "yes"}
+    pt = dict(PT_DOC, structure=[["p", "p", "yes"]])
+    seed(tmp_path, ("v.json", dict(tables, name="v")),
+         ("a.json", dict(pt, name="a", quantale="v.json")),
+         ("b.json", dict(pt, name="b", quantale=dict(tables, name="v"))))
+    ws = Workspace()
+    ws.load_file(str(tmp_path / "a.json"))
+    ws.load_file(str(tmp_path / "b.json"))
+    assert ws.category("a").q is ws.category("b").q
+    assert "name" not in ws.category("b").q.spec
+
+
 def test_inline_quantale_reference(tmp_path):
     doc = dict(PT_DOC, name="inline", quantale={"builtin": "boolean"})
     put(tmp_path, "inline.json", doc)
