@@ -152,6 +152,16 @@ class TVFunctor:
         return "TVFunctor(%s: %s -> %s)" % (self.name, self.src.name, self.dst.name)
 
 
+def shares_corners(f: TVFunctor, g: TVFunctor, u: TVFunctor,
+                   v: TVFunctor) -> bool:
+    """Whether (u, v) is a square from f to g: u from the source of f to
+    the source of g, v from the target of f to the target of g.  The
+    corners are compared as categories, not as carriers: corpus
+    categories share labels."""
+    return (f.src == u.src and f.dst == v.src and g.src == u.dst
+            and g.dst == v.dst)
+
+
 def identity_functor(C: TVCategory) -> TVFunctor:
     return TVFunctor(C, C, Fn.identity(C.carrier), "id")
 
@@ -335,9 +345,18 @@ def is_bimodule(src: TVCategory, dst: TVCategory, rel: VRelation) -> bool:
 # ---------------------------------------------------------------------------
 
 def costar(f: TVFunctor) -> Bimodule:
-    """Restriction module of f: the relation (yy, x) -> b(yy, f x)."""
+    """Restriction module of f: the relation (yy, x) -> b(yy, f x).
+
+    Each row of b is gathered along f's table by one `itemgetter`, as in
+    `is_functor`; on a source of at most one point, where `itemgetter`
+    would give a bare entry or need an index, cell by cell.
+    """
     b = f.dst.structure
-    rows = [[row[t] for t in f.fn.table] for row in b.rows]
+    table = f.fn.table
+    if len(table) > 1:
+        rows = map(bytes, map(itemgetter(*table), b.rows))
+    else:
+        rows = (bytes(row[t] for t in table) for row in b.rows)
     rel = VRelation(f.src.q, f.dst.carrier, f.src.carrier, rows)
     return Bimodule(f.dst, f.src, rel, f.name + "^*")
 
@@ -396,20 +415,21 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
 def is_separated(C: TVCategory) -> bool:
     """No two distinct objects lie below each other in the underlying order.
 
-    x <= y reads k <= a(x, y): the fields of the values above the unit in
-    the masks of row x give the objects above x, those in the masks of
-    column x the objects below it.
+    x <= y reads k <= a(x, y).  For each x, row x past the diagonal (the
+    a(x, y) with y > x) and column x past the diagonal (the a(y, x)) are
+    sliced from one joined copy of the table, read through `q.unit_up`
+    into bytes 0 and 1, and ANDed as ints: a common bit is a pair with
+    x <= y <= x.  Every pair is tested itself, so this is exact on any
+    table, transitive or not, and nothing of size m*m is built but the
+    joined copy.
     """
-    a = C.structure
     m = len(C.carrier)
-    full = (1 << m) - 1
-    shifts = C.q.field_shifts(C.q.unit, m)
-    for x, (row, col) in enumerate(zip(a.row_masks(), a.col_masks())):
-        up = down = 0
-        for s in shifts:
-            up |= row >> s
-            down |= col >> s
-        if up & down & full & ~(1 << x):
+    flat = b"".join(C.structure.rows)
+    up = C.q.unit_up
+    for x in range(m - 1):
+        row = flat[x * m + x + 1:x * m + m].translate(up)
+        col = flat[x * m + m + x::m].translate(up)
+        if int.from_bytes(row, "big") & int.from_bytes(col, "big"):
             return False
     return True
 

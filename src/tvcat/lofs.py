@@ -22,7 +22,7 @@ from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
 from .category import (TVCategory, TVFunctor, _structure_maps,
                        bim_compose, costar, identity_functor,
                        is_fully_faithful, is_functor, is_separated,
-                       functor_leq, memoised, star)
+                       functor_leq, memoised, shares_corners, star)
 from .presheaf import (apply_P, mult_P, mult_P_functor, phi_dense,
                        presheaf_space, saturated_class, yoneda)
 from .quantale import VRelation, line_masks, pair_rows
@@ -249,8 +249,7 @@ def _least_algebra(g: TVFunctor, cls, max_space: int):
 def enumerate_fillers(f: TVFunctor, g: TVFunctor, u: TVFunctor,
                       v: TVFunctor):
     """All diagonals d with d.f = u and g.d = v, in table order."""
-    if (v.fn @ f.fn) != (g.fn @ u.fn):
-        raise InputError("lifting square does not commute")
+    _check_lifting_square(f, g, u, v)
     B, Z = f.dst, g.src
     pinned = {}
     for ia in range(len(f.src.carrier)):
@@ -264,6 +263,16 @@ def enumerate_fillers(f: TVFunctor, g: TVFunctor, u: TVFunctor,
             for t in tables]
 
 
+def _check_lifting_square(f: TVFunctor, g: TVFunctor, u: TVFunctor,
+                          v: TVFunctor) -> None:
+    """InputError unless (u, v) is a commuting square from f to g."""
+    if not shares_corners(f, g, u, v):
+        raise InputError("lifting square (%s, %s) does not share its corners "
+                         "with %s and %s" % (u.name, v.name, f.name, g.name))
+    if (v.fn @ f.fn) != (g.fn @ u.fn):
+        raise InputError("lifting square does not commute")
+
+
 def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
                   cls=None, max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Canonical filler p . K(u,v) . s through both comma objects.
@@ -272,8 +281,7 @@ def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
     after this call's square.
     """
     cls = cls or saturated_class("all")
-    if (v.fn @ f.fn) != (g.fn @ u.fn):
-        raise InputError("lifting square does not commute")
+    _check_lifting_square(f, g, u, v)
     table = _canonical_filler(f, g, u, v, cls, max_space)
     return TVFunctor(f.dst, g.src, Fn(f.dst.carrier, g.src.carrier, table),
                      "filler(%s,%s)" % (u.name, v.name))

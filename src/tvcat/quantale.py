@@ -25,6 +25,9 @@ MAX_ELEMENTS = 256
 # (see `compose_rows`).
 MASK_CELLS = 128
 
+# `mask_rows` ANDs the masks of this many consecutive positions at a time.
+BLOCK = 8
+
 
 def _closure(n: int, leq: list[list[bool]]) -> None:
     """Reflexive-transitive closure, in place."""
@@ -67,13 +70,15 @@ class Quantale:
 
     `pair_rows` reads `meet_codes[v]`, which maps u to the meet of v and
     u, or `tensor_codes`, and `lane_codes[v]`, which maps v to 0xff and
-    every other value to 0.
+    every other value to 0.  `unit_up` maps u to 1 when unit <= u and to
+    0 otherwise.
     """
 
     __slots__ = ("spec", "elements", "n", "leq_m", "tensor_m", "unit", "bottom",
                  "top", "join_m", "meet_m", "hom_m", "_vset", "fields",
                  "eq_codes", "up_codes", "above", "below", "tensor_codes",
-                 "meet_codes", "hom_codes", "lane_codes", "rising", "falling")
+                 "meet_codes", "hom_codes", "lane_codes", "unit_up", "rising",
+                 "falling")
 
     def __init__(self, spec, elements, leq_m, tensor_m, unit, join_m, meet_m,
                  hom_m, bottom, top):
@@ -106,6 +111,7 @@ class Quantale:
                                 for v in values)
         self.hom_codes = tuple(table(hom_m[w][c] for w in values)
                                for c in values)
+        self.unit_up = table(leq_m[unit][w] for w in values)
         rising = sorted(values, key=lambda v: sum(r[v] for r in leq_m))
         self.rising = tuple(v for v in rising if v != top)
         self.falling = tuple(v for v in reversed(rising) if v != bottom)
@@ -148,12 +154,6 @@ class Quantale:
     def carrier(self) -> FinSet:
         return self._vset
 
-    # -- value masks (see the class docstring) ------------------------------
-
-    def field_shifts(self, v: int, m: int) -> list:
-        """Bit offsets, in masks of lines of m values, of the fields above v."""
-        return [k * m for k, w in enumerate(self.fields) if self.leq_m[v][w]]
-
     def __repr__(self) -> str:
         return "Quantale(%s; unit=%s)" % (",".join(self.elements),
                                           self.elements[self.unit])
@@ -177,13 +177,44 @@ def mask_rows(lines, codes, order, columns, tests, rest: int,
     at every p, tests[w] reads columns[p][j] as b"1" for w = codes[v] of
     lines[i][p]; it is `rest` when no v passes.  `codes` and `tests` are
     `bytes.translate` tables indexed by value.  Each columns[p] becomes
-    one int mask per value, so a line costs one AND per position per value
-    tried, however wide the rows are; a value is not tried on columns an
-    earlier one already took.
+    one int mask per value, and the masks of each block of BLOCK positions
+    are ANDed once per distinct coded block: the AND depends on nothing
+    but the coded bytes w, so the block's coded bytes key one memo that
+    every line and every value tried share (the "Four Russians" method).
+    A line then costs one lookup and one AND per block per value tried,
+    however wide the rows are; a value is not tried on columns an earlier
+    one already took.  With one value to try (every boolean call) a row is
+    spelled from its numeral directly, '0' as `rest` and '1' as that value.
     """
+    if not width:
+        return [b""] * len(lines)
     masks = [[int(col.translate(t), 2) for t in tests] for col in columns]
     full = (1 << width) - 1
     fmt = "0%db" % width
+    blocks = [(slice(p, p + BLOCK), masks[p:p + BLOCK], {})
+              for p in range(0, len(masks), BLOCK)]
+
+    def passing(coded, left):
+        """The columns among `left` that pass at every block of coded."""
+        for cut, part, memo in blocks:
+            key = coded[cut]
+            hit = memo.get(key)
+            if hit is None:
+                hit = full
+                for m, w in zip(part, key):
+                    hit &= m[w]
+                memo[key] = hit
+            left &= hit
+            if not left:
+                break
+        return left
+
+    if len(order) == 1:
+        v, = order
+        code = codes[v]
+        spell = bytes.maketrans(b"01", bytes((rest, v)))
+        return [format(passing(line.translate(code), full), fmt).encode()
+                .translate(spell) for line in lines]
     # a row starts as `rest` everywhere; v's mark turns the numeral of the
     # columns v takes into bytes v ^ rest there and 0 elsewhere, to XOR in
     rests = int.from_bytes(bytes((rest,)) * width, "big")
@@ -193,15 +224,11 @@ def mask_rows(lines, codes, order, columns, tests, rest: int,
     for line in lines:
         left, acc = full, rests
         for code, mark in tried:
-            passing = left
-            for m, w in zip(masks, line.translate(code)):
-                passing &= m[w]
-                if not passing:
-                    break
-            else:
-                left &= ~passing
+            taken = passing(line.translate(code), left)
+            if taken:
+                left &= ~taken
                 acc ^= int.from_bytes(
-                    format(passing, fmt).encode().translate(mark), "big")
+                    format(taken, fmt).encode().translate(mark), "big")
                 if not left:
                     break
         out.append(acc.to_bytes(width, "big"))
@@ -618,21 +645,21 @@ class VRelation:
     differ; the quantale must be the same object.
 
     `row_masks()[i]` packs the value masks of row i (see `Quantale`): bit
-    k*len(dst)+j is set exactly when rows[i][j] == q.fields[k].
-    `col_masks()[j]` does the same for column j: bit k*len(src)+i is set
-    exactly when rows[i][j] == q.fields[k].  Both are derived from `rows`
-    on first use and kept on the relation; `rows` never changes, so they
-    stay valid for as long as the relation lives.
+    k*len(dst)+j is set exactly when rows[i][j] == q.fields[k].  They are
+    derived from `rows` on first use and kept on the relation; `rows`
+    never changes, so they stay valid for as long as the relation lives.
+    Columns get no masks: code that reads a column slices it from the
+    joined rows (see `category.is_separated`).
     """
 
-    __slots__ = ("q", "src", "dst", "rows", "_row_masks", "_col_masks")
+    __slots__ = ("q", "src", "dst", "rows", "_row_masks")
 
     def __init__(self, q: Quantale, src: FinSet, dst: FinSet, rows):
         self.q = q
         self.src = src
         self.dst = dst
         self.rows = tuple(map(bytes, rows))
-        self._row_masks = self._col_masks = None
+        self._row_masks = None
         if len(self.rows) != len(src.elements) \
                 or not all(map(len(dst.elements).__eq__, map(len, self.rows))):
             raise InputError("relation shape %dx%d does not match carriers %dx%d"
@@ -658,17 +685,6 @@ class VRelation:
             eq = self.q.eq_codes
             self._row_masks = [line_masks(row[::-1], eq) for row in self.rows]
         return self._row_masks
-
-    def col_masks(self) -> list:
-        """Packed value masks of each column."""
-        if self._col_masks is None:
-            eq = self.q.eq_codes
-            nc = len(self.dst)
-            # column j, last row first, is a stride of the reversed matrix
-            flat = b"".join(self.rows)[::-1]
-            self._col_masks = [line_masks(flat[nc - 1 - j::nc], eq)
-                               for j in range(nc)]
-        return self._col_masks
 
     def transpose(self) -> "VRelation":
         return VRelation(self.q, self.dst, self.src, zip(*self.rows)) \
@@ -716,8 +732,13 @@ class VRelation:
         return self.leq(other)
 
     def first_violation(self, other: "VRelation"):
-        """First (x,y) where self(x,y) is not below other(x,y), or None."""
-        self._check_parallel(other)
+        """First (x,y) where self(x,y) is not below other(x,y), or None.
+
+        `leq` decides first; only a relation that fails it is scanned cell
+        by cell for the witness.
+        """
+        if self.leq(other):
+            return None
         lm = self.q.leq_m
         for i in range(len(self.src)):
             for j in range(len(self.dst)):

@@ -14,7 +14,7 @@ import json
 import os
 
 from .category import (TVCategory, TVFunctor, _functor_violation,
-                       check_category, is_functor)
+                       check_category, is_functor, shares_corners)
 from .core import FinSet, Fn, InputError, ValidationError
 from .monad import instantiate_monad
 from .quantale import VRelation, build_quantale
@@ -79,6 +79,9 @@ def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
 
 def functor_from_doc(doc: dict, src: TVCategory, dst: TVCategory,
                      name: str, where: str) -> TVFunctor:
+    if src.M is not dst.M:
+        raise InputError("%s: functor %s endpoints use different monad "
+                         "instances: %r and %r" % (where, name, src.M, dst.M))
     mapping = doc.get("map")
     if not isinstance(mapping, dict):
         raise InputError("%s: functor needs a map object" % where)
@@ -286,9 +289,7 @@ def _basename_stem(path: str) -> str:
 
 def _check_square(fns: dict, name: str, where: str):
     f, g, u, v = fns["f"], fns["g"], fns["u"], fns["v"]
-    if f.src.carrier != u.src.carrier or f.dst.carrier != v.src.carrier \
-            or g.src.carrier != u.dst.carrier \
-            or g.dst.carrier != v.dst.carrier:
+    if not shares_corners(f, g, u, v):
         raise InputError("%s: problem %s squares do not share corners"
                          % (where, name))
     left = v.fn @ f.fn

@@ -151,6 +151,42 @@ def test_lift_rejects_f_outside_the_left_class(tmp_path):
     assert "not in the left class" in out
 
 
+def test_square_corners_are_compared_as_categories(tmp_path):
+    # A is discrete and A2 the chain a <= b on the same labels, so every
+    # corner's carrier matches while u starts at A2 and f at A
+    def ident(name, src, dst):
+        return {"name": name, "source": src, "target": dst,
+                "map": {"a": "a", "b": "b"}}
+
+    disc = {"name": "A", "quantale": "bool.json", "carrier": ["a", "b"],
+            "structure": [["a", "a", "1"], ["b", "b", "1"]]}
+    chain = dict(disc, name="A2", structure=disc["structure"]
+                 + [["a", "b", "1"]])
+    sq = {"name": "sq", "f": "f.json", "g": "g.json", "u": "u.json",
+          "v": "v.json"}
+    seed(tmp_path, ("A.json", disc), ("A2.json", chain),
+         ("f.json", ident("f", "A.json", "A.json")),
+         ("u.json", ident("u", "A2.json", "A2.json")),
+         ("g.json", ident("g", "A2.json", "A2.json")),
+         ("v.json", ident("v", "A.json", "A2.json")), ("sq.json", sq))
+    for command in ("check", "lift"):
+        code, out = run_command([command, str(tmp_path / "sq.json")])
+        assert (code, out) == (2, "error: %s: problem sq squares do not "
+                               "share corners" % (tmp_path / "sq.json"))
+
+
+def test_functor_across_quantales_names_its_file(tmp_path):
+    chain = {"name": "c", "quantale": {"builtin": "truncated_chain", "n": 1},
+             "carrier": ["p"], "structure": [["p", "p", "0"]]}
+    g = {"name": "g", "source": "pt.json", "target": "c.json",
+         "map": {"p": "p"}}
+    seed(tmp_path, ("c.json", chain), ("g.json", g))
+    code, out = run_command(["check", str(tmp_path / "g.json")])
+    assert code == 2
+    assert out.startswith("error: %s: functor g endpoints use different "
+                          "monad instances: " % (tmp_path / "g.json"))
+
+
 def test_malformed_json_is_an_input_error(tmp_path):
     p = tmp_path / "garbage.json"
     p.write_text("not json")

@@ -260,6 +260,24 @@ def test_solve_lifting_rejects_outsiders():
         solve_lifting(TOP, BANG_A, u2, v2)
 
 
+def test_lifting_square_corners_are_categories_not_labels():
+    # A discrete and A2 the chain a <= b, on the same labels: the carriers
+    # of every corner match, the categories at f's source and u's do not
+    A = discrete_category(ID, ["a", "b"], "A")
+    A2 = chain_cat(ID, ["a", "b"], "A2")
+    ident = Fn.identity(A.carrier)
+    f = TVFunctor(A, A, ident, "f")
+    u = TVFunctor(A2, A2, ident, "u")
+    g = TVFunctor(A2, A2, ident, "g")
+    v = TVFunctor(A, A2, ident, "v")
+    for search in (solve_lifting, enumerate_fillers):
+        with pytest.raises(InputError, match="does not share its corners"):
+            search(f, g, u, v)
+    # the same square with u on A is accepted
+    u = TVFunctor(A, A2, ident, "u")
+    assert [d.fn.table for d in enumerate_fillers(f, g, u, v)] == [(0, 1)]
+
+
 def test_filler_lies_between_its_own_squares_categories():
     # equal squares under other names: each filler is built on its own
     # square's categories and named after its own top and bottom

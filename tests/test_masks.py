@@ -2,10 +2,12 @@
 
 Each reference is the per-cell loop the kernel replaced.  Inputs cover five
 quantales (powerset_frame(4) has 16 values, so no pair of values fits one
-byte), both monad instances, carriers of 0 to 4 points, and tables that are
-not reflexive, not separated or not functorial.  The presheaf structure
-matrix and composition are also drawn at widths on both sides of the
-composition's size rule (`MASK_CELLS`).  The law masks of the
+byte), both monad instances, carriers of 0 to 4 points (40 for
+`is_separated`), and tables that are not reflexive, not separated or not
+functorial.  The presheaf structure matrix and composition are also drawn
+at widths on both sides of the composition's size rule (`MASK_CELLS`), and
+the structure matrix on lines of up to 24 positions whose blocks of
+`BLOCK` positions repeat.  The law masks of the
 module-functor correspondence and the bimodule scan are checked against the
 per-map scans they replaced, on the first four quantales and a non-integral
 one, where a cell can break a law against itself.  The comma kernel
@@ -31,10 +33,10 @@ from tvcat.quantale import (MASK_CELLS, VRelation, boolean_quantale,
                             lukasiewicz_chain, powerset_frame,
                             truncated_chain)
 from tvcat.monad import instantiate_monad
-from tvcat.category import (MEMO, TVCategory, TVFunctor, dual_category,
-                            is_bimodule, is_functor, is_separated,
-                            module_functor_correspondence, tensor_category,
-                            v_category)
+from tvcat.category import (MEMO, TVCategory, TVFunctor, costar,
+                            dual_category, is_bimodule, is_functor,
+                            is_separated, module_functor_correspondence,
+                            tensor_category, v_category)
 from tvcat.presheaf import (ENUM_BASE_CAP, _enumerate_value_tuples,
                             _scan_bimodules, apply_P, presheaf_space,
                             saturated_class)
@@ -196,12 +198,7 @@ def test_masks_hold_the_cells_of_each_value(drawn, nr, nc):
             for j in range(nc):
                 assert (ups >> (k * nc + j) & 1) \
                     == q.leq_m[v][rel.rows[i][j]]
-    for j, masks in enumerate(rel.col_masks()):
-        for k, v in enumerate(q.fields):
-            for i in range(nr):
-                assert (masks >> (k * nr + i) & 1) == (rel.rows[i][j] == v)
-        assert masks >> (len(q.fields) * nr) == 0
-    assert len(rel.row_masks()) == nr and len(rel.col_masks()) == nc
+    assert len(rel.row_masks()) == nr
 
 
 @settings(max_examples=120, deadline=None)
@@ -248,7 +245,7 @@ def test_wide_composition_matches_the_cell_formula(drawn, shape, sparse):
     expected = ref_compose(s, r)
     assert cells(s @ r) == expected
     # masks already cached on s, and a fresh copy of s, give the same rows
-    s.row_masks(), s.col_masks()
+    s.row_masks()
     assert cells(s @ r) == expected
     fresh = VRelation(q, s.src, s.dst, s.rows)
     assert cells(fresh @ r) == expected
@@ -274,19 +271,43 @@ def test_size_rule_picks_the_mask_kernel_exactly_for_wide_composites(
             (nx, ny, nz)
 
 
+def block_lines(rng, q, n, t):
+    """n lines of t values spliced from three shared pieces of
+    `quantale.BLOCK` values, so that blocks repeat across lines."""
+    pieces = [bytes(rng.randrange(q.n) for _ in range(quantale.BLOCK))
+              for _ in range(3)]
+    blocks = -(-t // quantale.BLOCK)
+    return [b"".join(rng.choice(pieces) for _ in range(blocks))[:t]
+            for _ in range(n)]
+
+
 @settings(max_examples=100, deadline=None)
-@given(drawn_setting, st.integers(0, 40), st.integers(0, 6))
-def test_structure_matrix_matches_the_hom_meet_loop(drawn, n, t):
+@given(drawn_setting, st.integers(0, 40), st.integers(0, 20), st.booleans())
+def test_structure_matrix_matches_the_hom_meet_loop(drawn, n, t, repeat):
     q, kind, seed = drawn
     rng = random.Random(seed)
     # repeated lines and lines at bottom or top everywhere included
-    values = [bytes(rng.randrange(q.n) for _ in range(t)) for _ in range(n)]
+    values = block_lines(rng, q, n, t) if repeat else \
+        [bytes(rng.randrange(q.n) for _ in range(t)) for _ in range(n)]
     if n > 2:
         values[0] = bytes((q.bottom,)) * t
         values[1] = bytes((q.top,)) * t
         values[2] = values[-1]
     assert monad(q, kind).presheaf_structure(values) \
         == list(map(bytes, ref_structure(q, values)))
+
+
+@pytest.mark.parametrize("q", [boolean_quantale(), truncated_chain(2)])
+def test_structure_matrix_over_repeated_blocks(q):
+    # boolean tries one value per row, the chain several (`mask_rows`)
+    assert (len(q.falling) == 1) == (q.n == 2)
+    rng = random.Random(29)
+    M = monad(q, "identity")
+    for t in (7, 8, 9, 16, 17, 20, 24):
+        for n in (1, 5, 30):
+            values = block_lines(rng, q, n, t)
+            assert M.presheaf_structure(values) \
+                == list(map(bytes, ref_structure(q, values))), (t, n)
 
 
 def test_structure_matrix_on_empty_and_constant_tuples():
@@ -308,13 +329,35 @@ def test_structure_matrix_on_empty_and_constant_tuples():
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(drawn_setting, st.integers(0, 4), st.booleans())
-def test_is_separated_matches_the_reference(drawn, n, reflexive):
+@given(drawn_setting, st.integers(0, 40), st.booleans(),
+       st.sampled_from([0.0, 0.002, 0.02, 0.2, 1.0]))
+def test_is_separated_matches_the_reference(drawn, n, reflexive, dense):
     q, kind, seed = drawn
     rng = random.Random(seed)
-    C = category(monad(q, kind), CARRIERS[n],
-                 random_rows(rng, q, n, reflexive))
+    rows = random_rows(rng, q, n, reflexive)
+    # most off-diagonal cells at bottom, so that wide tables are often
+    # separated too
+    for i, j in itertools.product(range(n), repeat=2):
+        if i != j and rng.random() >= dense:
+            rows[i][j] = q.bottom
+    C = category(monad(q, kind), CARRIERS[n], rows)
     assert is_separated(C) == ref_is_separated(C)
+
+
+def test_is_separated_finds_one_far_two_cycle():
+    # x <= y for every x < y, and nothing else, except one pair (3, 36)
+    # that also goes back: not transitive, and not separated by that pair
+    for q in QUANTALES:
+        M = monad(q, "identity")
+        k, bot = q.unit, q.bottom
+        n = 40
+        rows = [[k if i <= j else bot for j in range(n)] for i in range(n)]
+        assert is_separated(category(M, CARRIERS[n], rows))
+        rows[36][3] = q.top
+        cycle = category(M, CARRIERS[n], rows)
+        assert not is_separated(cycle) and not ref_is_separated(cycle)
+        rows[3][36] = bot
+        assert is_separated(category(M, CARRIERS[n], rows))
 
 
 def test_is_separated_on_small_cases():
@@ -375,6 +418,31 @@ def test_is_functor_on_small_cases():
             # a one-point source pulls back a single entry
             assert not is_functor(one, low, Fn(one.carrier, low.carrier, [0]))
             assert is_functor(one, two, Fn(one.carrier, two.carrier, [1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_setting, st.integers(0, 3), st.integers(1, 4))
+def test_costar_gathers_the_cells(drawn, nx, ny):
+    q, kind, seed = drawn
+    rng = random.Random(seed)
+    M = monad(q, kind)
+    src = category(M, CARRIERS[nx], random_rows(rng, q, nx, True), "src")
+    dst = category(M, CARRIERS[ny], random_rows(rng, q, ny, True), "dst")
+    table = [rng.randrange(ny) for _ in range(nx)]
+    phi = costar(TVFunctor(src, dst, Fn(src.carrier, dst.carrier, table)))
+    assert (phi.src, phi.dst) == (dst, src)
+    assert cells(phi.rel) == [[row[t] for t in table]
+                              for row in dst.structure.rows]
+
+
+def test_costar_from_an_empty_category():
+    for q in QUANTALES:
+        M = monad(q, "identity")
+        empty = category(M, CARRIERS[0], [])
+        for C in (empty, category(M, CARRIERS[2], [[q.unit] * 2] * 2)):
+            rel = costar(TVFunctor(empty, C, Fn(empty.carrier, C.carrier,
+                                                []))).rel
+            assert rel.rows == (b"",) * len(C.carrier)
 
 
 # ---------------------------------------------------------------------------
