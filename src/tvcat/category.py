@@ -631,49 +631,39 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
     """Calculus identities over a prepared corpus of categories and functors."""
     rep = LawReport("enriched calculus: %s over %s"
                     % (M.kind, ",".join(M.q.elements)))
-    bad = [C.name for C in cats if not check_category(C).ok]
-    rep.add("corpus-categories", not bad,
-            "%d categories pass their laws" % len(cats) if not bad
-            else "failing: %s" % ", ".join(bad))
+    rep.verdict("corpus-categories",
+                [C.name for C in cats if not check_category(C).ok],
+                "%d categories pass their laws" % len(cats))
     rep.add("unit-category", check_category(unit_category(M)).ok,
             "the one-object unit is a category")
     rep.add("quantale-category", check_category(v_category(M)).ok,
             "the quantale carrier is a category under hom(xi -, -)")
-    bad = [C.name for C in cats if not check_category(dual_category(C)).ok]
-    rep.add("duals", not bad, "dual of every corpus category is a category"
-            if not bad else "failing: %s" % ", ".join(bad))
-    bad = []
-    for C in cats:
-        for D in cats:
-            if len(C.carrier) * len(D.carrier) <= 9:
-                if not check_category(tensor_category(C, D)).ok:
-                    bad.append("%s(x)%s" % (C.name, D.name))
-    rep.add("tensors", not bad, "tensor of corpus pairs is a category"
-            if not bad else "failing: %s" % ", ".join(bad))
-    bad = [f.name for f in fns if not check_functor(f).ok]
-    rep.add("corpus-functors", not bad,
-            "%d functors preserve structure" % len(fns) if not bad
-            else "failing: %s" % ", ".join(bad))
+    rep.verdict("duals",
+                [C.name for C in cats
+                 if not check_category(dual_category(C)).ok],
+                "dual of every corpus category is a category")
+    rep.verdict("tensors",
+                ["%s(x)%s" % (C.name, D.name) for C in cats for D in cats
+                 if len(C.carrier) * len(D.carrier) <= 9
+                 and not check_category(tensor_category(C, D)).ok],
+                "tensor of corpus pairs is a category")
+    rep.verdict("corpus-functors",
+                [f.name for f in fns if not check_functor(f).ok],
+                "%d functors preserve structure" % len(fns))
     stars = [star(f) for f in fns]
     costars = [costar(f) for f in fns]
-    bad = []
-    for f, f_star, f_costar in zip(fns, stars, costars):
-        sub = check_bimodule(f_star)
-        sub.merge(check_bimodule(f_costar), prefix="costar")
-        sub.merge(check_graph_adjunction(f), prefix="adj")
-        if not sub.ok:
-            bad.append(f.name)
-    rep.add("graph-modules", not bad,
-            "f_* and f^* are modules and adjoint for all corpus functors"
-            if not bad else "failing: %s" % ", ".join(bad))
-    bad = []
-    for f, f_star, f_costar in zip(fns, stars, costars):
-        composite = bim_compose(f_costar, f_star)
-        if (composite == f.src.structure) != is_fully_faithful(f):
-            bad.append(f.name)
-    rep.add("fully-faithful", not bad,
-            "pointwise equality matches f^* o f_* = a on all corpus functors"
-            if not bad else "failing: %s" % ", ".join(bad))
+    rep.verdict("graph-modules",
+                [f.name for f, f_star, f_costar in zip(fns, stars, costars)
+                 if not check_bimodule(f_star).ok
+                 or not check_bimodule(f_costar).ok
+                 or not check_graph_adjunction(f).ok],
+                "f_* and f^* are modules and adjoint for all corpus functors")
+    rep.verdict("fully-faithful",
+                [f.name for f, f_star, f_costar in zip(fns, stars, costars)
+                 if (bim_compose(f_costar, f_star) == f.src.structure)
+                 != is_fully_faithful(f)],
+                "pointwise equality matches f^* o f_* = a on all corpus "
+                "functors")
     bad = []
     count = 0
     for f, f_star, f_costar in zip(fns, stars, costars):
@@ -692,9 +682,9 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
                 if bim_compose(f_costar, g_star) != shortcut:
                     bad.append("%s^* o %s" % (f.name, g.name))
                 count += 1
-    rep.add("module-shortcuts", not bad,
-            "psi o f_* = psi.Tf and f^* o phi = f'.phi on %d composites" % count
-            if not bad else "failing: %s" % ", ".join(bad[:4]))
+    rep.verdict("module-shortcuts", bad[:4],
+                "psi o f_* = psi.Tf and f^* o phi = f'.phi on %d composites"
+                % count)
     count = 0
     order_fail = None
     for f in fns:

@@ -347,11 +347,10 @@ def _cmd_verify_paper(args):
     def yoneda_all_classes(c):
         out = LawReport()
         for cls in classes:
-            bad = [C.name for C in c.cats
-                   if not yoneda_lemma_check(C, cls, c.cap).ok]
-            out.add(cls.name, not bad,
-                    "evaluation identity on %d objects" % len(c.cats)
-                    if not bad else "failing: %s" % ", ".join(bad))
+            out.verdict(cls.name,
+                        [C.name for C in c.cats
+                         if not yoneda_lemma_check(C, cls, c.cap).ok],
+                        "evaluation identity on %d objects" % len(c.cats))
         return out
 
     def submonads(c):

@@ -26,7 +26,7 @@ from .category import (TVCategory, TVFunctor, _structure_maps,
 from .presheaf import (apply_P, mult_P, mult_P_functor, phi_dense,
                        presheaf_space, saturated_class, yoneda)
 from .quantale import VRelation, line_masks, pair_rows
-from .report import FAIL, SKIP, LawReport
+from .report import FAIL, SKIP, LawReport, decide
 
 
 class Factorisation:
@@ -547,85 +547,55 @@ def check_left_class(cats, fns, cls=None,
     rep = LawReport("left class: %s" % cls.name)
     skipped = []
 
-    bad = []
-    decided = 0
-    for f in fns:
-        try:
-            member = l_membership(f, cls, max_space)
-            if (lari(f, cls, max_space) is not None) != member:
-                bad.append(f.name)
-            decided += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (f.name, exc))
-    rep.add("lari-description", not bad,
-            "LARI sections exist exactly on the left class (%d functors)"
-            % decided if not bad else "failing: %s" % ", ".join(bad))
+    def lari_description(f):
+        member = l_membership(f, cls, max_space)
+        return [f.name] if (lari(f, cls, max_space) is not None) != member \
+            else []
+    rep.tally("lari-description", *decide(fns, lari_description, skipped),
+              "LARI sections exist exactly on the left class ({} functors)",
+              max_space)
 
-    bad = []
-    for f in fns:
-        try:
-            F = comma_factorise(f, cls, max_space)
-            member = l_membership(f, cls, max_space)
-            if (coalgebra(F) is not None) != member:
-                bad.append(f.name)
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (f.name, exc))
-            continue
-    rep.add("coalgebra-description", not bad,
-            "canonical coalgebras exist exactly on the left class"
-            if not bad else "failing: %s" % ", ".join(bad))
+    def coalgebra_description(f):
+        F = comma_factorise(f, cls, max_space)
+        member = l_membership(f, cls, max_space)
+        return [f.name] if (coalgebra(F) is not None) != member else []
+    rep.tally("coalgebra-description",
+              *decide(fns, coalgebra_description, skipped),
+              "canonical coalgebras exist exactly on the left class",
+              max_space)
 
-    bad = []
-    lari_checked = 0
-    for f in fns:
-        try:
-            if not l_membership(f, cls, max_space):
-                continue
-            F = comma_factorise(f, cls, max_space)
-            s = coalgebra(F)
-            PY = presheaf_space(f.dst, cls, max_space)
-            QS = _presheaf_rows(F.space, f.dst.carrier, (F.q.fn @ s.fn).table)
-            formula = mult_P_functor(QS, PY, F.space, "mult.P(q).P(s)")
-            section = lari(f, cls, max_space)
-            if section is None or section.fn != formula.fn:
-                bad.append(f.name)
-            lari_checked += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (f.name, exc))
-    rep.add("lari-formula", not bad,
-            "mult . P(q) . P(s) is the LARI section on %d left maps"
-            % lari_checked if not bad else "failing: %s" % ", ".join(bad))
+    def lari_formula(f):
+        if not l_membership(f, cls, max_space):
+            return None
+        F = comma_factorise(f, cls, max_space)
+        s = coalgebra(F)
+        PY = presheaf_space(f.dst, cls, max_space)
+        QS = _presheaf_rows(F.space, f.dst.carrier, (F.q.fn @ s.fn).table)
+        formula = mult_P_functor(QS, PY, F.space, "mult.P(q).P(s)")
+        section = lari(f, cls, max_space)
+        return [f.name] if section is None or section.fn != formula.fn \
+            else []
+    rep.tally("lari-formula", *decide(fns, lari_formula, skipped),
+              "mult . P(q) . P(s) is the LARI section on {} left maps",
+              max_space)
 
-    bad = []
-    decided = 0
-    for C in cats:
-        try:
-            y = yoneda(C, cls, max_space)
-            if not l_membership(y, cls, max_space):
-                bad.append(C.name)
-            decided += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (C.name, exc))
-    rep.add("yoneda-in-left-class", not bad,
-            "the unit is in the left class on %d corpus objects" % decided
-            if not bad else "failing: %s" % ", ".join(bad))
+    def yoneda_in_left_class(C):
+        y = yoneda(C, cls, max_space)
+        return [] if l_membership(y, cls, max_space) else [C.name]
+    rep.tally("yoneda-in-left-class",
+              *decide(cats, yoneda_in_left_class, skipped),
+              "the unit is in the left class on {} corpus objects", max_space)
 
     if cls.name != "all":
         full_cls = saturated_class("all")
-        bad = []
-        members = 0
-        for f in fns:
-            try:
-                if not l_membership(f, cls, max_space):
-                    continue
-                members += 1
-                if not l_membership(f, full_cls, max_space):
-                    bad.append(f.name)
-            except SizeCapError as exc:
-                skipped.append("%s: %s" % (f.name, exc))
-        rep.add("submonad-coherence", not bad,
-                "all %d class embeddings are fully faithful embeddings"
-                % members if not bad else "failing: %s" % ", ".join(bad))
+
+        def coherence(f):
+            if not l_membership(f, cls, max_space):
+                return None
+            return [] if l_membership(f, full_cls, max_space) else [f.name]
+        rep.tally("submonad-coherence", *decide(fns, coherence, skipped),
+                  "all {} class embeddings are fully faithful embeddings",
+                  max_space)
 
     # parallel pairs grouped by endpoints so the scan only visits
     # composable candidates
@@ -646,9 +616,8 @@ def check_left_class(cats, fns, cls=None,
                     if functor_leq(f @ u, f @ v) and not functor_leq(u, v):
                         bad.append("%s against (%s, %s)" % (f.name, u.name,
                                                             v.name))
-    rep.add("fully-faithful-is-full", not bad,
-            "order reflection on %d parallel pairs" % pairs
-            if not bad else "failing: %s" % ", ".join(bad[:3]))
+    rep.verdict("fully-faithful-is-full", bad[:3],
+                "order reflection on %d parallel pairs" % pairs)
 
     for s in skipped:
         rep.skip("capped", s)
@@ -736,31 +705,23 @@ def wfs_cross_check(cats, fns, cls=None,
     cls = cls or saturated_class("all")
     rep = LawReport("classical cross-check: %s" % cls.name)
 
-    bad = []
     if cls.name == "all":
-        for f in fns:
-            if l_membership(f, cls, max_space) != is_fully_faithful(f):
-                bad.append(f.name)
-        rep.add("left-class-is-embeddings", not bad,
-                "left class = order-embeddings on %d maps" % len(fns)
-                if not bad else "failing: %s" % ", ".join(bad))
+        rep.verdict("left-class-is-embeddings",
+                    [f.name for f in fns if l_membership(f, cls, max_space)
+                     != is_fully_faithful(f)],
+                    "left class = order-embeddings on %d maps" % len(fns))
     elif cls.name == "representable":
-        for f in fns:
-            member = l_membership(f, cls, max_space)
-            if member != (_adjoint_section(f) is not None):
-                bad.append(f.name)
-        rep.add("left-class-is-laris", not bad,
-                "left class = maps with an adjoint section, %d maps"
-                % len(fns) if not bad else "failing: %s" % ", ".join(bad))
+        rep.verdict("left-class-is-laris",
+                    [f.name for f in fns if l_membership(f, cls, max_space)
+                     != (_adjoint_section(f) is not None)],
+                    "left class = maps with an adjoint section, %d maps"
+                    % len(fns))
     else:
         ref = saturated_class("representable")
-        for f in fns:
-            if l_membership(f, cls, max_space) != l_membership(f, ref,
-                                                               max_space):
-                bad.append(f.name)
-        rep.add("left-class-matches-representable", not bad,
-                "same membership on %d maps" % len(fns)
-                if not bad else "failing: %s" % ", ".join(bad))
+        rep.verdict("left-class-matches-representable",
+                    [f.name for f in fns if l_membership(f, cls, max_space)
+                     != l_membership(f, ref, max_space)],
+                    "same membership on %d maps" % len(fns))
 
     lmaps, rmaps = [], []
     for f in fns:
@@ -791,10 +752,11 @@ def wfs_cross_check(cats, fns, cls=None,
                 break
         if capped:
             break
-    rep.add("liftings-exist-and-are-least", not bad,
-            "%d lifting problems solved, canonical filler least each time"
-            "%s" % (problems, " (scan capped)" if capped else "")
-            if not bad else "failing: %s" % "; ".join(bad[:3]))
+    # each failure is a phrase, so they are joined with "; "
+    rep.verdict("liftings-exist-and-are-least",
+                ["; ".join(bad[:3])] if bad else [],
+                "%d lifting problems solved, canonical filler least each time"
+                "%s" % (problems, " (scan capped)" if capped else ""))
 
     bad = []
     scanned = 0

@@ -35,7 +35,7 @@ from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        is_fully_faithful, is_functor, is_separated,
                        functor_leq, memoised, star, unit_category)
 from .quantale import VRelation, compose_rows, residual_left
-from .report import LawReport
+from .report import LawReport, decide
 
 
 def _enumerate_value_tuples(q, cond, max_space):
@@ -487,144 +487,85 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     """
     rep = LawReport("presheaf monad: %s" % cls.name)
     skipped = []
-    bad = []
-    for C in cats:
-        space = presheaf_space(C, cls, max_space)
-        if len(space) <= SPACE_LAW_BOUND:
-            if not check_category(space.category).ok \
-                    or not is_separated(space.category):
-                bad.append(C.name)
-    rep.add("space-laws", not bad,
-            "spaces are separated categories (carriers up to %d)"
-            % SPACE_LAW_BOUND
-            if not bad else "failing: %s" % ", ".join(bad))
+    spaces = [presheaf_space(C, cls, max_space) for C in cats]
+    small = [(C, space) for C, space in zip(cats, spaces)
+             if len(space) <= SPACE_LAW_BOUND]
+    rep.verdict("space-laws",
+                [C.name for C, space in small
+                 if not check_category(space.category).ok
+                 or not is_separated(space.category)],
+                "spaces are separated categories (carriers up to %d)"
+                % SPACE_LAW_BOUND)
+    rep.verdict("pointwise-order",
+                [C.name for C, space in small
+                 if not _pointwise_order_matches(space)],
+                "space order = pointwise order of the data (carriers up to %d)"
+                % SPACE_LAW_BOUND)
+    ys = [yoneda(C, cls, max_space) for C in cats]
+    rep.verdict("yoneda-functor",
+                [y.src.name for y in ys
+                 if not check_functor(y).ok or not is_fully_faithful(y)],
+                "yoneda is a fully faithful functor on every corpus object")
+    rep.verdict("yoneda-lemma",
+                [C.name for C in cats
+                 if not yoneda_lemma_check(C, cls, max_space).ok],
+                "evaluation identity on every corpus object")
 
-    bad = [C.name for C in cats
-           if len(presheaf_space(C, cls, max_space)) <= SPACE_LAW_BOUND
-           and not _pointwise_order_matches(presheaf_space(C, cls, max_space))]
-    rep.add("pointwise-order", not bad,
-            "space order = pointwise order of the data (carriers up to %d)"
-            % SPACE_LAW_BOUND
-            if not bad else "failing: %s" % ", ".join(bad))
-
-    bad = []
-    for C in cats:
+    def unit_laws(C):
+        mu = space_mult(C, cls, max_space).fn
         y = yoneda(C, cls, max_space)
-        if not check_functor(y).ok or not is_fully_faithful(y):
-            bad.append(C.name)
-    rep.add("yoneda-functor", not bad,
-            "yoneda is a fully faithful functor on every corpus object"
-            if not bad else "failing: %s" % ", ".join(bad))
+        return [label + C.name for label, g in
+                (("P(y) at ", apply_P(y, cls, max_space)),
+                 ("y at P", yoneda(y.dst, cls, max_space)))
+                if not (mu @ g.fn).is_identity()]
+    rep.tally("unit-laws", *decide(cats, unit_laws, skipped),
+              "mult . P(y) = mult . y_PX = id on {} objects", max_space)
 
-    bad = []
-    for C in cats:
-        if not yoneda_lemma_check(C, cls, max_space).ok:
-            bad.append(C.name)
-    rep.add("yoneda-lemma", not bad,
-            "evaluation identity on every corpus object" if not bad
-            else "failing: %s" % ", ".join(bad))
+    def associativity(C):
+        mu = space_mult(C, cls, max_space)
+        mu2 = space_mult(presheaf_space(C, cls, max_space).category, cls,
+                         max_space)
+        pmu = apply_P(mu, cls, max_space)
+        return [C.name] if (mu.fn @ pmu.fn) != (mu.fn @ mu2.fn) else []
+    rep.tally("associativity", *decide(cats, associativity, skipped),
+              "mult . P(mult) = mult . mult_PX on {} objects", max_space)
 
-    bad = []
-    unit_done = 0
-    for C in cats:
-        try:
-            mu = space_mult(C, cls, max_space)
-            y = yoneda(C, cls, max_space)
-            if not (mu.fn @ apply_P(y, cls, max_space).fn).is_identity():
-                bad.append("P(y) at " + C.name)
-            if not (mu.fn @ yoneda(y.dst, cls, max_space).fn).is_identity():
-                bad.append("y at P" + C.name)
-            unit_done += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (C.name, exc))
-    if unit_done:
-        rep.add("unit-laws", not bad,
-                "mult . P(y) = mult . y_PX = id on %d objects" % unit_done
-                if not bad else "failing: %s" % ", ".join(bad))
-    else:
-        rep.skip("unit-laws", "all towers over the cap %d" % max_space)
+    rep.verdict("unit-naturality",
+                [f.name for f in fns
+                 if apply_P(f, cls, max_space).fn
+                 @ yoneda(f.src, cls, max_space).fn
+                 != yoneda(f.dst, cls, max_space).fn @ f.fn],
+                "P(f) . y = y . f for %d functors" % len(fns))
 
-    bad = []
-    assoc_done = 0
-    for C in cats:
-        try:
-            space = presheaf_space(C, cls, max_space)
-            mu = space_mult(C, cls, max_space)
-            mu2 = space_mult(space.category, cls, max_space)
-            pmu = apply_P(mu, cls, max_space)
-            if (mu.fn @ pmu.fn) != (mu.fn @ mu2.fn):
-                bad.append(C.name)
-            assoc_done += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (C.name, exc))
-    if assoc_done:
-        rep.add("associativity", not bad,
-                "mult . P(mult) = mult . mult_PX on %d objects" % assoc_done
-                if not bad else "failing: %s" % ", ".join(bad))
-    else:
-        rep.skip("associativity", "all towers over the cap %d" % max_space)
+    def mult_naturality(f):
+        pf = apply_P(f, cls, max_space)
+        ppf = apply_P(pf, cls, max_space)
+        lhs = pf.fn @ space_mult(f.src, cls, max_space).fn
+        rhs = space_mult(f.dst, cls, max_space).fn @ ppf.fn
+        return [f.name] if lhs != rhs else []
+    rep.tally("mult-naturality", *decide(fns, mult_naturality, skipped),
+              "P(f) . mult = mult . PP(f) for {} functors", max_space)
 
-    bad = []
-    for f in fns:
-        lhs = apply_P(f, cls, max_space).fn @ yoneda(f.src, cls, max_space).fn
-        rhs = yoneda(f.dst, cls, max_space).fn @ f.fn
-        if lhs != rhs:
-            bad.append(f.name)
-    rep.add("unit-naturality", not bad,
-            "P(f) . y = y . f for %d functors" % len(fns) if not bad
-            else "failing: %s" % ", ".join(bad))
-
-    bad = []
-    nat_done = 0
-    for f in fns:
-        try:
-            pf = apply_P(f, cls, max_space)
-            ppf = apply_P(pf, cls, max_space)
-            lhs = pf.fn @ space_mult(f.src, cls, max_space).fn
-            rhs = space_mult(f.dst, cls, max_space).fn @ ppf.fn
-            if lhs != rhs:
-                bad.append(f.name)
-            nat_done += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (f.name, exc))
-    if nat_done:
-        rep.add("mult-naturality", not bad,
-                "P(f) . mult = mult . PP(f) for %d functors" % nat_done
-                if not bad else "failing: %s" % ", ".join(bad))
-    else:
-        rep.skip("mult-naturality", "all towers over the cap %d" % max_space)
-
-    bad = []
-    kz_done = 0
-    for C in cats:
-        try:
-            space = presheaf_space(C, cls, max_space)
-            mu = space_mult(C, cls, max_space)
-            py = apply_P(yoneda(C, cls, max_space), cls, max_space)
-            y2 = yoneda(space.category, cls, max_space)
-            if not functor_leq(py, y2):
-                bad.append("P(y) <= y_P at " + C.name)
-            ident2 = identity_functor(mu.src)
-            if not functor_leq(ident2, y2 @ mu):
-                bad.append("1 <= y_P . mult at " + C.name)
-            if not functor_leq(py @ mu, ident2):
-                bad.append("P(y) . mult <= 1 at " + C.name)
-            kz_done += 1
-        except SizeCapError as exc:
-            skipped.append("%s: %s" % (C.name, exc))
-    if kz_done:
-        rep.add("lax-idempotency", not bad,
-                "P(y) <= y_P with both adjunction inequalities, %d objects"
-                % kz_done if not bad else "failing: %s" % ", ".join(bad))
-    else:
-        rep.skip("lax-idempotency", "all towers over the cap %d" % max_space)
+    def lax_idempotency(C):
+        space = presheaf_space(C, cls, max_space)
+        mu = space_mult(C, cls, max_space)
+        py = apply_P(yoneda(C, cls, max_space), cls, max_space)
+        y2 = yoneda(space.category, cls, max_space)
+        ident2 = identity_functor(mu.src)
+        return [label + C.name for label, lo, hi in
+                (("P(y) <= y_P at ", py, y2),
+                 ("1 <= y_P . mult at ", ident2, y2 @ mu),
+                 ("P(y) . mult <= 1 at ", py @ mu, ident2))
+                if not functor_leq(lo, hi)]
+    rep.tally("lax-idempotency", *decide(cats, lax_idempotency, skipped),
+              "P(y) <= y_P with both adjunction inequalities, {} objects",
+              max_space)
 
     # the right action a(i, j) (x) phi(j) <= phi(i) for every presheaf phi
     # at once, as one relation X -/-> PX; the left action over E is the
     # unit law and always holds
     bad = []
-    for C in cats:
-        space = presheaf_space(C, cls, max_space)
+    for C, space in zip(cats, spaces):
         lines = space.values.T
         acted = lines @ C.structure
         if not acted <= lines:
@@ -632,9 +573,8 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
             bad.extend("%s at %s" % (name, C.name) for name, got, have
                        in zip(space.carrier, acted.T.rows, space.presheaves)
                        if not all(leq[u][v] for u, v in zip(got, have)))
-    rep.add("members-are-bimodules", not bad,
-            "every enumerated presheaf passes both action laws" if not bad
-            else "failing: %s" % ", ".join(bad[:4]))
+    rep.verdict("members-are-bimodules", bad[:4],
+                "every enumerated presheaf passes both action laws")
 
     for s in skipped:
         rep.skip("capped", s)

@@ -3,11 +3,15 @@
 A report is an ordered list of named checks.  Skips are first-class: an
 enumeration that hits the size cap records what was scanned instead of
 failing, so callers can distinguish "false" from "not checked at this scale".
+Every corpus suite words its rows through `LawReport.verdict` and
+`LawReport.tally`, and runs its capped scans through `decide`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .core import SizeCapError
 
 
 PASS = "pass"
@@ -45,6 +49,18 @@ class LawReport:
         self.checks.append(c)
         return c
 
+    def verdict(self, name: str, bad, held: str) -> Check:
+        """Pass with held when nothing is bad, else fail naming the bad items."""
+        return self.add(name, not bad,
+                        "failing: " + ", ".join(bad) if bad else held)
+
+    def tally(self, name: str, bad, count, held: str, cap: int) -> Check:
+        """`verdict` with count, the number of items counted, put into
+        held's {}; a skip when count is None: the row decided nothing."""
+        if count is None:
+            return self.skip(name, "all towers over the cap %d" % cap)
+        return self.verdict(name, bad, held.format(count))
+
     def merge(self, other: "LawReport", prefix: str = "") -> None:
         for c in other.checks:
             name = prefix + c.name if prefix else c.name
@@ -79,3 +95,25 @@ class LawReport:
 
     def __repr__(self) -> str:
         return "LawReport(%r, ok=%r, %d checks)" % (self.title, self.ok, len(self.checks))
+
+
+def decide(items, law, skipped: list):
+    """Run law over items; returns (failing labels, items counted).
+
+    law(x) returns the failing labels of x, or None when the row does not
+    count x.  For each item a SizeCapError stops, "<name>: <reason>" joins
+    skipped.  The count is None when the cap stopped an item and no item
+    was counted: the row decided nothing.
+    """
+    bad, count, capped = [], 0, False
+    for x in items:
+        try:
+            found = law(x)
+        except SizeCapError as exc:
+            skipped.append("%s: %s" % (x.name, exc))
+            capped = True
+            continue
+        if found is not None:
+            bad.extend(found)
+            count += 1
+    return bad, None if capped and not count else count

@@ -137,6 +137,7 @@ class Workspace:
         self.functors: dict = {}
         self.problems: dict = {}
         self.factorisations: dict = {}  # name -> {part: registered name}
+        self._declared: set = set()   # names of category documents
         self._by_path: dict = {}      # absolute path -> (kind, name)
         self._loading: set = set()
         # what the loads read, in order: (absolute path, bytes) per file;
@@ -175,7 +176,7 @@ class Workspace:
         return out
 
     def add_document(self, doc: dict, base_dir: str, where: str,
-                     fallback: str):
+                     fallback: str, embedded: bool = False):
         kind = _doc_kind(doc)
         name = doc.get("name", fallback)
         if not isinstance(name, str) or not name:
@@ -188,10 +189,19 @@ class Workspace:
                                  % (where, doc["monad"]))
         elif kind == "category":
             q = self._quantale_ref(doc.get("quantale"), base_dir, where)
-            if name in self.categories:
+            C = category_from_doc(doc, q, name, where)
+            # a factorisation embeds copies of its categories: a copy equal
+            # to the category registered under its name (same labels in
+            # order, monad instance and structure) is that category, but
+            # two category documents may not share a name
+            if name in self.categories and (
+                    self.categories[name] != C
+                    or not embedded and name in self._declared):
                 raise InputError("%s: category name %r already in use"
                                  % (where, name))
-            self.categories[name] = category_from_doc(doc, q, name, where)
+            self.categories.setdefault(name, C)
+            if not embedded:
+                self._declared.add(name)
         elif kind == "functor":
             src = self.category(doc.get("source"), base_dir, where)
             dst = self.category(doc.get("target"), base_dir, where)
@@ -216,7 +226,8 @@ class Workspace:
         if not isinstance(doc, dict):
             raise InputError("%s: embedded %s must be an object"
                              % (where, fallback))
-        return self.add_document(doc, base_dir, where, fallback)[1]
+        return self.add_document(doc, base_dir, where, fallback,
+                                 embedded=True)[1]
 
     # -- reference resolution --------------------------------------------
 
@@ -329,11 +340,6 @@ def functor_doc(f: TVFunctor, src_ref, dst_ref,
                     for i, x in enumerate(f.src.carrier)}}
 
 
-def report_rows(rep: LawReport) -> list:
-    return [{"name": c.name, "status": c.status, "detail": c.detail}
-            for c in rep.checks]
-
-
 def factorisation_doc(F, rep: LawReport, f: TVFunctor) -> dict:
     """Self-contained factor output: categories embedded, legs by name.
 
@@ -351,10 +357,9 @@ def factorisation_doc(F, rep: LawReport, f: TVFunctor) -> dict:
            "space": category_doc(F.space.category, qspec, space),
            "L": functor_doc(F.L, src.name, K, "L(%s)" % f.name),
            "R": functor_doc(F.R, K, dst.name, "R(%s)" % f.name),
-           "q": functor_doc(F.q, K, space),
-           "report": report_rows(rep)}
+           "q": functor_doc(F.q, K, space, "q(%s)" % f.name),
+           "report": rep.to_obj()["checks"]}
     if dst is src:
-        # an endofunctor's target is its source: a second copy would be
-        # rejected by the loader as a reused category name
+        # an endofunctor's target is its source, embedded once
         del doc["target"]
     return doc

@@ -99,6 +99,32 @@ def test_factor_output_round_trips_through_check(tmp_path):
         assert "ok factorisation factorisation(%s)" % name in out
 
 
+def test_two_factor_documents_load_together(tmp_path):
+    # both embed pt and all(pt); the equal categories are registered once
+    seed(tmp_path, ("bang.json", BANG_DOC))
+    facts = []
+    for name in ("emb", "bang"):
+        _, out = run_command(["factor", str(tmp_path / (name + ".json"))])
+        doc = json.loads(out)
+        assert doc["q"]["name"] == "q(%s)" % name
+        facts.append(put(tmp_path, "fact_%s.json" % name, doc))
+    code, out = run_command(["check"] + facts)
+    assert code == 0, out
+    assert "ok factorisation factorisation(emb)" in out
+    assert "ok factorisation factorisation(bang)" in out
+    # an embedded copy agrees with a category document in either order
+    pt = str(tmp_path / "pt.json")
+    for argv in ([pt, facts[0]], [facts[0], pt]):
+        code, out = run_command(["check"] + argv)
+        assert code == 0, out
+    # a different category under a used name is still refused
+    path = put(tmp_path, "clash.json",
+               dict(PT_DOC, carrier=["x"], structure=[["x", "x", "1"]]))
+    code, out = run_command(["check", facts[0], path])
+    assert (code, out) == (2, "error: %s: category name 'pt' already in "
+                              "use" % path)
+
+
 def test_classify_left_map(tmp_path):
     seed(tmp_path)
     code, out = run_command(["classify", str(tmp_path / "emb.json")])
@@ -556,7 +582,7 @@ def test_object_commands_take_one_kind_each(tmp_path):
              "category": "two.json", "functor": "emb.json",
              "problem": "prob.json", "factorisation": "fact.json"}
     parts = ("source=pt, target=two, K=K(emb), space=all(pt), L=L(emb), "
-             "R=R(emb), q=q")
+             "R=R(emb), q=q(emb)")
     for command, wanted in _WANTS.items():
         for kind, name in files.items():
             path = str(tmp_path / name)

@@ -121,3 +121,11 @@ def test_every_definition_is_read_outside_the_tests():
     read["name"] |= set(tvcat.__all__)
     found = {name: unread(tree, read) for name, tree in trees.items()}
     assert {name: defs for name, defs in found.items() if defs} == {}
+
+
+def test_the_row_wording_lives_in_report():
+    # the row rule has one owner; a copy elsewhere would drift from it
+    for literal in ("failing: ", "all towers over the cap"):
+        holders = sorted(p.name for p in SRC.glob("*.py")
+                         if literal in p.read_text())
+        assert holders == ["report.py"], literal

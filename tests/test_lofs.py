@@ -18,7 +18,7 @@ from tvcat.lofs import (_pi, _presheaf_rows, _sigma, check_awfs,
                         enumerate_fillers, l_membership, lari,
                         r_membership, solve_lifting, wfs_cross_check)
 
-from tvcat.report import PASS
+from tvcat.report import PASS, SKIP
 
 from builders import (category_from_entries, discrete_category,
                       underlying_order)
@@ -391,6 +391,35 @@ def test_left_class_suite():
     for cls in (ALL, REPR, ADJ):
         rep = check_left_class(cats, SAMPLE_FNS, cls)
         assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("cls", [ALL, REPR, ADJ], ids=lambda c: c.name)
+def test_left_class_rows_that_decide_nothing_are_skips(cls):
+    # at cap 1 every tower over a 2-point category is refused, so no row
+    # that builds towers decides anything
+    cats, fns = seed_corpus(ID, 2)
+    cats = [C for C in cats if len(C.carrier) == 2]
+    reps = [f for f in iso_representatives(fns) if len(f.src.carrier) == 2]
+    MEMO.clear()
+    try:
+        rep = check_left_class(cats, reps, cls, 1)
+    finally:
+        MEMO.clear()
+    rows = {c.name: c for c in rep.checks}
+    towers = ["lari-description", "coalgebra-description", "lari-formula",
+              "yoneda-in-left-class"]
+    if cls is not ALL:
+        towers.append("submonad-coherence")
+    for name in towers:
+        assert (rows[name].status, rows[name].detail) \
+            == (SKIP, "all towers over the cap 1"), name
+    # a scan that builds no tower still decides
+    assert rows["fully-faithful-is-full"].status == PASS
+    assert any(c.name == "capped" for c in rep.checks)
+    # with nothing capped, a row that counts no item passes on 0
+    rows = {c.name: c for c in check_left_class([PT], [COLLAPSE], cls).checks}
+    assert (rows["lari-formula"].status, rows["lari-formula"].detail) == (
+        PASS, "mult . P(q) . P(s) is the LARI section on 0 left maps")
 
 
 def test_subspace_fullness():
