@@ -1,12 +1,13 @@
 """The row rule of `LawReport`: verdict, tally and the capped-item loop."""
 
+from types import SimpleNamespace
+
 from tvcat.core import SizeCapError
 from tvcat.report import FAIL, PASS, SKIP, LawReport, decide
 
 
-class Item:
-    def __init__(self, name):
-        self.name = name
+def item(name):
+    return SimpleNamespace(name=name)
 
 
 def row(check):
@@ -50,10 +51,10 @@ def test_decide_counts_decided_items_and_records_capped_ones():
         return [x.name + " fails"] if x.name == "bad" else []
 
     skipped = ["earlier"]
-    items = [Item(n) for n in ("ok", "big", "out", "bad")]
+    items = [item(n) for n in ("ok", "big", "out", "bad")]
     assert decide(items, law, skipped) == (["bad fails"], 2)
     assert skipped == ["earlier", "big: over the cap"]
     # the row decided nothing only when the cap stopped an item
-    assert decide([Item("out"), Item("big")], law, []) == ([], None)
-    assert decide([Item("out")], law, []) == ([], 0)
+    assert decide([item("out"), item("big")], law, []) == ([], None)
+    assert decide([item("out")], law, []) == ([], 0)
     assert decide([], law, []) == ([], 0)
