@@ -17,6 +17,8 @@ the one Yoneda extension of `presheaf.mult_P`, which also gives P(f).
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
 from .category import (TVCategory, TVFunctor, _structure_maps,
@@ -198,48 +200,32 @@ def _fibres(g: TVFunctor, over) -> list:
 
 def r_membership(g: TVFunctor, cls=None,
                  max_space: int = DEFAULT_MAX_SPACE):
-    """Least algebra structure p: K(g) -> Z, or None.
+    """The algebra structure p: K(g) -> Z of g, or None when g is not in R.
 
-    The candidates are the functors K(g) -> Z that send each unit pair
-    L(g) z to z and lie over the right leg; the least one must also
-    satisfy the lax-idempotent algebra inequality id <= L(g) . p.
+    The monad is lax idempotent, so an algebra is a left adjoint retraction
+    of the unit L(g) (Kock 1995), fixed pointwise by Z(p k, z) = K(g)(k,
+    L(g) z): row k of K(g) read at the unit columns is the row of p k in Z.
+    Z is separated, so that row names one point; g is in R when every row
+    is found and p k lies over R(g) k.
     """
     cls = cls or saturated_class("all")
     return memoised(("alg", g, cls.name, max_space),
-                    lambda: _least_algebra(g, cls, max_space))
+                    lambda: _algebra(comma_factorise(g, cls, max_space)))
 
 
-def _least_algebra(g: TVFunctor, cls, max_space: int):
-    F = comma_factorise(g, cls, max_space)
-    K, Z = F.K, g.src
-    pinned = {F.L.fn.table[z]: z for z in range(len(Z.carrier))}
-    solutions = _structure_maps(K, Z, "algebra search for %s" % g.name,
-                                pinned, _fibres(g, F.R.fn.table))
-    if not solutions:
-        return None
-    cands = [TVFunctor(K, Z, Fn(K.carrier, Z.carrier, t), "alg(%s)" % g.name)
-             for t in solutions]
-    least = None
-    for c in cands:
-        if all(functor_leq(c, other) for other in cands):
-            least = c
-            break
-    if least is None:
-        raise EngineError("algebra candidates for %s have no least element"
-                          % g.name)
-    if not is_functor(K, Z, least.fn):
-        raise EngineError("algebra search for %s produced a non-functor"
-                          % g.name)
-    ident = identity_functor(K)
-    adjoint = {c.fn.table for c in cands if functor_leq(ident, F.L @ c)}
-    if len(adjoint) > 1:
-        raise EngineError("%s has %d distinct adjoint retractions; algebra "
-                          "structure should be unique" % (g.name,
-                                                          len(adjoint)))
-    if least.fn.table not in adjoint:
-        raise EngineError("least algebra of %s fails the lax-idempotent "
-                          "inequality" % g.name)
-    return least
+def _algebra(F: Factorisation):
+    g, K, Z, units = F.f, F.K, F.f.src, F.L.fn.table
+    points = {row: z for z, row in enumerate(Z.structure.rows)}
+    table = []
+    for row, (_, y) in zip(K.structure.rows, F.pairs):
+        z = points.get(bytes(map(row.__getitem__, units)))
+        if z is None or g.fn.table[z] != y:
+            return None
+        table.append(z)
+    fn = Fn(K.carrier, Z.carrier, table)
+    if not is_functor(K, Z, fn):
+        raise EngineError("algebra of %s is not a functor" % g.name)
+    return TVFunctor(K, Z, fn, "alg(%s)" % g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +674,31 @@ def _adjoint_section(f: TVFunctor):
     return None
 
 
+def _least_retraction(g: TVFunctor, cls, max_space: int):
+    """The table of the least functor K(g) -> Z over R(g) fixing the units,
+    found by exhaustive search; None when there is no least one."""
+    F = comma_factorise(g, cls, max_space)
+    K, Z = F.K, g.src
+    pinned = {F.L.fn.table[z]: z for z in range(len(Z.carrier))}
+    cands = [_functor(K, Z, t) for t in _structure_maps(
+        K, Z, "algebra search for %s" % g.name, pinned,
+        _fibres(g, F.R.fn.table))]
+    return next((c.fn.table for c in cands
+                 if all(functor_leq(c, d) for d in cands)), None)
+
+
+def _complete_lattice(C: TVCategory) -> bool:
+    """Every subset of C has a join in the underlying order of C."""
+    q, n = C.q, len(C.carrier)
+    leq = [[q.leq_m[q.unit][v] for v in row] for row in C.structure.rows]
+    for subset in range(1 << n):
+        ups = [u for u in range(n)
+               if all(leq[s][u] for s in range(n) if subset >> s & 1)]
+        if not any(all(leq[u][w] for w in ups) for u in ups):
+            return False
+    return True
+
+
 # The lifting scan of `wfs_cross_check` stops after this many problems and
 # says so in its row.
 LIFTING_PROBLEM_CAP = 20000
@@ -695,12 +706,15 @@ LIFTING_PROBLEM_CAP = 20000
 
 def wfs_cross_check(cats, fns, cls=None,
                     max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
-    """Compare the lax system against independent descriptions of L.
+    """Compare the lax system against independent descriptions of L and R.
 
     For the unrestricted class the left class must be the fully faithful
     maps (the order embeddings when V = 2); for the representable class it
-    must be the maps with an adjoint section; any other class is compared against representable.
-    In every case canonical fillers must be least diagonal fillers.
+    must be the maps with an adjoint section; any other class is compared
+    against representable.  `right-class-is-cocomplete` holds each algebra
+    against the least retraction of the unit over R(g), found by search,
+    and counts the objects Z with Z -> 1 in R (at V = 2 and for all
+    weights, the complete lattices).  Canonical fillers must be least.
     """
     cls = cls or saturated_class("all")
     rep = LawReport("classical cross-check: %s" % cls.name)
@@ -723,51 +737,50 @@ def wfs_cross_check(cats, fns, cls=None,
                      != l_membership(f, ref, max_space)],
                     "same membership on %d maps" % len(fns))
 
-    lmaps, rmaps = [], []
-    for f in fns:
-        if l_membership(f, cls, max_space):
-            lmaps.append(f)
-        if r_membership(f, cls, max_space) is not None:
-            rmaps.append(f)
+    bad, objects, complete = [], 0, 0
+    for g in fns:
+        p = r_membership(g, cls, max_space)
+        if (p and p.fn.table) != _least_retraction(g, cls, max_space):
+            bad.append(g.name)
+        q = g.src.q
+        if g.dst.structure.rows == (bytes([q.top]),):
+            # g is Z -> 1: Z is complete when g is in R; for all weights at
+            # V = 2, exactly when Z is a complete lattice
+            objects += 1
+            complete += p is not None
+            if cls.name == "all" and q.n == 2 and q.unit == q.top \
+                    and (p is not None) != _complete_lattice(g.src):
+                bad.append(g.name)
+    rep.verdict("right-class-is-cocomplete", bad,
+                "algebra = least retraction of the unit on %d maps, %d of %d "
+                "objects complete" % (len(fns), complete, objects))
 
-    bad = []
-    problems = 0
-    capped = False
-    for f in lmaps:
-        for g in rmaps:
-            for u, v in _commuting_squares(f, g):
-                problems += 1
-                if problems > LIFTING_PROBLEM_CAP:
-                    capped = True
-                    break
-                fillers = enumerate_fillers(f, g, u, v)
-                if not fillers:
-                    bad.append("no filler for %s vs %s" % (f.name, g.name))
-                    continue
-                d = solve_lifting(f, g, u, v, cls, max_space)
-                if not all(functor_leq(d, e) for e in fillers):
-                    bad.append("filler for %s vs %s is not least"
-                               % (f.name, g.name))
-            if capped:
-                break
-        if capped:
-            break
+    lmaps = [f for f in fns if l_membership(f, cls, max_space)]
+    rmaps = [f for f in fns if r_membership(f, cls, max_space) is not None]
+    squares = ((f, g, u, v) for f in lmaps for g in rmaps
+               for u, v in _commuting_squares(f, g))
+    bad, problems = [], 0
+    for f, g, u, v in islice(squares, LIFTING_PROBLEM_CAP):
+        problems += 1
+        fillers = enumerate_fillers(f, g, u, v)
+        if not fillers:
+            bad.append("no filler for %s vs %s" % (f.name, g.name))
+            continue
+        d = solve_lifting(f, g, u, v, cls, max_space)
+        if not all(functor_leq(d, e) for e in fillers):
+            bad.append("filler for %s vs %s is not least" % (f.name, g.name))
+    capped = next(squares, None) is not None
     # each failure is a phrase, so they are joined with "; "
     rep.verdict("liftings-exist-and-are-least",
                 ["; ".join(bad[:3])] if bad else [],
                 "%d lifting problems solved, canonical filler least each time"
                 "%s" % (problems, " (scan capped)" if capped else ""))
 
-    bad = []
-    scanned = 0
-    for f in fns:
-        if l_membership(f, cls, max_space):
-            continue
-        scanned += 1
-        if not any(not enumerate_fillers(f, g, u, v)
-                   for g in rmaps for u, v in _commuting_squares(f, g)):
-            bad.append(f.name)
+    others = [f for f in fns if not l_membership(f, cls, max_space)]
+    bad = [f.name for f in others
+           if all(enumerate_fillers(f, g, u, v)
+                  for g in rmaps for u, v in _commuting_squares(f, g))]
     rep.add("no-spurious-lifters", not bad,
-            "all %d non-members fail some lifting at this scale" % scanned
+            "all %d non-members fail some lifting at this scale" % len(others)
             if not bad else "unexpected lifter: %s" % ", ".join(bad))
     return rep

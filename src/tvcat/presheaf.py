@@ -487,29 +487,33 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     """
     rep = LawReport("presheaf monad: %s" % cls.name)
     skipped = []
-    spaces = [presheaf_space(C, cls, max_space) for C in cats]
-    small = [(C, space) for C, space in zip(cats, spaces)
-             if len(space) <= SPACE_LAW_BOUND]
-    rep.verdict("space-laws",
-                [C.name for C, space in small
-                 if not check_category(space.category).ok
-                 or not is_separated(space.category)],
-                "spaces are separated categories (carriers up to %d)"
-                % SPACE_LAW_BOUND)
-    rep.verdict("pointwise-order",
-                [C.name for C, space in small
-                 if not _pointwise_order_matches(space)],
-                "space order = pointwise order of the data (carriers up to %d)"
-                % SPACE_LAW_BOUND)
-    ys = [yoneda(C, cls, max_space) for C in cats]
-    rep.verdict("yoneda-functor",
-                [y.src.name for y in ys
-                 if not check_functor(y).ok or not is_fully_faithful(y)],
-                "yoneda is a fully faithful functor on every corpus object")
-    rep.verdict("yoneda-lemma",
-                [C.name for C in cats
-                 if not yoneda_lemma_check(C, cls, max_space).ok],
-                "evaluation identity on every corpus object")
+
+    def small_space(holds):
+        """`holds` on the space of C; None past SPACE_LAW_BOUND presheaves."""
+        def law(C):
+            space = presheaf_space(C, cls, max_space)
+            if len(space) <= SPACE_LAW_BOUND:
+                return [] if holds(space) else [C.name]
+        return law
+    rep.tally("space-laws", *decide(cats, small_space(
+        lambda s: check_category(s.category).ok and is_separated(s.category)),
+        skipped), "spaces are separated categories (carriers up to %d)"
+        % SPACE_LAW_BOUND, max_space)
+    rep.tally("pointwise-order",
+              *decide(cats, small_space(_pointwise_order_matches), skipped),
+              "space order = pointwise order of the data (carriers up to %d)"
+              % SPACE_LAW_BOUND, max_space)
+
+    def yoneda_functor(C):
+        y = yoneda(C, cls, max_space)
+        return [] if check_functor(y).ok and is_fully_faithful(y) else [C.name]
+    rep.tally("yoneda-functor", *decide(cats, yoneda_functor, skipped),
+              "yoneda is a fully faithful functor on every corpus object",
+              max_space)
+    rep.tally("yoneda-lemma", *decide(
+        cats, lambda C: [] if yoneda_lemma_check(C, cls, max_space).ok
+        else [C.name], skipped),
+        "evaluation identity on every corpus object", max_space)
 
     def unit_laws(C):
         mu = space_mult(C, cls, max_space).fn
@@ -530,12 +534,12 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     rep.tally("associativity", *decide(cats, associativity, skipped),
               "mult . P(mult) = mult . mult_PX on {} objects", max_space)
 
-    rep.verdict("unit-naturality",
-                [f.name for f in fns
-                 if apply_P(f, cls, max_space).fn
-                 @ yoneda(f.src, cls, max_space).fn
-                 != yoneda(f.dst, cls, max_space).fn @ f.fn],
-                "P(f) . y = y . f for %d functors" % len(fns))
+    def unit_naturality(f):
+        lhs = apply_P(f, cls, max_space).fn @ yoneda(f.src, cls, max_space).fn
+        return [] if lhs == yoneda(f.dst, cls, max_space).fn @ f.fn \
+            else [f.name]
+    rep.tally("unit-naturality", *decide(fns, unit_naturality, skipped),
+              "P(f) . y = y . f for {} functors", max_space)
 
     def mult_naturality(f):
         pf = apply_P(f, cls, max_space)
@@ -564,17 +568,18 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     # the right action a(i, j) (x) phi(j) <= phi(i) for every presheaf phi
     # at once, as one relation X -/-> PX; the left action over E is the
     # unit law and always holds
-    bad = []
-    for C, space in zip(cats, spaces):
+    def bimodule_members(C):
+        space = presheaf_space(C, cls, max_space)
         lines = space.values.T
         acted = lines @ C.structure
-        if not acted <= lines:
-            leq = C.q.leq_m
-            bad.extend("%s at %s" % (name, C.name) for name, got, have
-                       in zip(space.carrier, acted.T.rows, space.presheaves)
-                       if not all(leq[u][v] for u, v in zip(got, have)))
-    rep.verdict("members-are-bimodules", bad[:4],
-                "every enumerated presheaf passes both action laws")
+        if acted <= lines:
+            return []
+        return ["%s at %s" % (name, C.name) for name, got, have
+                in zip(space.carrier, acted.T.rows, space.presheaves)
+                if not all(C.q.leq_m[u][v] for u, v in zip(got, have))]
+    bad, count = decide(cats, bimodule_members, skipped)
+    rep.tally("members-are-bimodules", bad[:4], count,
+              "every enumerated presheaf passes both action laws", max_space)
 
     for s in skipped:
         rep.skip("capped", s)

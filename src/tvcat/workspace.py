@@ -49,7 +49,10 @@ def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
     M = instantiate_monad(kind, q)
     X = FinSet(carrier)
     default = doc.get("default", "bot")
-    base = q.bottom if default == "bot" else q.index_of(default)
+    try:
+        base = q.bottom if default == "bot" else q.index_of(default)
+    except InputError:
+        raise InputError("%s: default uses unknown value %r" % (where, default))
     rows = [[base] * len(carrier) for _ in carrier]
     pos = {x: i for i, x in enumerate(carrier)}
     for entry in doc.get("structure", []):

@@ -4,7 +4,8 @@ from tvcat import lofs
 from tvcat.core import (DEFAULT_MAX_SPACE, EngineError, Fn, InputError,
                         SizeCapError, ValidationError)
 from tvcat.corpus import iso_representatives, seed_corpus
-from tvcat.quantale import boolean_quantale, lukasiewicz_chain, truncated_chain
+from tvcat.quantale import (boolean_quantale, lukasiewicz_chain,
+                            powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat.category import (MEMO, TVFunctor, check_category, functor_leq,
                             identity_functor, is_fully_faithful, is_functor,
@@ -18,7 +19,7 @@ from tvcat.lofs import (_pi, _presheaf_rows, _sigma, check_awfs,
                         enumerate_fillers, l_membership, lari,
                         r_membership, solve_lifting, wfs_cross_check)
 
-from tvcat.report import PASS, SKIP
+from tvcat.report import FAIL, PASS, SKIP
 
 from builders import (category_from_entries, discrete_category,
                       underlying_order)
@@ -237,6 +238,102 @@ def test_r_membership_frozen():
     assert r_membership(BANG_A) is None
     assert r_membership(identity_functor(THREE)) is not None
     assert r_membership(TOP) is None
+
+
+def identity_reps(q, size):
+    cats, fns = seed_corpus(instantiate_monad("identity", q), size)
+    return cats, iso_representatives(fns)
+
+
+def test_free_algebra_is_the_tower_multiplication():
+    # R(f) is a free algebra, so its algebra is pi.  K(R f) has 1075 points
+    # at c3_00>c3_07#26: a search that recurses once per point overflows
+    # the interpreter's stack there
+    built, largest = [], None
+    for q, size, cap in ((BOOL, 3, DEFAULT_MAX_SPACE),
+                         (truncated_chain(2), 2, 512)):
+        _, reps = identity_reps(q, size)
+        for cls in (ALL, REPR):
+            legs = 0
+            for f in reps:
+                F = comma_factorise(f, cls, cap)
+                try:
+                    FR = comma_factorise(F.R, cls, cap)
+                except SizeCapError:
+                    continue
+                assert r_membership(F.R, cls, cap).fn == _pi(F, FR).fn, f.name
+                legs += 1
+                if f.name == "c3_00>c3_07#26" and cls is ALL:
+                    largest = len(FR.K.carrier)
+            built.append(legs)
+            MEMO.clear()
+    assert built == [264, 265, 64, 216]
+    assert largest == 1075
+
+
+def algebra_without_fibre_test(F):
+    K, Z = F.K, F.f.src
+    points = {row: z for z, row in enumerate(Z.structure.rows)}
+    table = [points.get(bytes(map(row.__getitem__, F.L.fn.table)))
+             for row in K.structure.rows]
+    if None in table:
+        return None
+    return TVFunctor(K, Z, Fn(K.carrier, Z.carrier, table), "alg")
+
+
+def algebra_from_presheaf_homs(F):
+    # hom(phi, y z) alone, without the meet with Y(y, g z)
+    K, Z = F.K, F.f.src
+    points = {row: z for z, row in enumerate(Z.structure.rows)}
+    units = [F.q.fn.table[u] for u in F.L.fn.table]
+    homs = F.space.category.structure.rows
+    table = []
+    for ip, y in F.pairs:
+        z = points.get(bytes(map(homs[ip].__getitem__, units)))
+        if z is None or F.f.fn.table[z] != y:
+            return None
+        table.append(z)
+    return TVFunctor(K, Z, Fn(K.carrier, Z.carrier, table), "alg")
+
+
+def right_class_row(cats, fns, cls=ALL):
+    MEMO.clear()
+    rep = wfs_cross_check(cats, fns, cls)
+    MEMO.clear()
+    return {c.name: c for c in rep.checks}["right-class-is-cocomplete"]
+
+
+@pytest.mark.parametrize("mutant, q, size, wrong", [
+    (algebra_without_fibre_test, BOOL, 3, 21),
+    (algebra_without_fibre_test, truncated_chain(2), 2, 6),
+    (algebra_from_presheaf_homs, BOOL, 3, 10),
+    (algebra_from_presheaf_homs, truncated_chain(2), 2, 9)])
+def test_the_search_catches_a_wrong_algebra(monkeypatch, mutant, q, size,
+                                            wrong):
+    cats, reps = identity_reps(q, size)
+    monkeypatch.setattr(lofs, "_algebra", mutant)
+    row = right_class_row(cats, reps)
+    assert row.status == FAIL
+    assert len(row.detail.split(", ")) == wrong
+
+
+@pytest.mark.parametrize("q, size, cls, detail", [
+    (BOOL, 3, ALL, "265 maps, 3 of 9 objects complete"),
+    (powerset_frame(2), 2, ADJ, "206 maps, 6 of 11 objects complete")])
+def test_complete_objects(q, size, cls, detail):
+    cats, reps = identity_reps(q, size)
+    row = right_class_row(cats, reps, cls)
+    assert (row.status, row.detail) == (
+        PASS, "algebra = least retraction of the unit on " + detail)
+
+
+def test_the_complete_lattices_on_three_points_are_the_chains():
+    # the empty poset has no bottom; the other posets lack a top or a join
+    _, reps = identity_reps(BOOL, 3)
+    objects = [f.src for f in reps if len(f.dst.carrier) == 1]
+    assert len(objects) == 9
+    assert [Z.name for Z in objects if lofs._complete_lattice(Z)] \
+        == ["c1_00", "c2_01", "c3_07"]
 
 
 def test_solve_lifting_canonical_and_least():

@@ -449,6 +449,31 @@ def test_contains_is_the_bimodule_test_plus_admits():
     assert bimodules > 50
 
 
+@pytest.mark.parametrize("q, caps", [(BOOL, (1, 2, 3)),
+                                     (truncated_chain(2), (3, 9))],
+                         ids=["boolean", "truncated_chain(2)"])
+def test_presheaf_monad_turns_every_cap_into_a_row(q, caps):
+    # at these caps some space of the first rows is over the cap: each
+    # object or functor it stops is a trailing capped row
+    cats, fns = seed_corpus(instantiate_monad("identity", q), 2)
+    reps = iso_representatives(fns)
+    for cls in (ALL, REPR, ADJ):
+        for cap in caps:
+            rep = check_presheaf_monad(cls, cats, reps, cap)
+            MEMO.clear()
+            names = [c.name for c in rep.checks]
+            first = names.index("capped")
+            assert names[first:] == ["capped"] * (len(names) - first)
+            assert names[:first] == [
+                "space-laws", "pointwise-order", "yoneda-functor",
+                "yoneda-lemma", "unit-laws", "associativity",
+                "unit-naturality", "mult-naturality", "lax-idempotency",
+                "members-are-bimodules"]
+            assert all("exceeds the cap of %d " % cap in c.detail
+                       for c in rep.checks[first:])
+            assert rep.ok, rep.to_text()
+
+
 def test_adjoint_residual_check_counts_every_small_bimodule():
     cats, _ = seed_corpus(ID, 2)
     rep = check_adjoint_residual(cats)

@@ -1,11 +1,11 @@
 """The forward-checking search for structure-preserving maps.
 
-`_structure_maps` serves the algebra and filler searches and the functor
-scans.  It is compared here with a brute-force scan of every table,
-kept in this file, filtered by pins, fibres and the pairwise inequality,
-on four quantales, carriers of 0 to 4 points, empty fibres, tables that
-are not reflexive and targets that are not separated (there several candidates can be least, so the
-table order decides which one `r_membership` keeps).
+`_structure_maps` serves the filler search, the functor scans and the
+algebra search that `wfs_cross_check` holds `r_membership` against.  It
+is compared here with a brute-force scan of every table, kept in this
+file, filtered by pins, fibres and the pairwise inequality, on four
+quantales, carriers of 0 to 4 points, empty fibres, tables that are not
+reflexive and targets that are not separated.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from tvcat.monad import instantiate_monad
 from tvcat.category import (TVCategory, TVFunctor, _structure_maps,
                             identity_functor, is_functor)
 from tvcat.corpus import seed_categories, seed_functors
-from tvcat.lofs import enumerate_fillers, r_membership
+from tvcat.lofs import enumerate_fillers, wfs_cross_check
 
 from builders import category_from_entries, discrete_category
 
@@ -152,7 +152,7 @@ def test_node_budget_still_caps_every_search(monkeypatch):
     category.MEMO.clear()
     with pytest.raises(SizeCapError,
                        match="^algebra search for bang ran out of budget$"):
-        r_membership(BANG)
+        wfs_cross_check([PT, TWO], [BANG])
     u = TVFunctor(PT, TWO, Fn(PT.carrier, TWO.carrier, (1,)), "u")
     with pytest.raises(SizeCapError,
                        match="^filler search for top vs bang ran out"):

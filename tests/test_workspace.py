@@ -66,6 +66,13 @@ def test_unknown_value_names_the_entry(tmp_path):
         Workspace().load_file(str(tmp_path / "bad.json"))
 
 
+def test_unknown_default_names_the_file(tmp_path):
+    seed(tmp_path, ("bad.json", dict(TWO_DOC, default="top")))
+    with pytest.raises(InputError, match=r"bad\.json: default uses unknown "
+                       r"value 'top'"):
+        Workspace().load_file(str(tmp_path / "bad.json"))
+
+
 def test_non_transitive_structure_is_a_validation_failure(tmp_path):
     # 0 <= 1 and 1 <= p but not 0 <= p
     doc = {"name": "wonky", "quantale": "bool.json",
