@@ -481,7 +481,7 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
                          max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Monad and KZ laws for the class over a corpus.
 
-    Towers over the cap are reported as skips with the offending bound;
+    Each object or functor a size cap stops is a trailing capped row;
     the category laws and the pointwise order of a space are checked up to
     SPACE_LAW_BOUND presheaves, since the first is cubic in the carrier.
     """
