@@ -263,35 +263,41 @@ def _structure_maps(src: TVCategory, dst: TVCategory, what: str,
         if not start:
             return []
         domains.append(start)
-    found = []
+    # no recursion, so deep sources fit: one frame per branching position
+    # on the path, [domains, position, free after it, points left to try]
+    found, frames, nodes = [], [], 0
     choice = [0] * len(a)
-    nodes = 0
-
-    def extend(domains, free):
-        nonlocal nodes
-        if not free:
+    free = list(range(len(a)))
+    while True:
+        if free:
+            nodes += 1
+            if nodes > SEARCH_NODE_BUDGET:
+                raise SizeCapError("%s ran out of budget" % what)
+            p = min(free, key=lambda k: domains[k].bit_count())
+            frames.append([domains, p, [k for k in free if k != p],
+                           domains[p]])
+        else:
             found.append(tuple(choice))
-            return
-        nodes += 1
-        if nodes > SEARCH_NODE_BUDGET:
-            raise SizeCapError("%s ran out of budget" % what)
-        p = min(free, key=lambda k: domains[k].bit_count())
-        rest = [k for k in free if k != p]
-        row = a[p]
-        left = domains[p]
-        while left:
+        # the deepest frame's next point whose cut leaves no position empty
+        while frames:
+            parent, p, rest, left = frame = frames[-1]
+            if not left:
+                frames.pop()
+                continue
             low = left & -left
-            left ^= low
+            frame[3] = left ^ low
             w = choice[p] = low.bit_length() - 1
-            cut = domains[:]
+            row = a[p]
+            domains = parent[:]
             for k in rest:
-                cut[k] &= after[row[k]][w] & before[a[k][p]][w]
-                if not cut[k]:
+                domains[k] &= after[row[k]][w] & before[a[k][p]][w]
+                if not domains[k]:
                     break
             else:
-                extend(cut, rest)
-
-    extend(domains, list(range(len(a))))
+                free = rest
+                break
+        else:
+            break
     found.sort()
     return found
 

@@ -434,35 +434,21 @@ def check_simplicity(f: TVFunctor, cls=None,
     return rep
 
 
-def _corpus_tally(fns, laws, title, run):
-    """Aggregate per-morphism reports into one row per law."""
-    rep = LawReport(title)
+def _corpus_tally(fns, laws, title, run, max_space: int):
+    """One `decide` row per law over the morphisms' reports from run."""
+    rep, skipped = LawReport(title), []
     order = sorted(fns, key=lambda f: (f.name, f.src.name, f.dst.name,
                                        f.fn.table))
-    passed = {name: 0 for name in laws}
-    failures = {name: [] for name in laws}
-    skips = {name: [] for name in laws}
-    for f in order:
-        for c in run(f).checks:
-            if c.status == FAIL:
-                failures[c.name].append("%s: %s" % (f.name, c.detail))
-            elif c.status == SKIP:
-                skips[c.name].append("%s: %s" % (f.name, c.detail))
-            else:
-                passed[c.name] += 1
+    reports = {f: {c.name: c for c in run(f).checks} for f in order}
     for name in laws:
-        if failures[name]:
-            rep.add(name, False, "; ".join(failures[name][:3]))
-        elif passed[name] == 0 and skips[name]:
-            rep.skip(name, "capped on all %d morphisms (%s)"
-                     % (len(skips[name]), skips[name][0]))
-        else:
-            detail = "held on %d morphisms" % passed[name]
-            if skips[name]:
-                detail += ", %d capped (%s)" % (len(skips[name]),
-                                                skips[name][0])
-            rep.add(name, True, detail)
-    return rep
+        def law(f):
+            c = reports[f][name]
+            if c.status == SKIP:
+                raise SizeCapError("%s: %s" % (name, c.detail))
+            return ["%s: %s" % (f.name, c.detail)] if c.status == FAIL else []
+        bad, count = decide(order, law, skipped)
+        rep.tally(name, bad[:3], count, "held on {} morphisms", max_space)
+    return rep.capped(skipped)
 
 
 def check_awfs_corpus(fns, cls=None,
@@ -471,7 +457,7 @@ def check_awfs_corpus(fns, cls=None,
     cls = cls or saturated_class("all")
     return _corpus_tally(fns, AWFS_LAWS,
                          "awfs over %d morphisms: %s" % (len(fns), cls.name),
-                         lambda f: check_awfs(f, cls, max_space))
+                         lambda f: check_awfs(f, cls, max_space), max_space)
 
 
 def check_simplicity_corpus(fns, cls=None,
@@ -481,7 +467,7 @@ def check_simplicity_corpus(fns, cls=None,
     return _corpus_tally(
         fns, SIMPLICITY_LAWS,
         "simplicity over %d morphisms: %s" % (len(fns), cls.name),
-        lambda f: check_simplicity(f, cls, max_space))
+        lambda f: check_simplicity(f, cls, max_space), max_space)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +590,7 @@ def check_left_class(cats, fns, cls=None,
                                                             v.name))
     rep.verdict("fully-faithful-is-full", bad[:3],
                 "order reflection on %d parallel pairs" % pairs)
-
-    for s in skipped:
-        rep.skip("capped", s)
-    return rep
+    return rep.capped(skipped)
 
 
 def check_subspace_fullness(cats, cls,
@@ -615,21 +598,20 @@ def check_subspace_fullness(cats, cls,
     """Class spaces are full subcategories of the unrestricted space."""
     rep = LawReport("subspace fullness: %s" % cls.name)
     full_cls = saturated_class("all")
-    bad = None
-    for C in cats:
+    skipped = []
+
+    def full_inclusion(C):
         sub = presheaf_space(C, cls, max_space)
         amb = presheaf_space(C, full_cls, max_space)
         at = [amb.index[p] for p in sub.presheaves]
         names = sub.carrier.elements
-        for i, ii in enumerate(at):
-            for j, jj in enumerate(at):
-                if sub.category.structure.rows[i][j] \
-                        != amb.category.structure.rows[ii][jj]:
-                    bad = "%s at (%s, %s)" % (C.name, names[i], names[j])
-    rep.add("full-inclusion", bad is None,
-            "inclusion into the full space preserves all homs"
-            if bad is None else bad)
-    return rep
+        return ["%s at (%s, %s)" % (C.name, names[i], names[j])
+                for i, ii in enumerate(at) for j, jj in enumerate(at)
+                if sub.category.structure.rows[i][j]
+                != amb.category.structure.rows[ii][jj]][:1]
+    rep.tally("full-inclusion", *decide(cats, full_inclusion, skipped),
+              "inclusion into the full space preserves all homs", max_space)
+    return rep.capped(skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -715,33 +697,34 @@ def wfs_cross_check(cats, fns, cls=None,
     against the least retraction of the unit over R(g), found by search,
     and counts the objects Z with Z -> 1 in R (at V = 2 and for all
     weights, the complete lattices).  Canonical fillers must be least.
+    Each row decides per map; a map a size cap stops is a capped row.
     """
     cls = cls or saturated_class("all")
     rep = LawReport("classical cross-check: %s" % cls.name)
+    skipped = []
+    # the left class against its classical description
+    ref = saturated_class("representable")
+    name, reference, held = {
+        "all": ("left-class-is-embeddings", is_fully_faithful,
+                "left class = order-embeddings on {} maps"),
+        "representable": ("left-class-is-laris",
+                          lambda f: _adjoint_section(f) is not None,
+                          "left class = maps with an adjoint section, "
+                          "{} maps"),
+    }.get(cls.name, ("left-class-matches-representable",
+                     lambda f: l_membership(f, ref, max_space),
+                     "same membership on {} maps"))
+    rep.tally(name, *decide(fns, lambda f: [f.name] if l_membership(
+        f, cls, max_space) != reference(f) else [], skipped), held, max_space)
 
-    if cls.name == "all":
-        rep.verdict("left-class-is-embeddings",
-                    [f.name for f in fns if l_membership(f, cls, max_space)
-                     != is_fully_faithful(f)],
-                    "left class = order-embeddings on %d maps" % len(fns))
-    elif cls.name == "representable":
-        rep.verdict("left-class-is-laris",
-                    [f.name for f in fns if l_membership(f, cls, max_space)
-                     != (_adjoint_section(f) is not None)],
-                    "left class = maps with an adjoint section, %d maps"
-                    % len(fns))
-    else:
-        ref = saturated_class("representable")
-        rep.verdict("left-class-matches-representable",
-                    [f.name for f in fns if l_membership(f, cls, max_space)
-                     != l_membership(f, ref, max_space)],
-                    "same membership on %d maps" % len(fns))
+    algebras = {}
+    objects = complete = 0
 
-    bad, objects, complete = [], 0, 0
-    for g in fns:
-        p = r_membership(g, cls, max_space)
-        if (p and p.fn.table) != _least_retraction(g, cls, max_space):
-            bad.append(g.name)
+    def right_class(g):
+        nonlocal objects, complete
+        p = algebras[g] = r_membership(g, cls, max_space)
+        bad = [g.name] if (p and p.fn.table) \
+            != _least_retraction(g, cls, max_space) else []
         q = g.src.q
         if g.dst.structure.rows == (bytes([q.top]),):
             # g is Z -> 1: Z is complete when g is in R; for all weights at
@@ -751,36 +734,54 @@ def wfs_cross_check(cats, fns, cls=None,
             if cls.name == "all" and q.n == 2 and q.unit == q.top \
                     and (p is not None) != _complete_lattice(g.src):
                 bad.append(g.name)
-    rep.verdict("right-class-is-cocomplete", bad,
-                "algebra = least retraction of the unit on %d maps, %d of %d "
-                "objects complete" % (len(fns), complete, objects))
+        return bad
+    bad, count = decide(fns, right_class, skipped)
+    rep.tally("right-class-is-cocomplete", bad, count,
+              "algebra = least retraction of the unit on {} maps, %d of %d "
+              "objects complete" % (complete, objects), max_space)
 
-    lmaps = [f for f in fns if l_membership(f, cls, max_space)]
-    rmaps = [f for f in fns if r_membership(f, cls, max_space) is not None]
-    squares = ((f, g, u, v) for f in lmaps for g in rmaps
-               for u, v in _commuting_squares(f, g))
-    bad, problems = [], 0
-    for f, g, u, v in islice(squares, LIFTING_PROBLEM_CAP):
-        problems += 1
-        fillers = enumerate_fillers(f, g, u, v)
-        if not fillers:
-            bad.append("no filler for %s vs %s" % (f.name, g.name))
-            continue
-        d = solve_lifting(f, g, u, v, cls, max_space)
-        if not all(functor_leq(d, e) for e in fillers):
-            bad.append("filler for %s vs %s is not least" % (f.name, g.name))
-    capped = next(squares, None) is not None
+    # the maps whose right membership was decided, and how many were not
+    rmaps = [g for g, p in algebras.items() if p is not None]
+    undecided = sum(g not in algebras for g in fns)
+    problems, capped = 0, False
+
+    def liftings(f):
+        nonlocal problems, capped
+        if not l_membership(f, cls, max_space):
+            return None
+        squares = ((g, u, v) for g in rmaps
+                   for u, v in _commuting_squares(f, g))
+        bad = []
+        for g, u, v in islice(squares, LIFTING_PROBLEM_CAP - problems):
+            problems += 1
+            fillers = enumerate_fillers(f, g, u, v)
+            if not fillers:
+                bad.append("no filler for %s vs %s" % (f.name, g.name))
+                continue
+            d = solve_lifting(f, g, u, v, cls, max_space)
+            if not all(functor_leq(d, e) for e in fillers):
+                bad.append("filler for %s vs %s is not least"
+                           % (f.name, g.name))
+        capped = capped or next(squares, None) is not None
+        return bad
+    bad, count = decide(fns, liftings, skipped)
     # each failure is a phrase, so they are joined with "; "
-    rep.verdict("liftings-exist-and-are-least",
-                ["; ".join(bad[:3])] if bad else [],
-                "%d lifting problems solved, canonical filler least each time"
-                "%s" % (problems, " (scan capped)" if capped else ""))
+    rep.tally("liftings-exist-and-are-least",
+              ["; ".join(bad[:3])] if bad else [], count,
+              "%d lifting problems solved, canonical filler least each time"
+              "%s" % (problems, " (scan capped)" if capped else ""), max_space)
 
-    others = [f for f in fns if not l_membership(f, cls, max_space)]
-    bad = [f.name for f in others
-           if all(enumerate_fillers(f, g, u, v)
-                  for g in rmaps for u, v in _commuting_squares(f, g))]
-    rep.add("no-spurious-lifters", not bad,
-            "all %d non-members fail some lifting at this scale" % len(others)
-            if not bad else "unexpected lifter: %s" % ", ".join(bad))
-    return rep
+    def no_lifter(f):
+        if l_membership(f, cls, max_space):
+            return None
+        if not all(enumerate_fillers(f, g, u, v) for g in rmaps
+                   for u, v in _commuting_squares(f, g)):
+            return []
+        if undecided:
+            # f lifts against every decided right map; the others may not
+            raise SizeCapError("right membership capped on %d maps"
+                               % undecided)
+        return [f.name]
+    rep.tally("no-spurious-lifters", *decide(fns, no_lifter, skipped),
+              "all {} non-members fail some lifting at this scale", max_space)
+    return rep.capped(skipped)

@@ -581,32 +581,29 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
     rep.tally("members-are-bimodules", bad[:4], count,
               "every enumerated presheaf passes both action laws", max_space)
 
-    for s in skipped:
-        rep.skip("capped", s)
-    return rep
+    return rep.capped(skipped)
 
 
 def unit_isomorphism_check(cls: SaturatedClass, cats,
                            max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """For classes whose unit should invert: y is bijective with functor inverse."""
     rep = LawReport("unit isomorphism: %s" % cls.name)
-    bad = None
-    for C in cats:
+    skipped = []
+
+    def unit_iso(C):
         space = presheaf_space(C, cls, max_space)
         y = yoneda(C, cls, max_space)
         if len(space) != len(C.carrier) or len(set(y.fn.table)) != len(C.carrier):
-            bad = "%s: space has %d objects over %d points" \
-                % (C.name, len(space), len(C.carrier))
-            break
+            return ["%s: space has %d objects over %d points"
+                    % (C.name, len(space), len(C.carrier))]
         inv = Fn(space.carrier, C.carrier,
                  (y.fn.table.index(i) for i in range(len(space.carrier))))
         if not is_functor(space.category, C, inv):
-            bad = "%s: inverse fails functoriality" % C.name
-            break
-    rep.add("unit-iso", bad is None,
-            "yoneda is an isomorphism on all %d objects" % len(cats)
-            if bad is None else bad)
-    return rep
+            return ["%s: inverse fails functoriality" % C.name]
+        return []
+    rep.tally("unit-iso", *decide(cats, unit_iso, skipped),
+              "yoneda is an isomorphism on all {} objects", max_space)
+    return rep.capped(skipped)
 
 
 def _all_bimodules(C: TVCategory, D: TVCategory, cap: int):
@@ -700,7 +697,8 @@ def check_saturated(cls: SaturatedClass, cats, fns,
     Membership is remembered by rows for the call, and a composite or a
     restriction becomes a `Bimodule` only when its rows are new.  A
     scanned bimodule is asked only the class-only part, `admits`; a
-    composite or a restriction is asked `contains`.
+    composite or a restriction is asked `contains`.  A pair with more than
+    scan_cap candidates is scanned as empty and is a trailing capped row.
     """
     rep = LawReport("saturation: %s" % cls.name)
 
@@ -729,14 +727,23 @@ def check_saturated(cls: SaturatedClass, cats, fns,
                     Bimodule(C, D, VRelation(q, C.carrier, D.carrier, rows)))
         return hit
 
+    over_cap: dict = {}
+
+    def scan(i: int, j: int):
+        try:
+            return _all_bimodules(small[i], small[j], scan_cap)
+        except SizeCapError as exc:
+            over_cap[i, j] = "%s -|-> %s: %s" % (small[i].name,
+                                                 small[j].name, exc)
+            return ()
+
     member_mods: dict = {}
 
     def mods(i: int, j: int):
         hit = member_mods.get((i, j))
         if hit is None:
-            hit = member_mods[i, j] = [
-                m for m in _all_bimodules(small[i], small[j], scan_cap)
-                if member(i, j, m.rel.rows, m)]
+            hit = member_mods[i, j] = [m for m in scan(i, j)
+                                       if member(i, j, m.rel.rows, m)]
         return hit
 
     def composition_witness():
@@ -785,7 +792,7 @@ def check_saturated(cls: SaturatedClass, cats, fns,
             nc = len(C.carrier)
             for jd, D in enumerate(small):
                 nd = len(D.carrier)
-                psis = _all_bimodules(C, D, scan_cap)
+                psis = scan(ic, jd)
                 # rows k*nc .. k*nc+nc-1 are psi_k's; column y of their
                 # composite with D's structure is psi_k restricted along y
                 out = compose_rows(
@@ -805,7 +812,7 @@ def check_saturated(cls: SaturatedClass, cats, fns,
     rep.add("pointwise-detection", witness is None,
             "scanned %d bimodules (carriers up to 2)" % scanned
             if witness is None else "witness: %s" % (witness,))
-    return rep
+    return rep.capped(over_cap.values())
 
 
 # ---------------------------------------------------------------------------

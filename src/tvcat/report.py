@@ -4,7 +4,8 @@ A report is an ordered list of named checks.  Skips are first-class: an
 enumeration that hits the size cap records what was scanned instead of
 failing, so callers can distinguish "false" from "not checked at this scale".
 Every corpus suite words its rows through `LawReport.verdict` and
-`LawReport.tally`, and runs its capped scans through `decide`.
+`LawReport.tally`, runs its capped scans through `decide`, and ends with
+one `capped` row per item a cap stopped (`LawReport.capped`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ class LawReport:
         if count is None:
             return self.skip(name, "all towers over the cap %d" % cap)
         return self.verdict(name, bad, held.format(count))
+
+    def capped(self, skipped) -> "LawReport":
+        """This report, ended by one `capped` skip row per item in skipped."""
+        for s in skipped:
+            self.skip("capped", s)
+        return self
 
     def merge(self, other: "LawReport", prefix: str = "") -> None:
         for c in other.checks:

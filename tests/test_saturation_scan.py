@@ -13,12 +13,13 @@ import pytest
 from tvcat.category import (Bimodule, TVFunctor, bim_compose, costar,
                             is_bimodule, unit_category)
 from tvcat.core import Fn
-from tvcat.corpus import seed_corpus
+from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.monad import instantiate_monad
 from tvcat.presheaf import (SaturatedClass, _all_bimodules, check_saturated,
                             saturated_class)
-from tvcat.quantale import boolean_quantale, lukasiewicz_chain
-from tvcat.report import LawReport
+from tvcat.quantale import (boolean_quantale, lukasiewicz_chain,
+                            truncated_chain)
+from tvcat.report import PASS, LawReport
 
 from builders import category_from_entries, discrete_category
 
@@ -165,3 +166,21 @@ def test_pointwise_detection_reports_the_first_failing_bimodule():
     assert [c.name for c in rep.failures] == ["pointwise-detection"]
     # the all-bottom ONE -|-> TWO, not the last failing ONE -|-> ANTI
     assert rep.failures[0].detail == "witness: VRelation(p,a:0; p,b:0)"
+
+
+def test_an_over_cap_pair_is_a_capped_row_and_the_scan_goes_on():
+    # 7 values: a pair of 2-point categories has 7^4 > 1024 candidates
+    cats, fns = seed_corpus(instantiate_monad("identity", truncated_chain(5)),
+                            2)
+    rep = check_saturated(CLASSES[0], cats, iso_representatives(fns))
+    assert rep.ok
+    decided, capped = rep.checks[:3], rep.checks[3:]
+    assert [c.name for c in decided] == ["contains-restrictions",
+                                         "composition-closed",
+                                         "pointwise-detection"]
+    assert {c.status for c in decided} == {PASS}
+    assert {c.name for c in capped} == {"capped"}
+    two = [C.name for C in cats if len(C.carrier) == 2]
+    assert sorted(c.detail for c in capped) == sorted(
+        "%s -|-> %s: bimodule scan 7^4 over cap 1024" % (C, D)
+        for C in two for D in two)

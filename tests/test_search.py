@@ -20,7 +20,7 @@ from tvcat.quantale import (VRelation, boolean_quantale, lukasiewicz_chain,
                             powerset_frame, truncated_chain)
 from tvcat.monad import instantiate_monad
 from tvcat.category import (TVCategory, TVFunctor, _structure_maps,
-                            identity_functor, is_functor)
+                            identity_functor, is_functor, unit_category)
 from tvcat.corpus import seed_categories, seed_functors
 from tvcat.lofs import enumerate_fillers, wfs_cross_check
 
@@ -102,6 +102,13 @@ def test_search_on_empty_carriers():
         assert _structure_maps(one, one, "s", fibres=[0]) == []
 
 
+def test_search_over_a_deep_source():
+    # one search node per position: past the interpreter's recursion limit
+    M = instantiate_monad("identity", boolean_quantale())
+    C = discrete_category(M, ["p%d" % i for i in range(1100)], name="d1100")
+    assert _structure_maps(C, unit_category(M), "s") == [(0,) * 1100]
+
+
 def test_functor_scans_keep_corpus_order_and_names():
     M = instantiate_monad("identity", boolean_quantale())
     cats = seed_categories(M, 2)
@@ -150,9 +157,10 @@ def test_fillers_with_conflicting_pins_are_empty():
 def test_node_budget_still_caps_every_search(monkeypatch):
     monkeypatch.setattr(category, "SEARCH_NODE_BUDGET", 1)
     category.MEMO.clear()
-    with pytest.raises(SizeCapError,
-                       match="^algebra search for bang ran out of budget$"):
-        wfs_cross_check([PT, TWO], [BANG])
+    # the cross-check turns a capped search into a capped row
+    capped = [c.detail for c in wfs_cross_check([PT, TWO], [BANG]).checks
+              if c.name == "capped"]
+    assert "bang: algebra search for bang ran out of budget" in capped
     u = TVFunctor(PT, TWO, Fn(PT.carrier, TWO.carrier, (1,)), "u")
     with pytest.raises(SizeCapError,
                        match="^filler search for top vs bang ran out"):
