@@ -402,14 +402,26 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     """f <= g, by comparing restriction modules pointwise.
 
     f and g must be parallel: the same source and the same target category
-    (`TVCategory.__eq__`), not just the same carrier labels.  The unit
+    (`TVCategory.__eq__`), not just the same carrier labels.  Column x of
+    costar(f) is column f x of the target's structure b, so costar(f) <=
+    costar(g) says that column f x of b lies below column g x for every x.
+    Only the distinct pairs (f x, g x) with f x != g x can fail; their
+    columns are sliced from one joined copy of b, laid end to end and
+    compared with one value-mask test (see `Quantale`).  The unit
     formulation (k <= b(e(f x), g x) for every x) is equivalent for valid
     categories and cheaper; both are computed and must agree.
     """
     if f.src != g.src or f.dst != g.dst:
         raise InputError("functor order needs parallel functors")
-    by_modules = costar(f).rel <= costar(g).rel
     q, b = f.dst.q, f.dst.structure
+    pairs = dict.fromkeys((x, y) for x, y in zip(f.fn.table, g.fn.table)
+                          if x != y)
+    m = len(b.rows)
+    flat = b"".join(b.rows)
+    lower = b"".join(flat[x::m] for x, _ in pairs)
+    upper = b"".join(flat[y::m] for _, y in pairs)
+    by_modules = not (line_masks(lower, q.eq_codes)
+                      & ~line_masks(upper, q.up_codes))
     by_unit = all(q.leq_m[q.unit][b.rows[x][y]]
                   for x, y in zip(f.fn.table, g.fn.table))
     if by_modules != by_unit:

@@ -350,7 +350,7 @@ def _cmd_verify_paper(args):
             out.tally(cls.name, *decide(
                 c.cats, lambda C: [] if yoneda_lemma_check(C, cls, c.cap).ok
                 else [C.name], skipped),
-                "evaluation identity on {} objects", c.cap)
+                "evaluation identity on {} objects")
         return out.capped(skipped)
 
     def submonads(c):

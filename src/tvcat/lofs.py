@@ -21,6 +21,7 @@ from itertools import islice
 
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
+from . import presheaf
 from .category import (TVCategory, TVFunctor, _structure_maps,
                        bim_compose, costar, identity_functor,
                        is_fully_faithful, is_functor, is_separated,
@@ -73,6 +74,12 @@ class Factorisation:
                 points = below[masks] = [iy for iy, ups in enumerate(col_ups)
                                          if not masks & ~ups]
             pairs.extend((ip, iy) for iy in points)
+        # the structure of K(f) has a cell per two pairs, as the structure
+        # of a space has per two presheaves: one work budget for both
+        if len(pairs) ** 2 > presheaf.STRUCTURE_WORK_CAP:
+            raise SizeCapError("comma object of %s has %d pairs: its "
+                               "structure is past the work budget"
+                               % (f.name, len(pairs)))
         self.pairs = pairs
         self.pair_index = {pr: i for i, pr in enumerate(pairs)}
         carrier = FinSet(pair_label(space.carrier.elements[ip],
@@ -434,7 +441,7 @@ def check_simplicity(f: TVFunctor, cls=None,
     return rep
 
 
-def _corpus_tally(fns, laws, title, run, max_space: int):
+def _corpus_tally(fns, laws, title, run):
     """One `decide` row per law over the morphisms' reports from run."""
     rep, skipped = LawReport(title), []
     order = sorted(fns, key=lambda f: (f.name, f.src.name, f.dst.name,
@@ -447,7 +454,7 @@ def _corpus_tally(fns, laws, title, run, max_space: int):
                 raise SizeCapError("%s: %s" % (name, c.detail))
             return ["%s: %s" % (f.name, c.detail)] if c.status == FAIL else []
         bad, count = decide(order, law, skipped)
-        rep.tally(name, bad[:3], count, "held on {} morphisms", max_space)
+        rep.tally(name, bad[:3], count, "held on {} morphisms")
     return rep.capped(skipped)
 
 
@@ -457,7 +464,7 @@ def check_awfs_corpus(fns, cls=None,
     cls = cls or saturated_class("all")
     return _corpus_tally(fns, AWFS_LAWS,
                          "awfs over %d morphisms: %s" % (len(fns), cls.name),
-                         lambda f: check_awfs(f, cls, max_space), max_space)
+                         lambda f: check_awfs(f, cls, max_space))
 
 
 def check_simplicity_corpus(fns, cls=None,
@@ -467,7 +474,7 @@ def check_simplicity_corpus(fns, cls=None,
     return _corpus_tally(
         fns, SIMPLICITY_LAWS,
         "simplicity over %d morphisms: %s" % (len(fns), cls.name),
-        lambda f: check_simplicity(f, cls, max_space), max_space)
+        lambda f: check_simplicity(f, cls, max_space))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +531,7 @@ def check_left_class(cats, fns, cls=None,
         return [f.name] if (lari(f, cls, max_space) is not None) != member \
             else []
     rep.tally("lari-description", *decide(fns, lari_description, skipped),
-              "LARI sections exist exactly on the left class ({} functors)",
-              max_space)
+              "LARI sections exist exactly on the left class ({} functors)")
 
     def coalgebra_description(f):
         F = comma_factorise(f, cls, max_space)
@@ -533,8 +539,7 @@ def check_left_class(cats, fns, cls=None,
         return [f.name] if (coalgebra(F) is not None) != member else []
     rep.tally("coalgebra-description",
               *decide(fns, coalgebra_description, skipped),
-              "canonical coalgebras exist exactly on the left class",
-              max_space)
+              "canonical coalgebras exist exactly on the left class")
 
     def lari_formula(f):
         if not l_membership(f, cls, max_space):
@@ -548,15 +553,14 @@ def check_left_class(cats, fns, cls=None,
         return [f.name] if section is None or section.fn != formula.fn \
             else []
     rep.tally("lari-formula", *decide(fns, lari_formula, skipped),
-              "mult . P(q) . P(s) is the LARI section on {} left maps",
-              max_space)
+              "mult . P(q) . P(s) is the LARI section on {} left maps")
 
     def yoneda_in_left_class(C):
         y = yoneda(C, cls, max_space)
         return [] if l_membership(y, cls, max_space) else [C.name]
     rep.tally("yoneda-in-left-class",
               *decide(cats, yoneda_in_left_class, skipped),
-              "the unit is in the left class on {} corpus objects", max_space)
+              "the unit is in the left class on {} corpus objects")
 
     if cls.name != "all":
         full_cls = saturated_class("all")
@@ -566,8 +570,7 @@ def check_left_class(cats, fns, cls=None,
                 return None
             return [] if l_membership(f, full_cls, max_space) else [f.name]
         rep.tally("submonad-coherence", *decide(fns, coherence, skipped),
-                  "all {} class embeddings are fully faithful embeddings",
-                  max_space)
+                  "all {} class embeddings are fully faithful embeddings")
 
     # parallel pairs grouped by endpoints so the scan only visits
     # composable candidates
@@ -610,7 +613,7 @@ def check_subspace_fullness(cats, cls,
                 if sub.category.structure.rows[i][j]
                 != amb.category.structure.rows[ii][jj]][:1]
     rep.tally("full-inclusion", *decide(cats, full_inclusion, skipped),
-              "inclusion into the full space preserves all homs", max_space)
+              "inclusion into the full space preserves all homs")
     return rep.capped(skipped)
 
 
@@ -715,7 +718,7 @@ def wfs_cross_check(cats, fns, cls=None,
                      lambda f: l_membership(f, ref, max_space),
                      "same membership on {} maps"))
     rep.tally(name, *decide(fns, lambda f: [f.name] if l_membership(
-        f, cls, max_space) != reference(f) else [], skipped), held, max_space)
+        f, cls, max_space) != reference(f) else [], skipped), held)
 
     algebras = {}
     objects = complete = 0
@@ -738,7 +741,7 @@ def wfs_cross_check(cats, fns, cls=None,
     bad, count = decide(fns, right_class, skipped)
     rep.tally("right-class-is-cocomplete", bad, count,
               "algebra = least retraction of the unit on {} maps, %d of %d "
-              "objects complete" % (complete, objects), max_space)
+              "objects complete" % (complete, objects))
 
     # the maps whose right membership was decided, and how many were not
     rmaps = [g for g, p in algebras.items() if p is not None]
@@ -769,7 +772,7 @@ def wfs_cross_check(cats, fns, cls=None,
     rep.tally("liftings-exist-and-are-least",
               ["; ".join(bad[:3])] if bad else [], count,
               "%d lifting problems solved, canonical filler least each time"
-              "%s" % (problems, " (scan capped)" if capped else ""), max_space)
+              "%s" % (problems, " (scan capped)" if capped else ""))
 
     def no_lifter(f):
         if l_membership(f, cls, max_space):
@@ -783,5 +786,5 @@ def wfs_cross_check(cats, fns, cls=None,
                                % undecided)
         return [f.name]
     rep.tally("no-spurious-lifters", *decide(fns, no_lifter, skipped),
-              "all {} non-members fail some lifting at this scale", max_space)
+              "all {} non-members fail some lifting at this scale")
     return rep.capped(skipped)

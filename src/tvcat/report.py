@@ -10,8 +10,6 @@ one `capped` row per item a cap stopped (`LawReport.capped`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import SizeCapError
 
 
@@ -20,11 +18,25 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    detail: str = ""
+    """One row: a name, a status (PASS, FAIL or SKIP) and a detail."""
+
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.status, self.detail) \
+            == (other.name, other.status, other.detail)
+
+    def __repr__(self) -> str:
+        return "Check(name=%r, status=%r, detail=%r)" % (
+            self.name, self.status, self.detail)
 
     def line(self) -> str:
         tag = {PASS: "PASS", FAIL: "FAIL", SKIP: "SKIP"}[self.status]
@@ -55,11 +67,12 @@ class LawReport:
         return self.add(name, not bad,
                         "failing: " + ", ".join(bad) if bad else held)
 
-    def tally(self, name: str, bad, count, held: str, cap: int) -> Check:
+    def tally(self, name: str, bad, count, held: str) -> Check:
         """`verdict` with count, the number of items counted, put into
-        held's {}; a skip when count is None: the row decided nothing."""
-        if count is None:
-            return self.skip(name, "all towers over the cap %d" % cap)
+        held's {}; a skip quoting count when it is the first capped item
+        of a row that decided nothing (see `decide`)."""
+        if isinstance(count, str):
+            return self.skip(name, "no item decided; first capped %s" % count)
         return self.verdict(name, bad, held.format(count))
 
     def capped(self, skipped) -> "LawReport":
@@ -109,18 +122,18 @@ def decide(items, law, skipped: list):
 
     law(x) returns the failing labels of x, or None when the row does not
     count x.  For each item a SizeCapError stops, "<name>: <reason>" joins
-    skipped.  The count is None when the cap stopped an item and no item
-    was counted: the row decided nothing.
+    skipped.  When a cap stopped an item and no item was counted, the row
+    decided nothing, and the count is the first of those entries instead.
     """
-    bad, count, capped = [], 0, False
+    bad, count, first = [], 0, None
     for x in items:
         try:
             found = law(x)
         except SizeCapError as exc:
             skipped.append("%s: %s" % (x.name, exc))
-            capped = True
+            first = first or skipped[-1]
             continue
         if found is not None:
             bad.extend(found)
             count += 1
-    return bad, None if capped and not count else count
+    return bad, count or first or 0

@@ -13,6 +13,7 @@ from tvcat.category import (Bimodule, TVCategory, TVFunctor, bim_compose,
                             tensor_category, unit_category, v_category)
 from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance, check_monad_laws, instantiate_monad
+from tvcat.presheaf import apply_P, presheaf_space, yoneda
 from tvcat.quantale import VRelation, truncated_chain
 
 from builders import (category_from_entries, constant_relation,
@@ -216,6 +217,35 @@ def test_functor_order_matches_pointwise_order():
         functor_leq(g, f)
     assert f != g
     assert f == TVFunctor(one, TWO, f.fn, "f2")
+
+
+@pytest.mark.parametrize("q", [BOOL, truncated_chain(2)],
+                         ids=["boolean", "truncated_chain(2)"])
+def test_functor_order_is_the_order_of_restriction_modules(q):
+    # functor_leq reads columns of the target's structure at the distinct
+    # pairs (f x, g x); the reference compares the whole restriction modules
+    _, fns = seed_corpus(instantiate_monad("identity", q), 2)
+    groups = {}
+    for f in fns:
+        groups.setdefault((id(f.src), id(f.dst)), []).append(f)
+    held = 0
+    for group in groups.values():
+        for f in group:
+            for g in group:
+                want = costar(f).rel <= costar(g).rel
+                assert functor_leq(f, g) == want, (f.name, g.name)
+                held += want
+    pairs = sum(len(group) ** 2 for group in groups.values())
+    assert 0 < held - len(fns) < pairs - len(fns)
+    assert any(not f.src.carrier for f in fns)
+    # P(y) <= y_P between the presheaf spaces of a two-point chain
+    C = chain(instantiate_monad("identity", q), ["a", "b"])
+    py = apply_P(yoneda(C))
+    y2 = yoneda(presheaf_space(C).category)
+    assert len(py.dst.carrier) > 3
+    for f, g in ((py, y2), (y2, py)):
+        assert functor_leq(f, g) == (costar(f).rel <= costar(g).rel)
+    assert functor_leq(py, y2) and not functor_leq(y2, py)
 
 
 def test_bimodule_rejects_bad_shapes():

@@ -239,6 +239,20 @@ def test_factor_cap_holds_after_an_uncapped_factor(tmp_path):
     assert run_command(argv + ["--max-space", "2"]) == cold
 
 
+def test_factor_past_the_comma_work_budget_is_exit_three(tmp_path,
+                                                       monkeypatch):
+    # the space over two fits a budget of 20 cells, K(id2)'s 5 pairs do not
+    seed(tmp_path, ("id2.json", ID2_DOC))
+    monkeypatch.setattr("tvcat.presheaf.STRUCTURE_WORK_CAP", 20)
+    category.MEMO.clear()
+    try:
+        code, out = run_command(["factor", str(tmp_path / "id2.json")])
+    finally:
+        category.MEMO.clear()
+    assert (code, out) == (3, "error: comma object of id2 has 5 pairs: its "
+                              "structure is past the work budget")
+
+
 def test_complete_emits_space_and_unit(tmp_path):
     seed(tmp_path)
     code, out = run_command(["complete", str(tmp_path / "pt.json")])

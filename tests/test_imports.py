@@ -3,9 +3,13 @@ and tvcat defines nothing that only the tests read.
 
 `__init__.py` is left out of the import check: its imports are the
 package's public names.  Stdlib `ast` only, so the check needs no lint tool.
+Importing the command line loads no heavy stdlib module it does not use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tvcat
@@ -125,7 +129,18 @@ def test_every_definition_is_read_outside_the_tests():
 
 def test_the_row_wording_lives_in_report():
     # the row rule has one owner; a copy elsewhere would drift from it
-    for literal in ("failing: ", "all towers over the cap"):
+    for literal in ("failing: ", "no item decided"):
         holders = sorted(p.name for p in SRC.glob("*.py")
                          if literal in p.read_text())
         assert holders == ["report.py"], literal
+
+
+def test_the_command_line_imports_no_dataclasses_or_inspect():
+    # every process start pays for what `import tvcat` loads; dataclasses
+    # alone brings inspect, ast, dis and tokenize
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tvcat.cli; print(' '.join("
+         "m for m in ('dataclasses', 'inspect') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

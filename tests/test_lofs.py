@@ -12,7 +12,7 @@ from tvcat.category import (MEMO, TVFunctor, check_category, functor_leq,
                             is_separated, star)
 from tvcat.presheaf import (apply_P, mult_P, presheaf_space, saturated_class,
                             space_mult)
-from tvcat.lofs import (_pi, _presheaf_rows, _sigma, check_awfs,
+from tvcat.lofs import (AWFS_LAWS, _pi, _presheaf_rows, _sigma, check_awfs,
                         check_awfs_corpus, check_left_class, check_simplicity,
                         check_simplicity_corpus, check_subspace_fullness,
                         coalgebra, comma_factorise, comma_map,
@@ -440,6 +440,24 @@ def test_awfs_laws_with_ultrafilter_monad():
     assert F.K.carrier.elements == ("([0],0)", "([0],1)", "([1],1)")
 
 
+def test_comma_structure_is_charged_against_the_work_budget(monkeypatch):
+    # K(1_two) has 5 pairs, so 25 structure cells; the space under it has 3
+    # presheaves on 2 points, 18 cells: a budget of 20 admits the space
+    # and refuses the comma object before its structure is built
+    ident = identity_functor(TWO)
+    monkeypatch.setattr("tvcat.presheaf.STRUCTURE_WORK_CAP", 20)
+    MEMO.clear()
+    try:
+        assert len(presheaf_space(TWO)) == 3
+        rep = check_awfs(ident)
+    finally:
+        MEMO.clear()
+    reason = "comma object of id has 5 pairs: its structure is past the " \
+        "work budget"
+    assert [(c.status, c.detail) for c in rep.checks] \
+        == [(SKIP, reason)] * len(AWFS_LAWS)
+
+
 def test_awfs_laws_on_chain_quantales():
     q = truncated_chain(2)
     M = instantiate_monad("identity", q)
@@ -507,9 +525,14 @@ def test_left_class_rows_that_decide_nothing_are_skips(cls):
               "yoneda-in-left-class"]
     if cls is not ALL:
         towers.append("submonad-coherence")
+    # each quotes the first item the cap stopped, a trailing capped row
+    capped = {c.detail for c in rep.checks if c.name == "capped"}
+    first = "no item decided; first capped "
     for name in towers:
-        assert (rows[name].status, rows[name].detail) \
-            == (SKIP, "all towers over the cap 1"), name
+        assert rows[name].status == SKIP, name
+        assert rows[name].detail.startswith(first), name
+        assert rows[name].detail[len(first):] in capped, name
+        assert "cap of 1" in rows[name].detail, name
     # a scan that builds no tower still decides
     assert rows["fully-faithful-is-full"].status == PASS
     assert any(c.name == "capped" for c in rep.checks)

@@ -17,7 +17,8 @@ index 0, and `K(f)` against the comprehension it replaced on the boolean
 and chain corpora.  The presheaf enumeration is checked against the search
 with one node per position that it replaced, on random V-categories over
 those quantales and `SPLIT`, on every `SPLIT` category of up to 3 points
-and on the comma objects of the chain corpus.
+and on the comma objects of the chain corpus, and against a filter of all
+value strings at every cap of a sweep.
 """
 
 import itertools
@@ -886,6 +887,43 @@ def test_enumeration_matches_the_reference_on_random_categories():
                         over += 1
     # both sides of the cap occur
     assert counted and over
+
+
+def brute_force_presheaves(q, cond):
+    """Every string of values, in lexicographic order, kept when it meets
+    cond[j][i] (x) w_j <= w_i at every ordered pair."""
+    tn, leq, tensor = len(cond), q.leq_m, q.tensor_m
+    return [bytes(w) for w in itertools.product(range(q.n), repeat=tn)
+            if all(leq[tensor[cond[j][i]][w[j]]][w[i]]
+                   for i in range(tn) for j in range(tn))]
+
+
+def test_enumeration_matches_brute_force_at_every_cap():
+    # a discrete base (sparse 1) leaves every position free, so the search
+    # ends in leaf groups: one free position spelled once per value
+    rng = random.Random(34)
+    leafy = refused = 0
+    for q in KERNEL_QUANTALES + [SPLIT]:
+        for tn in range(5):
+            if q.n ** tn > 4096:
+                break
+            for sparse in (0.0, 0.5, 1.0):
+                rows = closed_rows(rng, q, tn, sparse)
+                cond = [bytes(col) for col in zip(*rows)]
+                want = brute_force_presheaves(q, cond)
+                leafy += any(sum(a != b for a, b in zip(s, t)) == 1
+                             for s, t in zip(want, want[1:]))
+                caps = sorted({*range(min(len(want), 24)), len(want) - 1,
+                               len(want), len(want) + 1} - {-1})
+                for cap in caps:
+                    got = enumerated(_enumerate_value_tuples, q, cond, cap)
+                    if cap >= len(want):
+                        assert got == want, (q.elements, rows, cap)
+                    else:
+                        refused += 1
+                        assert got == "presheaf space exceeds the cap of %d " \
+                            "(carrier of %d lifted points)" % (cap, tn)
+    assert leafy > 40 and refused > 400
 
 
 def test_enumeration_matches_the_reference_on_comma_objects():

@@ -24,27 +24,29 @@ def test_verdict_passes_with_held_and_fails_naming_the_bad():
 
 def test_tally_puts_the_count_into_held():
     rep = LawReport()
-    assert row(rep.tally("law", [], 5, "held on {} objects", 64)) \
+    assert row(rep.tally("law", [], 5, "held on {} objects")) \
         == (PASS, "held on 5 objects")
-    assert row(rep.tally("law", [], 2, "held without a count", 64)) \
+    assert row(rep.tally("law", [], 2, "held without a count")) \
         == (PASS, "held without a count")
-    assert row(rep.tally("law", ["x"], 5, "held on {} objects", 64)) \
+    assert row(rep.tally("law", ["x"], 5, "held on {} objects")) \
         == (FAIL, "failing: x")
 
 
 def test_tally_skips_when_nothing_was_decided():
     rep = LawReport()
-    assert row(rep.tally("law", [], None, "held on {} objects", 64)) \
-        == (SKIP, "all towers over the cap 64")
+    # the count is then the first capped item, which the skip quotes
+    assert row(rep.tally("law", [], "big: over the cap",
+                         "held on {} objects")) \
+        == (SKIP, "no item decided; first capped big: over the cap")
     # nothing capped and nothing counted: a pass on 0
-    assert row(rep.tally("law", [], 0, "held on {} objects", 64)) \
+    assert row(rep.tally("law", [], 0, "held on {} objects")) \
         == (PASS, "held on 0 objects")
     assert rep.ok
 
 
 def test_decide_counts_decided_items_and_records_capped_ones():
     def law(x):
-        if x.name == "big":
+        if x.name.startswith("big"):
             raise SizeCapError("over the cap")
         if x.name == "out":
             return None
@@ -54,7 +56,9 @@ def test_decide_counts_decided_items_and_records_capped_ones():
     items = [item(n) for n in ("ok", "big", "out", "bad")]
     assert decide(items, law, skipped) == (["bad fails"], 2)
     assert skipped == ["earlier", "big: over the cap"]
-    # the row decided nothing only when the cap stopped an item
-    assert decide([item("out"), item("big")], law, []) == ([], None)
+    # the row decided nothing only when the cap stopped an item; the count
+    # is then the first item the cap stopped
+    assert decide([item("out"), item("big"), item("big2")], law, []) \
+        == ([], "big: over the cap")
     assert decide([item("out")], law, []) == ([], 0)
     assert decide([], law, []) == ([], 0)

@@ -23,6 +23,7 @@ from tvcat.category import (TVCategory, TVFunctor, _structure_maps,
                             identity_functor, is_functor, unit_category)
 from tvcat.corpus import seed_categories, seed_functors
 from tvcat.lofs import enumerate_fillers, wfs_cross_check
+from tvcat.report import SKIP
 
 from builders import category_from_entries, discrete_category
 
@@ -157,10 +158,18 @@ def test_fillers_with_conflicting_pins_are_empty():
 def test_node_budget_still_caps_every_search(monkeypatch):
     monkeypatch.setattr(category, "SEARCH_NODE_BUDGET", 1)
     category.MEMO.clear()
-    # the cross-check turns a capped search into a capped row
-    capped = [c.detail for c in wfs_cross_check([PT, TWO], [BANG]).checks
-              if c.name == "capped"]
+    # the cross-check turns a capped search into a capped row, and a row
+    # that decided nothing quotes its first one, not the presheaf cap
+    rows = wfs_cross_check([PT, TWO], [BANG]).checks
+    capped = [c.detail for c in rows if c.name == "capped"]
     assert "bang: algebra search for bang ran out of budget" in capped
+    skips = {c.name: c.detail for c in rows
+             if c.status == SKIP and c.name != "capped"}
+    assert skips == {
+        "right-class-is-cocomplete": "no item decided; first capped "
+        "bang: algebra search for bang ran out of budget",
+        "no-spurious-lifters": "no item decided; first capped "
+        "bang: functor search for two -> two ran out of budget"}
     u = TVFunctor(PT, TWO, Fn(PT.carrier, TWO.carrier, (1,)), "u")
     with pytest.raises(SizeCapError,
                        match="^filler search for top vs bang ran out"):
