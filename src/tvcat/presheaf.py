@@ -304,10 +304,9 @@ def saturated_class(kind: str) -> SaturatedClass:
 STRUCTURE_WORK_CAP = 48_000_000
 
 # Refuse bases past this size before enumerating.  The search makes one
-# node per real choice, and `_enumerate_value_tuples` reads the groups of
-# its `cut` masks off bytes, so no cost of a large base is quadratic in
-# Python steps any more.  The bound stays as it was because the bases it
-# refuses decide which verdict rows are capped.
+# node per real choice and reads the groups of its `cut` masks off bytes,
+# so the bound is not set by the search's cost; it stays at 160 because
+# the bases it refuses decide which verdict rows are capped.
 ENUM_BASE_CAP = 160
 
 
