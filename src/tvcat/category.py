@@ -24,7 +24,7 @@ from operator import itemgetter
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
                    product_finset)
 from .monad import MonadInstance
-from .quantale import VRelation, line_masks, pair_rows
+from .quantale import VRelation, line_code, pair_rows
 from .report import LawReport
 
 
@@ -189,29 +189,28 @@ def _functor_violation(f: TVFunctor):
 
 
 def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
-    """a(xx, x) <= b(Tf xx, f x) on all of TX x X, read off value masks.
+    """a(xx, x) <= b(Tf xx, f x) on all of TX x X, read off down-set codes.
 
     Row xx of a must lie entrywise below the row of b at Tf xx pulled back
-    along f; with the packed masks of `Quantale` that is one AND per row.
-    The pulled-back row's above-masks are built once per distinct Tf xx.
+    along f; with the down-set codes of `Quantale` that is one AND per
+    row.  The pulled-back row's code is built once per distinct Tf xx.
     """
     table = fn.table
     if not table:
         return True
-    up = src.q.up_codes
+    q = src.q
     brows = dst.structure.rows
-    # entries last first, as the masks read them
     if len(table) == 1:
         x, = table
         pull = lambda row: (row[x],)
     else:
-        pull = itemgetter(*table[::-1])
+        pull = itemgetter(*table)
     ups = {}
-    for t, masks in zip(table, src.structure.row_masks()):
+    for t, row in zip(table, src.structure.rows):
         above = ups.get(t)
         if above is None:
-            above = ups[t] = line_masks(bytes(pull(brows[t])), up)
-        if masks & ~above:
+            above = ups[t] = line_code(q, bytes(pull(brows[t])))
+        if line_code(q, row) & ~above:
             return False
     return True
 
@@ -407,7 +406,7 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     costar(g) says that column f x of b lies below column g x for every x.
     Only the distinct pairs (f x, g x) with f x != g x can fail; their
     columns are sliced from one joined copy of b, laid end to end and
-    compared with one value-mask test (see `Quantale`).  The unit
+    compared with one down-set-code test (see `Quantale`).  The unit
     formulation (k <= b(e(f x), g x) for every x) is equivalent for valid
     categories and cheaper; both are computed and must agree.
     """
@@ -420,8 +419,7 @@ def functor_leq(f: TVFunctor, g: TVFunctor) -> bool:
     flat = b"".join(b.rows)
     lower = b"".join(flat[x::m] for x, _ in pairs)
     upper = b"".join(flat[y::m] for _, y in pairs)
-    by_modules = not (line_masks(lower, q.eq_codes)
-                      & ~line_masks(upper, q.up_codes))
+    by_modules = not (line_code(q, lower) & ~line_code(q, upper))
     by_unit = all(q.leq_m[q.unit][b.rows[x][y]]
                   for x, y in zip(f.fn.table, g.fn.table))
     if by_modules != by_unit:

@@ -28,7 +28,7 @@ from .category import (TVCategory, TVFunctor, _structure_maps,
                        functor_leq, memoised, shares_corners, star)
 from .presheaf import (apply_P, mult_P, mult_P_functor, phi_dense,
                        presheaf_space, saturated_class, yoneda)
-from .quantale import VRelation, line_masks, pair_rows
+from .quantale import VRelation, line_code, pair_rows
 from .report import FAIL, SKIP, LawReport, decide
 
 
@@ -61,18 +61,18 @@ class Factorisation:
         space = presheaf_space(X, cls, max_space)
         self.space = space
         b = Y.structure
-        # (phi, y) is a pair when P(f) phi <= b(-, y) entrywise: the value
-        # masks of the image lie inside the above-masks of column y
-        col_ups = [line_masks(bytes(col[::-1]), q.up_codes)
-                   for col in zip(*b.rows)]
+        # (phi, y) is a pair when P(f) phi <= b(-, y) entrywise: the
+        # down-set codes of the image lie inside those of column y
+        col_codes = [line_code(q, bytes(col)) for col in zip(*b.rows)]
         images = costar(f).rel.T @ space.values         # PX -/-> Y
         below = {}
         pairs = []
-        for ip, masks in enumerate(images.row_masks()):
-            points = below.get(masks)
+        for ip, row in enumerate(images.rows):
+            points = below.get(row)
             if points is None:
-                points = below[masks] = [iy for iy, ups in enumerate(col_ups)
-                                         if not masks & ~ups]
+                code = line_code(q, row)
+                points = below[row] = [iy for iy, up in enumerate(col_codes)
+                                       if not code & ~up]
             pairs.extend((ip, iy) for iy in points)
         # the structure of K(f) has a cell per two pairs, as the structure
         # of a space has per two presheaves: one work budget for both

@@ -53,14 +53,21 @@ class Quantale:
     quantale prints as: `{"builtin": name}`, plus `n` for the families
     that take one, or the explicit tables.
 
-    Value masks.  A line of m values (a row or column of a relation, one
-    byte per value) is summarised by one int, its packed masks, with one
-    field of m bits per value other than bottom: bits k*m .. k*m+m-1 belong
-    to `fields[k]`, and bit k*m+j is set when entry j of the line is that
-    value (`eq_codes`) or lies above it (`up_codes`).  Bottom needs no
-    field: it lies below everything.  A line l is then below a line l'
-    entrywise exactly when
-    line_masks(l, eq_codes) & ~line_masks(l', up_codes) == 0.
+    Down-set codes.  Value v is coded by the set of values u other than
+    bottom with u <= v, one bit per entry of `fields`, in w = max(1,
+    ceil(len(fields) / 8)) bytes per cell: byte k of v's code, most
+    significant first, is `down_codes[k][v]`.  u <= v exactly when u's set
+    lies inside v's, and the set of a meet is the intersection of the
+    sets.  So once a line of values is one int (`line_code`), an entrywise
+    order test of two lines is `A & ~B == 0` and their entrywise meet is
+    `A & B`, which `down_values` decodes back into values when w == 1 (it
+    is None otherwise).
+
+    Value masks, for the cut masks of the presheaf enumerator only.  A
+    line of m values is summarised by one int with one field of m bits per
+    value other than bottom: bits k*m .. k*m+m-1 belong to `fields[k]`,
+    and bit k*m+j is set when entry j of the line is that value
+    (`line_masks` read through `eq_codes`).
 
     `mask_rows` reads translate tables indexed by value: `above[v]`
     (`below[v]`) reads u as b"1" when v <= u (u <= v), `tensor_codes[v]`
@@ -68,17 +75,17 @@ class Quantale:
     and `falling` list the values other than top (bottom) in a linear
     extension of the order, least (greatest) first.
 
-    `pair_rows` reads `meet_codes[v]`, which maps u to the meet of v and
-    u, or `tensor_codes`, and `lane_codes[v]`, which maps v to 0xff and
-    every other value to 0.  `unit_up` maps u to 1 when unit <= u and to
-    0 otherwise.
+    `pair_rows` reads `tensor_codes`, or `meet_codes[v]`, which maps u to
+    the meet of v and u, when w > 1; and `lane_codes[v]`, which maps v to
+    0xff and every other value to 0.  `unit_up` maps u to 1 when unit <= u
+    and to 0 otherwise.
     """
 
     __slots__ = ("spec", "elements", "n", "leq_m", "tensor_m", "unit", "bottom",
                  "top", "join_m", "meet_m", "hom_m", "_vset", "fields",
-                 "eq_codes", "up_codes", "above", "below", "tensor_codes",
-                 "meet_codes", "hom_codes", "lane_codes", "unit_up", "rising",
-                 "falling")
+                 "eq_codes", "down_codes", "down_values", "above", "below",
+                 "tensor_codes", "meet_codes", "hom_codes", "lane_codes",
+                 "unit_up", "rising", "falling")
 
     def __init__(self, spec, elements, leq_m, tensor_m, unit, join_m, meet_m,
                  hom_m, bottom, top):
@@ -115,12 +122,22 @@ class Quantale:
         rising = sorted(values, key=lambda v: sum(r[v] for r in leq_m))
         self.rising = tuple(v for v in rising if v != top)
         self.falling = tuple(v for v in reversed(rising) if v != bottom)
+        self.fields = fields = tuple(v for v in values if v != bottom)
         # the last field comes first in the numeral, so that field k starts
         # at bit k*m
-        self.fields = tuple(v for v in values if v != bottom)
         self.eq_codes = tuple(table(49 if w == v else 48 for w in values)
-                              for v in reversed(self.fields))
-        self.up_codes = tuple(self.above[v] for v in reversed(self.fields))
+                              for v in reversed(fields))
+        width = max(1, -(-len(fields) // 8))
+        down = [sum(1 << k for k, u in enumerate(fields) if leq_m[u][v])
+                for v in values]
+        self.down_codes = tuple(table(c >> 8 * k & 255 for c in down)
+                                for k in reversed(range(width)))
+        self.down_values = None
+        if width == 1:
+            decode = bytearray(256)
+            for v, c in enumerate(down):
+                decode[c] = v
+            self.down_values = bytes(decode)
 
     # -- index-level operations ------------------------------------------
 
@@ -160,11 +177,29 @@ class Quantale:
 
 
 def line_masks(line: bytes, codes) -> int:
-    """Packed masks of a line given last entry first, read through codes.
+    """Packed value masks of a line given last entry first (see `Quantale`).
 
-    `codes` is `q.eq_codes` or `q.up_codes` (see `Quantale`).
+    `codes` is `q.eq_codes`, possibly behind one more table for bottom's
+    field: the cut masks of `presheaf._enumerate_value_tuples` are its one
+    caller.
     """
     return int(b"".join(map(line.translate, codes)), 2) if line else 0
+
+
+def line_code(q: Quantale, line: bytes) -> int:
+    """The down-set codes of a line of values as one int (see `Quantale`).
+
+    Cell j takes the w bytes from j*w on, so two lines of equal length
+    compare and meet cell by cell with one int operation.
+    """
+    codes = q.down_codes
+    if len(codes) == 1:
+        return int.from_bytes(line.translate(codes[0]), "big")
+    width = len(codes)
+    buf = bytearray(len(line) * width)
+    for k, code in enumerate(codes):
+        buf[k::width] = line.translate(code)
+    return int.from_bytes(buf, "big")
 
 
 def mask_rows(lines, codes, order, columns, tests, rest: int,
@@ -291,16 +326,30 @@ def pair_rows(q: Quantale, a, b, pairs, codes) -> list:
     are square tables of byte rows; `codes[v]` maps u to op(v, u), as
     `q.meet_codes` and `q.tensor_codes` do.  Row i' of a is gathered along
     the pairs' first indices once, and row j' of b along their second
-    indices once.  An output row is then, over the values v of the gathered
-    a-row, the gathered b-row translated by codes[v] on the byte lanes
-    where the a-row holds v (`q.lane_codes`), so no cell costs a Python
-    step.  The lanes of an a-row are split once per run of pairs that share
-    i'.
+    indices once.  A meet whose down-set codes fit one byte is then the
+    AND of the two gathered lines' codes, decoded by `q.down_values`.
+    Otherwise an output row is, over the values v of the gathered a-row,
+    the gathered b-row translated by codes[v] on the byte lanes where the
+    a-row holds v (`q.lane_codes`); the lanes of an a-row are split once
+    per run of pairs that share i'.  No cell costs a Python step.
     """
     if not pairs:
         return []
     firsts, seconds = zip(*pairs)
     alines, blines = _gathered(a, firsts), _gathered(b, seconds)
+    size = len(pairs)
+    if codes is q.meet_codes and q.down_values is not None:
+        back = q.down_values
+        bcodes = {j2: line_code(q, line) for j2, line in blines.items()}
+        out = []
+        last = None
+        for i2, j2 in pairs:
+            if i2 != last:
+                last = i2
+                acode = line_code(q, alines[i2])
+            out.append((acode & bcodes[j2]).to_bytes(size, "big")
+                       .translate(back))
+        return out
     lane_codes = q.lane_codes
     pieces = {}
     out = []
@@ -323,7 +372,7 @@ def pair_rows(q: Quantale, a, b, pairs, codes) -> list:
                 piece = pieces[v, j2] = int.from_bytes(
                     blines[j2].translate(codes[v]), "big")
             acc |= piece & lane
-        out.append(acc.to_bytes(len(pairs), "big"))
+        out.append(acc.to_bytes(size, "big"))
     return out
 
 
@@ -644,22 +693,19 @@ class VRelation:
     between value-equal carriers compose even when the FinSet objects
     differ; the quantale must be the same object.
 
-    `row_masks()[i]` packs the value masks of row i (see `Quantale`): bit
-    k*len(dst)+j is set exactly when rows[i][j] == q.fields[k].  They are
-    derived from `rows` on first use and kept on the relation; `rows`
-    never changes, so they stay valid for as long as the relation lives.
-    Columns get no masks: code that reads a column slices it from the
-    joined rows (see `category.is_separated`).
+    A relation keeps nothing derived from its rows.  Code that needs a
+    line's down-set codes (`line_code`) or a column computes them where it
+    reads them, from the rows or their joined copy (see
+    `category.is_separated`).
     """
 
-    __slots__ = ("q", "src", "dst", "rows", "_row_masks")
+    __slots__ = ("q", "src", "dst", "rows")
 
     def __init__(self, q: Quantale, src: FinSet, dst: FinSet, rows):
         self.q = q
         self.src = src
         self.dst = dst
         self.rows = tuple(map(bytes, rows))
-        self._row_masks = None
         if len(self.rows) != len(src.elements) \
                 or not all(map(len(dst.elements).__eq__, map(len, self.rows))):
             raise InputError("relation shape %dx%d does not match carriers %dx%d"
@@ -678,13 +724,6 @@ class VRelation:
     @classmethod
     def identity(cls, q: Quantale, X: FinSet) -> "VRelation":
         return cls.from_fn(q, Fn.identity(X))
-
-    def row_masks(self) -> list:
-        """Packed value masks of each row."""
-        if self._row_masks is None:
-            eq = self.q.eq_codes
-            self._row_masks = [line_masks(row[::-1], eq) for row in self.rows]
-        return self._row_masks
 
     def transpose(self) -> "VRelation":
         return VRelation(self.q, self.dst, self.src, zip(*self.rows)) \
@@ -719,14 +758,15 @@ class VRelation:
     def leq(self, other: "VRelation") -> bool:
         """Entrywise order, decided on all rows at once.
 
-        Equal rows answer by reflexivity; otherwise every value mask of
-        self must lie inside the above-masks of other (see `Quantale`).
+        Equal rows answer by reflexivity; otherwise the down-set codes of
+        self's joined rows must lie inside those of other's (see
+        `Quantale`).
         """
         self._check_parallel(other)
         mine, theirs = b"".join(self.rows), b"".join(other.rows)
         q = self.q
-        return mine == theirs or not (line_masks(mine, q.eq_codes)
-                                      & ~line_masks(theirs, q.up_codes))
+        return mine == theirs or not (line_code(q, mine)
+                                      & ~line_code(q, theirs))
 
     def __le__(self, other: "VRelation") -> bool:
         return self.leq(other)

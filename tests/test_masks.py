@@ -1,24 +1,29 @@
-"""The value-mask kernels against cell-by-cell references kept here.
+"""The table kernels against cell-by-cell references kept here.
 
 Each reference is the per-cell loop the kernel replaced.  Inputs cover five
-quantales (powerset_frame(4) has 16 values, so no pair of values fits one
-byte), both monad instances, carriers of 0 to 4 points (40 for
+quantales (powerset_frame(4) has 16 values, so its down-set codes take two
+bytes a cell), both monad instances, carriers of 0 to 4 points (40 for
 `is_separated`), and tables that are not reflexive, not separated or not
-functorial.  The presheaf structure matrix and composition are also drawn
-at widths on both sides of the composition's size rule (`MASK_CELLS`), and
-the structure matrix on lines of up to 24 positions whose blocks of
-`BLOCK` positions repeat.  The law masks of the
-module-functor correspondence and the bimodule scan are checked against the
-per-map scans they replaced, on the first four quantales and a non-integral
-one, where a cell can break a law against itself.  The comma kernel
-`pair_rows` is checked against its cell formula for meet and tensor on
-those five quantales, a 22-value chain and a quantale whose bottom is not
-index 0, and `K(f)` against the comprehension it replaced on the boolean
-and chain corpora.  The presheaf enumeration is checked against the search
-with one node per position that it replaced, on random V-categories over
-those quantales and `SPLIT`, on every `SPLIT` category of up to 3 points
-and on the comma objects of the chain corpus, and against a filter of all
-value strings at every cap of a sweep.
+functorial.  The down-set codes of `Quantale` are checked cell by cell
+against the values below each cell, and order and meet through them
+against `leq_m` and `meet_m` on every pair of values, on those five
+quantales and a 22-value chain (three bytes a cell).  The presheaf
+structure matrix and composition are also drawn at widths on both sides of
+the composition's size rule (`MASK_CELLS`), and the structure matrix on
+lines of up to 24 positions whose blocks of `BLOCK` positions repeat.  The
+law masks of the module-functor correspondence and the bimodule scan are
+checked against the per-map scans they replaced, on the first four
+quantales and a non-integral one, where a cell can break a law against
+itself.  The comma kernel `pair_rows` is checked against its cell formula
+for meet and tensor on those five quantales, the 22-value chain and a
+quantale whose bottom is not index 0, so meets by one-byte codes and by
+byte lanes are both covered, and `K(f)` against the comprehension it
+replaced on the boolean and chain corpora.  The presheaf enumeration is
+checked against the search with one node per position that it replaced, on
+random V-categories over those quantales and `SPLIT`, on every `SPLIT`
+category of up to 3 points and on the comma objects of a fixed list of
+chain morphisms, and against a filter of all value strings at every cap of
+a sweep.
 """
 
 import itertools
@@ -30,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from tvcat.core import FinSet, Fn, InputError, SizeCapError
 from tvcat import quantale
 from tvcat.quantale import (MASK_CELLS, VRelation, boolean_quantale,
-                            build_quantale, check_quantale_laws, line_masks,
+                            build_quantale, check_quantale_laws, line_code,
                             lukasiewicz_chain, powerset_frame,
                             truncated_chain)
 from tvcat.monad import instantiate_monad
@@ -181,25 +186,64 @@ drawn_setting = st.tuples(st.sampled_from(QUANTALES), st.sampled_from(KINDS),
 # the relation masks
 # ---------------------------------------------------------------------------
 
+# truncated_chain(20) has 22 values: three bytes of down-set code a cell
+CODE_QUANTALES = QUANTALES + [truncated_chain(20)]
+
+
+def cell_code(q, line, j):
+    """The down-set code of entry j of a line, cut from `line_code`."""
+    w = len(q.down_codes)
+    shift = 8 * w * (len(line) - 1 - j)
+    return line_code(q, line) >> shift & ((1 << 8 * w) - 1)
+
+
+def test_code_widths_follow_the_number_of_values():
+    assert [len(q.down_codes) for q in CODE_QUANTALES] == [1, 1, 1, 1, 2, 3]
+    assert [q.down_values is None for q in CODE_QUANTALES] \
+        == [False] * 4 + [True] * 2
+    # boolean codes each value as itself
+    q = QUANTALES[0]
+    assert q.bottom == 0 and q.down_codes[0][:2] == bytes((0, 1))
+
+
 @settings(max_examples=120, deadline=None)
-@given(drawn_setting, st.integers(0, 4), st.integers(0, 4))
-def test_masks_hold_the_cells_of_each_value(drawn, nr, nc):
-    q, _, seed = drawn
+@given(st.sampled_from(CODE_QUANTALES), st.integers(0, 2 ** 32),
+       st.integers(0, 12))
+def test_line_codes_hold_the_values_below_each_cell(q, seed, n):
     rng = random.Random(seed)
-    rel = VRelation(q, CARRIERS[nr], CARRIERS[nc],
-                    [[rng.randrange(q.n) for _ in range(nc)]
-                     for _ in range(nr)])
-    for i, masks in enumerate(rel.row_masks()):
-        for k, v in enumerate(q.fields):
-            for j in range(nc):
-                assert (masks >> (k * nc + j) & 1) == (rel.rows[i][j] == v)
-        assert masks >> (len(q.fields) * nc) == 0
-        ups = line_masks(bytes(rel.rows[i][::-1]), q.up_codes)
-        for k, v in enumerate(q.fields):
-            for j in range(nc):
-                assert (ups >> (k * nc + j) & 1) \
-                    == q.leq_m[v][rel.rows[i][j]]
-    assert len(rel.row_masks()) == nr
+    line = bytes(rng.randrange(q.n) for _ in range(n))
+    code = line_code(q, line)
+    assert code >> 8 * len(q.down_codes) * n == 0
+    for j, v in enumerate(line):
+        c = cell_code(q, line, j)
+        assert c >> len(q.fields) == 0
+        assert [k for k, u in enumerate(q.fields) if c >> k & 1] \
+            == [k for k, u in enumerate(q.fields) if q.leq_m[u][v]]
+
+
+@pytest.mark.parametrize("q", CODE_QUANTALES, ids=repr)
+def test_order_and_meet_through_codes_match_the_tables(q):
+    # every pair of values, as one line against another, cell by cell
+    firsts = bytes(u for u in range(q.n) for v in range(q.n))
+    seconds = bytes(v for u in range(q.n) for v in range(q.n))
+    a, b = line_code(q, firsts), line_code(q, seconds)
+    meet = bytes(q.meet_m[u][v] for u, v in zip(firsts, seconds))
+    assert a & b == line_code(q, meet)
+    if q.down_values is not None:
+        assert (a & b).to_bytes(len(firsts), "big") \
+            .translate(q.down_values) == meet
+    for u, v in zip(firsts, seconds):
+        cu, cv = line_code(q, bytes((u,))), line_code(q, bytes((v,)))
+        assert (not cu & ~cv) == q.leq_m[u][v]
+        assert cu & cv == line_code(q, bytes((q.meet_m[u][v],)))
+    # whole lines: below exactly when every cell is
+    rng = random.Random(q.n)
+    for _ in range(200):
+        x = bytes(rng.randrange(q.n) for _ in range(5))
+        y = bytes(q.join_m[u][rng.randrange(q.n)] if rng.random() < 0.9
+                  else rng.randrange(q.n) for u in x)
+        assert (not line_code(q, x) & ~line_code(q, y)) \
+            == all(q.leq_m[u][v] for u, v in zip(x, y))
 
 
 @settings(max_examples=120, deadline=None)
@@ -245,8 +289,7 @@ def test_wide_composition_matches_the_cell_formula(drawn, shape, sparse):
     s = random_relation(rng, q, ny, nz, values)
     expected = ref_compose(s, r)
     assert cells(s @ r) == expected
-    # masks already cached on s, and a fresh copy of s, give the same rows
-    s.row_masks()
+    # a second composite, and one with a fresh copy of s, give the same rows
     assert cells(s @ r) == expected
     fresh = VRelation(q, s.src, s.dst, s.rows)
     assert cells(fresh @ r) == expected
@@ -478,7 +521,9 @@ def square(rng, q, n):
 
 
 def test_pair_rows_match_the_cell_formula():
-    assert TOP_FIRST.bottom == 2
+    assert TOP_FIRST.bottom == 2 and TOP_FIRST.down_values is not None
+    # meets by one-byte down-set codes and by lanes are both covered
+    assert {q.down_values is None for q in KERNEL_QUANTALES} == {True, False}
     rng = random.Random(12)
     for q in KERNEL_QUANTALES:
         for na, nb in [(1, 1), (1, 3), (3, 1), (2, 3), (4, 2), (5, 5)]:
@@ -926,14 +971,21 @@ def test_enumeration_matches_brute_force_at_every_cap():
     assert leafy > 40 and refused > 400
 
 
+# chain morphisms whose comma objects K(f), K(Lf) and K(Rf) run from 0 to
+# ENUM_BASE_CAP points; K(L(c2_14>c2_00#1)) has exactly ENUM_BASE_CAP
+COMMA_BASES = ("c0_00>c0_00#0", "c0_00>c2_01#0", "c1_00>c2_05#0",
+               "c2_00>c1_00#0", "c2_10>c2_01#2", "c2_14>c2_00#1",
+               "c2_14>c2_14#1")
+
+
 def test_enumeration_matches_the_reference_on_comma_objects():
-    # the comma objects K(f), K(Lf) and K(Rf) of the chain corpus, up to
-    # ENUM_BASE_CAP points, have long runs of positions with one admissible
-    # value
+    # comma objects have long runs of positions with one admissible value
     q = QUANTALES[1]
     _, fns = seed_corpus(monad(q, "identity"), 2)
+    picked = [f for f in iso_representatives(fns) if f.name in COMMA_BASES]
+    assert sorted(f.name for f in picked) == sorted(COMMA_BASES)
     sizes = []
-    for f in iso_representatives(fns):
+    for f in picked:
         F = comma_factorise(f, ALL, 512)
         bases = [F.K]
         for side in (F.L, F.R):
@@ -946,7 +998,7 @@ def test_enumeration_matches_the_reference_on_comma_objects():
                 sizes.append(len(K.carrier))
                 assert_same_enumeration(q, K.structure.T.rows, [512])
     MEMO.clear()
-    assert max(sizes) == ENUM_BASE_CAP
+    assert min(sizes) == 0 and max(sizes) == ENUM_BASE_CAP
 
 
 # ---------------------------------------------------------------------------
