@@ -217,7 +217,7 @@ def test_line_codes_hold_the_values_below_each_cell(q, seed, n):
     for j, v in enumerate(line):
         c = cell_code(q, line, j)
         assert c >> len(q.fields) == 0
-        assert [k for k, u in enumerate(q.fields) if c >> k & 1] \
+        assert [k for k in range(len(q.fields)) if c >> k & 1] \
             == [k for k, u in enumerate(q.fields) if q.leq_m[u][v]]
 
 
