@@ -78,8 +78,11 @@ class TVCategory:
 # afresh.  The memo also holds `run_command`'s one answer per command line
 # and working directory, valid while every file and listing it read reads
 # the same again; the CLI keeps nothing else.  It lives for the process;
-# `tvcat verify-paper` empties it after each corpus.  Other modules import
-# it by name, so it is emptied in place, never rebound.
+# `tvcat verify-paper` empties it after each corpus, and
+# `lofs.check_awfs_corpus` deletes what each morphism's tower added once
+# that morphism is checked, so the towers of a corpus never pile up.
+# Other modules import it by name, so it is emptied in place, never
+# rebound.
 MEMO: dict = {}
 
 
@@ -107,11 +110,11 @@ def memoised(key, build):
 def check_category(C: TVCategory) -> LawReport:
     q, a = C.q, C.structure
     rep = LawReport("category laws: %s" % C.name)
-    bad = next((x for i, x in enumerate(C.carrier)
-                if not q.leq_m[q.unit][a.rows[i][i]]), None)
+    bad = next((i for i, row in enumerate(a.rows)
+                if not q.leq_m[q.unit][row[i]]), None)
     rep.add("reflexivity", bad is None,
             "k <= a(e x, x) for all %d objects" % len(C.carrier)
-            if bad is None else "fails at %s" % bad)
+            if bad is None else "fails at %s" % C.carrier[bad])
     viol = (a @ a).first_violation(a)
     rep.add("transitivity", viol is None,
             "a . Ta <= a . m checked on all of TTX x X" if viol is None

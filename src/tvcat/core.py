@@ -35,18 +35,45 @@ class EngineError(WorkbenchError):
 
 
 class FinSet:
-    """An ordered finite set of distinct string labels."""
+    """An ordered finite set of distinct string labels.
 
-    __slots__ = ("elements", "index")
+    `FinSet.spelled_on_read(size, spell)` makes a carrier that knows its
+    size at once and spells `elements` and `index` from spell() when
+    either is first read.  Until then its slots are empty, and `len`,
+    equality with itself and everything the engine does on indices cost
+    no label.  `size` is `len` as a slot, for shape checks on hot paths.
+    """
+
+    __slots__ = ("elements", "index", "size", "_spell")
 
     def __init__(self, elements: Iterable[str]):
-        self.elements = tuple(elements)
-        self.index = {x: i for i, x in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise InputError("duplicate labels in carrier: %r" % (self.elements,))
+        elements = tuple(elements)
+        index = {x: i for i, x in enumerate(elements)}
+        if len(index) != len(elements):
+            raise InputError("duplicate labels in carrier: %r" % (elements,))
+        self.elements, self.index = elements, index
+        self.size, self._spell = len(elements), None
+
+    @classmethod
+    def spelled_on_read(cls, size: int, spell) -> "FinSet":
+        X = cls.__new__(cls)
+        X.size, X._spell = size, spell
+        return X
+
+    def __getattr__(self, name):
+        # reached only while a slot is empty: the labels of a carrier made
+        # by `spelled_on_read`, spelled now and kept
+        if name not in ("elements", "index") or self._spell is None:
+            raise AttributeError(name)
+        elements = tuple(self._spell())
+        if len(elements) != self.size:
+            raise EngineError("spelled %d labels for a carrier of %d"
+                              % (len(elements), self.size))
+        self.__init__(elements)
+        return getattr(self, name)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.size
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.elements)
@@ -65,6 +92,7 @@ class FinSet:
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, FinSet)
+                                 and self.size == other.size
                                  and self.elements == other.elements)
 
     def __hash__(self) -> int:
@@ -92,14 +120,14 @@ class Fn:
         self.src = src
         self.dst = dst
         self.table = tuple(table)
-        if len(self.table) != len(src):
+        if len(self.table) != src.size:
             raise InputError("function table has %d entries for a %d-element source"
-                             % (len(self.table), len(src)))
+                             % (len(self.table), src.size))
         # one min and one max for the whole table; the entry loop only
         # finds which entry to name
         if self.table and not (0 <= min(self.table)
-                               and max(self.table) < len(dst)):
-            n = len(dst)
+                               and max(self.table) < dst.size):
+            n = dst.size
             t = next(t for t in self.table if not 0 <= t < n)
             raise EngineError("function table index %d out of range" % t)
 
@@ -124,11 +152,12 @@ class Fn:
         return {x: self.dst.elements[self.table[i]] for i, x in enumerate(self.src)}
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Fn) and self.src == other.src
-                and self.dst == other.dst and self.table == other.table)
+        # tables first: carriers equal in size compare by their labels
+        return (isinstance(other, Fn) and self.table == other.table
+                and self.src == other.src and self.dst == other.dst)
 
     def __hash__(self) -> int:
-        return hash((self.src.elements, self.dst.elements, self.table))
+        return hash(self.table)
 
     def __repr__(self) -> str:
         return "Fn(%s)" % ", ".join("%s->%s" % (x, self(x)) for x in self.src)

@@ -22,7 +22,7 @@ from itertools import islice
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
 from . import presheaf
-from .category import (TVCategory, TVFunctor, _structure_maps,
+from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
                        bim_compose, costar, identity_functor,
                        is_fully_faithful, is_functor, is_separated,
                        functor_leq, memoised, shares_corners, star)
@@ -41,7 +41,8 @@ class Factorisation:
     class, or __init__ raises EngineError.
 
     The carrier of K(f) is `pairs`, the (phi, y) with P(f) phi <= b(-, y),
-    grouped by phi in space order.  All images P(f) phi = phi . f^* come
+    grouped by phi in space order; its labels "(phi,y)" are spelled when
+    first read.  All images P(f) phi = phi . f^* come
     from one relation product over the space of the source, and each is
     compared with the columns of b: no presheaf space over the target is
     built.  The structure of K(f) at ((phi', y'), (phi, y)) is the meet of
@@ -82,9 +83,9 @@ class Factorisation:
                                % (f.name, len(pairs)))
         self.pairs = pairs
         self.pair_index = {pr: i for i, pr in enumerate(pairs)}
-        carrier = FinSet(pair_label(space.carrier.elements[ip],
-                                    Y.carrier.elements[iy])
-                         for ip, iy in pairs)
+        labels, points = space.carrier, Y.carrier
+        carrier = FinSet.spelled_on_read(len(pairs), lambda: (
+            pair_label(labels[ip], points[iy]) for ip, iy in pairs))
         structure = VRelation(q, carrier, carrier,
                               pair_rows(q, space.category.structure.rows,
                                         b.rows, pairs, q.meet_codes))
@@ -460,11 +461,24 @@ def _corpus_tally(fns, laws, title, run):
 
 def check_awfs_corpus(fns, cls=None,
                       max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
-    """One row per comonad/monad/distributivity law over a morphism corpus."""
+    """One row per comonad/monad/distributivity law over a morphism corpus.
+
+    Each morphism's tower lives for that morphism only: the `MEMO` keys
+    that its `check_awfs` adds are deleted once its report is read.  Keys
+    that were there before stay.
+    """
     cls = cls or saturated_class("all")
+
+    def run(f):
+        n = len(MEMO)
+        try:
+            return check_awfs(f, cls, max_space)
+        finally:
+            for key in list(MEMO)[n:]:
+                del MEMO[key]
     return _corpus_tally(fns, AWFS_LAWS,
                          "awfs over %d morphisms: %s" % (len(fns), cls.name),
-                         lambda f: check_awfs(f, cls, max_space))
+                         run)
 
 
 def check_simplicity_corpus(fns, cls=None,
@@ -546,6 +560,10 @@ def check_left_class(cats, fns, cls=None,
             return None
         F = comma_factorise(f, cls, max_space)
         s = coalgebra(F)
+        if s is None:
+            # a member without a canonical coalgebra has no formula to
+            # compare: a failure, as in coalgebra-description
+            return [f.name]
         PY = presheaf_space(f.dst, cls, max_space)
         QS = _presheaf_rows(F.space, f.dst.carrier, (F.q.fn @ s.fn).table)
         formula = mult_P_functor(QS, PY, F.space, "mult.P(q).P(s)")
@@ -607,7 +625,7 @@ def check_subspace_fullness(cats, cls,
         sub = presheaf_space(C, cls, max_space)
         amb = presheaf_space(C, full_cls, max_space)
         at = [amb.index[p] for p in sub.presheaves]
-        names = sub.carrier.elements
+        names = sub.carrier
         return ["%s at (%s, %s)" % (C.name, names[i], names[j])
                 for i, ii in enumerate(at) for j, jj in enumerate(at)
                 if sub.category.structure.rows[i][j]

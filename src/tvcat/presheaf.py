@@ -38,12 +38,15 @@ from .quantale import VRelation, compose_rows, line_masks, residual_left
 from .report import LawReport, decide
 
 
-def _enumerate_value_tuples(q, cond, max_space):
+def _enumerate_value_tuples(q, cond, max_space, work_budget=None):
     """Every presheaf's byte string of values, in lexicographic order.
 
     cond is the transposed structure of a reflexive, transitive base: a
     line of values w is a presheaf exactly when cond[j][i] (x) w_j <= w_i
-    for every ordered pair.  Raises SizeCapError past the cap.
+    for every ordered pair.  Raises SizeCapError past the cap, and, when a
+    work_budget is given, when the structure of the N strings over the tn
+    positions, N^2 * max(1, tn) cells, is past it (see
+    STRUCTURE_WORK_CAP); both refusals come before any string is spelled.
 
     Once some positions s carry values w_s, the pair conditions between s
     and another position y read, for a candidate v at y,
@@ -86,9 +89,8 @@ def _enumerate_value_tuples(q, cond, max_space):
     admissible value of p written in, in increasing value order.  The
     search only records each group as (masks, free bit) and counts its
     strings, and it raises SizeCapError as soon as the count passes
-    `max_space`, so a refused space spells nothing.  Under the cap the
-    groups are spelled afterwards: the forced positions are decoded from
-    the masks with bytes operations, once per group.
+    `max_space`, so a refused space spells nothing.  Under the cap and the
+    budget the groups are spelled afterwards by `_spell_leaf_groups`.
 
     Nodes take positions in increasing order and values in increasing index
     order (set bits lowest first), so the strings come out in lexicographic
@@ -150,6 +152,13 @@ def _enumerate_value_tuples(q, cond, max_space):
     # On a refusal the groups and cut masks are dropped at once, not with
     # the traceback that holds this frame.
     leaves, frees = [], []
+
+    def refuse(message):
+        leaves.clear()
+        frees.clear()
+        cut.clear()
+        raise SizeCapError(message)
+
     count = 0
     stack = [admissible]
     while stack:
@@ -162,12 +171,8 @@ def _enumerate_value_tuples(q, cond, max_space):
         if twice == bit:
             count += sum(mask & bit for mask in masks) // bit if bit else 1
             if count > max_space:
-                leaves.clear()
-                frees.clear()
-                cut.clear()
-                raise SizeCapError("presheaf space exceeds the cap of %d "
-                                   "(carrier of %d lifted points)"
-                                   % (max_space, tn))
+                refuse("presheaf space exceeds the cap of %d (carrier of %d "
+                       "lifted points)" % (max_space, tn))
             leaves.append(masks)
             frees.append(bit)
             continue
@@ -176,7 +181,19 @@ def _enumerate_value_tuples(q, cond, max_space):
         for w in range(n - 1, -1, -1):
             if masks[w] & bit:
                 stack.append([mask & c for mask, c in zip(masks, rows[w])])
+    if work_budget is not None and count ** 2 * max(1, tn) > work_budget:
+        refuse("structure matrix for %d presheaves over %d lifted points "
+               "is past the work budget" % (count, tn))
+    return _spell_leaf_groups(n, tn, leaves, frees)
 
+
+def _spell_leaf_groups(n, tn, leaves, frees):
+    """The strings of the leaf groups of `_enumerate_value_tuples`, in order.
+
+    Group i is leaves[i], one position mask per value, with free bit
+    frees[i].  The forced positions are decoded from the masks with bytes
+    operations, once per group.  Both lists are emptied.
+    """
     # bytes.translate tables from the '0'/'1' digits of a mask to 0/v
     digits = [bytes.maketrans(b"01", bytes((0, v))) for v in range(n)]
     out = []
@@ -314,7 +331,9 @@ class PresheafSpace:
     """All presheaves on a base category that lie in a saturated class.
 
     Presheaf i is its line of values, `presheaves[i]`, which is row i of
-    `values` (the same tuple), and its label is `carrier[i]`.
+    `values` (the same tuple), and its label is `carrier[i]`.  Labels are
+    spelled when first read (`FinSet.spelled_on_read`): the verdict path
+    reads only indices and values.
     """
 
     __slots__ = ("base", "cls", "presheaves", "carrier", "category",
@@ -328,12 +347,11 @@ class PresheafSpace:
         if not is_separated(base):
             raise ValidationError("presheaf space needs a separated base; "
                                   "%s is not" % base.name)
-        lax = next((x for i, x in enumerate(base.carrier)
-                    if not base.q.leq_m[base.q.unit]
-                    [base.structure.rows[i][i]]), None)
+        lax = next((i for i, row in enumerate(base.structure.rows)
+                    if not base.q.leq_m[base.q.unit][row[i]]), None)
         if lax is not None:
             raise ValidationError("base %s is not reflexive at %s"
-                                  % (base.name, lax))
+                                  % (base.name, base.carrier[lax]))
         # the enumeration skips forced positions, which is exact only when
         # the base is transitive
         a = base.structure
@@ -343,8 +361,12 @@ class PresheafSpace:
                                   % (base.name, viol))
         self.base = base
         self.cls = cls
-        tuples = _enumerate_value_tuples(base.q, base.structure.T.rows,
-                                         max_space)
+        # the class all keeps every string, so the enumeration itself holds
+        # the count against the work budget before spelling any; the other
+        # classes are held against it below, once filtered
+        tuples = _enumerate_value_tuples(
+            base.q, base.structure.T.rows, max_space,
+            STRUCTURE_WORK_CAP if cls.name == "all" else None)
         if cls.name != "all":
             E = unit_category(base.M)
             keep = []
@@ -360,8 +382,8 @@ class PresheafSpace:
                 "structure matrix for %d presheaves over %d lifted points "
                 "is past the work budget" % (len(tuples), len(base.carrier)))
         names = base.q.elements
-        self.carrier = FinSet("[%s]" % ",".join(names[v] for v in values)
-                              for values in tuples)
+        self.carrier = FinSet.spelled_on_read(len(tuples), lambda: (
+            "[%s]" % ",".join(names[v] for v in values) for values in tuples))
         self.values = VRelation(base.q, self.carrier, base.carrier, tuples)
         self.presheaves = self.values.rows
         rows = base.M.presheaf_structure(tuples)
@@ -476,14 +498,14 @@ def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
     table = []
-    for name, psi in zip(PY.carrier, PY.presheaves):
+    for i, psi in enumerate(PY.presheaves):
         vals = bytes(map(psi.__getitem__, f.fn.table))
         try:
             table.append(PX.index[vals])
         except KeyError:
             raise ValidationError(
                 "restriction of %s along %s leaves the class %s"
-                % (name, f.name, PX.cls.name))
+                % (PY.carrier[i], f.name, PX.cls.name))
     out = TVFunctor(PY.category, PX.category,
                     Fn(PY.carrier, PX.carrier, table), "P*(%s)" % f.name)
     if not is_functor(out.src, out.dst, out.fn):

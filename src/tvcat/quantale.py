@@ -706,8 +706,8 @@ class VRelation:
         self.src = src
         self.dst = dst
         self.rows = tuple(map(bytes, rows))
-        if len(self.rows) != len(src.elements) \
-                or not all(map(len(dst.elements).__eq__, map(len, self.rows))):
+        if len(self.rows) != src.size \
+                or not all(map(dst.size.__eq__, map(len, self.rows))):
             raise InputError("relation shape %dx%d does not match carriers %dx%d"
                              % (len(self.rows),
                                 len(self.rows[0]) if self.rows else 0,
@@ -787,12 +787,13 @@ class VRelation:
         return None
 
     def __eq__(self, other) -> bool:
+        # rows first: carriers equal in size compare by their labels
         return (isinstance(other, VRelation) and self.q is other.q
-                and self.src == other.src and self.dst == other.dst
-                and self.rows == other.rows)
+                and self.rows == other.rows
+                and self.src == other.src and self.dst == other.dst)
 
     def __hash__(self) -> int:
-        return hash((self.src.elements, self.dst.elements, self.rows))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         cells = ["%s,%s:%s" % (x, y, self.q.elements[self.rows[i][j]])

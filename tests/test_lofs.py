@@ -542,6 +542,22 @@ def test_left_class_rows_that_decide_nothing_are_skips(cls):
         PASS, "mult . P(q) . P(s) is the LARI section on 0 left maps")
 
 
+def test_lari_formula_fails_a_member_without_a_coalgebra(monkeypatch):
+    # EMB is in the left class; with no coalgebra the formula has nothing
+    # to compare, and the row fails naming it instead of raising
+    monkeypatch.setattr(lofs, "coalgebra", lambda F: None)
+    MEMO.clear()
+    try:
+        rep = check_left_class([TWO, THREE], [EMB, TOP, BANG], ALL)
+    finally:
+        MEMO.clear()
+    rows = {c.name: c for c in rep.checks}
+    assert (rows["lari-formula"].status, rows["lari-formula"].detail) \
+        == (FAIL, "failing: emb, top")
+    assert rows["coalgebra-description"].status == FAIL
+    assert rows["lari-description"].status == PASS
+
+
 def test_subspace_fullness():
     cats = [PT, TWO, THREE, ANTI]
     for cls in (REPR, ADJ):

@@ -15,7 +15,9 @@ from tvcat import category
 from tvcat.category import identity_functor
 from tvcat.cli import run_command
 from tvcat.core import SizeCapError
-from tvcat.lofs import comma_factorise, l_membership, r_membership
+from tvcat import lofs
+from tvcat.lofs import (check_awfs_corpus, comma_factorise, l_membership,
+                        r_membership)
 from tvcat.monad import MonadInstance, instantiate_monad
 from tvcat.presheaf import presheaf_space, saturated_class
 from tvcat.quantale import boolean_quantale
@@ -110,6 +112,37 @@ def test_memo_is_empty_after_verify_paper():
     code, _ = run_command(["verify-paper", "--max-size", "1"])
     assert code == 0
     assert category.MEMO == {}
+
+
+def test_awfs_corpus_keeps_earlier_entries_and_drops_its_own(monkeypatch):
+    f = identity_functor(chain_cat(ID, ["0", "1"], "two"))
+    g = fresh_id2()
+    sizes = []
+    check_awfs = lofs.check_awfs
+
+    def counted(*args):
+        rep = check_awfs(*args)
+        sizes.append(len(category.MEMO))
+        return rep
+
+    monkeypatch.setattr(lofs, "check_awfs", counted)
+    category.MEMO.clear()
+    try:
+        # an entry that the loop reads and one it does not
+        F = comma_factorise(f, ALL, 4096)
+        space = presheaf_space(discrete_category(ID, ["p"], "pt"))
+        before = dict(category.MEMO)
+        rep = check_awfs_corpus([f, g], ALL, 4096)
+        after = dict(category.MEMO)
+    finally:
+        category.MEMO.clear()
+    assert rep.ok, rep.to_text()
+    # each tower filled the memo while it was checked ...
+    assert len(sizes) == 2 and min(sizes) > len(before)
+    # ... and left it as it found it, the earlier objects included
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    assert F in after.values() and space in after.values()
 
 
 def memo_stores(tree: ast.Module, module: str) -> set:

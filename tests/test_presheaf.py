@@ -137,9 +137,9 @@ def test_work_capped_space_is_enumerated_once(monkeypatch):
     original = presheaf._enumerate_value_tuples
     caps = []
 
-    def counted(q, cond, max_space):
+    def counted(q, cond, max_space, work_budget):
         caps.append(max_space)
-        return original(q, cond, max_space)
+        return original(q, cond, max_space, work_budget)
 
     monkeypatch.setattr("tvcat.presheaf.STRUCTURE_WORK_CAP", 100)
     monkeypatch.setattr("tvcat.presheaf._enumerate_value_tuples", counted)
@@ -310,8 +310,8 @@ def test_members_are_bimodules_checks_spaces_past_64(monkeypatch):
     enumerate_lines = presheaf._enumerate_value_tuples
     intruder = bytes([0, 1, 0, 0, 0, 0, 0])
 
-    def with_intruder(q, cond, max_space):
-        lines = enumerate_lines(q, cond, max_space)
+    def with_intruder(q, cond, max_space, work_budget):
+        lines = enumerate_lines(q, cond, max_space, work_budget)
         return lines + [intruder] if len(cond) == len(labels) else lines
 
     monkeypatch.setattr(presheaf, "_enumerate_value_tuples", with_intruder)

@@ -11,7 +11,9 @@ process and records the wall time, the child's own `ru_maxrss` (from
 its stdout.  The second round runs the trees in reverse order.  The JSON
 written to --out also holds each tree's git SHA (and whether its `src`
 has uncommitted changes), the Python version and the number of CPUs this
-process may run on.  Stdlib only.
+process may run on.  It ends with one summary line per config on stdout:
+each tree's median wall time and max peak RSS, and whether every run's
+stdout sha256 agrees across trees and rounds.  Stdlib only.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -98,7 +101,28 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for line in summary(runs, [name for name, _ in trees]):
+        print(line)
     return 0
+
+
+def summary(runs: list, names: list) -> list:
+    """Per config: each tree's median wall and max peak RSS, and whether
+    all stdout hashes agree."""
+    lines = []
+    for config in CONFIGS:
+        mine = [r for r in runs if r["config"] == config]
+        parts = []
+        for name in names:
+            own = [r for r in mine if r["tree"] == name]
+            parts.append("%s wall %.2f s, peak %.1f MB" % (
+                name, statistics.median(r["wall_s"] for r in own),
+                max(r["peak_rss_mb"] for r in own)))
+        same = len({r["stdout_sha256"] for r in mine}) == 1
+        lines.append("%s: %s; stdout sha256 %s" % (
+            config, "; ".join(parts),
+            "equal on all %d runs" % len(mine) if same else "DIFFERS"))
+    return lines
 
 
 if __name__ == "__main__":
