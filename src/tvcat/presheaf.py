@@ -363,7 +363,7 @@ class PresheafSpace:
         self.cls = cls
         # the class all keeps every string, so the enumeration itself holds
         # the count against the work budget before spelling any; the other
-        # classes are held against it below, once filtered
+        # classes are held against it once filtered
         tuples = _enumerate_value_tuples(
             base.q, base.structure.T.rows, max_space,
             STRUCTURE_WORK_CAP if cls.name == "all" else None)
@@ -377,10 +377,12 @@ class PresheafSpace:
                 if cls.admits(Bimodule(base, E, rel)):
                     keep.append(values)
             tuples = keep
-        if len(tuples) ** 2 * max(1, len(base.carrier)) > STRUCTURE_WORK_CAP:
-            raise SizeCapError(
-                "structure matrix for %d presheaves over %d lifted points "
-                "is past the work budget" % (len(tuples), len(base.carrier)))
+            if len(tuples) ** 2 * max(1, len(base.carrier)) \
+                    > STRUCTURE_WORK_CAP:
+                raise SizeCapError(
+                    "structure matrix for %d presheaves over %d lifted "
+                    "points is past the work budget"
+                    % (len(tuples), len(base.carrier)))
         names = base.q.elements
         self.carrier = FinSet.spelled_on_read(len(tuples), lambda: (
             "[%s]" % ",".join(names[v] for v in values) for values in tuples))
