@@ -18,13 +18,12 @@ a(x', x) <= b(f x', f x).  T, m, e and xi live only in the law suite of
 
 from __future__ import annotations
 
-from itertools import product
 from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
                    product_finset)
 from .monad import MonadInstance
-from .quantale import VRelation, line_code, pair_rows
+from .quantale import VRelation, line_code
 from .report import LawReport
 
 
@@ -189,6 +188,16 @@ def _functor_violation(f: TVFunctor):
     return next(((labels[i], labels[j]) for i in range(len(t))
                  for j in range(len(t))
                  if not leq[a[i][j]][b[t[i]][t[j]]]), None)
+
+
+def checked_functor(src: TVCategory, dst: TVCategory, table,
+                    name: str) -> TVFunctor:
+    """The functor src -> dst with this table; EngineError when the map
+    is not a functor, for tower maps that must be one."""
+    out = TVFunctor(src, dst, Fn(src.carrier, dst.carrier, table), name)
+    if not is_functor(src, dst, out.fn):
+        raise EngineError("%s is not a functor" % name)
+    return out
 
 
 def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
@@ -475,9 +484,10 @@ def tensor_category(C: TVCategory, D: TVCategory) -> TVCategory:
         raise InputError("tensor needs a shared monad instance")
     q = C.q
     XY = product_finset(C.carrier, D.carrier)
-    pairs = list(product(range(len(C.carrier)), range(len(D.carrier))))
-    rows = pair_rows(q, C.structure.rows, D.structure.rows, pairs,
-                     q.tensor_codes)
+    # cell ((x', y'), (x, y)) is a(x', x) (x) b(y', y), in row-major order
+    tm, brows = q.tensor_m, D.structure.rows
+    rows = [bytes([tm[v][u] for v in arow for u in brow])
+            for arow in C.structure.rows for brow in brows]
     return TVCategory(C.M, XY, VRelation(q, XY, XY, rows),
                       "%s(x)%s" % (C.name, D.name))
 

@@ -129,40 +129,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     "categories and their comma factorisations")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="load and validate model files")
-    p.add_argument("files", nargs="+", metavar="FILE")
-
-    p = sub.add_parser("factor", parents=[common],
-                       help="comma factorisation of a functor (emits a "
-                            "self-contained document)")
-    p.add_argument("functor", metavar="FUNCTOR")
-    p.add_argument("--class", **cls_kw)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="left/right class membership of a functor")
-    p.add_argument("functor", metavar="FUNCTOR")
-    p.add_argument("--class", **cls_kw)
-
-    p = sub.add_parser("lift", parents=[common],
-                       help="canonical diagonal filler of a lifting problem")
-    p.add_argument("problem", metavar="PROBLEM")
-    p.add_argument("--class", **cls_kw)
-
-    p = sub.add_parser("complete", parents=[common],
-                       help="emit the class space of a category and its "
-                            "unit functor")
-    p.add_argument("category", metavar="CATEGORY")
-    p.add_argument("--class", **cls_kw)
-
-    p = sub.add_parser("presheaves", parents=[common],
-                       help="list the presheaves on a category")
-    p.add_argument("category", metavar="CATEGORY")
-    p.add_argument("--class", **cls_kw)
-
-    p = sub.add_parser("verify-paper", parents=[common],
-                       help="run every law suite over a seed corpus and "
-                            "print one row per result")
+    # an object command takes a reference named after its resolver
+    parsers = {}
+    for name, (_, resolve, text) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, parents=[common], help=text)
+        if resolve is not None:
+            p.add_argument("ref", metavar=resolve.__name__.upper())
+            p.add_argument("--class", **cls_kw)
+    parsers["check"].add_argument("files", nargs="+", metavar="FILE")
+    p = parsers["verify-paper"]
     p.add_argument("--quantales", default="boolean,truncated_chain(2)",
                    metavar="LIST",
                    help="comma-separated builtins (default "
@@ -332,6 +307,11 @@ def _merged(builders) -> LawReport:
 
 
 def _cmd_verify_paper(args):
+    if args.max_size < 1:
+        # below 1 every corpus is empty or the empty category alone, and
+        # every row would pass over nothing
+        raise InputError("--max-size must be at least 1, got %d"
+                         % args.max_size)
     qtokens = [t.strip() for t in args.quantales.split(",") if t.strip()]
     mkinds = [t.strip() for t in args.monads.split(",") if t.strip()]
     if not qtokens or not mkinds:
@@ -474,17 +454,25 @@ def _cmd_verify_paper(args):
 # entry points
 # ---------------------------------------------------------------------------
 
-_COMMANDS = {"check": _cmd_check, "verify-paper": _cmd_verify_paper}
-
-# The commands that read one named object, with how each resolves it
-_OBJECT_COMMANDS = {
-    "factor": (_cmd_factor, lambda ws, args: ws.functor(args.functor)),
-    "classify": (_cmd_classify, lambda ws, args: ws.functor(args.functor)),
-    "lift": (_cmd_lift, lambda ws, args: ws.problem(args.problem)),
-    "complete": (_cmd_complete,
-                 lambda ws, args: ws.category(args.category)),
-    "presheaves": (_cmd_presheaves,
-                   lambda ws, args: ws.category(args.category))}
+# Every command, in `tvcat --help` order: its handler, the `Workspace`
+# method resolving the one object it reads (or None), and its help line
+_COMMANDS = {
+    "check": (_cmd_check, None, "load and validate model files"),
+    "factor": (_cmd_factor, Workspace.functor,
+               "comma factorisation of a functor (emits a self-contained "
+               "document)"),
+    "classify": (_cmd_classify, Workspace.functor,
+                 "left/right class membership of a functor"),
+    "lift": (_cmd_lift, Workspace.problem,
+             "canonical diagonal filler of a lifting problem"),
+    "complete": (_cmd_complete, Workspace.category,
+                 "emit the class space of a category and its unit functor"),
+    "presheaves": (_cmd_presheaves, Workspace.category,
+                   "list the presheaves on a category"),
+    "verify-paper": (_cmd_verify_paper, None,
+                     "run every law suite over a seed corpus and print one "
+                     "row per result"),
+}
 
 
 def _answer(compute) -> tuple[int, str]:
@@ -523,11 +511,11 @@ def _dispatch(args, key) -> tuple[int, str]:
     if args.max_space < 1:
         raise InputError("--max-space must be at least 1 (every space "
                          "has a presheaf), got %d" % args.max_space)
-    if args.command in _COMMANDS:
-        return _COMMANDS[args.command](args)
-    command, resolve = _OBJECT_COMMANDS[args.command]
+    command, resolve, _ = _COMMANDS[args.command]
+    if resolve is None:
+        return command(args)
     ws = _workspace(args)
-    obj = resolve(ws, args)
+    obj = resolve(ws, args.ref)
     if key is None:
         return _answer(lambda: command(args, obj))
     return memoised(key, lambda: (tuple(ws.reads), _answer(

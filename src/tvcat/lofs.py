@@ -23,11 +23,12 @@ from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
 from . import presheaf
 from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
-                       bim_compose, costar, identity_functor,
-                       is_fully_faithful, is_functor, is_separated,
-                       functor_leq, memoised, shares_corners, star)
-from .presheaf import (apply_P, mult_P, mult_P_functor, phi_dense,
-                       presheaf_space, saturated_class, yoneda)
+                       bim_compose, checked_functor, costar,
+                       identity_functor, is_fully_faithful, is_functor,
+                       is_separated, functor_leq, memoised, shares_corners,
+                       star)
+from .presheaf import (apply_P, mult_P, phi_dense, presheaf_space,
+                       saturated_class, yoneda)
 from .quantale import VRelation, line_code, pair_rows
 from .report import FAIL, SKIP, LawReport, decide
 
@@ -88,7 +89,7 @@ class Factorisation:
             pair_label(labels[ip], points[iy]) for ip, iy in pairs))
         structure = VRelation(q, carrier, carrier,
                               pair_rows(q, space.category.structure.rows,
-                                        b.rows, pairs, q.meet_codes))
+                                        b.rows, pairs))
         self.K = TVCategory(X.M, carrier, structure, "K(%s)" % f.name)
         self.q = TVFunctor(self.K, space.category,
                            Fn(carrier, space.carrier,
@@ -161,10 +162,7 @@ def _into_comma(C: TVCategory, F: Factorisation, pairs: list,
         raise EngineError("%s sends %s outside %s"
                           % (name, C.carrier.elements[table.index(None)],
                              F.K.name))
-    out = TVFunctor(C, F.K, Fn(C.carrier, F.K.carrier, table), name)
-    if not is_functor(C, F.K, out.fn):
-        raise EngineError("%s is not a functor" % name)
-    return out
+    return checked_functor(C, F.K, table, name)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +228,7 @@ def _algebra(F: Factorisation):
         if z is None or g.fn.table[z] != y:
             return None
         table.append(z)
-    fn = Fn(K.carrier, Z.carrier, table)
-    if not is_functor(K, Z, fn):
-        raise EngineError("algebra of %s is not a functor" % g.name)
-    return TVFunctor(K, Z, fn, "alg(%s)" % g.name)
+    return checked_functor(K, Z, table, "alg(%s)" % g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +427,8 @@ def check_simplicity(f: TVFunctor, cls=None,
         plf = apply_P(F.L, cls, max_space)
         PK = presheaf_space(F.K, cls, max_space)
         Q = _presheaf_rows(F.space, F.K.carrier, F.q.fn.table)
-        radj = mult_P_functor(Q, PK, F.space, "mult.P(q)")
+        radj = checked_functor(PK.category, F.space.category,
+                               mult_P(Q, PK, F.space), "mult.P(q)")
         ok_unit = functor_leq(identity_functor(plf.src), radj @ plf)
         ok_counit = functor_leq(plf @ radj, identity_functor(plf.dst))
         rep.add("adjunction", ok_unit and ok_counit,
@@ -566,7 +562,8 @@ def check_left_class(cats, fns, cls=None,
             return [f.name]
         PY = presheaf_space(f.dst, cls, max_space)
         QS = _presheaf_rows(F.space, f.dst.carrier, (F.q.fn @ s.fn).table)
-        formula = mult_P_functor(QS, PY, F.space, "mult.P(q).P(s)")
+        formula = checked_functor(PY.category, F.space.category,
+                                  mult_P(QS, PY, F.space), "mult.P(q).P(s)")
         section = lari(f, cls, max_space)
         return [f.name] if section is None or section.fn != formula.fn \
             else []

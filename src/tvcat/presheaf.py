@@ -31,9 +31,10 @@ from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError)
 from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        _candidate_relation, check_category, check_functor,
-                       costar, identity_functor, is_bimodule,
-                       is_fully_faithful, is_functor, is_separated,
-                       functor_leq, memoised, star, unit_category)
+                       checked_functor, costar, identity_functor,
+                       is_bimodule, is_fully_faithful, is_functor,
+                       is_separated, functor_leq, memoised, star,
+                       unit_category)
 from .quantale import VRelation, compose_rows, line_masks, residual_left
 from .report import LawReport, decide
 
@@ -226,16 +227,17 @@ def _spell_leaf_groups(n, tn, leaves, frees):
 class SaturatedClass:
     """Named membership predicate on bimodules.
 
-    `contains` decides any relation.  `admits` decides a relation that the
-    caller knows is a bimodule (an enumerated presheaf, a scanned
-    bimodule); it asks `contains` unless a class has a cheaper test.
+    `contains` decides any relation; by default it is the bimodule test
+    plus `admits`.  `admits` decides a relation that the caller knows is a
+    bimodule (an enumerated presheaf, a scanned bimodule); by default it
+    asks `contains`.  A class defines one of the two.
     """
 
     def __init__(self, name: str):
         self.name = name
 
     def contains(self, phi: Bimodule) -> bool:
-        raise NotImplementedError
+        return is_bimodule(phi.src, phi.dst, phi.rel) and self.admits(phi)
 
     def admits(self, phi: Bimodule) -> bool:
         return self.contains(phi)
@@ -244,20 +246,12 @@ class SaturatedClass:
         return "SaturatedClass(%s)" % self.name
 
 
-class _BuiltinClass(SaturatedClass):
-    """A class decided as the bimodule test plus a class-only part,
-    `admits`."""
-
-    def contains(self, phi: Bimodule) -> bool:
-        return is_bimodule(phi.src, phi.dst, phi.rel) and self.admits(phi)
-
-
-class _All(_BuiltinClass):
+class _All(SaturatedClass):
     def admits(self, phi: Bimodule) -> bool:
         return True
 
 
-class _Representable(_BuiltinClass):
+class _Representable(SaturatedClass):
     """phi = g^* for some functor g from target to source.
 
     g^* has column y equal to column g(y) of the structure a of the
@@ -272,7 +266,7 @@ class _Representable(_BuiltinClass):
         return all(col in columns for col in phi.rel.T.rows)
 
 
-class _RightAdjoint(_BuiltinClass):
+class _RightAdjoint(SaturatedClass):
     """phi has a left adjoint bimodule in the reverse direction.
 
     Adjoints are unique, and any adjoint satisfies the counit inequality
@@ -347,18 +341,12 @@ class PresheafSpace:
         if not is_separated(base):
             raise ValidationError("presheaf space needs a separated base; "
                                   "%s is not" % base.name)
-        lax = next((i for i, row in enumerate(base.structure.rows)
-                    if not base.q.leq_m[base.q.unit][row[i]]), None)
-        if lax is not None:
-            raise ValidationError("base %s is not reflexive at %s"
-                                  % (base.name, base.carrier[lax]))
         # the enumeration skips forced positions, which is exact only when
-        # the base is transitive
-        a = base.structure
-        viol = (a @ a).first_violation(a)
-        if viol is not None:
-            raise ValidationError("base %s is not transitive at %s"
-                                  % (base.name, viol))
+        # the base is a category, transitive in particular
+        failed = check_category(base).failures
+        if failed:
+            raise ValidationError("base %s fails %s (%s)" % (
+                base.name, failed[0].name, failed[0].detail))
         self.base = base
         self.cls = cls
         # the class all keeps every string, so the enumeration itself holds
@@ -471,16 +459,6 @@ def mult_P(G: VRelation, PZ: PresheafSpace, PX: PresheafSpace) -> list:
     return table
 
 
-def mult_P_functor(G: VRelation, PZ: PresheafSpace, PX: PresheafSpace,
-                   name: str) -> TVFunctor:
-    """`mult_P` as a functor P(Z) -> P(X), checked."""
-    out = TVFunctor(PZ.category, PX.category,
-                    Fn(PZ.carrier, PX.carrier, mult_P(G, PZ, PX)), name)
-    if not is_functor(out.src, out.dst, out.fn):
-        raise EngineError("%s is not a functor" % name)
-    return out
-
-
 def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
             max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Direct image phi -> phi . f^*, the extension mult . P(y . f).
@@ -491,7 +469,8 @@ def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
     """
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
-    return mult_P_functor(costar(f).rel.T, PX, PY, "P(%s)" % f.name)
+    return checked_functor(PX.category, PY.category,
+                           mult_P(costar(f).rel.T, PX, PY), "P(%s)" % f.name)
 
 
 def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
@@ -508,11 +487,8 @@ def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
             raise ValidationError(
                 "restriction of %s along %s leaves the class %s"
                 % (PY.carrier[i], f.name, PX.cls.name))
-    out = TVFunctor(PY.category, PX.category,
-                    Fn(PY.carrier, PX.carrier, table), "P*(%s)" % f.name)
-    if not is_functor(out.src, out.dst, out.fn):
-        raise EngineError("inverse image of %s is not a functor" % f.name)
-    return out
+    return checked_functor(PY.category, PX.category, table,
+                           "P*(%s)" % f.name)
 
 
 def space_mult(C: TVCategory, cls: SaturatedClass | None = None,

@@ -75,10 +75,10 @@ class Quantale:
     and `falling` list the values other than top (bottom) in a linear
     extension of the order, least (greatest) first.
 
-    `pair_rows` reads `tensor_codes`, or `meet_codes[v]`, which maps u to
-    the meet of v and u, when w > 1; and `lane_codes[v]`, which maps v to
-    0xff and every other value to 0.  `unit_up` maps u to 1 when unit <= u
-    and to 0 otherwise.
+    `pair_rows` takes meets only.  When w > 1 it reads `meet_codes[v]`,
+    which maps u to the meet of v and u, and `lane_codes[v]`, which maps v
+    to 0xff and every other value to 0.  `unit_up` maps u to 1 when unit
+    <= u and to 0 otherwise.
     """
 
     __slots__ = ("spec", "elements", "n", "leq_m", "tensor_m", "unit", "bottom",
@@ -148,15 +148,6 @@ class Quantale:
             acc = jm[acc][v]
             if acc == top:
                 return top
-        return acc
-
-    def meet_all(self, items: Iterable[int]) -> int:
-        acc = self.top
-        mm, bottom = self.meet_m, self.bottom
-        for v in items:
-            acc = mm[acc][v]
-            if acc == bottom:
-                return bottom
         return acc
 
     # -- name-level conveniences ------------------------------------------
@@ -319,26 +310,25 @@ def _gathered(table, idx) -> dict:
     return {r: flat[k::len(keep)] for k, r in enumerate(keep)}
 
 
-def pair_rows(q: Quantale, a, b, pairs, codes) -> list:
-    """Byte rows of the table op(a[i'][i], b[j'][j]) over pairs x pairs.
+def pair_rows(q: Quantale, a, b, pairs) -> list:
+    """Byte rows of the table of meets a[i'][i] ^ b[j'][j] over pairs x pairs.
 
-    Row (i', j') and column (i, j) run over `pairs` in order, and a and b
-    are square tables of byte rows; `codes[v]` maps u to op(v, u), as
-    `q.meet_codes` and `q.tensor_codes` do.  Row i' of a is gathered along
-    the pairs' first indices once, and row j' of b along their second
-    indices once.  A meet whose down-set codes fit one byte is then the
-    AND of the two gathered lines' codes, decoded by `q.down_values`.
-    Otherwise an output row is, over the values v of the gathered a-row,
-    the gathered b-row translated by codes[v] on the byte lanes where the
-    a-row holds v (`q.lane_codes`); the lanes of an a-row are split once
-    per run of pairs that share i'.  No cell costs a Python step.
+    Row (i', j') and column (i, j) run over `pairs` in order; a and b are
+    square tables of byte rows, the structures a comma object meets.  Row
+    i' of a is gathered along the pairs' first indices once, and row j' of
+    b along their second indices once.  When down-set codes fit one byte,
+    an output row is the AND of the two gathered lines' codes, decoded by
+    `q.down_values`.  Otherwise it is, over the values v of the gathered
+    a-row, the gathered b-row translated by `q.meet_codes[v]` on the byte
+    lanes where the a-row holds v (`q.lane_codes`), split once per run of
+    pairs that share i'.  No cell costs a Python step.
     """
     if not pairs:
         return []
     firsts, seconds = zip(*pairs)
     alines, blines = _gathered(a, firsts), _gathered(b, seconds)
     size = len(pairs)
-    if codes is q.meet_codes and q.down_values is not None:
+    if q.down_values is not None:
         back = q.down_values
         bcodes = {j2: line_code(q, line) for j2, line in blines.items()}
         out = []
@@ -350,7 +340,7 @@ def pair_rows(q: Quantale, a, b, pairs, codes) -> list:
             out.append((acode & bcodes[j2]).to_bytes(size, "big")
                        .translate(back))
         return out
-    lane_codes = q.lane_codes
+    lane_codes, codes = q.lane_codes, q.meet_codes
     pieces = {}
     out = []
     last = None
@@ -417,34 +407,21 @@ def _scan_laws(elements: Sequence[str], leq_pairs, tensor: dict, unit: int,
                 return c
         return None
 
-    # completeness: every subset has a join and a meet
-    if n <= 12:
-        bad = None
-        for mask in range(1 << n):
-            members = [i for i in range(n) if mask >> i & 1]
-            if lub(members) is None or glb(members) is None:
-                bad = members
-                break
-        rep.add("lattice-completeness", bad is None,
-                "checked for all %d subsets" % (1 << n) if bad is None
-                else "no join/meet for {%s}" % ",".join(elements[i] for i in bad))
-        if bad is not None:
-            return None
-    else:
-        # binary joins/meets plus bounds suffice at finite scale
-        bad = next((pair for pair in ((a, b) for a in range(n) for b in range(n))
-                    if lub(list(pair)) is None or glb(list(pair)) is None), None)
-        ok = bad is None and lub([]) is not None and glb([]) is not None
-        rep.add("lattice-completeness", ok,
-                "checked binary joins/meets and bounds (carrier too large for "
-                "the full subset scan)")
-        if not ok:
-            return None
-
-    bottom = lub([])
-    top = glb([])
+    # a finite order is complete exactly when it has both bounds and every
+    # binary join and meet; a failure names the first such set that a scan
+    # of all subsets by bitmask meets: the empty set, then {a, b} by b, a
+    bottom, top = lub([]), glb([])
     join_m = tuple(tuple(lub([a, b]) for b in range(n)) for a in range(n))
     meet_m = tuple(tuple(glb([a, b]) for b in range(n)) for a in range(n))
+    bad = [] if bottom is None or top is None else next(
+        ([a, b] for b in range(n) for a in range(b)
+         if join_m[a][b] is None or meet_m[a][b] is None), None)
+    rep.add("lattice-completeness", bad is None,
+            "both bounds and all %d binary joins and meets exist" % (n * n)
+            if bad is None
+            else "no join/meet for {%s}" % ",".join(elements[i] for i in bad))
+    if bad is not None:
+        return None
 
     missing = [(a, b) for a in range(n) for b in range(n) if (a, b) not in tensor]
     if missing:
@@ -814,11 +791,21 @@ def residual_left(t: VRelation, r: VRelation) -> VRelation:
     if r.src != t.src:
         raise InputError("left residual needs r and t with the same source")
     q = r.q
+    meet, top, bottom = q.meet_m, q.top, q.bottom
+    # columns by zip: on the small shapes of the class tests, building two
+    # transposed relations costs more than the meets
+    rcols = list(zip(*r.rows)) if r.rows else [()] * len(r.dst)
+    tcols = list(zip(*t.rows)) if t.rows else [()] * len(t.dst)
     rows = []
-    for j in range(len(r.dst)):
+    for rcol in rcols:
+        homs = [q.hom_m[v] for v in rcol]
         row = []
-        for kz in range(len(t.dst)):
-            row.append(q.meet_all(q.hom_m[r.rows[i][j]][t.rows[i][kz]]
-                                  for i in range(len(r.src))))
+        for tcol in tcols:
+            acc = top
+            for hom, c in zip(homs, tcol):
+                acc = meet[acc][hom[c]]
+                if acc == bottom:
+                    break
+            row.append(acc)
         rows.append(row)
     return VRelation(q, r.dst, t.dst, rows)

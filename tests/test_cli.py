@@ -435,6 +435,18 @@ def test_bad_cap_values_are_input_errors(tmp_path):
         assert code == 2 and "--max-space" in out, (raw, out)
 
 
+def test_max_size_below_one_is_an_input_error():
+    # below 1 every corpus is empty or the empty category alone, and every
+    # row would pass over nothing
+    category.MEMO.clear()
+    for raw in ("-1", "0"):
+        code, out = run_command(["verify-paper", "--max-size", raw,
+                                 "--quantales", "boolean"])
+        assert code == 2 and out == "error: --max-size must be at least 1, " \
+            "got %s" % raw, (raw, out)
+    assert not [key for key in category.MEMO if key[0] == "answer"]
+
+
 # verify-paper with --quantales boolean --monads finite_ultrafilter,identity
 # --max-size 2: the identity label comes second and shares the ultrafilter
 # corpus, yet the cross-check rows still run and carry its label

@@ -15,10 +15,11 @@ law masks of the module-functor correspondence and the bimodule scan are
 checked against the per-map scans they replaced, on the first four
 quantales and a non-integral one, where a cell can break a law against
 itself.  The comma kernel `pair_rows` is checked against its cell formula
-for meet and tensor on those five quantales, the 22-value chain and a
-quantale whose bottom is not index 0, so meets by one-byte codes and by
-byte lanes are both covered, and `K(f)` against the comprehension it
-replaced on the boolean and chain corpora.  The presheaf enumeration is
+for meets on those five quantales, the 22-value chain and a quantale whose
+bottom is not index 0, so meets by one-byte codes and by byte lanes are
+both covered, and `K(f)` against the comprehension it replaced on the
+boolean and chain corpora; `tensor_category` against its cell formula on
+the same quantales.  The presheaf enumeration is
 checked against the search with one node per position that it replaced, on
 random V-categories over those quantales and `SPLIT`, on every `SPLIT`
 category of up to 3 points and on the comma objects of a fixed list of
@@ -506,14 +507,10 @@ TOP_FIRST = build_quantale({"elements": ["1", "h", "0"],
 KERNEL_QUANTALES = QUANTALES + [truncated_chain(20), TOP_FIRST]
 
 
-def ref_pair_rows(table, a, b, pairs):
-    """The cell loop `pair_rows` replaced: table[a[i'][i]][b[j'][j]]."""
-    return [bytes(table[a[i2][i]][b[j2][j]] for i, j in pairs)
+def ref_pair_rows(q, a, b, pairs):
+    """The cell loop `pair_rows` replaced: meet_m[a[i'][i]][b[j'][j]]."""
+    return [bytes(q.meet_m[a[i2][i]][b[j2][j]] for i, j in pairs)
             for i2, j2 in pairs]
-
-
-def kernel_ops(q):
-    return [(q.meet_codes, q.meet_m), (q.tensor_codes, q.tensor_m)]
 
 
 def square(rng, q, n):
@@ -533,9 +530,8 @@ def test_pair_rows_match_the_cell_formula():
             drawn = [(rng.randrange(na), rng.randrange(nb))
                      for _ in range(rng.randrange(1, 12))]
             for pairs in (grouped, drawn, grouped[::-1]):
-                for codes, table in kernel_ops(q):
-                    assert quantale.pair_rows(q, a, b, pairs, codes) \
-                        == ref_pair_rows(table, a, b, pairs), (q, pairs)
+                assert quantale.pair_rows(q, a, b, pairs) \
+                    == ref_pair_rows(q, a, b, pairs), (q, pairs)
 
 
 def test_pair_rows_on_empty_single_and_repeated_pairs():
@@ -544,15 +540,13 @@ def test_pair_rows_on_empty_single_and_repeated_pairs():
         a, b = square(rng, q, 3), square(rng, q, 2)
         for pairs in ([], [(2, 1)], [(0, 0), (0, 0)],
                       [(1, 0), (0, 0), (1, 0)], [(2, 1), (0, 1), (2, 0)]):
-            for codes, table in kernel_ops(q):
-                assert quantale.pair_rows(q, a, b, pairs, codes) \
-                    == ref_pair_rows(table, a, b, pairs)
+            assert quantale.pair_rows(q, a, b, pairs) \
+                == ref_pair_rows(q, a, b, pairs)
         # every value against every value, on one row and one column each
         every = [bytes(range(q.n))] * q.n
         pairs = [(i, i) for i in range(q.n)]
-        for codes, table in kernel_ops(q):
-            assert quantale.pair_rows(q, every, every, pairs, codes) \
-                == ref_pair_rows(table, every, every, pairs)
+        assert quantale.pair_rows(q, every, every, pairs) \
+            == ref_pair_rows(q, every, every, pairs)
 
 
 def test_tensor_category_matches_the_product_cell_formula():

@@ -220,8 +220,20 @@ def test_space_refuses_a_base_that_is_not_transitive():
     assert is_separated(gap)
     assert [c.name for c in check_category(gap).failures] == ["transitivity"]
     with pytest.raises(ValidationError,
-                       match=r"^base gap is not transitive at \('a', 'c'\)$"):
+                       match=r"^base gap fails transitivity "
+                             r"\(fails at \('a', 'c'\)\)$"):
         presheaf_space(gap)
+
+
+def test_space_refuses_a_base_that_is_not_reflexive():
+    # b <= b but not a <= a: separated and transitive only
+    loose = category_from_entries(ID, ["a", "b"], {("b", "b"): "1"},
+                                  default="0", name="loose")
+    assert is_separated(loose)
+    assert [c.name for c in check_category(loose).failures] == ["reflexivity"]
+    with pytest.raises(ValidationError,
+                       match=r"^base loose fails reflexivity \(fails at a\)$"):
+        presheaf_space(loose)
 
 
 def test_inverse_image_frozen_and_adjoint():

@@ -13,6 +13,7 @@ from tvcat import (FinSet, InputError, ValidationError, VRelation,
                    boolean_quantale, build_quantale, check_quantale_laws,
                    lukasiewicz_chain, powerset_frame, residual_left,
                    truncated_chain)
+from tvcat.report import FAIL, PASS
 from tvcat.workspace import quantale_from_doc
 
 from builders import entry, fn_from_dict, pointwise
@@ -95,6 +96,50 @@ def test_antisymmetry_violation_is_an_error():
             "unit": "b"}
     with pytest.raises(ValidationError, match="antisymmetry"):
         build_quantale(spec)
+
+
+# Orders that are not complete lattices, by how they fail.  Completeness is
+# decided before the tensor is read, so no tensor is given.
+TWO_MAXIMAL = {"elements": ["a", "b", "c"], "leq": [["c", "a"], ["c", "b"]],
+               "tensor": {}, "unit": "a"}
+TWO_MINIMAL = {"elements": ["a", "b", "c"], "leq": [["a", "c"], ["b", "c"]],
+               "tensor": {}, "unit": "c"}
+# 0 < a, b < c, d < 1: bounds, but {a, b} has two least upper bounds
+BOWTIE = {"elements": ["0", "a", "b", "c", "d", "1"],
+          "leq": [[x, y] for x, y in itertools.product("0ab", "cd1")]
+          + [["0", "a"], ["0", "b"], ["c", "1"], ["d", "1"]],
+          "tensor": {}, "unit": "1"}
+
+
+def completeness(spec):
+    check, = (c for c in check_quantale_laws(spec).checks
+              if c.name == "lattice-completeness")
+    return check.status, check.detail
+
+
+@pytest.mark.parametrize("spec, missing", [
+    # both 3-element orders lack a bound: the meet (join) of the empty set,
+    # the first set a scan of all subsets by bitmask fails on
+    (TWO_MAXIMAL, "{}"), (TWO_MINIMAL, "{}"),
+    # with both bounds, the first pair in that scan's order
+    (BOWTIE, "{a,b}")])
+def test_incomplete_order_fails_lattice_completeness(spec, missing):
+    assert completeness(spec) == (FAIL, "no join/meet for %s" % missing)
+
+
+def test_incomplete_order_is_not_a_quantale():
+    with pytest.raises(ValidationError,
+                       match=r"^not a quantale: lattice-completeness "
+                             r"\(no join/meet for \{\}\)$"):
+        build_quantale(TWO_MINIMAL)
+
+
+def test_completeness_holds_past_twelve_values():
+    # 13 values: past the size where completeness was once scanned over
+    # every subset, and held to the same law
+    assert truncated_chain(11).n == 13
+    status, detail = completeness({"builtin": "truncated_chain", "n": 11})
+    assert status == PASS and "169" in detail
 
 
 def test_missing_tensor_entry_is_an_error():

@@ -10,13 +10,17 @@ process and records the wall time, the child's own `ru_maxrss` (from
 `os.wait4`, so no other process counts), its exit code and the sha256 of
 its stdout.  The second round runs the trees in reverse order.  The JSON
 written to --out also holds each tree's git SHA (and whether its `src`
-has uncommitted changes), the Python version and the number of CPUs this
-process may run on.  It ends with one summary line per config on stdout:
-each tree's median wall time and max peak RSS, and whether every run's
-stdout sha256 agrees across trees and rounds.  Stdlib only.
+has uncommitted changes), the size of its `src/tvcat` (raw lines, and code
+lines: those left once blank lines, comments and docstrings are dropped),
+the Python version and the number of CPUs this process may run on.  It
+ends with one summary line per config on stdout: each tree's median wall
+time and max peak RSS, and whether every run's stdout sha256 agrees across
+trees and rounds; then one line with each tree's `src/tvcat` size.  Stdlib
+only.
 """
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -26,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 ROUNDS = 2
 CONFIGS = {
@@ -45,10 +50,33 @@ def git(tree: str, *args):
 
 
 def tree_info(tree: str) -> dict:
-    """HEAD of the checkout, and whether its `src` differs from HEAD."""
+    """HEAD of the checkout, whether its `src` differs from HEAD, and the
+    size of its `src/tvcat`."""
     status = git(tree, "status", "--porcelain", "--", "src")
     return {"git_sha": git(tree, "rev-parse", "HEAD"),
-            "src_modified": None if status is None else bool(status)}
+            "src_modified": None if status is None else bool(status),
+            "src_lines": src_lines(tree)}
+
+
+def src_lines(tree: str) -> dict:
+    """Raw lines of the `.py` files under `src/tvcat`, and code lines: the
+    lines that are not blank, not only a comment and not in a docstring."""
+    raw = code = 0
+    for path in sorted(Path(tree, "src", "tvcat").rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                doc = node.body[0]
+                docs.update(range(doc.lineno, doc.end_lineno + 1))
+        raw += len(lines)
+        code += sum(1 for number, line in enumerate(lines, 1)
+                    if number not in docs and line.strip()
+                    and not line.lstrip().startswith("#"))
+    return {"raw": raw, "code": code}
 
 
 def run_once(tree: str, args: list) -> dict:
@@ -103,6 +131,10 @@ def main(argv=None) -> int:
         fh.write("\n")
     for line in summary(runs, [name for name, _ in trees]):
         print(line)
+    print("src/tvcat: " + "; ".join(
+        "%s %d lines, %d code" % (name, info["src_lines"]["raw"],
+                                  info["src_lines"]["code"])
+        for name, info in doc["trees"].items()))
     return 0
 
 
