@@ -18,6 +18,7 @@ a(x', x) <= b(f x', f x).  T, m, e and xi live only in the law suite of
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
@@ -52,14 +53,14 @@ class TVCategory:
         return self.M.q
 
     def __eq__(self, other):
-        """One category: the same monad instance and structure table.
+        """One category: equal monad instances and the same structure table.
 
         Names do not count.  Carrier labels alone do not decide this
         either: corpus categories with the same number of points share
         labels.
         """
         return self is other or (isinstance(other, TVCategory)
-                                 and self.M is other.M
+                                 and (self.M is other.M or self.M == other.M)
                                  and self.structure == other.structure)
 
     def __hash__(self):
@@ -76,12 +77,11 @@ class TVCategory:
 # refusal by a cap is remembered per key, so a different cap computes
 # afresh.  The memo also holds `run_command`'s one answer per command line
 # and working directory, valid while every file and listing it read reads
-# the same again; the CLI keeps nothing else.  It lives for the process;
-# `tvcat verify-paper` empties it after each corpus, and
-# `lofs.check_awfs_corpus` deletes what each morphism's tower added once
-# that morphism is checked, so the towers of a corpus never pile up.
-# Other modules import it by name, so it is emptied in place, never
-# rebound.
+# the same again; the CLI keeps nothing else.  It lives for the process,
+# and `memo_scope` is its one eviction rule: `lofs.check_awfs_corpus`
+# scopes each morphism's tower and `tvcat verify-paper` each corpus, so
+# neither piles up.  Other modules import it by name, so it is changed in
+# place, never rebound.
 MEMO: dict = {}
 
 
@@ -106,6 +106,18 @@ def memoised(key, build):
     return hit
 
 
+@contextmanager
+def memo_scope():
+    """Delete the `MEMO` entries added in the block when it ends, however
+    it ends: `memoised` only appends, so they are the last ones."""
+    n = len(MEMO)
+    try:
+        yield
+    finally:
+        for key in list(MEMO)[n:]:
+            del MEMO[key]
+
+
 def check_category(C: TVCategory) -> LawReport:
     q, a = C.q, C.structure
     rep = LawReport("category laws: %s" % C.name)
@@ -125,7 +137,7 @@ class TVFunctor:
     __slots__ = ("src", "dst", "fn", "name")
 
     def __init__(self, src: TVCategory, dst: TVCategory, fn: Fn, name="f"):
-        if src.M is not dst.M:
+        if src.M is not dst.M and src.M != dst.M:
             raise InputError("functor endpoints use different monad instances")
         if fn.src != src.carrier or fn.dst != dst.carrier:
             raise InputError("functor map does not match the carriers")
@@ -148,7 +160,9 @@ class TVFunctor:
                 and self.src == other.src and self.dst == other.dst)
 
     def __hash__(self):
-        return hash(self.fn)
+        # tables and rows only, so that no carrier label gets spelled
+        return hash((self.fn.table, self.src.structure.rows,
+                     self.dst.structure.rows))
 
     def __repr__(self):
         return "TVFunctor(%s: %s -> %s)" % (self.name, self.src.name, self.dst.name)
@@ -208,15 +222,9 @@ def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
     row.  The pulled-back row's code is built once per distinct Tf xx.
     """
     table = fn.table
-    if not table:
-        return True
     q = src.q
     brows = dst.structure.rows
-    if len(table) == 1:
-        x, = table
-        pull = lambda row: (row[x],)
-    else:
-        pull = itemgetter(*table)
+    pull = gather(table)
     ups = {}
     for t, row in zip(table, src.structure.rows):
         above = ups.get(t)
@@ -225,6 +233,14 @@ def is_functor(src: TVCategory, dst: TVCategory, fn: Fn) -> bool:
         if line_code(q, row) & ~above:
             return False
     return True
+
+
+def gather(table):
+    """line -> the tuple of line[t] for t in table: `itemgetter(*table)`,
+    which on at most one index would give a bare entry or need an index."""
+    if len(table) > 1:
+        return itemgetter(*table)
+    return lambda line: tuple(line[t] for t in table)
 
 
 # Searches for structure-preserving maps give up past this many visited
@@ -364,16 +380,10 @@ def is_bimodule(src: TVCategory, dst: TVCategory, rel: VRelation) -> bool:
 def costar(f: TVFunctor) -> Bimodule:
     """Restriction module of f: the relation (yy, x) -> b(yy, f x).
 
-    Each row of b is gathered along f's table by one `itemgetter`, as in
-    `is_functor`; on a source of at most one point, where `itemgetter`
-    would give a bare entry or need an index, cell by cell.
+    Each row of b is gathered along f's table, as in `is_functor`.
     """
     b = f.dst.structure
-    table = f.fn.table
-    if len(table) > 1:
-        rows = map(bytes, map(itemgetter(*table), b.rows))
-    else:
-        rows = (bytes(row[t] for t in table) for row in b.rows)
+    rows = map(bytes, map(gather(f.fn.table), b.rows))
     rel = VRelation(f.src.q, f.dst.carrier, f.src.carrier, rows)
     return Bimodule(f.dst, f.src, rel, f.name + "^*")
 
@@ -480,7 +490,7 @@ def v_category(M: MonadInstance) -> TVCategory:
 
 def tensor_category(C: TVCategory, D: TVCategory) -> TVCategory:
     """Product carrier with the tensor of the two structures."""
-    if C.M is not D.M:
+    if C.M != D.M:
         raise InputError("tensor needs a shared monad instance")
     q = C.q
     XY = product_finset(C.carrier, D.carrier)
@@ -630,21 +640,25 @@ def _candidate_relation(X: TVCategory, Y: TVCategory, k: int) -> VRelation:
                       for i in range(len(X.carrier))])
 
 
-def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory,
-                                  cap: int = 4096):
+# The most candidate maps `module_functor_correspondence` scans on a pair.
+MODULE_SCAN_CAP = 1024
+
+
+def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory):
     """Over maps T(X) x Y -> V: bimodule laws hold iff the map is a functor.
 
     Returns (checked, witness).  The candidates run in
     itertools.product order; witness is the first candidate, as a relation
     TX -/-> Y, on which the two sides disagree, and checked counts the
-    candidates up to it (all of them when there is none).  The scan is
-    skipped (checked = 0) over the cap.  Both sides are decided for every
-    candidate at once by the law masks above.
+    candidates up to it (all of them when there is none).  Past
+    MODULE_SCAN_CAP candidates it raises SizeCapError.  Both sides are
+    decided for every candidate at once by the law masks above.
     """
     q = Xcat.q
     size = len(Xcat.carrier) * len(Ycat.carrier)
-    if size and q.n ** size > cap:
-        return 0, None
+    if size and q.n ** size > MODULE_SCAN_CAP:
+        raise SizeCapError("correspondence scan %d^%d over cap %d"
+                           % (q.n, size, MODULE_SCAN_CAP))
     diff = _bimodule_mask(Xcat, Ycat) ^ _functor_mask(Xcat, Ycat)
     if not diff:
         return q.n ** size, None
@@ -673,8 +687,7 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
                 "dual of every corpus category is a category")
     rep.verdict("tensors",
                 ["%s(x)%s" % (C.name, D.name) for C in cats for D in cats
-                 if len(C.carrier) * len(D.carrier) <= 9
-                 and not check_category(tensor_category(C, D)).ok],
+                 if not check_category(tensor_category(C, D)).ok],
                 "tensor of corpus pairs is a category")
     rep.verdict("corpus-functors",
                 [f.name for f in fns if not check_functor(f).ok],
@@ -729,13 +742,18 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
             if order_fail is None else "disagree on %s" % (order_fail,))
     scanned = 0
     witness = None
+    over_cap = []
     for C in cats:
         for D in cats:
-            n, w = module_functor_correspondence(C, D, cap=1024)
+            try:
+                n, w = module_functor_correspondence(C, D)
+            except SizeCapError as exc:
+                over_cap.append("%s -|-> %s: %s" % (C.name, D.name, exc))
+                continue
             scanned += n
             if w is not None:
                 witness = (C.name, D.name)
     rep.add("module-functor-correspondence", witness is None,
             "equivalence checked for %d candidate maps" % scanned
             if witness is None else "fails on %s" % (witness,))
-    return rep
+    return rep.capped(over_cap)

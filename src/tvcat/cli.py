@@ -20,7 +20,7 @@ import re
 import sys
 
 from .category import (MEMO, check_enriched_calculus, is_fully_faithful,
-                       memoised)
+                       memo_scope, memoised)
 from .core import (DEFAULT_MAX_SPACE, EngineError, InputError,
                    SizeCapError, ValidationError)
 from .corpus import iso_representatives, seed_corpus
@@ -391,7 +391,7 @@ def _cmd_verify_paper(args):
             monad_laws.append((label, check_monad_laws(
                 M, size_limit=min(3, args.max_size))))
             key = M.tables()
-            try:
+            with memo_scope():
                 if key not in shared:
                     cats, fns = seed_corpus(M, size)
                     c = _Corpus(M, cats, iso_representatives(fns), cap)
@@ -402,8 +402,6 @@ def _cmd_verify_paper(args):
                 if wfs is None and kind == "identity" and q.n == 2:
                     wfs = (label, _capped(lambda c: wfs_cross_check(
                         c.cats, c.reps, classes[0], c.cap), c))
-            finally:
-                MEMO.clear()
 
     rep = LawReport("verify-paper: quantales=%s monads=%s max-size=%d"
                     % (args.quantales, args.monads, args.max_size))

@@ -8,10 +8,9 @@ forces anyway.
 """
 
 import itertools
-from operator import itemgetter
 
 from .category import (TVCategory, TVFunctor, _structure_maps, check_category,
-                       is_separated)
+                       gather, is_separated)
 from .core import FinSet, Fn, InputError
 from .quantale import VRelation
 
@@ -61,9 +60,7 @@ def seed_corpus(M, max_size: int):
 
 def _relabelled(rows, p):
     """Byte rows of the square table rows with both indices permuted by p."""
-    if len(p) < 2:
-        return tuple(rows)      # p is the identity
-    pick = itemgetter(*p)
+    pick = gather(p)
     return tuple(bytes(pick(rows[i])) for i in p)
 
 

@@ -22,14 +22,14 @@ from itertools import islice
 from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
                    SizeCapError, ValidationError, pair_label)
 from . import presheaf
-from .category import (MEMO, TVCategory, TVFunctor, _structure_maps,
-                       bim_compose, checked_functor, costar,
-                       identity_functor, is_fully_faithful, is_functor,
-                       is_separated, functor_leq, memoised, shares_corners,
+from .category import (TVCategory, TVFunctor, _structure_maps, bim_compose,
+                       checked_functor, costar, identity_functor,
+                       is_fully_faithful, is_functor, is_separated,
+                       functor_leq, memo_scope, memoised, shares_corners,
                        star)
 from .presheaf import (apply_P, mult_P, phi_dense, presheaf_space,
                        saturated_class, yoneda)
-from .quantale import VRelation, line_code, pair_rows
+from .quantale import VRelation, least_upper_bound, line_code, pair_rows
 from .report import FAIL, SKIP, LawReport, decide
 
 
@@ -140,9 +140,7 @@ def comma_factorise(f: TVFunctor, cls=None,
 def comma_map(Ff: Factorisation, Fg: Factorisation, u: TVFunctor,
               v: TVFunctor) -> TVFunctor:
     """K(u, v) for a commuting square (u, v): f -> g."""
-    if (v.fn @ Ff.f.fn) != (Fg.f.fn @ u.fn):
-        raise InputError("square (%s, %s) does not commute" % (u.name,
-                                                               v.name))
+    _check_lifting_square(Ff.f, Fg.f, u, v)
     pu = apply_P(u, Ff.cls, max(Ff.max_space, Fg.max_space)).fn.table
     vt = v.fn.table
     return _into_comma(Ff.K, Fg, [(pu[ip], vt[iy]) for ip, iy in Ff.pairs],
@@ -457,21 +455,13 @@ def _corpus_tally(fns, laws, title, run):
 
 def check_awfs_corpus(fns, cls=None,
                       max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
-    """One row per comonad/monad/distributivity law over a morphism corpus.
-
-    Each morphism's tower lives for that morphism only: the `MEMO` keys
-    that its `check_awfs` adds are deleted once its report is read.  Keys
-    that were there before stay.
-    """
+    """One row per comonad/monad/distributivity law over a morphism corpus;
+    each morphism's tower lives for its own `check_awfs` only."""
     cls = cls or saturated_class("all")
 
     def run(f):
-        n = len(MEMO)
-        try:
+        with memo_scope():
             return check_awfs(f, cls, max_space)
-        finally:
-            for key in list(MEMO)[n:]:
-                del MEMO[key]
     return _corpus_tally(fns, AWFS_LAWS,
                          "awfs over %d morphisms: %s" % (len(fns), cls.name),
                          run)
@@ -688,15 +678,13 @@ def _least_retraction(g: TVFunctor, cls, max_space: int):
 
 
 def _complete_lattice(C: TVCategory) -> bool:
-    """Every subset of C has a join in the underlying order of C."""
+    """Every subset of C has a join in the underlying order of C: a finite
+    order is complete when it has a least element and every binary join."""
     q, n = C.q, len(C.carrier)
     leq = [[q.leq_m[q.unit][v] for v in row] for row in C.structure.rows]
-    for subset in range(1 << n):
-        ups = [u for u in range(n)
-               if all(leq[s][u] for s in range(n) if subset >> s & 1)]
-        if not any(all(leq[u][w] for w in ups) for u in ups):
-            return False
-    return True
+    return least_upper_bound(leq, []) is not None and all(
+        least_upper_bound(leq, [a, b]) is not None
+        for b in range(n) for a in range(b))
 
 
 # The lifting scan of `wfs_cross_check` stops after this many problems and

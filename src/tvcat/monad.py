@@ -220,26 +220,23 @@ class MonadInstance:
                          map(bytes, zip(*values)), q.above, q.bottom,
                          len(values))
 
+    def __eq__(self, other) -> bool:
+        """The same kind over the same (interned) quantale object."""
+        return isinstance(other, MonadInstance) and self.kind == other.kind \
+            and self.q is other.q
+
+    def __hash__(self) -> int:
+        return hash((self.kind, id(self.q)))
+
     def __repr__(self) -> str:
         return "MonadInstance(%s over %r)" % (self.kind, self.q)
 
 
-_INSTANCES: dict = {}
-
-
 def instantiate_monad(kind: str, q: Quantale) -> MonadInstance:
-    """Build (or hand back) the instance for this kind and quantale object.
-
-    Memoised per quantale identity so that caches keyed on the instance
-    survive corpus rebuilds.
-    """
+    """The instance of this kind over the quantale q."""
     if kind not in ("identity", "finite_ultrafilter"):
         raise InputError("unknown monad kind %r" % kind)
-    key = (kind, q)
-    hit = _INSTANCES.get(key)
-    if hit is None:
-        hit = _INSTANCES[key] = MonadInstance(kind, q)
-    return hit
+    return MonadInstance(kind, q)
 
 
 # ---------------------------------------------------------------------------

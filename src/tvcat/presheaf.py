@@ -672,6 +672,9 @@ def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):
 # categories is scanned at one cap, once per corpus.
 SATURATION_SCAN_CAP = 1024
 
+# composition-closed in `check_saturated` checks at most this many pairs.
+SATURATION_PAIR_BUDGET = 40000
+
 # `check_adjoint_residual` holds the residual decision of `_RightAdjoint`
 # against an exhaustive scan on the pairs of corpus categories with at most
 # this many candidate adjoint tables, V^(|C|·|D|).
@@ -713,9 +716,7 @@ def check_adjoint_residual(cats) -> LawReport:
     return rep
 
 
-def check_saturated(cls: SaturatedClass, cats, fns,
-                    scan_cap: int = SATURATION_SCAN_CAP,
-                    pair_budget: int = 40000) -> LawReport:
+def check_saturated(cls: SaturatedClass, cats, fns) -> LawReport:
     """The three closure conditions, scanned over the corpus.
 
     contains-restrictions asks every corpus functor's f^* to be a member.
@@ -724,8 +725,9 @@ def check_saturated(cls: SaturatedClass, cats, fns,
 
     composition-closed runs over C, D, Z, then the members phi: C -|-> D,
     then the members psi: D -|-> Z, in scan order, and asks each composite
-    psi . phi to be a member.  It stops after pair_budget pairs and then
-    reports "checked the first N".  Its witness is the pair (phi, psi).
+    psi . phi to be a member.  It stops after SATURATION_PAIR_BUDGET pairs
+    and then reports "checked the first N".  Its witness is the pair
+    (phi, psi).
     The members D -|-> Z lie side by side as one row block, so one product
     with phi gives all of phi's composites.
 
@@ -740,7 +742,8 @@ def check_saturated(cls: SaturatedClass, cats, fns,
     restriction becomes a `Bimodule` only when its rows are new.  A
     scanned bimodule is asked only the class-only part, `admits`; a
     composite or a restriction is asked `contains`.  A pair with more than
-    scan_cap candidates is scanned as empty and is a trailing capped row.
+    SATURATION_SCAN_CAP candidates is scanned as empty and is a trailing
+    capped row.
     """
     rep = LawReport("saturation: %s" % cls.name)
 
@@ -773,7 +776,7 @@ def check_saturated(cls: SaturatedClass, cats, fns,
 
     def scan(i: int, j: int):
         try:
-            return _all_bimodules(small[i], small[j], scan_cap)
+            return _all_bimodules(small[i], small[j], SATURATION_SCAN_CAP)
         except SizeCapError as exc:
             over_cap[i, j] = "%s -|-> %s: %s" % (small[i].name,
                                                  small[j].name, exc)
@@ -812,7 +815,7 @@ def check_saturated(cls: SaturatedClass, cats, fns,
                         out = compose_rows(q, phi.rel.rows, block,
                                            nz * len(psis))
                         for k, psi in enumerate(psis):
-                            if pairs == pair_budget:
+                            if pairs == SATURATION_PAIR_BUDGET:
                                 return None, pairs, True
                             pairs += 1
                             at = k * nz

@@ -370,6 +370,13 @@ def pair_rows(q: Quantale, a, b, pairs) -> list:
 # raw table validation
 # ---------------------------------------------------------------------------
 
+def least_upper_bound(leq, members):
+    """A least c with m <= c for every m in members, or None; leq[a][b]
+    says a <= b in a preorder."""
+    ups = [c for c in range(len(leq)) if all(leq[m][c] for m in members)]
+    return next((c for c in ups if all(leq[c][d] for d in ups)), None)
+
+
 def _scan_laws(elements: Sequence[str], leq_pairs, tensor: dict, unit: int,
                rep: LawReport, hom_given=None) -> dict | None:
     """Run every quantale law over raw tables, recording one check per law.
@@ -393,26 +400,15 @@ def _scan_laws(elements: Sequence[str], leq_pairs, tensor: dict, unit: int,
     if anti is not None:
         return None
 
-    def lub(members: list[int]):
-        ubs = [c for c in range(n) if all(leq[m][c] for m in members)]
-        for c in ubs:
-            if all(leq[c][d] for d in ubs):
-                return c
-        return None
-
-    def glb(members: list[int]):
-        lbs = [c for c in range(n) if all(leq[c][m] for m in members)]
-        for c in lbs:
-            if all(leq[d][c] for d in lbs):
-                return c
-        return None
-
+    geq = [list(col) for col in zip(*leq)]   # meets are joins in geq
     # a finite order is complete exactly when it has both bounds and every
     # binary join and meet; a failure names the first such set that a scan
     # of all subsets by bitmask meets: the empty set, then {a, b} by b, a
-    bottom, top = lub([]), glb([])
-    join_m = tuple(tuple(lub([a, b]) for b in range(n)) for a in range(n))
-    meet_m = tuple(tuple(glb([a, b]) for b in range(n)) for a in range(n))
+    bottom, top = least_upper_bound(leq, []), least_upper_bound(geq, [])
+    join_m = tuple(tuple(least_upper_bound(leq, [a, b]) for b in range(n))
+                   for a in range(n))
+    meet_m = tuple(tuple(least_upper_bound(geq, [a, b]) for b in range(n))
+                   for a in range(n))
     bad = [] if bottom is None or top is None else next(
         ([a, b] for b in range(n) for a in range(b)
          if join_m[a][b] is None or meet_m[a][b] is None), None)
@@ -464,7 +460,8 @@ def _scan_laws(elements: Sequence[str], leq_pairs, tensor: dict, unit: int,
 
     # internal hom by scanning; the adjunction then holds by construction on
     # one side, the other side needs distributivity and is still checked
-    hom_m = tuple(tuple(lub([b for b in range(n) if leq[tm[a][b]][c]])
+    hom_m = tuple(tuple(least_upper_bound(leq, [b for b in range(n)
+                                                if leq[tm[a][b]][c]])
                         for c in range(n))
                   for a in range(n))
 
@@ -702,14 +699,11 @@ class VRelation:
     def identity(cls, q: Quantale, X: FinSet) -> "VRelation":
         return cls.from_fn(q, Fn.identity(X))
 
-    def transpose(self) -> "VRelation":
+    @property
+    def T(self) -> "VRelation":
         return VRelation(self.q, self.dst, self.src, zip(*self.rows)) \
             if self.rows else VRelation(self.q, self.dst, self.src,
                                         (b"",) * len(self.dst))
-
-    @property
-    def T(self) -> "VRelation":
-        return self.transpose()
 
     def _check_parallel(self, other: "VRelation"):
         if self.q is not other.q:

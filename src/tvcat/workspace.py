@@ -82,7 +82,7 @@ def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
 
 def functor_from_doc(doc: dict, src: TVCategory, dst: TVCategory,
                      name: str, where: str) -> TVFunctor:
-    if src.M is not dst.M:
+    if src.M != dst.M:
         raise InputError("%s: functor %s endpoints use different monad "
                          "instances: %r and %r" % (where, name, src.M, dst.M))
     mapping = doc.get("map")

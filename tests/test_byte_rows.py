@@ -96,8 +96,8 @@ def test_transpose_meet_join_and_residuals_yield_bytes_rows():
     X, Y, Z = carrier(3), carrier(2, "y"), carrier(4, "z")
     r, r2 = random_rel(rng, q, X, Y), random_rel(rng, q, X, Y)
     t = random_rel(rng, q, X, Z)
-    for rel in (r.transpose(), r.T,
-                VRelation(q, FinSet([]), Y, []).transpose(),
+    for rel in (r.T,
+                VRelation(q, FinSet([]), Y, []).T,
                 pointwise(q.meet_m, r, r2), pointwise(q.join_m, r, r2),
                 residual_left(t, r)):
         assert byte_rows(rel)

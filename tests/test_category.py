@@ -15,6 +15,7 @@ from tvcat.corpus import seed_corpus
 from tvcat.monad import MonadInstance, check_monad_laws, instantiate_monad
 from tvcat.presheaf import apply_P, presheaf_space, yoneda
 from tvcat.quantale import VRelation, truncated_chain
+from tvcat.report import SKIP
 
 from builders import (category_from_entries, constant_relation,
                       discrete_category, entry, fn_from_dict,
@@ -267,12 +268,32 @@ def test_non_module_fails_the_action_laws():
 def test_module_functor_correspondence_on_small_pairs():
     checked, witness = module_functor_correspondence(TWO, TWO)
     assert witness is None and checked == 16
-    checked, witness = module_functor_correspondence(THREE, TWO, cap=64)
+    checked, witness = module_functor_correspondence(THREE, TWO)
     assert checked == 64 and witness is None
     # with an empty side the one candidate is the empty map
     empty = chain(ID_BOOL, [], "empty")
     for C, D in ((empty, TWO), (TWO, empty), (empty, empty)):
         assert module_functor_correspondence(C, D) == (1, None)
+
+
+def test_over_cap_correspondence_pairs_are_trailing_capped_rows(monkeypatch):
+    cats = [TWO, THREE]
+    fns = [identity_functor(C) for C in cats]
+    rep = check_enriched_calculus(ID_BOOL, cats, fns)
+    assert rep.checks[-1].detail == \
+        "equivalence checked for %d candidate maps" % (16 + 2 * 64 + 512)
+    # at a cap of 16 only two -|-> two is scanned, and each other pair is
+    # a capped row after the correspondence row, in scan order
+    monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", 16)
+    rep = check_enriched_calculus(ID_BOOL, cats, fns)
+    assert rep.ok, rep.to_text()
+    assert (rep.checks[-4].name, rep.checks[-4].detail) == (
+        "module-functor-correspondence",
+        "equivalence checked for 16 candidate maps")
+    assert [(c.name, c.status, c.detail) for c in rep.checks[-3:]] == [
+        ("capped", SKIP, "%s: correspondence scan 2^%d over cap 16" % pair)
+        for pair in (("two -|-> three", 6), ("three -|-> two", 6),
+                     ("three -|-> three", 9))]
 
 
 def _corpus(M):

@@ -730,10 +730,11 @@ def law_pairs():
                                category(M, CARRIERS[ny], make(ny), "Y"))
 
 
-def test_correspondence_matches_the_per_map_scan():
+def test_correspondence_matches_the_per_map_scan(monkeypatch):
+    monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", LAW_CAP)
     witnesses = set()
     for X, Y in law_pairs():
-        got = module_functor_correspondence(X, Y, cap=LAW_CAP)
+        got = module_functor_correspondence(X, Y)
         assert got == ref_correspondence(X, Y, LAW_CAP), (X.structure,
                                                           Y.structure)
         if got[1] is not None:
@@ -750,16 +751,21 @@ def test_bimodule_scan_matches_the_per_map_scan():
                    for phi in _scan_bimodules(X, Y, LAW_CAP))
 
 
-def test_the_cap_admits_exactly_its_own_count():
+def test_the_cap_admits_exactly_its_own_count(monkeypatch):
     for q in LAW_QUANTALES:
         M = LAW_MONADS[id(q), "identity"]
         rng = random.Random(q.n)
         X = category(M, CARRIERS[2], random_rows(rng, q, 2, False), "X")
         Y = category(M, CARRIERS[1], random_rows(rng, q, 1, False), "Y")
         count = q.n ** 2
-        assert module_functor_correspondence(X, Y, cap=count) \
+        monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", count)
+        assert module_functor_correspondence(X, Y) \
             == ref_correspondence(X, Y, count) != (0, None)
-        assert module_functor_correspondence(X, Y, cap=count - 1) == (0, None)
+        monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", count - 1)
+        with pytest.raises(SizeCapError,
+                           match=r"^correspondence scan %d\^2 over cap %d$"
+                           % (q.n, count - 1)):
+            module_functor_correspondence(X, Y)
         assert len(list(_scan_bimodules(X, Y, count))) \
             == len(ref_bimodules(X, Y))
         with pytest.raises(SizeCapError,

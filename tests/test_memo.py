@@ -1,18 +1,22 @@
 """Category equality and the engine memo that is keyed on it.
 
-Two categories are one when they share the monad instance and the
-structure table; names do not count.  The memo keys spaces,
+Two categories are one when their monad instances are equal and they
+share the structure table; names do not count.  The memo keys spaces,
 factorisations and class memberships on those categories, so a hit must
-give what a cold call at the same cap gives, and verify-paper leaves it
-empty.
+give what a cold call at the same cap gives.  `memo_scope` is its one
+eviction rule, and an awfs corpus or a verify-paper run leaves it as it
+found it.
 """
 
 import ast
 import itertools
+from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
 from tvcat import category
-from tvcat.category import identity_functor
+from tvcat.category import identity_functor, memo_scope, memoised
 from tvcat.cli import run_command
 from tvcat.core import SizeCapError
 from tvcat import lofs
@@ -20,7 +24,8 @@ from tvcat.lofs import (check_awfs_corpus, comma_factorise, l_membership,
                         r_membership)
 from tvcat.monad import MonadInstance, instantiate_monad
 from tvcat.presheaf import presheaf_space, saturated_class
-from tvcat.quantale import boolean_quantale
+from tvcat.quantale import boolean_quantale, truncated_chain
+from tvcat.report import SKIP
 
 from builders import category_from_entries, discrete_category
 
@@ -47,6 +52,16 @@ def test_category_equality_ignores_names():
     assert identity_functor(a) == identity_functor(b)
 
 
+def test_functor_hash_reads_the_endpoint_structures():
+    two = chain_cat(ID, ["0", "1"], "two")
+    anti = discrete_category(ID, ["0", "1"], "anti")
+    f, g = identity_functor(two), identity_functor(anti)
+    # one table between the same labels, over other structures
+    assert f.fn == g.fn and f != g and hash(f) != hash(g)
+    again = identity_functor(chain_cat(ID, ["0", "1"], "again"))
+    assert again == f and hash(again) == hash(f)
+
+
 def test_category_equality_tells_identity_from_ultrafilter():
     # finite_ultrafilter has the identity's tables, but is another instance
     a = chain_cat(ID, ["0", "1"], "two")
@@ -57,9 +72,9 @@ def test_category_equality_tells_identity_from_ultrafilter():
 
 
 def fresh_id2():
-    """The identity on the 2-chain, over an instance nothing is memoised on."""
-    M = MonadInstance("identity", BOOL)
-    return identity_functor(chain_cat(M, ["0", "1"], "two"))
+    """The identity on the 2-chain, over an empty memo."""
+    category.MEMO.clear()
+    return identity_functor(chain_cat(ID, ["0", "1"], "two"))
 
 
 def outcomes(f, cap):
@@ -106,26 +121,89 @@ def test_refusals_are_remembered_at_their_cap(monkeypatch):
     assert outcomes(f, 2) == cold
 
 
-def test_memo_is_empty_after_verify_paper():
-    presheaf_space(chain_cat(ID, ["0", "1"], "two"))
-    assert category.MEMO
-    code, _ = run_command(["verify-paper", "--max-size", "1"])
+def refused():
+    raise SizeCapError("refused")
+
+
+def test_memo_scope_drops_what_its_block_added():
+    category.MEMO.clear()
+    try:
+        kept = memoised(("test", "kept"), object)
+        with memo_scope():
+            outer = memoised(("test", "outer"), object)
+            with memo_scope():
+                memoised(("test", "inner"), object)
+                with pytest.raises(SizeCapError):
+                    memoised(("test", "refused"), refused)
+                assert len(category.MEMO) == 4
+            # the inner block's value and refusal are gone, nested or not
+            assert list(category.MEMO) == [("test", "kept"),
+                                           ("test", "outer")]
+            with pytest.raises(KeyError):
+                with memo_scope():
+                    memoised(("test", "raised"), object)
+                    raise KeyError("leaves the block")
+            assert list(category.MEMO) == [("test", "kept"),
+                                           ("test", "outer")]
+            assert category.MEMO["test", "outer"] is outer
+        assert list(category.MEMO) == [("test", "kept")]
+        assert category.MEMO["test", "kept"] is kept
+        # a refused key is refused afresh, then built, once the scope is gone
+        assert memoised(("test", "refused"), lambda: 1) == 1
+    finally:
+        category.MEMO.clear()
+
+
+def test_verify_paper_leaves_the_memo_as_it_found_it():
+    category.MEMO.clear()
+    try:
+        space = presheaf_space(chain_cat(ID, ["0", "1"], "two"))
+        before = dict(category.MEMO)
+        code, _ = run_command(["verify-paper", "--max-size", "1"])
+        after = dict(category.MEMO)
+    finally:
+        category.MEMO.clear()
     assert code == 0
-    assert category.MEMO == {}
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+    assert space in after.values()
+
+
+def test_monad_instances_are_values():
+    a = instantiate_monad("identity", BOOL)
+    b = instantiate_monad("identity", BOOL)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == ID and a == MonadInstance("identity", BOOL)
+    assert a != UF and UF == instantiate_monad("finite_ultrafilter", BOOL)
+    assert a != instantiate_monad("identity", truncated_chain(1))
+    # categories over separate instantiations are one category, one key
+    ca, cb = chain_cat(a, ["0", "1"], "two"), chain_cat(b, ["0", "1"], "two")
+    assert ca == cb and hash(ca) == hash(cb)
+    assert presheaf_space(ca) is presheaf_space(cb)
+
+
+def tower_memos(monkeypatch) -> list:
+    """Copies of `MEMO` as each tower of `check_awfs_corpus` leaves it.
+
+    `lofs.memo_scope` is patched so that a copy is taken when the tower's
+    block ends normally, before the scope deletes what the tower added.
+    """
+    seen = []
+
+    @contextmanager
+    def observed():
+        with memo_scope():
+            yield
+            seen.append(dict(category.MEMO))
+
+    monkeypatch.setattr(lofs, "memo_scope", observed)
+    return seen
 
 
 def test_awfs_corpus_keeps_earlier_entries_and_drops_its_own(monkeypatch):
     f = identity_functor(chain_cat(ID, ["0", "1"], "two"))
     g = fresh_id2()
-    sizes = []
-    check_awfs = lofs.check_awfs
-
-    def counted(*args):
-        rep = check_awfs(*args)
-        sizes.append(len(category.MEMO))
-        return rep
-
-    monkeypatch.setattr(lofs, "check_awfs", counted)
+    towers = tower_memos(monkeypatch)
     category.MEMO.clear()
     try:
         # an entry that the loop reads and one it does not
@@ -134,19 +212,24 @@ def test_awfs_corpus_keeps_earlier_entries_and_drops_its_own(monkeypatch):
         before = dict(category.MEMO)
         rep = check_awfs_corpus([f, g], ALL, 4096)
         after = dict(category.MEMO)
+        # at cap 2 every tower is refused, and its refusals leave with it
+        capped = check_awfs_corpus([f, g], ALL, 2)
+        after_capped = dict(category.MEMO)
     finally:
         category.MEMO.clear()
     assert rep.ok, rep.to_text()
+    assert all(c.status == SKIP for c in capped.checks)
     # each tower filled the memo while it was checked ...
-    assert len(sizes) == 2 and min(sizes) > len(before)
+    assert len(towers) == 4 and min(map(len, towers)) > len(before)
     # ... and left it as it found it, the earlier objects included
-    assert after.keys() == before.keys()
-    assert all(after[k] is v for k, v in before.items())
+    for memo in (after, after_capped):
+        assert memo.keys() == before.keys()
+        assert all(memo[k] is v for k, v in before.items())
     assert F in after.values() and space in after.values()
 
 
-def memo_stores(tree: ast.Module, module: str) -> set:
-    """Qualified names of the functions that assign MEMO[...]."""
+def memo_writers(tree: ast.Module, module: str, writes) -> set:
+    """Qualified names of the functions with a node for which writes holds."""
     found = set()
 
     def visit(node, scope):
@@ -154,15 +237,36 @@ def memo_stores(tree: ast.Module, module: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Subscript) \
-                    and isinstance(child.ctx, ast.Store) \
-                    and isinstance(child.value, ast.Name) \
-                    and child.value.id == "MEMO":
+            if writes(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
     visit(tree, (module,))
     return found
+
+
+def memo_item(node, ctx) -> bool:
+    """Whether node is MEMO[...] in the context ctx."""
+    return isinstance(node, ast.Subscript) and isinstance(node.ctx, ctx) \
+        and isinstance(node.value, ast.Name) and node.value.id == "MEMO"
+
+
+def memo_stores(tree: ast.Module, module: str) -> set:
+    """Qualified names of the functions that assign MEMO[...]."""
+    return memo_writers(tree, module, lambda n: memo_item(n, ast.Store))
+
+
+def memo_deletes(tree: ast.Module, module: str) -> set:
+    """Qualified names of the functions that delete MEMO entries: del
+    MEMO[...], or MEMO.clear(), .pop() or .popitem()."""
+    def deletes(node):
+        return memo_item(node, ast.Del) or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("clear", "pop", "popitem")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "MEMO")
+    return memo_writers(tree, module, deletes)
 
 
 def test_memo_is_filled_in_one_place_only():
@@ -174,6 +278,21 @@ def test_memo_is_filled_in_one_place_only():
                       "class C:\n    def g(self):\n"
                       "        x = MEMO[1]\n        MEMO[2] = x\n")
     assert memo_stores(probe, "m") == {"m.f", "m.C.g"}
+
+
+def test_memo_entries_are_deleted_in_one_place_only():
+    # memo_scope is the eviction rule; run_command drops its own stale
+    # answer before it runs the command afresh
+    deletes = set()
+    for path in sorted(SRC.glob("*.py")):
+        deletes |= memo_deletes(ast.parse(path.read_text()), path.stem)
+    assert deletes == {"category.memo_scope", "cli.run_command"}
+    probe = ast.parse("def f():\n    del MEMO[1]\n"
+                      "def g():\n    MEMO.clear()\n"
+                      "def h():\n    MEMO.pop(1)\n"
+                      "def k():\n    del MEMO[:1]\n    x = MEMO[1]\n"
+                      "def s():\n    MEMO[1] = MEMO.get(1)\n")
+    assert memo_deletes(probe, "m") == {"m.f", "m.g", "m.h", "m.k"}
 
 
 _CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,
@@ -239,8 +358,7 @@ def test_process_state_is_pinned():
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert process_state(trees) == {
-        "category.MEMO", "monad._INSTANCES", "quantale._QUANTALES",
-        "cli._build_parser"}
+        "category.MEMO", "quantale._QUANTALES", "cli._build_parser"}
     probe = ast.parse("import functools\n"
                       "A = {}\nB = {1: 2}\nC = {1: 2}\nD = set()\n"
                       "E: list = []\nF = [1]\nB[3] = 4\n"

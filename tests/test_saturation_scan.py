@@ -143,20 +143,23 @@ CASES = [(name, budget) for name in CORPORA for budget in (1, 50, 137)] \
 
 
 @pytest.mark.parametrize("name,budget", CASES)
-def test_batched_scan_reports_as_the_per_pair_scan(name, budget):
+def test_batched_scan_reports_as_the_per_pair_scan(monkeypatch, name,
+                                                   budget):
+    monkeypatch.setattr("tvcat.presheaf.SATURATION_PAIR_BUDGET", budget)
     cats, fns = CORPORA[name]
     assert any(len(C.carrier) == 0 for C in cats)
     for cls in CLASSES:
-        got = check_saturated(cls, cats, fns, pair_budget=budget)
+        got = check_saturated(cls, cats, fns)
         want = reference_check_saturated(cls, cats, fns, pair_budget=budget)
         assert got.to_text() == want.to_text(), (name, cls.name, budget)
 
 
 @pytest.mark.parametrize("budget", [1, 50, 137, 40000])
-def test_failing_classes_give_the_reference_witness(budget):
+def test_failing_classes_give_the_reference_witness(monkeypatch, budget):
+    monkeypatch.setattr("tvcat.presheaf.SATURATION_PAIR_BUDGET", budget)
     cats = [ONE, TWO, ANTI]
     for cls in (Marked("marked"), AtMostOnePoint("one-point")):
-        got = check_saturated(cls, cats, [], pair_budget=budget)
+        got = check_saturated(cls, cats, [])
         want = reference_check_saturated(cls, cats, [], pair_budget=budget)
         assert got.to_text() == want.to_text(), (cls.name, budget)
 
