@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from operator import itemgetter
 
 from .core import (EngineError, FinSet, Fn, InputError, SizeCapError,
-                   product_finset)
+                   ValidationError, product_finset)
 from .monad import MonadInstance
 from .quantale import VRelation, line_code
 from .report import LawReport
@@ -168,14 +168,25 @@ class TVFunctor:
         return "TVFunctor(%s: %s -> %s)" % (self.name, self.src.name, self.dst.name)
 
 
-def shares_corners(f: TVFunctor, g: TVFunctor, u: TVFunctor,
-                   v: TVFunctor) -> bool:
-    """Whether (u, v) is a square from f to g: u from the source of f to
-    the source of g, v from the target of f to the target of g.  The
-    corners are compared as categories, not as carriers: corpus
-    categories share labels."""
-    return (f.src == u.src and f.dst == v.src and g.src == u.dst
-            and g.dst == v.dst)
+def check_square(f: TVFunctor, g: TVFunctor, u: TVFunctor,
+                 v: TVFunctor) -> None:
+    """Refuse (u, v) unless it is a commuting square from f to g.
+
+    InputError unless u goes from the source of f to the source of g and v
+    from the target of f to the target of g; the corners are compared as
+    categories, not as carriers, since corpus categories share labels.
+    ValidationError naming the first point of f's source where v.f and
+    g.u differ.
+    """
+    if not (f.src == u.src and f.dst == v.src and g.src == u.dst
+            and g.dst == v.dst):
+        raise InputError("lifting square (%s, %s) does not share its corners "
+                         "with %s and %s" % (u.name, v.name, f.name, g.name))
+    left, right = (v.fn @ f.fn).table, (g.fn @ u.fn).table
+    if left != right:
+        bad = next(i for i, (a, b) in enumerate(zip(left, right)) if a != b)
+        raise ValidationError("lifting square (%s, %s) does not commute at %s"
+                              % (u.name, v.name, f.src.carrier[bad]))
 
 
 def identity_functor(C: TVCategory) -> TVFunctor:
@@ -472,6 +483,14 @@ def is_separated(C: TVCategory) -> bool:
     return True
 
 
+def require_separated(C: TVCategory, what: str, role: str) -> None:
+    """ValidationError unless C is separated: `what` needs a separated
+    `role`, as a presheaf space needs a separated base."""
+    if not is_separated(C):
+        raise ValidationError("%s needs a separated %s; %s is not"
+                              % (what, role, C.name))
+
+
 # ---------------------------------------------------------------------------
 # standing constructions
 # ---------------------------------------------------------------------------
@@ -670,6 +689,18 @@ def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory):
 # aggregate suite
 # ---------------------------------------------------------------------------
 
+def endpoint_index(fns) -> dict:
+    """The positions in fns of the functors by endpoints, in corpus order:
+    key (C, D) lists the functors C -> D, (C, None) those out of C and
+    (None, D) those into D.  Categories are keys, so equal categories
+    share a group (`TVCategory.__eq__`)."""
+    index: dict = {}
+    for i, f in enumerate(fns):
+        for key in ((f.src, f.dst), (f.src, None), (None, f.dst)):
+            index.setdefault(key, []).append(i)
+    return index
+
+
 def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
     """Calculus identities over a prepared corpus of categories and functors."""
     rep = LawReport("enriched calculus: %s over %s"
@@ -706,37 +737,38 @@ def check_enriched_calculus(M: MonadInstance, cats, fns) -> LawReport:
                  != is_fully_faithful(f)],
                 "pointwise equality matches f^* o f_* = a on all corpus "
                 "functors")
+    index = endpoint_index(fns)
     bad = []
     count = 0
     for f, f_star, f_costar in zip(fns, stars, costars):
         table = f.fn.table
-        for g, g_star in zip(fns, stars):
-            if g.src == f.dst:          # star(g) after f
-                shortcut = VRelation(f.src.q, f.src.carrier, g.dst.carrier,
-                                     (g_star.rel.rows[t] for t in table))
-                if bim_compose(g_star, f_star) != shortcut:
-                    bad.append("%s o %s" % (g.name, f.name))
-                count += 1
-            if g.dst == f.dst:          # costar(f) after star(g)
-                shortcut = VRelation(f.src.q, g.src.carrier, f.src.carrier,
-                                     ((row[t] for t in table)
-                                      for row in g_star.rel.rows))
-                if bim_compose(f_costar, g_star) != shortcut:
-                    bad.append("%s^* o %s" % (f.name, g.name))
-                count += 1
+        for i in index.get((f.dst, None), ()):      # star(g) after f
+            g, g_star = fns[i], stars[i]
+            shortcut = VRelation(f.src.q, f.src.carrier, g.dst.carrier,
+                                 (g_star.rel.rows[t] for t in table))
+            if bim_compose(g_star, f_star) != shortcut:
+                bad.append("%s o %s" % (g.name, f.name))
+            count += 1
+        for i in index.get((None, f.dst), ()):      # costar(f) after star(g)
+            g, g_star = fns[i], stars[i]
+            shortcut = VRelation(f.src.q, g.src.carrier, f.src.carrier,
+                                 ((row[t] for t in table)
+                                  for row in g_star.rel.rows))
+            if bim_compose(f_costar, g_star) != shortcut:
+                bad.append("%s^* o %s" % (f.name, g.name))
+            count += 1
     rep.verdict("module-shortcuts", bad[:4],
                 "psi o f_* = psi.Tf and f^* o phi = f'.phi on %d composites"
                 % count)
     count = 0
     order_fail = None
     for f in fns:
-        for g in fns:
-            if f.src == g.src and f.dst == g.dst:
-                try:
-                    functor_leq(f, g)
-                except EngineError:
-                    order_fail = (f.name, g.name)
-                count += 1
+        for i in index[f.src, f.dst]:
+            try:
+                functor_leq(f, fns[i])
+            except EngineError:
+                order_fail = (f.name, fns[i].name)
+            count += 1
     rep.add("functor-order", order_fail is None,
             "module and unit formulations agree on %d parallel pairs" % count
             if order_fail is None else "disagree on %s" % (order_fail,))

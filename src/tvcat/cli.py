@@ -28,23 +28,21 @@ from .lofs import (check_awfs_corpus, check_left_class,
                    check_simplicity_corpus, check_subspace_fullness,
                    comma_factorise, r_membership, solve_lifting,
                    wfs_cross_check)
-from .monad import check_monad_laws, instantiate_monad
-from .presheaf import (check_adjoint_residual, check_presheaf_monad,
-                       check_saturated, phi_dense, presheaf_space,
-                       saturated_class, unit_isomorphism_check, yoneda,
-                       yoneda_lemma_check)
+from .monad import (MONAD_KINDS, check_monad_kind, check_monad_laws,
+                    instantiate_monad)
+from .presheaf import (CLASS_NAMES, CLASSES, check_adjoint_residual,
+                       check_presheaf_monad, check_saturated, phi_dense,
+                       presheaf_space, saturated_class,
+                       unit_isomorphism_check, yoneda, yoneda_lemma_check)
 from .quantale import check_quantale_laws
 from .report import PASS, SKIP, Check, LawReport, decide
-from .workspace import (MONAD_KINDS, Workspace, category_doc,
-                        factorisation_doc, functor_doc, quantale_from_doc)
+from .workspace import (Workspace, category_doc, factorisation_doc,
+                        functor_doc, quantale_from_doc)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-# `lawvere` is an input alias of right_adjoint
-CLASS_TOKENS = ("all", "representable", "right_adjoint", "lawvere")
 
 # Enumeration caps per builtin family.  Boolean towers stay small enough
 # for the default cap; the chain quantales grow presheaf spaces much
@@ -119,9 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed-corpus", metavar="DIR", default=None,
                         help="load every .json file from DIR before the "
                              "command resolves references")
-    cls_kw = dict(dest="cls", default="all", choices=CLASS_TOKENS,
+    cls_kw = dict(dest="cls", default="all", choices=tuple(CLASSES),
                   metavar="CLS",
-                  help="bimodule class: all, representable, or right_adjoint")
+                  help="bimodule class: %s, or %s"
+                       % (", ".join(CLASS_NAMES[:-1]), CLASS_NAMES[-1]))
 
     top = argparse.ArgumentParser(
         prog="tvcat",
@@ -142,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="LIST",
                    help="comma-separated builtins (default "
                         "boolean,truncated_chain(2))")
-    p.add_argument("--monads", default="identity,finite_ultrafilter",
+    p.add_argument("--monads", default=",".join(MONAD_KINDS),
                    metavar="LIST",
                    help="comma-separated monad kinds (default both; the "
                         "ultrafilter instance runs on the boolean quantale)")
@@ -318,11 +317,9 @@ def _cmd_verify_paper(args):
         raise InputError("verify-paper needs at least one quantale and "
                          "one monad kind")
     for kind in mkinds:
-        if kind not in MONAD_KINDS:
-            raise InputError("unknown monad kind %r" % kind)
+        check_monad_kind(kind)
     specs = [(tok, _quantale_token(tok)) for tok in qtokens]
-    classes = [saturated_class(k)
-               for k in ("all", "representable", "right_adjoint")]
+    classes = [CLASSES[name] for name in CLASS_NAMES]
 
     def yoneda_all_classes(c):
         out, skipped = LawReport(), []

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, InputError,
-                   SizeCapError, ValidationError, pair_label)
+from .core import (DEFAULT_MAX_SPACE, EngineError, FinSet, Fn, SizeCapError,
+                   ValidationError, pair_label)
 from . import presheaf
 from .category import (TVCategory, TVFunctor, _structure_maps, bim_compose,
-                       checked_functor, costar, identity_functor,
-                       is_fully_faithful, is_functor, is_separated,
-                       functor_leq, memo_scope, memoised, shares_corners,
-                       star)
-from .presheaf import (apply_P, mult_P, phi_dense, presheaf_space,
-                       saturated_class, yoneda)
+                       check_square, checked_functor, costar, endpoint_index,
+                       identity_functor, is_fully_faithful, is_functor,
+                       is_separated, functor_leq, memo_scope, memoised,
+                       require_separated, star)
+from .presheaf import (ALL, CLASSES, apply_P, mult_P, phi_dense,
+                       presheaf_space, yoneda)
 from .quantale import VRelation, least_upper_bound, line_code, pair_rows
 from .report import FAIL, SKIP, LawReport, decide
 
@@ -61,6 +61,8 @@ class Factorisation:
         X, Y = f.src, f.dst
         q = X.q
         space = presheaf_space(X, cls, max_space)
+        # a separated space and target make K(f) separated
+        require_separated(Y, "comma object", "target")
         self.space = space
         b = Y.structure
         # (phi, y) is a pair when P(f) phi <= b(-, y) entrywise: the
@@ -130,9 +132,8 @@ class Factorisation:
                                                        len(self.pairs))
 
 
-def comma_factorise(f: TVFunctor, cls=None,
+def comma_factorise(f: TVFunctor, cls=ALL,
                     max_space: int = DEFAULT_MAX_SPACE) -> Factorisation:
-    cls = cls or saturated_class("all")
     return memoised(("fact", f, cls.name, max_space),
                     lambda: Factorisation(f, cls, max_space))
 
@@ -140,7 +141,7 @@ def comma_factorise(f: TVFunctor, cls=None,
 def comma_map(Ff: Factorisation, Fg: Factorisation, u: TVFunctor,
               v: TVFunctor) -> TVFunctor:
     """K(u, v) for a commuting square (u, v): f -> g."""
-    _check_lifting_square(Ff.f, Fg.f, u, v)
+    check_square(Ff.f, Fg.f, u, v)
     pu = apply_P(u, Ff.cls, max(Ff.max_space, Fg.max_space)).fn.table
     vt = v.fn.table
     return _into_comma(Ff.K, Fg, [(pu[ip], vt[iy]) for ip, iy in Ff.pairs],
@@ -187,11 +188,10 @@ def coalgebra(F: Factorisation):
     return TVFunctor(f.dst, F.K, fn, "coalg(%s)" % f.name)
 
 
-def l_membership(f: TVFunctor, cls=None,
+def l_membership(f: TVFunctor, cls=ALL,
                  max_space: int = DEFAULT_MAX_SPACE) -> bool:
     """f is in the left class: fully faithful and dense for the class."""
-    return is_fully_faithful(f) and phi_dense(
-        f, cls or saturated_class("all"), max_space)
+    return is_fully_faithful(f) and phi_dense(f, cls, max_space)
 
 
 def _fibres(g: TVFunctor, over) -> list:
@@ -202,7 +202,7 @@ def _fibres(g: TVFunctor, over) -> list:
     return [masks.get(y, 0) for y in over]
 
 
-def r_membership(g: TVFunctor, cls=None,
+def r_membership(g: TVFunctor, cls=ALL,
                  max_space: int = DEFAULT_MAX_SPACE):
     """The algebra structure p: K(g) -> Z of g, or None when g is not in R.
 
@@ -212,7 +212,6 @@ def r_membership(g: TVFunctor, cls=None,
     Z is separated, so that row names one point; g is in R when every row
     is found and p k lies over R(g) k.
     """
-    cls = cls or saturated_class("all")
     return memoised(("alg", g, cls.name, max_space),
                     lambda: _algebra(comma_factorise(g, cls, max_space)))
 
@@ -236,7 +235,7 @@ def _algebra(F: Factorisation):
 def enumerate_fillers(f: TVFunctor, g: TVFunctor, u: TVFunctor,
                       v: TVFunctor):
     """All diagonals d with d.f = u and g.d = v, in table order."""
-    _check_lifting_square(f, g, u, v)
+    check_square(f, g, u, v)
     B, Z = f.dst, g.src
     pinned = {}
     for ia in range(len(f.src.carrier)):
@@ -250,25 +249,14 @@ def enumerate_fillers(f: TVFunctor, g: TVFunctor, u: TVFunctor,
             for t in tables]
 
 
-def _check_lifting_square(f: TVFunctor, g: TVFunctor, u: TVFunctor,
-                          v: TVFunctor) -> None:
-    """InputError unless (u, v) is a commuting square from f to g."""
-    if not shares_corners(f, g, u, v):
-        raise InputError("lifting square (%s, %s) does not share its corners "
-                         "with %s and %s" % (u.name, v.name, f.name, g.name))
-    if (v.fn @ f.fn) != (g.fn @ u.fn):
-        raise InputError("lifting square does not commute")
-
-
 def solve_lifting(f: TVFunctor, g: TVFunctor, u: TVFunctor, v: TVFunctor,
-                  cls=None, max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
+                  cls=ALL, max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Canonical filler p . K(u,v) . s through both comma objects.
 
     The functor lies between this call's own categories and is named
     after this call's square.
     """
-    cls = cls or saturated_class("all")
-    _check_lifting_square(f, g, u, v)
+    check_square(f, g, u, v)
     table = _canonical_filler(f, g, u, v, cls, max_space)
     return TVFunctor(f.dst, g.src, Fn(f.dst.carrier, g.src.carrier, table),
                      "filler(%s,%s)" % (u.name, v.name))
@@ -322,14 +310,13 @@ AWFS_LAWS = ("comonad-counit-right", "comonad-counit-comma",
              "distributivity-1", "distributivity-2")
 
 
-def check_awfs(f: TVFunctor, cls=None,
+def check_awfs(f: TVFunctor, cls=ALL,
                max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Comonad, monad, and both distributive laws at one morphism.
 
     Every law in AWFS_LAWS gets exactly one row; rows whose towers do not
     fit under the size caps are skips, never silent omissions.
     """
-    cls = cls or saturated_class("all")
     rep = LawReport("awfs laws at %s" % f.name)
 
     def skip_rest(reason):
@@ -403,10 +390,9 @@ def check_awfs(f: TVFunctor, cls=None,
 SIMPLICITY_LAWS = ("module-identity", "adjunction")
 
 
-def check_simplicity(f: TVFunctor, cls=None,
+def check_simplicity(f: TVFunctor, cls=ALL,
                      max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """The left leg's module identity and its adjoint description."""
-    cls = cls or saturated_class("all")
     rep = LawReport("simplicity at %s" % f.name)
     try:
         F = comma_factorise(f, cls, max_space)
@@ -453,11 +439,10 @@ def _corpus_tally(fns, laws, title, run):
     return rep.capped(skipped)
 
 
-def check_awfs_corpus(fns, cls=None,
+def check_awfs_corpus(fns, cls=ALL,
                       max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """One row per comonad/monad/distributivity law over a morphism corpus;
     each morphism's tower lives for its own `check_awfs` only."""
-    cls = cls or saturated_class("all")
 
     def run(f):
         with memo_scope():
@@ -467,10 +452,9 @@ def check_awfs_corpus(fns, cls=None,
                          run)
 
 
-def check_simplicity_corpus(fns, cls=None,
+def check_simplicity_corpus(fns, cls=ALL,
                             max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Module identity and adjunction rows over a morphism corpus."""
-    cls = cls or saturated_class("all")
     return _corpus_tally(
         fns, SIMPLICITY_LAWS,
         "simplicity over %d morphisms: %s" % (len(fns), cls.name),
@@ -481,14 +465,13 @@ def check_simplicity_corpus(fns, cls=None,
 # the LARI description of the left class
 # ---------------------------------------------------------------------------
 
-def lari(f: TVFunctor, cls=None, max_space: int = DEFAULT_MAX_SPACE):
+def lari(f: TVFunctor, cls=ALL, max_space: int = DEFAULT_MAX_SPACE):
     """Adjoint retraction of the direct image P(f), or None.
 
     The retraction sends a presheaf on the target to the greatest one
     whose direct image sits below it; f is in the left class exactly
     when this map exists, retracts P(f), and P(f) is left adjoint to it.
     """
-    cls = cls or saturated_class("all")
     PX = presheaf_space(f.src, cls, max_space)
     PY = presheaf_space(f.dst, cls, max_space)
     pf = apply_P(f, cls, max_space)
@@ -519,10 +502,9 @@ def lari(f: TVFunctor, cls=None, max_space: int = DEFAULT_MAX_SPACE):
     return out
 
 
-def check_left_class(cats, fns, cls=None,
+def check_left_class(cats, fns, cls=ALL,
                      max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Equivalent descriptions of the left class over a corpus."""
-    cls = cls or saturated_class("all")
     rep = LawReport("left class: %s" % cls.name)
     skipped = []
 
@@ -568,34 +550,28 @@ def check_left_class(cats, fns, cls=None,
               "the unit is in the left class on {} corpus objects")
 
     if cls.name != "all":
-        full_cls = saturated_class("all")
-
         def coherence(f):
             if not l_membership(f, cls, max_space):
                 return None
-            return [] if l_membership(f, full_cls, max_space) else [f.name]
+            return [] if l_membership(f, ALL, max_space) else [f.name]
         rep.tally("submonad-coherence", *decide(fns, coherence, skipped),
                   "all {} class embeddings are fully faithful embeddings")
 
-    # parallel pairs grouped by endpoints so the scan only visits
-    # composable candidates
-    by_endpoints: dict = {}
-    for u in fns:
-        by_endpoints.setdefault((u.src, u.dst), []).append(u)
+    # the parallel pairs (u, v) into the source of f
+    index = endpoint_index(fns)
     bad = []
     pairs = 0
     for f in fns:
         if not is_fully_faithful(f):
             continue
-        for (_, dst), us in by_endpoints.items():
-            if dst != f.src:
-                continue
-            for u in us:
-                for v in us:
-                    pairs += 1
-                    if functor_leq(f @ u, f @ v) and not functor_leq(u, v):
-                        bad.append("%s against (%s, %s)" % (f.name, u.name,
-                                                            v.name))
+        for i in index.get((None, f.src), ()):
+            u = fns[i]
+            for j in index[u.src, f.src]:
+                v = fns[j]
+                pairs += 1
+                if functor_leq(f @ u, f @ v) and not functor_leq(u, v):
+                    bad.append("%s against (%s, %s)" % (f.name, u.name,
+                                                        v.name))
     rep.verdict("fully-faithful-is-full", bad[:3],
                 "order reflection on %d parallel pairs" % pairs)
     return rep.capped(skipped)
@@ -605,12 +581,11 @@ def check_subspace_fullness(cats, cls,
                             max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Class spaces are full subcategories of the unrestricted space."""
     rep = LawReport("subspace fullness: %s" % cls.name)
-    full_cls = saturated_class("all")
     skipped = []
 
     def full_inclusion(C):
         sub = presheaf_space(C, cls, max_space)
-        amb = presheaf_space(C, full_cls, max_space)
+        amb = presheaf_space(C, ALL, max_space)
         at = [amb.index[p] for p in sub.presheaves]
         names = sub.carrier
         return ["%s at (%s, %s)" % (C.name, names[i], names[j])
@@ -692,7 +667,7 @@ def _complete_lattice(C: TVCategory) -> bool:
 LIFTING_PROBLEM_CAP = 20000
 
 
-def wfs_cross_check(cats, fns, cls=None,
+def wfs_cross_check(cats, fns, cls=ALL,
                     max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     """Compare the lax system against independent descriptions of L and R.
 
@@ -705,11 +680,10 @@ def wfs_cross_check(cats, fns, cls=None,
     weights, the complete lattices).  Canonical fillers must be least.
     Each row decides per map; a map a size cap stops is a capped row.
     """
-    cls = cls or saturated_class("all")
     rep = LawReport("classical cross-check: %s" % cls.name)
     skipped = []
     # the left class against its classical description
-    ref = saturated_class("representable")
+    ref = CLASSES["representable"]
     name, reference, held = {
         "all": ("left-class-is-embeddings", is_fully_faithful,
                 "left class = order-embeddings on {} maps"),

@@ -232,10 +232,21 @@ class MonadInstance:
         return "MonadInstance(%s over %r)" % (self.kind, self.q)
 
 
+# The monad kinds: adding one is one entry here.  The model files, the
+# `--monads` option and `instantiate_monad` are checked against it.
+MONAD_KINDS = ("identity", "finite_ultrafilter")
+
+
+def check_monad_kind(kind: str) -> None:
+    """InputError unless kind is one of MONAD_KINDS."""
+    if kind not in MONAD_KINDS:
+        raise InputError("unknown monad kind %r (have %s)"
+                         % (kind, ", ".join(MONAD_KINDS)))
+
+
 def instantiate_monad(kind: str, q: Quantale) -> MonadInstance:
     """The instance of this kind over the quantale q."""
-    if kind not in ("identity", "finite_ultrafilter"):
-        raise InputError("unknown monad kind %r" % kind)
+    check_monad_kind(kind)
     return MonadInstance(kind, q)
 
 

@@ -33,8 +33,8 @@ from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        _candidate_relation, check_category, check_functor,
                        checked_functor, costar, identity_functor,
                        is_bimodule, is_fully_faithful, is_functor,
-                       is_separated, functor_leq, memoised, star,
-                       unit_category)
+                       is_separated, functor_leq, memoised, require_separated,
+                       star, unit_category)
 from .quantale import VRelation, compose_rows, line_masks, residual_left
 from .report import LawReport, decide
 
@@ -283,20 +283,25 @@ class _RightAdjoint(SaturatedClass):
         return is_bimodule(Y, X, lam) and Y.structure <= phi.rel @ lam
 
 
-_BUILTIN_CLASSES = {
-    "all": _All("all"),
-    "representable": _Representable("representable"),
-    "right_adjoint": _RightAdjoint("right_adjoint"),
-}
-_BUILTIN_CLASSES["lawvere"] = _BUILTIN_CLASSES["right_adjoint"]  # input alias
+# The built-in classes by name, in `verify-paper`'s order: adding a class
+# is one entry here.  The `--class` choices, verify-paper's class list and
+# `saturated_class`'s message are read off this table.
+CLASSES = {cls.name: cls for cls in (_All("all"),
+                                     _Representable("representable"),
+                                     _RightAdjoint("right_adjoint"))}
+CLASSES["lawvere"] = CLASSES["right_adjoint"]  # an input alias
+# the names of the classes, without aliases
+CLASS_NAMES = tuple(name for name, cls in CLASSES.items()
+                    if name == cls.name)
+ALL = CLASSES["all"]
 
 
 def saturated_class(kind: str) -> SaturatedClass:
     try:
-        return _BUILTIN_CLASSES[kind]
+        return CLASSES[kind]
     except KeyError:
-        raise InputError("unknown class %r (have all, representable, "
-                         "right_adjoint)" % kind)
+        raise InputError("unknown class %r (have %s)"
+                         % (kind, ", ".join(CLASS_NAMES)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +343,7 @@ class PresheafSpace:
             raise SizeCapError("refusing to enumerate presheaves over %d "
                                "lifted points (bound %d)"
                                % (len(base.carrier), ENUM_BASE_CAP))
-        if not is_separated(base):
-            raise ValidationError("presheaf space needs a separated base; "
-                                  "%s is not" % base.name)
+        require_separated(base, "presheaf space", "base")
         # the enumeration skips forced positions, which is exact only when
         # the base is a category, transitive in particular
         failed = check_category(base).failures
@@ -390,14 +393,13 @@ class PresheafSpace:
                                                      len(self))
 
 
-def presheaf_space(C: TVCategory, cls: SaturatedClass | None = None,
+def presheaf_space(C: TVCategory, cls: SaturatedClass = ALL,
                    max_space: int = DEFAULT_MAX_SPACE) -> PresheafSpace:
-    cls = cls or _BUILTIN_CLASSES["all"]
     return memoised(("space", C, cls.name, max_space),
                     lambda: PresheafSpace(C, cls, max_space))
 
 
-def yoneda(C: TVCategory, cls: SaturatedClass | None = None,
+def yoneda(C: TVCategory, cls: SaturatedClass = ALL,
            max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """x maps to its covariant hom a(-, x), landing in the class space."""
     space = presheaf_space(C, cls, max_space)
@@ -416,7 +418,7 @@ def yoneda(C: TVCategory, cls: SaturatedClass | None = None,
                      "yoneda")
 
 
-def yoneda_lemma_check(C: TVCategory, cls: SaturatedClass | None = None,
+def yoneda_lemma_check(C: TVCategory, cls: SaturatedClass = ALL,
                        max_space: int = DEFAULT_MAX_SPACE) -> LawReport:
     rep = LawReport("Yoneda lemma on %s" % C.name)
     space = presheaf_space(C, cls, max_space)
@@ -459,7 +461,7 @@ def mult_P(G: VRelation, PZ: PresheafSpace, PX: PresheafSpace) -> list:
     return table
 
 
-def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
+def apply_P(f: TVFunctor, cls: SaturatedClass = ALL,
             max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Direct image phi -> phi . f^*, the extension mult . P(y . f).
 
@@ -473,7 +475,7 @@ def apply_P(f: TVFunctor, cls: SaturatedClass | None = None,
                            mult_P(costar(f).rel.T, PX, PY), "P(%s)" % f.name)
 
 
-def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
+def apply_P_star(f: TVFunctor, cls: SaturatedClass = ALL,
                  max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Inverse image psi -> psi . Tf; errors if some image leaves the class."""
     PX = presheaf_space(f.src, cls, max_space)
@@ -491,7 +493,7 @@ def apply_P_star(f: TVFunctor, cls: SaturatedClass | None = None,
                            "P*(%s)" % f.name)
 
 
-def space_mult(C: TVCategory, cls: SaturatedClass | None = None,
+def space_mult(C: TVCategory, cls: SaturatedClass = ALL,
                max_space: int = DEFAULT_MAX_SPACE) -> TVFunctor:
     """Restriction along Yoneda: the multiplication of the presheaf monad."""
     y = yoneda(C, cls, max_space)
@@ -700,7 +702,7 @@ def check_adjoint_residual(cats) -> LawReport:
     ADJOINT_CROSSCHECK_CAP candidate adjoints.
     """
     rep = LawReport("adjoint residual")
-    cls, cap = _BUILTIN_CLASSES["right_adjoint"], SATURATION_SCAN_CAP
+    cls, cap = CLASSES["right_adjoint"], SATURATION_SCAN_CAP
     # the pairs are those under ADJOINT_CROSSCHECK_CAP, scanned at the cap
     # of the saturation scans so that each pair is scanned once
     mods = [phi for C in cats for D in cats
@@ -878,6 +880,9 @@ def phi_dense(f: TVFunctor, cls: SaturatedClass,
 
 def _decide_dense(f: TVFunctor, cls: SaturatedClass, max_space: int) -> bool:
     member = cls.contains(star(f))
+    # a space refused for its base is an error, not a failed restriction
+    presheaf_space(f.src, cls, max_space)
+    presheaf_space(f.dst, cls, max_space)
     try:
         apply_P_star(f, cls, max_space)
         restricts = True

@@ -12,41 +12,43 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 from .category import (TVCategory, TVFunctor, _functor_violation,
-                       check_category, is_functor, shares_corners)
+                       check_category, check_square, is_functor)
 from .core import FinSet, Fn, InputError, ValidationError
-from .monad import instantiate_monad
+from .monad import check_monad_kind, instantiate_monad
 from .quantale import VRelation, build_quantale
 from .report import LawReport
 
-MONAD_KINDS = ("identity", "finite_ultrafilter")
+
+@contextmanager
+def _at(where: str):
+    """Put where in front of an InputError or ValidationError of the block."""
+    try:
+        yield
+    except (InputError, ValidationError) as exc:
+        raise type(exc)("%s: %s" % (where, exc))
 
 
 def quantale_from_doc(doc: dict, where: str):
     if not isinstance(doc, dict):
         raise InputError("%s: quantale document must be an object" % where)
-    try:
+    with _at(where):
         # a name belongs to the document, not to the quantale: a named file
         # and an inline copy of it give one object
         return build_quantale({k: v for k, v in doc.items() if k != "name"})
-    except InputError as exc:
-        raise InputError("%s: %s" % (where, exc))
-    except ValidationError as exc:
-        raise ValidationError("%s: %s" % (where, exc))
 
 
 def category_from_doc(doc: dict, q, name: str, where: str) -> TVCategory:
-    kind = doc.get("monad", "identity")
-    if kind not in MONAD_KINDS:
-        raise InputError("%s: unknown monad kind %r" % (where, kind))
+    with _at(where):
+        M = instantiate_monad(doc.get("monad", "identity"), q)
     carrier = doc.get("carrier")
     if not isinstance(carrier, list) or \
             any(not isinstance(x, str) for x in carrier):
         raise InputError("%s: carrier must be a list of element ids" % where)
     if len(set(carrier)) != len(carrier):
         raise InputError("%s: carrier ids repeat" % where)
-    M = instantiate_monad(kind, q)
     X = FinSet(carrier)
     default = doc.get("default", "bot")
     try:
@@ -187,9 +189,8 @@ class Workspace:
         if kind == "quantale":
             self.quantales[name] = quantale_from_doc(doc, where)
         elif kind == "monad":
-            if doc["monad"] not in MONAD_KINDS:
-                raise InputError("%s: unknown monad kind %r"
-                                 % (where, doc["monad"]))
+            with _at(where):
+                check_monad_kind(doc["monad"])
         elif kind == "category":
             q = self._quantale_ref(doc.get("quantale"), base_dir, where)
             C = category_from_doc(doc, q, name, where)
@@ -215,7 +216,9 @@ class Workspace:
         elif kind == "problem":
             fns = {k: self.functor(doc[k], base_dir, where)
                    for k in ("f", "g", "u", "v")}
-            self.problems[name] = _check_square(fns, name, where)
+            with _at("%s: problem %s" % (where, name)):
+                check_square(fns["f"], fns["g"], fns["u"], fns["v"])
+            self.problems[name] = fns
         elif kind == "factorisation":
             # an embedded category may be left out, a leg may not
             parts = [p for p in ("source", "target", "K", "space")
@@ -299,21 +302,6 @@ def _parse(data: bytes, path: str) -> dict:
 def _basename_stem(path: str) -> str:
     stem = os.path.splitext(os.path.basename(path))[0]
     return stem or path
-
-
-def _check_square(fns: dict, name: str, where: str):
-    f, g, u, v = fns["f"], fns["g"], fns["u"], fns["v"]
-    if not shares_corners(f, g, u, v):
-        raise InputError("%s: problem %s squares do not share corners"
-                         % (where, name))
-    left = v.fn @ f.fn
-    right = g.fn @ u.fn
-    if left != right:
-        bad = next(x for i, x in enumerate(f.src.carrier)
-                   if left.table[i] != right.table[i])
-        raise ValidationError("%s: problem %s square does not commute at %s"
-                              % (where, name, bad))
-    return fns
 
 
 # ---------------------------------------------------------------------------

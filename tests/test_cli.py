@@ -13,8 +13,8 @@ from tvcat import category, cli
 from tvcat.cli import run_command
 from tvcat.core import EngineError, InputError
 from tvcat.corpus import seed_corpus
-from tvcat.monad import MonadInstance
-from tvcat.presheaf import saturated_class
+from tvcat.monad import MONAD_KINDS, MonadInstance, check_monad_kind
+from tvcat.presheaf import CLASS_NAMES, CLASSES, saturated_class
 from tvcat.quantale import boolean_quantale
 
 BOOL_DOC = {"name": "bool", "builtin": "boolean"}
@@ -152,8 +152,10 @@ def test_lawvere_is_an_alias_of_right_adjoint(tmp_path, output):
 
 
 def test_unknown_class_names_right_adjoint():
-    with pytest.raises(InputError, match="right_adjoint"):
+    with pytest.raises(InputError, match="right_adjoint") as exc:
         saturated_class("adjoint")
+    assert str(exc.value) == "unknown class 'adjoint' (have %s)" \
+        % ", ".join(CLASS_NAMES)
 
 
 def test_lift_solves_a_commuting_square(tmp_path):
@@ -197,8 +199,9 @@ def test_square_corners_are_compared_as_categories(tmp_path):
          ("v.json", ident("v", "A.json", "A2.json")), ("sq.json", sq))
     for command in ("check", "lift"):
         code, out = run_command([command, str(tmp_path / "sq.json")])
-        assert (code, out) == (2, "error: %s: problem sq squares do not "
-                               "share corners" % (tmp_path / "sq.json"))
+        assert (code, out) == (2, "error: %s: problem sq: lifting square "
+                               "(u, v) does not share its corners with f "
+                               "and g" % (tmp_path / "sq.json"))
 
 
 def test_functor_across_quantales_names_its_file(tmp_path):
@@ -347,10 +350,76 @@ def test_engine_error_fails_its_rows(tmp_path, monkeypatch):
         run_command(["factor", str(tmp_path / "emb.json")])
 
 
-def test_unknown_monad_kind_is_an_input_error():
-    code, out = run_command(["verify-paper", "--monads", "powerset"])
-    assert code == 2
-    assert "powerset" in out
+def test_unknown_monad_kind_is_an_input_error(tmp_path):
+    # the option, a category document and a monad document all refuse the
+    # kind with the message of `check_monad_kind`, which names MONAD_KINDS
+    with pytest.raises(InputError) as exc:
+        check_monad_kind("powerset")
+    message = str(exc.value)
+    assert message == "unknown monad kind 'powerset' (have %s)" \
+        % ", ".join(MONAD_KINDS)
+    assert run_command(["verify-paper", "--monads", "powerset"]) \
+        == (2, "error: " + message)
+    seed(tmp_path, ("cat.json", dict(PT_DOC, name="cat", monad="powerset")),
+         ("kind.json", {"monad": "powerset"}))
+    for name in ("cat.json", "kind.json"):
+        path = str(tmp_path / name)
+        assert run_command(["check", path]) \
+            == (2, "error: %s: %s" % (path, message))
+
+
+def test_the_class_table_gives_the_choices_and_the_class_list(monkeypatch):
+    # every --class takes the table's names, the lawvere alias included
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    choices = [action.choices for sub in commands.choices.values()
+               for action in sub._actions if action.dest == "cls"]
+    assert len(choices) == 5
+    assert all(c == tuple(CLASSES) for c in choices)
+    assert tuple(CLASSES) == CLASS_NAMES + ("lawvere",)
+    # verify-paper runs the table's classes in its order, the alias once
+    seen = []
+    real = cli.check_saturated
+
+    def recorded(cls, cats, fns):
+        seen.append(cls.name)
+        return real(cls, cats, fns)
+
+    monkeypatch.setattr(cli, "check_saturated", recorded)
+    code, _ = run_command(["verify-paper", "--quantales", "boolean",
+                           "--monads", "identity", "--max-size", "1"])
+    assert code == 0
+    assert seen == list(CLASS_NAMES)
+
+
+# valid, but its two points lie below each other: not separated
+BLOB_DOC = {"name": "blob", "quantale": "bool.json", "carrier": ["a", "b"],
+            "default": "1"}
+
+
+def test_an_endpoint_that_is_not_separated_is_refused(tmp_path):
+    into = {"name": "into", "source": "pt.json", "target": "blob.json",
+            "map": {"p": "a"}}
+    out_of = {"name": "out", "source": "blob.json", "target": "pt.json",
+              "map": {"a": "p", "b": "p"}}
+    square = {"name": "sq", "f": "into.json", "g": "out.json",
+              "u": "into.json", "v": "out.json"}
+    seed(tmp_path, ("blob.json", BLOB_DOC), ("into.json", into),
+         ("out.json", out_of), ("sq.json", square))
+    assert run_command(["check"] + [str(tmp_path / name) for name in (
+        "blob.json", "into.json", "out.json", "sq.json")])[0] == 0
+    base = "presheaf space needs a separated base; blob is not"
+    target = "comma object needs a separated target; blob is not"
+    for argv, message in (
+            (["factor", "into.json"], target),
+            (["factor", "out.json"], base),
+            (["classify", "into.json"], base),
+            (["classify", "out.json"], base),
+            (["lift", "sq.json"], target),
+            (["presheaves", "blob.json"], base),
+            (["complete", "blob.json"], base)):
+        argv[1] = str(tmp_path / argv[1])
+        assert run_command(argv) == (1, "error: " + message), argv
 
 
 def test_console_entry_point(tmp_path):

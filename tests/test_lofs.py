@@ -390,10 +390,17 @@ def test_filler_lies_between_its_own_squares_categories():
 
 
 def test_comma_map_requires_commuting_square():
+    # swap . top and top . id differ at p: every entry point refuses the
+    # square by the one check, naming the point
     F = comma_factorise(TOP)
+    ident = identity_functor(PT)
     swap = TVFunctor(TWO, TWO, Fn(TWO.carrier, TWO.carrier, (1, 0)), "swap")
-    with pytest.raises(InputError):
-        comma_map(F, F, identity_functor(PT), swap)
+    message = r"^lifting square \(id, swap\) does not commute at p$"
+    with pytest.raises(ValidationError, match=message):
+        comma_map(F, F, ident, swap)
+    for search in (solve_lifting, enumerate_fillers):
+        with pytest.raises(ValidationError, match=message):
+            search(TOP, TOP, ident, swap)
 
 
 def test_comma_map_names_the_map_and_the_point_on_a_miss(monkeypatch):

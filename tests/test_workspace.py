@@ -118,8 +118,12 @@ def test_problem_square_must_commute(tmp_path):
             "v": "id2.json"}
     seed(tmp_path, ("f.json", fdoc), ("g.json", gdoc), ("idp.json", iddoc),
          ("id2.json", id2doc), ("square.json", prob))
-    with pytest.raises(ValidationError, match="does not commute at p"):
+    # the loader only puts its file and problem in front of the engine's
+    # message
+    with pytest.raises(ValidationError) as exc:
         Workspace().load_file(str(tmp_path / "square.json"))
+    assert str(exc.value) == "%s: problem square: lifting square (idp, id2) " \
+        "does not commute at p" % (tmp_path / "square.json")
     good = dict(prob, name="ok", g="f.json")
     put(tmp_path, "ok.json", good)
     ws = Workspace()

@@ -14,9 +14,10 @@ has uncommitted changes), the size of its `src/tvcat` (raw lines, and code
 lines: those left once blank lines, comments and docstrings are dropped),
 the Python version and the number of CPUs this process may run on.  It
 ends with one summary line per config on stdout: each tree's median wall
-time and max peak RSS, and whether every run's stdout sha256 agrees across
-trees and rounds; then one line with each tree's `src/tvcat` size.  Stdlib
-only.
+time and max peak RSS, whether every run's stdout sha256 agrees across
+trees and rounds, and whether every run exited 0 (else the tree, round and
+exit code of each run that did not); then one line with each tree's
+`src/tvcat` size.  Stdlib only.
 """
 
 import argparse
@@ -139,8 +140,9 @@ def main(argv=None) -> int:
 
 
 def summary(runs: list, names: list) -> list:
-    """Per config: each tree's median wall and max peak RSS, and whether
-    all stdout hashes agree."""
+    """Per config: each tree's median wall and max peak RSS, whether all
+    stdout hashes agree, and which runs, if any, exited other than 0: two
+    trees that crash alike hash alike."""
     lines = []
     for config in CONFIGS:
         mine = [r for r in runs if r["config"] == config]
@@ -151,9 +153,13 @@ def summary(runs: list, names: list) -> list:
                 name, statistics.median(r["wall_s"] for r in own),
                 max(r["peak_rss_mb"] for r in own)))
         same = len({r["stdout_sha256"] for r in mine}) == 1
-        lines.append("%s: %s; stdout sha256 %s" % (
+        crashed = ["%s round %d exit %d" % (r["tree"], r["round"], r["exit"])
+                   for r in mine if r["exit"] != 0]
+        lines.append("%s: %s; stdout sha256 %s; %s" % (
             config, "; ".join(parts),
-            "equal on all %d runs" % len(mine) if same else "DIFFERS"))
+            "equal on all %d runs" % len(mine) if same else "DIFFERS",
+            "NOT EXIT 0: " + ", ".join(crashed) if crashed
+            else "exit 0 on all %d runs" % len(mine)))
     return lines
 
 
