@@ -659,8 +659,21 @@ def _candidate_relation(X: TVCategory, Y: TVCategory, k: int) -> VRelation:
                       for i in range(len(X.carrier))])
 
 
-# The most candidate maps `module_functor_correspondence` scans on a pair.
-MODULE_SCAN_CAP = 1024
+# The most candidate tables a scan over one pair of categories reads: the
+# correspondence scan here and the bimodule scan of the saturation rows.
+SCAN_CAP = 1024
+
+
+def scan_candidates(what: str, X: TVCategory, Y: TVCategory) -> int:
+    """The V^(|X|·|Y|) candidate tables of a scan over the pair, or
+    SizeCapError "<what> scan n^s over cap N" past SCAN_CAP."""
+    q = X.q
+    size = len(X.carrier) * len(Y.carrier)
+    count = q.n ** size
+    if count > SCAN_CAP:
+        raise SizeCapError("%s scan %d^%d over cap %d"
+                           % (what, q.n, size, SCAN_CAP))
+    return count
 
 
 def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory):
@@ -669,18 +682,14 @@ def module_functor_correspondence(Xcat: TVCategory, Ycat: TVCategory):
     Returns (checked, witness).  The candidates run in
     itertools.product order; witness is the first candidate, as a relation
     TX -/-> Y, on which the two sides disagree, and checked counts the
-    candidates up to it (all of them when there is none).  Past
-    MODULE_SCAN_CAP candidates it raises SizeCapError.  Both sides are
-    decided for every candidate at once by the law masks above.
+    candidates up to it (all of them when there is none).  Past SCAN_CAP
+    candidates it raises SizeCapError.  Both sides are decided for every
+    candidate at once by the law masks above.
     """
-    q = Xcat.q
-    size = len(Xcat.carrier) * len(Ycat.carrier)
-    if size and q.n ** size > MODULE_SCAN_CAP:
-        raise SizeCapError("correspondence scan %d^%d over cap %d"
-                           % (q.n, size, MODULE_SCAN_CAP))
+    count = scan_candidates("correspondence", Xcat, Ycat)
     diff = _bimodule_mask(Xcat, Ycat) ^ _functor_mask(Xcat, Ycat)
     if not diff:
-        return q.n ** size, None
+        return count, None
     k = (diff & -diff).bit_length() - 1
     return k + 1, _candidate_relation(Xcat, Ycat, k)
 

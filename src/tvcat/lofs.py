@@ -476,18 +476,18 @@ def lari(f: TVFunctor, cls=ALL, max_space: int = DEFAULT_MAX_SPACE):
     PY = presheaf_space(f.dst, cls, max_space)
     pf = apply_P(f, cls, max_space)
     q = f.src.q
+    xcodes = [line_code(q, phi) for phi in PX.presheaves]
+    ycodes = [line_code(q, psi) for psi in PY.presheaves]
+    images = [ycodes[j] for j in pf.fn.table]
     table = []
-    for psi in PY.presheaves:
-        cands = [ip for ip in range(len(PX))
-                 if all(q.leq_m[a][b] for a, b in
-                        zip(PY.presheaves[pf.fn.table[ip]], psi))]
-        greatest = None
-        for c in cands:
-            cv = PX.presheaves[c]
-            if all(all(q.leq_m[a][b] for a, b in zip(PX.presheaves[other], cv))
-                   for other in cands):
-                greatest = c
-                break
+    for above in ycodes:
+        # the candidates phi with P(f) phi <= psi; the greatest one holds
+        # the codes of all of them
+        cands = [ip for ip, code in enumerate(images) if not code & ~above]
+        join = 0
+        for ip in cands:
+            join |= xcodes[ip]
+        greatest = next((ip for ip in cands if not join & ~xcodes[ip]), None)
         if greatest is None:
             return None
         table.append(greatest)

@@ -34,8 +34,9 @@ from .category import (Bimodule, TVCategory, TVFunctor, _bimodule_mask,
                        checked_functor, costar, identity_functor,
                        is_bimodule, is_fully_faithful, is_functor,
                        is_separated, functor_leq, memoised, require_separated,
-                       star, unit_category)
-from .quantale import VRelation, compose_rows, line_masks, residual_left
+                       scan_candidates, star, unit_category)
+from .quantale import (VRelation, compose_rows, line_code, line_masks,
+                       residual_left)
 from .report import LawReport, decide
 
 
@@ -227,10 +228,9 @@ def _spell_leaf_groups(n, tn, leaves, frees):
 class SaturatedClass:
     """Named membership predicate on bimodules.
 
-    `contains` decides any relation; by default it is the bimodule test
-    plus `admits`.  `admits` decides a relation that the caller knows is a
-    bimodule (an enumerated presheaf, a scanned bimodule); by default it
-    asks `contains`.  A class defines one of the two.
+    A class defines `admits`, which decides a relation that the caller
+    knows is a bimodule (an enumerated presheaf, a scanned bimodule).
+    `contains` decides any relation: the bimodule test plus `admits`.
     """
 
     def __init__(self, name: str):
@@ -238,9 +238,6 @@ class SaturatedClass:
 
     def contains(self, phi: Bimodule) -> bool:
         return is_bimodule(phi.src, phi.dst, phi.rel) and self.admits(phi)
-
-    def admits(self, phi: Bimodule) -> bool:
-        return self.contains(phi)
 
     def __repr__(self):
         return "SaturatedClass(%s)" % self.name
@@ -509,12 +506,11 @@ def space_mult(C: TVCategory, cls: SaturatedClass = ALL,
 def _pointwise_order_matches(space: PresheafSpace) -> bool:
     # k <= ahat(i, j) exactly when presheaf i lies below j pointwise
     q = space.base.q
-    leq, above_unit = q.leq_m, q.leq_m[q.unit]
+    above_unit = q.leq_m[q.unit]
     ahat = space.category.structure.rows
-    return all(above_unit[ahat[i][j]]
-               == all(leq[a][b] for a, b in zip(p, r))
-               for i, p in enumerate(space.presheaves)
-               for j, r in enumerate(space.presheaves))
+    codes = [line_code(q, p) for p in space.presheaves]
+    return all(above_unit[ahat[i][j]] == (not p & ~r)
+               for i, p in enumerate(codes) for j, r in enumerate(codes))
 
 
 # Spaces of at most this many presheaves get the category-law and
@@ -618,9 +614,10 @@ def check_presheaf_monad(cls: SaturatedClass, cats, fns,
         acted = lines @ C.structure
         if acted <= lines:
             return []
+        q = C.q
         return ["%s at %s" % (name, C.name) for name, got, have
                 in zip(space.carrier, acted.T.rows, space.presheaves)
-                if not all(C.q.leq_m[u][v] for u, v in zip(got, have))]
+                if line_code(q, got) & ~line_code(q, have)]
     bad, count = decide(cats, bimodule_members, skipped)
     rep.tally("members-are-bimodules", bad[:4], count,
               "every enumerated presheaf passes both action laws")
@@ -650,29 +647,17 @@ def unit_isomorphism_check(cls: SaturatedClass, cats,
     return rep.capped(skipped)
 
 
-def _all_bimodules(C: TVCategory, D: TVCategory, cap: int):
-    # class-independent, so remembered rather than rescanned per class
-    return memoised(("bimodules", C, D, cap),
-                    lambda: tuple(_scan_bimodules(C, D, cap)))
+def _all_bimodules(C: TVCategory, D: TVCategory) -> tuple:
+    """The bimodules C -|-> D in itertools.product order of their tables;
+    past `category.SCAN_CAP` candidates, SizeCapError.  Class-independent,
+    so remembered per pair: each pair is scanned once per corpus."""
+    def scan():
+        scan_candidates("bimodule", C, D)
+        found = _bimodule_mask(C, D)
+        return tuple(Bimodule(C, D, _candidate_relation(C, D, k))
+                     for k in range(found.bit_length()) if found >> k & 1)
+    return memoised(("bimodules", C, D), scan)
 
-
-def _scan_bimodules(C: TVCategory, D: TVCategory, cap: int):
-    q = C.q
-    size = len(C.carrier) * len(D.carrier)
-    if size and q.n ** size > cap:
-        raise SizeCapError("bimodule scan %d^%d over cap %d"
-                           % (q.n, size, cap))
-    # the bimodules in itertools.product order: set bits, lowest first
-    found = _bimodule_mask(C, D)
-    while found:
-        low = found & -found
-        found ^= low
-        yield Bimodule(C, D, _candidate_relation(C, D, low.bit_length() - 1))
-
-
-# The cap of every bimodule scan in the saturation rows: a pair of
-# categories is scanned at one cap, once per corpus.
-SATURATION_SCAN_CAP = 1024
 
 # composition-closed in `check_saturated` checks at most this many pairs.
 SATURATION_PAIR_BUDGET = 40000
@@ -683,7 +668,7 @@ SATURATION_PAIR_BUDGET = 40000
 ADJOINT_CROSSCHECK_CAP = 64
 
 
-def _adjoint_by_scan(phi: Bimodule, scan_cap: int) -> bool:
+def _adjoint_by_scan(phi: Bimodule) -> bool:
     """Whether some bimodule Y -|-> X is left adjoint to phi: X -|-> Y.
 
     Tries every bimodule in the reverse direction: the reference that the
@@ -692,7 +677,7 @@ def _adjoint_by_scan(phi: Bimodule, scan_cap: int) -> bool:
     X, Y = phi.src, phi.dst
     return any((lam.rel @ phi.rel) <= X.structure
                and Y.structure <= phi.rel @ lam.rel
-               for lam in _all_bimodules(Y, X, scan_cap))
+               for lam in _all_bimodules(Y, X))
 
 
 def check_adjoint_residual(cats) -> LawReport:
@@ -702,15 +687,13 @@ def check_adjoint_residual(cats) -> LawReport:
     ADJOINT_CROSSCHECK_CAP candidate adjoints.
     """
     rep = LawReport("adjoint residual")
-    cls, cap = CLASSES["right_adjoint"], SATURATION_SCAN_CAP
-    # the pairs are those under ADJOINT_CROSSCHECK_CAP, scanned at the cap
-    # of the saturation scans so that each pair is scanned once
+    cls = CLASSES["right_adjoint"]
     mods = [phi for C in cats for D in cats
             if C.q.n ** (len(C.carrier) * len(D.carrier))
             <= ADJOINT_CROSSCHECK_CAP
-            for phi in _all_bimodules(C, D, cap)]
+            for phi in _all_bimodules(C, D)]
     bad = next((phi for phi in mods
-                if cls.contains(phi) != _adjoint_by_scan(phi, cap)), None)
+                if cls.contains(phi) != _adjoint_by_scan(phi)), None)
     rep.add("residual-matches-scan", bad is None,
             "the residual decides as the scan on %d bimodules" % len(mods)
             if bad is None else "disagrees on %s -> %s at %s"
@@ -742,9 +725,11 @@ def check_saturated(cls: SaturatedClass, cats, fns) -> LawReport:
 
     Membership is remembered by rows for the call, and a composite or a
     restriction becomes a `Bimodule` only when its rows are new.  A
-    scanned bimodule is asked only the class-only part, `admits`; a
-    composite or a restriction is asked `contains`.  A pair with more than
-    SATURATION_SCAN_CAP candidates is scanned as empty and is a trailing
+    scanned bimodule is asked the class's own test, `admits`; a composite
+    or a restriction is asked `contains`, which adds the bimodule test.
+    The pairs are scanned by `_all_bimodules`, once per corpus for this
+    row and `check_adjoint_residual` alike; a pair with more than
+    `category.SCAN_CAP` candidates is scanned as empty and is a trailing
     capped row.
     """
     rep = LawReport("saturation: %s" % cls.name)
@@ -778,7 +763,7 @@ def check_saturated(cls: SaturatedClass, cats, fns) -> LawReport:
 
     def scan(i: int, j: int):
         try:
-            return _all_bimodules(small[i], small[j], SATURATION_SCAN_CAP)
+            return _all_bimodules(small[i], small[j])
         except SizeCapError as exc:
             over_cap[i, j] = "%s -|-> %s: %s" % (small[i].name,
                                                  small[j].name, exc)

@@ -284,7 +284,7 @@ def test_over_cap_correspondence_pairs_are_trailing_capped_rows(monkeypatch):
         "equivalence checked for %d candidate maps" % (16 + 2 * 64 + 512)
     # at a cap of 16 only two -|-> two is scanned, and each other pair is
     # a capped row after the correspondence row, in scan order
-    monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", 16)
+    monkeypatch.setattr("tvcat.category.SCAN_CAP", 16)
     rep = check_enriched_calculus(ID_BOOL, cats, fns)
     assert rep.ok, rep.to_text()
     assert (rep.checks[-4].name, rep.checks[-4].detail) == (

@@ -42,10 +42,11 @@ from tvcat.quantale import (MASK_CELLS, VRelation, boolean_quantale,
 from tvcat.monad import instantiate_monad
 from tvcat.category import (MEMO, TVCategory, TVFunctor, costar,
                             dual_category, is_bimodule, is_functor,
-                            is_separated, module_functor_correspondence,
-                            tensor_category, v_category)
-from tvcat.presheaf import (ENUM_BASE_CAP, _enumerate_value_tuples,
-                            _scan_bimodules, apply_P, presheaf_space,
+                            is_separated, memo_scope,
+                            module_functor_correspondence, tensor_category,
+                            v_category)
+from tvcat.presheaf import (ENUM_BASE_CAP, _all_bimodules,
+                            _enumerate_value_tuples, apply_P, presheaf_space,
                             saturated_class)
 from tvcat.corpus import iso_representatives, seed_corpus
 from tvcat.lofs import comma_factorise
@@ -730,8 +731,18 @@ def law_pairs():
                                category(M, CARRIERS[ny], make(ny), "Y"))
 
 
+@pytest.fixture
+def fresh_memo():
+    """MEMO empty at the start of the test and again after it: a remembered
+    bimodule scan answers with the categories and at the cap it was made
+    under."""
+    MEMO.clear()
+    yield
+    MEMO.clear()
+
+
 def test_correspondence_matches_the_per_map_scan(monkeypatch):
-    monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", LAW_CAP)
+    monkeypatch.setattr("tvcat.category.SCAN_CAP", LAW_CAP)
     witnesses = set()
     for X, Y in law_pairs():
         got = module_functor_correspondence(X, Y)
@@ -743,35 +754,40 @@ def test_correspondence_matches_the_per_map_scan(monkeypatch):
     assert witnesses == set(LAW_QUANTALES)
 
 
-def test_bimodule_scan_matches_the_per_map_scan():
+def test_bimodule_scan_matches_the_per_map_scan(fresh_memo):
+    # each pair is scanned afresh: law_pairs repeats equal categories
     for X, Y in law_pairs():
-        found = [phi.rel for phi in _scan_bimodules(X, Y, LAW_CAP)]
-        assert found == ref_bimodules(X, Y), (X.structure, Y.structure)
-        assert all(phi.src is X and phi.dst is Y
-                   for phi in _scan_bimodules(X, Y, LAW_CAP))
+        with memo_scope():
+            found = _all_bimodules(X, Y)
+        assert [phi.rel for phi in found] == ref_bimodules(X, Y), (
+            X.structure, Y.structure)
+        assert all(phi.src is X and phi.dst is Y for phi in found)
 
 
-def test_the_cap_admits_exactly_its_own_count(monkeypatch):
+def test_the_cap_admits_exactly_its_own_count(monkeypatch, fresh_memo):
+    # SCAN_CAP is the one bound of both scans over a pair: each admits a
+    # pair of exactly SCAN_CAP candidates and refuses it at one less
     for q in LAW_QUANTALES:
         M = LAW_MONADS[id(q), "identity"]
         rng = random.Random(q.n)
         X = category(M, CARRIERS[2], random_rows(rng, q, 2, False), "X")
         Y = category(M, CARRIERS[1], random_rows(rng, q, 1, False), "Y")
         count = q.n ** 2
-        monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", count)
+        monkeypatch.setattr("tvcat.category.SCAN_CAP", count)
         assert module_functor_correspondence(X, Y) \
             == ref_correspondence(X, Y, count) != (0, None)
-        monkeypatch.setattr("tvcat.category.MODULE_SCAN_CAP", count - 1)
+        assert [phi.rel for phi in _all_bimodules(X, Y)] \
+            == ref_bimodules(X, Y)
+        monkeypatch.setattr("tvcat.category.SCAN_CAP", count - 1)
+        MEMO.clear()
         with pytest.raises(SizeCapError,
                            match=r"^correspondence scan %d\^2 over cap %d$"
                            % (q.n, count - 1)):
             module_functor_correspondence(X, Y)
-        assert len(list(_scan_bimodules(X, Y, count))) \
-            == len(ref_bimodules(X, Y))
         with pytest.raises(SizeCapError,
                            match=r"^bimodule scan %d\^2 over cap %d$"
                            % (q.n, count - 1)):
-            next(_scan_bimodules(X, Y, count - 1))
+            _all_bimodules(X, Y)
 
 
 # ---------------------------------------------------------------------------

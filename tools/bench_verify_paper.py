@@ -3,8 +3,9 @@
     python3 tools/bench_verify_paper.py --out BENCH.json \
         --tree NAME=DIR [--tree NAME=DIR ...]
 
-Each tree is a source checkout.  In each of two rounds, for the default
-config and then the four-quantale one, the script runs
+Each tree is a source checkout.  In each of two rounds, for each config
+in turn (the default, the four-quantale one and the default rendered with
+`--output json`), the script runs
 `python -m tvcat.cli verify-paper` from every tree's `src` in a fresh child
 process and records the wall time, the child's own `ru_maxrss` (from
 `os.wait4`, so no other process counts), its exit code and the sha256 of
@@ -38,6 +39,7 @@ CONFIGS = {
     "default": [],
     "four-quantale": ["--quantales", "boolean,truncated_chain(2),"
                       "lukasiewicz_chain(2),powerset_frame(2)"],
+    "default-json": ["--output", "json"],
 }
 
 
